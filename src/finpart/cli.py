@@ -327,20 +327,23 @@ def suite_ramsey(max_colorings, prune):
     return report
 
 
-def sample_indexed_family(cfg, rng, dense_cap=None, sparse_cap=4):
+# Slots with at most _UNIFORM_MAX_TUPLES m-profile tuples are sampled as
+# uniform subsets; larger slots get at most _FEW_MEMBERS members, because
+# the sparse operator route is fast only while few members cover the ground.
+_UNIFORM_MAX_TUPLES = 64
+_FEW_MEMBERS = 4
+
+
+def sample_indexed_family(cfg, rng):
     """Seeded random family conforming to a config: uniform subsets on
-    slots whose operator space is dense-indexable, few-member samples on
-    slots where only the backtracking route is feasible."""
+    slots with small m-sides, few-member samples on the others."""
     X = {}
     for j, m in cfg.slots:
-        g = cfg.g(j, m)
         tuples = sorted(core.enum_disjoint_tuples(cfg.a, m))
-        if coding._route_dense(cfg.a, m, g) and (
-            dense_cap is None or len(tuples) <= dense_cap
-        ):
+        if len(tuples) <= _UNIFORM_MAX_TUPLES:
             fam = frozenset(t for t in tuples if rng.random() < 0.5)
         else:
-            fam = frozenset(rng.sample(tuples, rng.randrange(sparse_cap + 1)))
+            fam = frozenset(rng.sample(tuples, rng.randrange(_FEW_MEMBERS + 1)))
         if fam:
             X[j] = X.get(j, frozenset()) | fam
     return X
@@ -355,7 +358,7 @@ def suite_coding(config_path, mode, samples, seed, use_partitions=None):
     )
     single_dense = (
         len(cfg.slots) == 1
-        and coding._route_dense(cfg.a, cfg.slots[0][1], cfg.g(*cfg.slots[0]))
+        and operators.fits_dense(cfg.a, cfg.slots[0][1], cfg.g(*cfg.slots[0]))
     )
     if use_partitions is None:
         use_partitions = single_dense
@@ -509,22 +512,30 @@ def emit_counts(space, a_max, n_max, budget=2_000_000):
 # ---------------------------------------------------------------------------
 # coding verbs
 
-def _load_config(path):
+def _load_json(path, what, parse):
+    """parse() of the text of the file at path.  An unreadable file or
+    malformed content is a usage error; JSON of the wrong shape shows up
+    as TypeError or AttributeError in the parsers."""
     try:
         with open(path) as f:
-            return coding.CodingConfig.from_json(f.read())
-    except (OSError, ValueError, KeyError) as e:
-        raise UsageError(f"bad config {path}: {e}")
+            return parse(f.read())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise UsageError(f"bad {what} {path}: {type(e).__name__}: {e}")
+
+
+def _load_config(path):
+    return _load_json(path, "config", coding.CodingConfig.from_json)
 
 
 def _load_family(path, cfg):
-    with open(path) as f:
-        raw = json.load(f)
-    X = {
-        int(j): frozenset(tuple(tuple(c) for c in t) for t in fam)
-        for j, fam in raw.items()
-    }
-    return coding.validate_indexed(X, cfg)
+    def parse(text):
+        X = {
+            int(j): frozenset(tuple(tuple(c) for c in t) for t in fam)
+            for j, fam in json.loads(text).items()
+        }
+        return coding.validate_indexed(X, cfg)
+
+    return _load_json(path, "family", parse)
 
 
 def demo_coding(cfg, X=None, out=None):
@@ -734,8 +745,7 @@ def run(argv=None):
                     print(json.dumps({"materialize": len(H)}))
             return 0
         if args.action == "decode":
-            with open(args.book) as f:
-                book = coding.CodeBook.from_json(f.read())
+            book = _load_json(args.book, "book", coding.CodeBook.from_json)
             if book.cfg != cfg:
                 raise UsageError("book does not match the given config")
             X = coding.decode(book)
@@ -791,7 +801,7 @@ def main():
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (coding.CodingError, ValueError) as e:
+    except (coding.CodingError, coding.DecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except operators.BudgetExceeded as e:

@@ -37,11 +37,11 @@ from .operators import (
     count_extensions,
     enum_extensions,
     family_to_mask,
+    fits_dense,
     interior,
     interior_sparse,
     mask_to_family,
     profile_space,
-    rank_tuple,
     up_mask,
 )
 
@@ -258,16 +258,8 @@ def normalize_indexed(X):
 # ---------------------------------------------------------------------------
 # operator routing (dense bitmask when the space fits, sparse DFS otherwise)
 
-def _route_dense(a, m, l):
-    try:
-        profile_space(a, m, l)
-        return True
-    except BudgetExceeded:
-        return False
-
-
 def _interior(a, m, l, X):
-    if _route_dense(a, m, l):
+    if fits_dense(a, m, l):
         return interior(a, m, l, X)
     return interior_sparse(a, m, l, X)
 
@@ -360,10 +352,6 @@ def encode(X, cfg):
 # ---------------------------------------------------------------------------
 # materialized partitions
 
-def _partition_of_tuple(a, q):
-    return partition_from_ns(a, q)
-
-
 def materialize(book, budget=2_000_000):
     """The partition set carried by a book: for every key, the partitions
     induced by the l-extensions of the stored family.
@@ -380,20 +368,13 @@ def materialize(book, budget=2_000_000):
     out = set()
     for (j, m, k), fam in sorted(book.Y.items()):
         l = cfg.f(j, m, k)
-        if _route_dense(cfg.a, m, l):
+        if fits_dense(cfg.a, m, l):
             sp = profile_space(cfg.a, m, l)
-            if sp.dense_l:
-                gmask = up_mask(sp, family_to_mask(sp, fam))
-                for i in range(sp.l_size):
-                    if gmask >> i & 1:
-                        out.add(_partition_of_tuple(cfg.a, sp.l_tuples[i]))
-                continue
-        seen = set()
-        for p in fam:
-            for q in enum_extensions(cfg.a, p, l):
-                if q not in seen:
-                    seen.add(q)
-                    out.add(_partition_of_tuple(cfg.a, q))
+            gmask = up_mask(sp, family_to_mask(sp, fam))
+            qs = (sp.l_tuples[i] for i in range(sp.l_size) if gmask >> i & 1)
+        else:
+            qs = {q for p in fam for q in enum_extensions(cfg.a, p, l)}
+        out.update(partition_from_ns(cfg.a, q) for q in qs)
     return frozenset(out), None
 
 
@@ -424,16 +405,11 @@ def pullback_Y(a, m, Z, l, max_check=5_000_000):
     if a < sum(l):
         raise CodingError(f"ground size {a} below sum{l}; pullback would be vacuous")
     Z = frozenset(Z)
-    if _route_dense(a, m, l):
+    if fits_dense(a, m, l):
         sp = profile_space(a, m, l)
-        if sp.dense_l:
-            zmask = 0
-            for q in Z:
-                zmask |= 1 << sp.l_index[q]
-        else:
-            zmask = 0
-            for q in Z:
-                zmask |= 1 << rank_tuple(a, q)
+        zmask = 0
+        for q in Z:
+            zmask |= 1 << sp.l_index[q]
         return mask_to_family(
             sp,
             sum(

@@ -58,11 +58,6 @@ def profile_of(t):
     return tuple(len(c) for c in t)
 
 
-def tuple_support(t):
-    """Union of the components of a disjoint tuple, as a canonical subset."""
-    return as_subset(x for c in t for x in c)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 

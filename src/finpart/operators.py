@@ -13,17 +13,16 @@ boundary is nilpotent with index at most sum(m) + 1 once the ground set is
 large enough; on small ground sets iteration may cycle, which is detected
 and reported rather than looped on.
 
-Families are frozensets of canonical tuples.  Exhaustive sweeps use a dense
-bitmask representation over the enumeration order of the m-profile space;
-the l-profile side is either materialized (small spaces) or addressed by
-combinatorial ranking (large spaces), and a sparse backtracking fallback
-handles spaces too large to index at all.
+Families are frozensets of canonical tuples.  Operators run on one of two
+routes, chosen by `fits_dense` from closed-form counts alone: dense bitmasks
+over the enumeration orders of both profile spaces, when they fit its
+budgets, and otherwise a sparse backtracking search that indexes neither
+side.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -113,33 +112,23 @@ def count_extensions(a, m, l):
 
 
 # ---------------------------------------------------------------------------
-# dense / ranked index spaces
+# dense index spaces
 
-_DENSE_LIMIT = 300_000
-_EXT_BUDGET = 40_000_000
-_M_LIMIT = 100_000
-
-
-def _rank_combination(comp, pool):
-    """Rank of `comp` (sorted tuple drawn from the sorted list `pool`)
-    among the |comp|-combinations of the pool, via the combinatorial
-    number system."""
-    return sum(comb(bisect_left(pool, v), t + 1) for t, v in enumerate(comp))
+# A dense space holds every m- and l-tuple with an index dict over each
+# (about 200 bytes per tuple), plus one l_size-bit extension mask per
+# m-tuple.  The bit budget also bounds the build, which sets at most
+# l_size bits in each mask.
+_TUPLE_BUDGET = 1 << 15
+_BIT_BUDGET = 1 << 20
 
 
-def rank_tuple(a, t):
-    """Injective index of a disjoint tuple into range(count_disjoint_tuples)
-    for its own profile: mixed-radix over per-component ranks, each taken
-    relative to the elements not used by earlier components."""
-    used = set()
-    idx = 0
-    rest = a
-    for comp in t:
-        pool = [x for x in range(a) if x not in used]
-        idx = idx * comb(rest, len(comp)) + _rank_combination(comp, pool)
-        used.update(comp)
-        rest -= len(comp)
-    return idx
+def fits_dense(a, m, l):
+    """True iff the (a, m, l) operator runs on dense bitmasks, decided from
+    the closed-form sizes of both profile spaces; otherwise the sparse
+    route applies and `profile_space` refuses to build."""
+    m_size = count_disjoint_tuples(a, m)
+    l_size = count_disjoint_tuples(a, l)
+    return m_size + l_size <= _TUPLE_BUDGET and m_size * l_size <= _BIT_BUDGET
 
 
 @dataclass
@@ -153,12 +142,8 @@ class ProfileSpace:
     m_index: dict
     l_size: int
     ext: list          # per m-tuple: bitmask of its l-extensions
-    l_tuples: tuple    # () when the l-side is ranked rather than materialized
+    l_tuples: tuple
     l_index: dict
-
-    @property
-    def dense_l(self):
-        return bool(self.l_tuples) or self.l_size == 0
 
     @property
     def full_m_mask(self):
@@ -167,41 +152,29 @@ class ProfileSpace:
 
 @cache
 def profile_space(a, m, l):
-    """Build (and cache) the index space for one operator instance.
+    """Build (and cache) the dense index space for one operator instance.
 
-    Raises BudgetExceeded when the m-side or the total extension relation
-    is too large to materialize.
+    Raises BudgetExceeded, before building anything, when `fits_dense`
+    says no.
     """
     m, l = check_profiles(m, l)
-    m_size = count_disjoint_tuples(a, m)
-    if m_size > _M_LIMIT:
-        raise BudgetExceeded(f"|O_{m}({a})| = {m_size} exceeds the m-side limit")
-    if m_size * count_extensions(a, m, l) > _EXT_BUDGET:
+    if not fits_dense(a, m, l):
         raise BudgetExceeded(
-            f"extension relation for a={a}, m={m}, l={l} exceeds the build budget"
+            f"O_{m}({a}) x O_{l}({a}) is over the dense budget "
+            f"({_TUPLE_BUDGET} tuples, {_BIT_BUDGET} mask bits)"
         )
     m_tuples = tuple(enum_disjoint_tuples(a, m))
     m_index = {t: i for i, t in enumerate(m_tuples)}
-    l_size = count_disjoint_tuples(a, l)
-
+    l_tuples = tuple(enum_disjoint_tuples(a, l))
+    l_index = {t: i for i, t in enumerate(l_tuples)}
     ext = []
-    if l_size <= _DENSE_LIMIT:
-        l_tuples = tuple(enum_disjoint_tuples(a, l))
-        l_index = {t: i for i, t in enumerate(l_tuples)}
-        for p in m_tuples:
-            mask = 0
-            for q in enum_extensions(a, p, l):
-                mask |= 1 << l_index[q]
-            ext.append(mask)
-    else:
-        l_tuples = ()
-        l_index = {}
-        for p in m_tuples:
-            mask = 0
-            for q in enum_extensions(a, p, l):
-                mask |= 1 << rank_tuple(a, q)
-            ext.append(mask)
-    return ProfileSpace(a, m, l, m_tuples, m_index, l_size, ext, l_tuples, l_index)
+    for p in m_tuples:
+        mask = 0
+        for q in enum_extensions(a, p, l):
+            mask |= 1 << l_index[q]
+        ext.append(mask)
+    return ProfileSpace(a, m, l, m_tuples, m_index, len(l_tuples), ext,
+                        l_tuples, l_index)
 
 
 def family_to_mask(sp, X):
@@ -255,8 +228,6 @@ def _space(a, m, l, X=None):
 def up(a, m, l, X):
     """All l-profile tuples extending some member of X."""
     sp = _space(a, m, l, X)
-    if not sp.dense_l:
-        raise BudgetExceeded(f"l-side O_{tuple(l)}({a}) too large to materialize")
     g = up_mask(sp, family_to_mask(sp, X))
     return frozenset(sp.l_tuples[i] for i in range(sp.l_size) if g >> i & 1)
 
@@ -444,17 +415,3 @@ def nilpotency_holds(a, m, l, mode="exhaustive", samples=1000, seed=0):
         if not check(mask):
             return False, tuple(sorted(mask_to_family(sp, mask)))
     return True, None
-
-
-def min_ground_size(m, l, a_max, mode="exhaustive", samples=1000, seed=0):
-    """Smallest ground size a <= a_max at which nilpotency_holds, together
-    with the per-size verdicts.  Returns (a_min_or_None, verdicts)."""
-    m, l = check_profiles(m, l)
-    verdicts = {}
-    a_min = None
-    for a in range(sum(l), a_max + 1):
-        ok, witness = nilpotency_holds(a, m, l, mode=mode, samples=samples, seed=seed)
-        verdicts[a] = (ok, witness)
-        if ok and a_min is None:
-            a_min = a
-    return a_min, verdicts

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -64,21 +63,6 @@ class RunReport:
     @property
     def exit_code(self):
         return {PASS: 0, VIOLATION: 1, INFEASIBLE: 1}[self.outcome]
-
-
-class timed:
-    """Context manager stamping wall time onto a report."""
-
-    def __init__(self, report):
-        self.report = report
-
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.wall_time_s = time.monotonic() - self.t0
-        return False
 
 
 def rows_to_csv(rows, header):

@@ -1,9 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from finpart import cli
+from finpart import cli, coding
 from finpart.report import RunReport
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" /
@@ -108,6 +109,54 @@ def test_bad_config_exits_2(tmp_path, capsys):
     ))
     with pytest.raises(cli.UsageError, match="ground size"):
         cli.run(["code", "demo", "--config", str(bad)])
+
+
+def run_main(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "argv", ["finpart"] + argv)
+    code = cli.main()
+    return code, capsys.readouterr().err
+
+
+def assert_one_line_error(code, err):
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_missing_book_exits_2(monkeypatch, capsys, tmp_path):
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "code", "decode", "--config", CONFIG, "--book", str(tmp_path / "none"),
+    ]))
+
+
+def test_missing_family_exits_2(monkeypatch, capsys, tmp_path):
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "code", "encode", "--config", CONFIG, "--family", str(tmp_path / "none"),
+    ]))
+
+
+def test_book_missing_keys_exits_2(monkeypatch, capsys, tmp_path):
+    book = tmp_path / "book.json"
+    book.write_text(json.dumps({"config": json.loads(Path(CONFIG).read_text())}))
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "code", "decode", "--config", CONFIG, "--book", str(book),
+    ]))
+
+
+def test_decode_error_exits_2(monkeypatch, capsys, tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"0": [[[0]]]}))
+    _, book = run_cli(capsys, ["code", "encode", "--config", CONFIG,
+                               "--family", str(family)])
+    (tmp_path / "book.json").write_text(book)
+
+    def unfaithful(*args, **kwargs):
+        raise coding.DecodeError("slice (0, (1,), 0) is not interior-closed")
+
+    monkeypatch.setattr(coding, "decode", unfaithful)
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "code", "decode", "--config", CONFIG, "--book", str(tmp_path / "book.json"),
+    ]))
 
 
 def test_symmetry_orbits(capsys):

@@ -24,6 +24,7 @@ from finpart.coding import (
     validate_signature,
 )
 from finpart.core import enum_disjoint_tuples, ns_blocks
+from finpart.operators import fits_dense
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -163,6 +164,29 @@ def test_injectivity_on_samples(cfg12):
         if key in seen:
             assert seen[key] == fam
         seen[key] = fam
+
+
+# Route of every (m, l) space that a shipped config's keys reach, at f and
+# at g; any space not listed runs sparse.
+DENSE_SPACES = {
+    "single_slot_a12.json": {((1,), (3,)), ((1,), (5,))},
+    "seq_arity1_a12.json": {((1,), (3,)), ((1,), (5,)), ((0,), (7,))},
+    "two_slot_a28.json": {((1,), (4,))},
+    "pair_slot_a24.json": set(),
+    "seq_arity2_a40.json": set(),
+}
+
+
+def test_config_route_table():
+    assert sorted(DENSE_SPACES) == sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+    for name, dense in DENSE_SPACES.items():
+        cfg = load_config(name)
+        reached = set()
+        for j, m, k in cfg.keys():
+            for l in (cfg.f(j, m, k), cfg.g(j, m)):
+                reached.add((m, l))
+                assert fits_dense(cfg.a, m, l) == ((m, l) in dense), (name, m, l)
+        assert dense <= reached, name
 
 
 def test_two_slot_config_roundtrip():

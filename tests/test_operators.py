@@ -16,7 +16,7 @@ from finpart.operators import (
     interior_sparse,
     nilpotency_holds,
     nilpotency_index,
-    rank_tuple,
+    profile_space,
     tuple_extends,
     tuple_join,
     tuple_meet,
@@ -148,19 +148,20 @@ def test_nilpotency_random_mode_seeded():
     assert r1 == r2 == (True, None)
 
 
-def test_rank_tuple_injective():
-    for a, m in [(5, (2,)), (5, (1, 2))]:
-        ranks = [rank_tuple(a, t) for t in enum_disjoint_tuples(a, m)]
-        assert len(set(ranks)) == len(ranks)
-        from finpart.core import count_disjoint_tuples
-
-        assert all(0 <= r < count_disjoint_tuples(a, m) for r in ranks)
-
-
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         # the extension relation here is astronomically over budget
         up(40, (1, 1, 0), (11, 12, 13), {(((0,), (1,), ()))})
+
+
+def test_budget_refuses_before_building(monkeypatch):
+    # 6320 m-tuples and 246480 l-tuples: ~1.6e9 mask bits, about 190 MB
+    def no_enumeration(*args):
+        raise AssertionError("profile_space enumerated an over-budget space")
+
+    monkeypatch.setattr("finpart.operators.enum_disjoint_tuples", no_enumeration)
+    with pytest.raises(BudgetExceeded):
+        profile_space(80, (1, 1), (1, 2))
 
 
 def test_profile_validation():
