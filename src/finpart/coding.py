@@ -19,20 +19,18 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
 from .core import (
     check_disjoint_tuple,
-    count_disjoint_tuples,
-    enum_disjoint_tuples,
     ns_blocks,
     partition_from_ns,
     profile_of,
 )
 from .maps import disjoint_to_fin, fin_to_disjoint
 from .operators import (
-    BudgetExceeded,
     boundary,
     count_extensions,
     enum_extensions,
@@ -394,12 +392,16 @@ def extract_slice(H, cfg, j, m, k):
     return frozenset(out)
 
 
-def pullback_Y(a, m, Z, l, max_check=5_000_000):
-    """The family of m-profile tuples all of whose l-extensions lie in Z.
+def pullback_Y(a, m, Z, l):
+    """The family of m-profile tuples all of whose l-extensions lie in Z,
+    a set of l-profile tuples.
 
     This inverts the up-closure on interior-closed families: when
     Z = up(Y) for Y interior-closed at some dominating profile, the
-    result is exactly Y.
+    result is exactly Y.  Off the dense route it counts instead of
+    enumerating: one pass over Z counts, per m-tuple, the members of Z
+    extending it, and keeps the m-tuples whose count equals
+    `count_extensions`.
     """
     m, l = tuple(m), tuple(l)
     if a < sum(l):
@@ -418,16 +420,15 @@ def pullback_Y(a, m, Z, l, max_check=5_000_000):
                 if e & zmask == e
             ),
         )
+    hits = Counter()
+    for q in Z:
+        if profile_of(q) != l:
+            raise CodingError(f"tuple {q!r} in the slice does not have profile {l}")
+        hits.update(itertools.product(
+            *(itertools.combinations(c, mi) for c, mi in zip(q, m))
+        ))
     per = count_extensions(a, m, l)
-    if per * count_disjoint_tuples(a, m) > max_check:
-        raise BudgetExceeded(
-            f"pullback for a={a}, m={m}, l={l} exceeds its check budget"
-        )
-    out = []
-    for p in enum_disjoint_tuples(a, m):
-        if all(q in Z for q in enum_extensions(a, p, l)):
-            out.append(p)
-    return frozenset(out)
+    return frozenset(p for p, k in hits.items() if k == per)
 
 
 def decode(source, cfg=None, check=True):

@@ -16,8 +16,12 @@ and reported rather than looped on.
 Families are frozensets of canonical tuples.  Operators run on one of two
 routes, chosen by `fits_dense` from closed-form counts alone: dense bitmasks
 over the enumeration orders of both profile spaces, when they fit its
-budgets, and otherwise a sparse backtracking search that indexes neither
-side.
+budgets, and otherwise a sparse route that indexes neither side.  The
+sparse interior first tests the whole family: when the members' support
+leaves at least sum(l) ground elements fresh, each non-member has an
+extension that avoids the family, so the interior is X itself.  Only
+otherwise does it run a backtracking search, once per class of candidates
+that agree inside the support.
 """
 
 from __future__ import annotations
@@ -327,12 +331,15 @@ def exists_uncovered_extension(a, p, l, members, max_nodes=2_000_000):
     def covered():
         return any(all(t[i] <= qsets[i] for i in range(n)) for t in members)
 
-    def rec(i, start):
+    # `check`: the last element added lies in the members' support.  Only
+    # such an element can complete a member, and the root (q = p) was
+    # tested above.
+    def rec(i, start, check):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded("uncovered-extension search exceeded its node budget")
-        if covered():
+        if check and covered():
             return False
         while i < n and need[i] == 0:
             i, start = i + 1, 0
@@ -345,7 +352,8 @@ def exists_uncovered_extension(a, p, l, members, max_nodes=2_000_000):
             qsets[i].add(x)
             used.add(x)
             need[i] -= 1
-            ok = rec(i, pos + 1) if need[i] else rec(i + 1, 0)
+            hit = x in support
+            ok = rec(i, pos + 1, hit) if need[i] else rec(i + 1, 0, hit)
             need[i] += 1
             used.discard(x)
             qsets[i].discard(x)
@@ -353,26 +361,43 @@ def exists_uncovered_extension(a, p, l, members, max_nodes=2_000_000):
                 return True
         return False
 
-    return rec(0, 0)
+    return rec(0, 0, False)
 
 
-def interior_sparse(a, m, l, X, candidates=None, max_nodes=2_000_000):
-    """interior(X) computed without materializing the l-side.
+def interior_sparse(a, m, l, X, max_nodes=2_000_000):
+    """interior(X) computed without materializing either profile space:
+    X itself plus every m-profile tuple p not in X that has no l-extension
+    avoiding all members of X (`exists_uncovered_extension`).
 
-    candidates restricts the tuples tested for membership (default: X
-    itself plus nothing else is NOT sound for general use, so the default
-    tests every m-profile tuple).
+    Whole-family test first: when the members' support leaves at least
+    sum(l) ground elements free, the result is X and no candidate is
+    enumerated.  A tuple p not in X can then take all its extra elements
+    from the free ground; a member contained in that extension lies inside
+    p componentwise, hence equals p (same profile), which is impossible.
+    Otherwise the backtracking search runs once per class of candidates
+    that agree inside the support.
     """
     m, l = check_profiles(m, l)
     X = frozenset(X)
-    if candidates is None:
-        candidates = enum_disjoint_tuples(a, m)
+    for t in X:
+        check_disjoint_tuple(t, a, profile=m)
+    support = {x for t in X for c in t for x in c}
+    if a - len(support) >= sum(l):
+        return X
+    # A permutation fixing the support pointwise fixes X, so candidates
+    # that agree inside the support, component by component, share a
+    # verdict; the search runs once per such class.
+    verdicts = {}
     out = []
-    for p in candidates:
+    for p in enum_disjoint_tuples(a, m):
         if p in X:
             out.append(p)  # members are always interior points
             continue
-        if not exists_uncovered_extension(a, p, l, X, max_nodes=max_nodes):
+        key = tuple(tuple(x for x in c if x in support) for c in p)
+        if key not in verdicts:
+            verdicts[key] = not exists_uncovered_extension(
+                a, p, l, X, max_nodes=max_nodes)
+        if verdicts[key]:
             out.append(p)
     return frozenset(out)
 

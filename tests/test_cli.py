@@ -7,8 +7,8 @@ import pytest
 from finpart import cli, coding
 from finpart.report import RunReport
 
-CONFIG = str(Path(__file__).resolve().parent.parent / "configs" /
-             "single_slot_a12.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONFIG = str(CONFIGS / "single_slot_a12.json")
 
 
 def run_cli(capsys, argv):
@@ -88,6 +88,15 @@ def test_ramsey_bound(capsys):
 
 def test_code_demo(capsys):
     code, out = run_cli(capsys, ["code", "demo", "--config", CONFIG])
+    assert code == 0
+    assert "round trip: pass" in out
+
+
+def test_code_demo_sparse_pullback(capsys):
+    # the second slot, (1,(2,)), decodes through the sparse pullback
+    code, out = run_cli(capsys, [
+        "code", "demo", "--config", str(CONFIGS / "two_slot_a28.json"),
+    ])
     assert code == 0
     assert "round trip: pass" in out
 

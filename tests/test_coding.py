@@ -116,6 +116,12 @@ def test_pullback_rejects_small_ground():
         pullback_Y(2, (1,), frozenset(), (3,))
 
 
+def test_sparse_pullback_rejects_wrong_profile():
+    # (28, (2,), (10,)) is off the dense route, where pullback counts
+    with pytest.raises(CodingError, match="profile"):
+        pullback_Y(28, (2,), {((0, 1, 2),)}, (10,))
+
+
 def test_complement_family_uses_alternating_formula(cfg12):
     singles = frozenset(enum_disjoint_tuples(12, (1,)))
     X = {0: singles - {((0,),)}}

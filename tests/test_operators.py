@@ -169,3 +169,11 @@ def test_profile_validation():
         interior(4, (2,), (1,), frozenset())
     with pytest.raises(ValueError, match="arity"):
         interior(4, (1,), (1, 1), frozenset())
+
+
+@pytest.mark.parametrize("bad", [((1, 0),), ((99,),), ((0, 1),)])
+@pytest.mark.parametrize("route", [interior, interior_sparse])
+def test_member_validation_on_both_routes(route, bad):
+    # non-canonical, out of range, wrong profile
+    with pytest.raises(ValueError):
+        route(6, (1,), (3,), {bad})

@@ -58,6 +58,19 @@ def families(draw):
     return a, m, l, subfamily(draw, list(enum_disjoint_tuples(a, m)))
 
 
+def family_leaving_free(draw, a, m, free):
+    """A family of m-tuples whose support is exactly the ground elements
+    outside `free`; needs at least sum(m) of them, or none."""
+    avoid = [t for t in enum_disjoint_tuples(a, m) if not support(t) & free]
+    X = set(subfamily(draw, avoid))
+    for e in range(a):
+        if e in free or any(e in support(t) for t in X):
+            continue
+        holders = [t for t in avoid if e in support(t)]
+        X.add(holders[draw(st.integers(0, len(holders) - 1))])
+    return frozenset(X)
+
+
 @st.composite
 def near_covering_families(draw):
     """Families whose members cover all but fewer than sum(l - m) ground
@@ -68,16 +81,26 @@ def near_covering_families(draw):
     hypothesis.assume(sum(m) >= 1 and need >= 1)
     free = draw(st.sets(st.integers(0, a - 1),
                         max_size=min(need - 1, a - sum(m))))
-    avoid = [t for t in enum_disjoint_tuples(a, m) if not support(t) & free]
-    X = set(subfamily(draw, avoid))
-    for e in range(a):
-        if e in free or any(e in support(t) for t in X):
-            continue
-        holders = [t for t in avoid if e in support(t)]
-        X.add(holders[draw(st.integers(0, len(holders) - 1))])
+    X = family_leaving_free(draw, a, m, free)
     covered = set().union(*map(support, X))
     assert a - len(covered) < need
-    return a, m, l, frozenset(X)
+    return a, m, l, X
+
+
+@st.composite
+def threshold_families(draw):
+    """Families whose support leaves exactly sum(l) or sum(l) - 1 ground
+    elements free: at and just below the point where interior_sparse
+    returns X without testing any candidate."""
+    a, m, l = draw(instances())
+    free_count = sum(l) - draw(st.integers(0, 1))
+    taken = a - free_count
+    hypothesis.assume(0 <= free_count <= a)
+    hypothesis.assume(taken == 0 or 1 <= sum(m) <= taken)
+    free = set(draw(st.permutations(range(a)))[:free_count])
+    X = family_leaving_free(draw, a, m, free)
+    assert a - len(set().union(*map(support, X))) == free_count
+    return a, m, l, X
 
 
 def check_routes_agree(a, m, l, X):
@@ -99,6 +122,11 @@ def test_interior_routes_match_oracle_near_covering(case):
                      for q in enum_disjoint_tuples(a, l) if extends(p, q))
         assert exists_uncovered_extension(a, p, l, X) == expect
     check_routes_agree(a, m, l, X)
+
+
+@given(threshold_families())
+def test_interior_routes_match_oracle_at_threshold(case):
+    check_routes_agree(*case)
 
 
 @given(st.one_of(families(), near_covering_families()))
