@@ -574,6 +574,11 @@ def demo_coding(cfg, X=None, out=None):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_RAMSEY_BUDGET_HELP = ("budget of the Ramsey search, in search nodes (partial "
+                       "colorings); grids whose witness masks exceed it are "
+                       "refused before the search")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="finpart",
@@ -595,7 +600,8 @@ def build_parser():
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--max-colorings", type=int,
-                   default=ramsey.DEFAULT_MAX_COLORINGS)
+                   default=ramsey.DEFAULT_MAX_COLORINGS,
+                   help=_RAMSEY_BUDGET_HELP)
     v.add_argument("--no-prune", action="store_true")
     v.add_argument("--config")
 
@@ -617,7 +623,8 @@ def build_parser():
         if name == "search":
             rp.add_argument("--cap", type=int, required=True)
         rp.add_argument("--max-colorings", type=int,
-                        default=ramsey.DEFAULT_MAX_COLORINGS)
+                        default=ramsey.DEFAULT_MAX_COLORINGS,
+                        help=_RAMSEY_BUDGET_HELP)
         rp.add_argument("--no-prune", action="store_true")
 
     d = sub.add_parser("code", help="partition coder")
@@ -721,7 +728,8 @@ def run(argv=None):
                                       prune=prune)
             doc = {"value": res.value, "cap": res.cap,
                    "counterexample_N": res.counterexample_N,
-                   "searched": res.searched_total}
+                   "searched": res.searched_total,
+                   "pruned": res.pruned_total}
             print(json.dumps(doc, indent=2))
             return 0
         print(json.dumps({"upper_bound": ramsey.upper_bound_R(q)}, indent=2))

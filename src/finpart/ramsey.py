@@ -6,6 +6,12 @@ A query (j_1..j_n, c, r) asks: how large must the side sets S_1..S_n be so
 that every c-coloring of [S_1]^{j_1} x ... x [S_n]^{j_n} admits subsets
 T_i of size r with the whole sub-grid [T_1]^{j_1} x ... x [T_n]^{j_n}
 monochromatic?
+
+`has_property` decides one grid by a depth-first search over partial
+colorings that tests each witness when its last point is colored and cuts
+symmetric branches (the first point's color, adjacent transpositions of the
+side sets).  Its budget, `max_colorings`, counts search nodes; it also
+refuses, before building anything, grids whose witness masks exceed it.
 """
 
 from __future__ import annotations
@@ -77,6 +83,10 @@ def check_witness(coloring, Ts, d, r=None):
 
 @dataclass
 class PropertyResult:
+    """Outcome of `has_property`.  `searched` counts the search nodes
+    (partial colorings) that passed the symmetry tests and `pruned` the
+    nodes those tests cut; both are 0 when the answer needs no search."""
+
     holds: bool
     exhaustive: bool
     searched: int
@@ -86,51 +96,132 @@ class PropertyResult:
 
 
 def _witness_masks(sizes, j, r, index):
-    """Per witness tuple T-bar: bitmask of the grid points inside it."""
-    out = []
+    """Per grid point k: the bitmasks of the witness sub-grids whose last
+    point is k, so each witness is tested once, when k gets its color."""
+    ends = [[] for _ in index]
     for Ts in itertools.product(
         *(itertools.combinations(range(N), r) for N in sizes)
     ):
         mask = 0
         for pt in subgrid(Ts, j):
             mask |= 1 << index[pt]
-        out.append(mask)
-    return out
+        ends[mask.bit_length() - 1].append(mask)
+    return ends
 
 
-def _perm_generators(sizes, j, points, index):
-    """Grid-point permutations induced by adjacent transpositions of each
-    side set.  Used for sound lex-leader pruning: every orbit's minimal
-    coloring survives the generator test, and the monochromatic-witness
-    property is invariant under these permutations."""
-    gens = []
-    for coord, N in enumerate(sizes):
-        for t in range(N - 1):
-            swap = {t: t + 1, t + 1: t}
+def _transposition_pairs(sizes, points, index):
+    """The grid-point permutations induced by adjacent transpositions
+    (x, x+1) of each side set, one list per transposition: the pairs
+    (i, g(i)) with i < g(i), in increasing i.  Each is an involution, so the
+    lex order of a coloring and its image is decided by the first of these
+    pairs whose two points differ in color.  The monochromatic-witness
+    property is invariant under them."""
+    gens = {}
+    for i, pt in enumerate(points):
+        for coord, comp in enumerate(pt):
+            for x in comp:
+                if x + 1 < sizes[coord] and x + 1 not in comp:
+                    moved = tuple(x + 1 if y == x else y for y in comp)
+                    image = index[pt[:coord] + (moved,) + pt[coord + 1 :]]
+                    gens.setdefault((coord, x), []).append((i, image))
+    return list(gens.values())
 
-            def apply(pt, coord=coord, swap=swap):
-                comp = tuple(sorted(swap.get(x, x) for x in pt[coord]))
-                return pt[:coord] + (comp,) + pt[coord + 1 :]
 
-            perm = [index[apply(pt)] for pt in points]
-            if perm != list(range(len(points))):
-                gens.append(perm)
-    return gens
+def _search(P, c, ends, gens, first_colors, budget):
+    """Depth-first search, with an explicit stack, for a coloring of points
+    0..P-1 with no monochromatic witness.  Points are colored in index order
+    and colors tried in increasing order, so point 0 is the most significant
+    position of the lex order.  Point 0 takes only the first `first_colors`
+    colors.  A node is cut when, for some generator g, every completion is
+    lex-larger than its image under g.  Returns (colors or None, searched,
+    pruned); raises BudgetExceeded after `budget` nodes."""
+    color = [-1] * P
+    by_color = [0] * c       # per color: bitmask of the points holding it
+    front = [0] * len(gens)  # per generator: its first pair not known equal
+    undo = [()] * P          # per point: (generator, front) pairs to restore
+    # per point: the generators with a pair ending there
+    waiting = [[] for _ in range(P)]
+    for g, pairs in enumerate(gens):
+        for _, hi in pairs:
+            waiting[hi].append(g)
+    searched, pruned = 0, c - first_colors
+    k = 0
+    while k >= 0:
+        d = color[k]
+        if d >= 0:
+            by_color[d] ^= 1 << k
+            for g, f in undo[k]:
+                front[g] = f
+        d += 1
+        if d == (c if k else first_colors):
+            color[k] = -1
+            k -= 1
+            continue
+        if searched + pruned >= budget:
+            raise BudgetExceeded(f"search exceeds the budget of {budget} nodes")
+        color[k] = d
+        bits = by_color[d] = by_color[d] | 1 << k
+        undo[k] = changed = []
+        if any(bits & w == w for w in ends[k]):
+            searched += 1
+            continue
+        cut = False
+        for g in waiting[k]:
+            pairs, f = gens[g], front[g]
+            if f == len(pairs) or pairs[f][1] != k:
+                continue
+            changed.append((g, f))
+            while f < len(pairs) and pairs[f][1] <= k:
+                lo, hi = pairs[f]
+                if color[lo] == color[hi]:
+                    f += 1
+                else:
+                    # the image is lex-smaller for every completion: cut;
+                    # lex-larger for every completion: g is settled
+                    cut = color[hi] < color[lo]
+                    f = len(pairs)
+            front[g] = f
+            if cut:
+                break
+        if cut:
+            pruned += 1
+            continue
+        searched += 1
+        if k == P - 1:
+            return color, searched, pruned
+        k += 1
+    return None, searched, pruned
 
 
 def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
     """Exhaustively decide whether every c-coloring of the grid admits a
-    monochromatic r-witness.  Exact; raises BudgetExceeded rather than
-    guessing when there are too many colorings."""
+    monochromatic r-witness.  Exact: a depth-first search over partial
+    colorings, which raises BudgetExceeded rather than guessing once it has
+    made `max_colorings` nodes.  Grids whose witness masks alone (one word
+    per 64 points each, plus one per point) exceed the budget are refused
+    before anything is built.
+
+    With `prune`, two symmetry rules cut the search, both sound together
+    because point 0 is the most significant position of the lex order: the
+    first point takes color 0, and a partial coloring is cut when its image
+    under an adjacent transposition of a side set is lex-smaller for every
+    completion.  The lex-least counterexample survives both, so pruning
+    returns the same counterexample as the unpruned search."""
     sizes = tuple(sizes)
     j, c, r = query.j, query.c, query.r
     if len(sizes) != len(j):
         raise ValueError("sizes/arity mismatch")
+    if any(N < 0 for N in sizes):
+        raise ValueError("side sizes must be non-negative")
+    P = prod(comb(N, jj) for N, jj in zip(sizes, j))
+    W = prod(comb(N, r) for N in sizes)
+    if P + W * -(-P // 64) > max_colorings:
+        raise BudgetExceeded(
+            f"{W} witnesses on {P} points exceed the budget of {max_colorings}"
+        )
     points = grid_points(sizes, j)
-    index = {pt: i for i, pt in enumerate(points)}
-    P = len(points)
 
-    if any(r > N for N in sizes):
+    if W == 0:
         return PropertyResult(
             holds=False,
             exhaustive=True,
@@ -142,49 +233,19 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
         # witnesses exist and the grid is empty: vacuously monochromatic
         return PropertyResult(holds=True, exhaustive=True, searched=0,
                               note="empty grid")
-
-    total = c**P
-    if total > max_colorings:
-        raise BudgetExceeded(
-            f"{c}^{P} = {total} colorings exceed the budget of {max_colorings}"
-        )
-
-    witnesses = _witness_masks(sizes, j, r, index)
-    if any(w == 0 for w in witnesses):
+    if any(r < jj for jj in j):
         return PropertyResult(holds=True, exhaustive=True, searched=0,
                               note="vacuous witness (empty sub-grid)")
-    gens = _perm_generators(sizes, j, points, index) if prune else []
 
-    searched = pruned = 0
-    if c == 2:
-        full = (1 << P) - 1
-        for col in range(total):
-            if gens and any(
-                sum(((col >> i) & 1) << k for k, i in enumerate(g)) < col
-                for g in gens
-            ):
-                pruned += 1
-                continue
-            searched += 1
-            if not any(col & w == 0 or col & w == w for w in witnesses):
-                cex = {points[i]: (col >> i) & 1 for i in range(P)}
-                return PropertyResult(False, True, searched, pruned, cex)
+    index = {pt: i for i, pt in enumerate(points)}
+    ends = _witness_masks(sizes, j, r, index)
+    gens = _transposition_pairs(sizes, points, index) if prune else []
+    color, searched, pruned = _search(P, c, ends, gens, 1 if prune else c,
+                                      max_colorings)
+    if color is None:
         return PropertyResult(True, True, searched, pruned)
-
-    wit_points = [
-        [i for i in range(P) if w >> i & 1] for w in witnesses
-    ]
-    for col in itertools.product(range(c), repeat=P):
-        if gens and any(tuple(col[g[i]] for i in range(P)) < col for g in gens):
-            pruned += 1
-            continue
-        searched += 1
-        if not any(
-            all(col[i] == col[wp[0]] for i in wp) for wp in wit_points
-        ):
-            cex = {points[i]: col[i] for i in range(P)}
-            return PropertyResult(False, True, searched, pruned, cex)
-    return PropertyResult(True, True, searched, pruned)
+    cex = dict(zip(points, color))
+    return PropertyResult(False, True, searched, pruned, cex)
 
 
 @dataclass
@@ -193,7 +254,8 @@ class SearchResult:
     cap: int = 0
     counterexample: dict = None  # certificate at value - 1, when available
     counterexample_N: int = None
-    searched_total: int = 0
+    searched_total: int = 0    # search nodes over all N, as in PropertyResult
+    pruned_total: int = 0
 
 
 def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
@@ -201,18 +263,21 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
 
     Exact (exhaustive per N); the certificate for N-1 is kept so a caller
     can replay why the returned value is minimal."""
+    if cap < 0:
+        raise ValueError("cap must be non-negative")
     last_cex = None
     last_cex_N = None
-    searched = 0
+    searched = pruned = 0
     for N in range(cap + 1):
         res = has_property((N,) * len(query.j), query,
                            max_colorings=max_colorings, prune=prune)
         searched += res.searched
+        pruned += res.pruned
         if res.holds:
-            return SearchResult(N, cap, last_cex, last_cex_N, searched)
+            return SearchResult(N, cap, last_cex, last_cex_N, searched, pruned)
         last_cex = res.counterexample
         last_cex_N = N
-    return SearchResult(None, cap, last_cex, last_cex_N, searched)
+    return SearchResult(None, cap, last_cex, last_cex_N, searched, pruned)
 
 
 # ---------------------------------------------------------------------------

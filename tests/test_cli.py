@@ -75,7 +75,9 @@ def test_ramsey_search(capsys):
         "ramsey", "search", "--j", "2", "--c", "2", "--r", "3", "--cap", "7",
     ])
     assert code == 0
-    assert json.loads(out)["value"] == 6
+    doc = json.loads(out)
+    assert doc["value"] == 6
+    assert 0 < doc["pruned"] < doc["searched"]
 
 
 def test_ramsey_bound(capsys):
@@ -165,6 +167,18 @@ def test_decode_error_exits_2(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(coding, "decode", unfaithful)
     assert_one_line_error(*run_main(monkeypatch, capsys, [
         "code", "decode", "--config", CONFIG, "--book", str(tmp_path / "book.json"),
+    ]))
+
+
+def test_ramsey_negative_size_exits_2(monkeypatch, capsys):
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "ramsey", "check", "--j", "1", "--c", "2", "--r", "2", "--sizes", "-3",
+    ]))
+
+
+def test_ramsey_negative_cap_exits_2(monkeypatch, capsys):
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "ramsey", "search", "--j", "1", "--c", "2", "--r", "2", "--cap", "-1",
     ]))
 
 

@@ -1,6 +1,8 @@
-"""Property tests: both operator routes and the coder's pullback against
-naive oracles written from the definitions."""
+"""Property tests: both operator routes, the coder's pullback and the
+Ramsey search against naive oracles written from the definitions."""
 
+import itertools
+from math import comb, prod
 from unittest import mock
 
 import pytest
@@ -15,6 +17,12 @@ from finpart.operators import (  # noqa: E402
     interior,
     interior_sparse,
     up,
+)
+from finpart.ramsey import (  # noqa: E402
+    ProductColoring,
+    RamseyQuery,
+    check_witness,
+    has_property,
 )
 
 
@@ -138,3 +146,49 @@ def test_pullback_inverts_up_on_closed_families(case):
     assert coding.pullback_Y(a, m, Z, l) == Y
     with mock.patch.object(coding, "fits_dense", lambda a, m, l: False):
         assert coding.pullback_Y(a, m, Z, l) == Y
+
+
+def oracle_counterexample(sizes, query):
+    """The first c-coloring, in itertools.product order (point 0 most
+    significant), with no monochromatic r-witness; None if there is none."""
+    j, c, r = query.j, query.c, query.r
+    points = list(itertools.product(
+        *(itertools.combinations(range(N), jj) for N, jj in zip(sizes, j))
+    ))
+    witnesses = list(itertools.product(
+        *(itertools.combinations(range(N), r) for N in sizes)
+    ))
+    for colors in itertools.product(range(c), repeat=len(points)):
+        col = ProductColoring(sizes, j, dict(zip(points, colors)))
+        if not any(check_witness(col, Ts, d, r)
+                   for Ts in witnesses for d in range(c)):
+            return col.colors
+    return None
+
+
+@st.composite
+def ramsey_instances(draw):
+    """Small grids (1-2 coordinates, j <= 2, c <= 3) with c^P <= 4096.
+    Witnesses exist and are not empty (j < r <= N), so the search runs;
+    test_ramsey.py covers the regimes answered without one."""
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 3))
+    j = tuple(draw(st.integers(0, min(2, r - 1))) for _ in range(n))
+    sizes = tuple(draw(st.integers(r, 5)) for _ in range(n))
+    c = draw(st.integers(1, 3))
+    hypothesis.assume(c ** prod(comb(N, jj) for N, jj in zip(sizes, j)) <= 4096)
+    return sizes, RamseyQuery(j, c, r)
+
+
+@given(ramsey_instances())
+def test_ramsey_search_matches_oracle(case):
+    sizes, query = case
+    want = oracle_counterexample(sizes, query)
+    pruned = has_property(sizes, query, prune=True)
+    full = has_property(sizes, query, prune=False)
+    assert pruned.holds == full.holds == (want is None)
+    # both searches return the lex-least counterexample; it replays
+    # because the oracle checked it with check_witness
+    if want is not None:
+        assert pruned.counterexample == full.counterexample == want
+    assert pruned.searched <= full.searched

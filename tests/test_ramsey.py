@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -101,6 +102,38 @@ def test_product_grid_small():
         )
 
 
+def no_rectangle(N1, N2, colors):
+    """Replay a 2-colouring of the N1 x N2 grid: no combinatorial rectangle
+    is monochromatic."""
+    col = ProductColoring((N1, N2), (1, 1), colors)
+    return not any(
+        check_witness(col, [T1, T2], d, r=2)
+        for T1 in itertools.combinations(range(N1), 2)
+        for T2 in itertools.combinations(range(N2), 2)
+        for d in range(2)
+    )
+
+
+def test_rectangle_reach():
+    # Fenner, Gasarch, Glover, Purewal, arXiv:1005.3750: 5x5 and 3x7 are in
+    # the 2-colour obstruction set, 4x6 and 6x4 are 2-colourable
+    q = RamseyQuery((1, 1), 2, 2)
+    res = search_min_N(q, cap=5)
+    assert res.value == 5 and res.counterexample_N == 4
+    assert no_rectangle(4, 4, res.counterexample)
+    for sizes in ((5, 5), (3, 7)):
+        assert has_property(sizes, q).holds, sizes
+    for sizes in ((4, 6), (6, 4)):
+        res = has_property(sizes, q)
+        assert not res.holds, sizes
+        assert no_rectangle(*sizes, res.counterexample)
+
+
+def test_deep_grid():
+    # 1770 points, deeper than the interpreter's recursion limit; R(3,3) = 6
+    assert has_property((60,), RamseyQuery((2,), 2, 3)).holds
+
+
 def test_small_witness_regimes():
     # r larger than the side: impossible
     assert not has_property((2,), RamseyQuery((2,), 2, 3)).holds
@@ -114,6 +147,14 @@ def test_small_witness_regimes():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         has_property((6,), RamseyQuery((2,), 2, 3), max_colorings=10)
+
+
+def test_hopeless_grid_refused_before_building():
+    # 34,220 witness masks against a budget of 10,000: refused at once
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded, match="witnesses"):
+        has_property((60,), RamseyQuery((2,), 2, 3), max_colorings=10_000)
+    assert time.monotonic() - t0 < 5
 
 
 def test_upper_bounds_sufficient():
