@@ -364,16 +364,11 @@ def suite_coding(config_path, mode, samples, seed, use_partitions=None):
         use_partitions = single_dense
 
     def roundtrip(X):
+        # from the partition set when asked and within budget, else the book
         book = coding.encode(X, cfg)
-        if use_partitions:
-            H, over = coding.materialize(book)
-            if H is None:
-                return coding.normalize_indexed(coding.decode(book)) == \
-                    coding.normalize_indexed(X)
-            return coding.normalize_indexed(coding.decode(H, cfg)) == \
-                coding.normalize_indexed(X)
-        return coding.normalize_indexed(coding.decode(book)) == \
-            coding.normalize_indexed(X)
+        H = coding.materialize(book)[0] if use_partitions else None
+        got = coding.decode(book) if H is None else coding.decode(H, cfg)
+        return coding.normalize_indexed(got) == coding.normalize_indexed(X)
 
     checked = 0
     if mode == "exhaustive":
@@ -471,13 +466,17 @@ def suite_symmetry(a_max=7, n_max=3):
 # ---------------------------------------------------------------------------
 # counting tables
 
-def emit_counts(space, a_max, n_max, budget=2_000_000):
+# Largest count that emit_counts checks by enumeration.
+_COUNT_BUDGET = 2_000_000
+
+
+def emit_counts(space, a_max, n_max):
     rows = []
     if space == "bn":
         for a in range(a_max + 1):
             for n in range(n_max + 1):
                 formula = core.count_B_n(a, n)
-                if formula > budget:
+                if formula > _COUNT_BUDGET:
                     rows.append((a, n, formula, "", "infeasible"))
                     continue
                 enum = sum(1 for _ in core.enum_B_n(a, n))
@@ -486,7 +485,7 @@ def emit_counts(space, a_max, n_max, budget=2_000_000):
         for a in range(a_max + 1):
             for n in range(n_max + 1):
                 formula = (n + 1) ** a
-                if formula > budget:
+                if formula > _COUNT_BUDGET:
                     rows.append((a, n, formula, "", "infeasible"))
                     continue
                 enum = sum(1 for _ in core.enum_O_n(a, n))
@@ -498,7 +497,7 @@ def emit_counts(space, a_max, n_max, budget=2_000_000):
                     if sum(m) > a:
                         continue
                     formula = core.count_disjoint_tuples(a, m)
-                    if formula > budget:
+                    if formula > _COUNT_BUDGET:
                         rows.append((a, m, formula, "", "infeasible"))
                         continue
                     enum = sum(1 for _ in core.enum_disjoint_tuples(a, m))

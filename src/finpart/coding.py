@@ -17,9 +17,7 @@ bijection to code sets of fixed-arity sequences of finite sets.
 
 from __future__ import annotations
 
-import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -31,16 +29,12 @@ from .core import (
 )
 from .maps import disjoint_to_fin, fin_to_disjoint
 from .operators import (
+    EXTENSION_BUDGET,
     boundary,
     count_extensions,
-    enum_extensions,
-    family_to_mask,
-    fits_dense,
+    down,
     interior,
-    interior_sparse,
-    mask_to_family,
-    profile_space,
-    up_mask,
+    up,
 )
 
 
@@ -254,19 +248,6 @@ def normalize_indexed(X):
 
 
 # ---------------------------------------------------------------------------
-# operator routing (dense bitmask when the space fits, sparse DFS otherwise)
-
-def _interior(a, m, l, X):
-    if fits_dense(a, m, l):
-        return interior(a, m, l, X)
-    return interior_sparse(a, m, l, X)
-
-
-def _boundary(a, m, l, X):
-    return _interior(a, m, l, X) - frozenset(X)
-
-
-# ---------------------------------------------------------------------------
 # the code book
 
 @dataclass
@@ -287,7 +268,7 @@ class CodeBook:
         """Re-check that every stored family is interior-closed."""
         for (j, m, k), fam in self.Y.items():
             g = self.cfg.g(j, m)
-            if _interior(self.cfg.a, m, g, fam) != fam:
+            if interior(self.cfg.a, m, g, fam) != fam:
                 raise CodingError(f"book entry ({j}, {m}, {k}) is not interior-closed")
 
     def to_json(self):
@@ -331,7 +312,7 @@ def encode(X, cfg):
         D = slot_family(X, j, m)
         chain = [D]
         for _ in range(K + 1):
-            chain.append(_boundary(cfg.a, m, g, chain[-1]))
+            chain.append(boundary(cfg.a, m, g, chain[-1]))
         if chain[K + 1]:
             raise CodingError(
                 f"boundary chain for slot ({j}, {m}) does not vanish at step {K + 1}; "
@@ -350,29 +331,23 @@ def encode(X, cfg):
 # ---------------------------------------------------------------------------
 # materialized partitions
 
-def materialize(book, budget=2_000_000):
+def materialize(book):
     """The partition set carried by a book: for every key, the partitions
     induced by the l-extensions of the stored family.
 
     Returns (partitions, None) or (None, count) when the number of
-    candidate extension tuples exceeds the budget.
+    candidate extension tuples exceeds EXTENSION_BUDGET.
     """
     cfg = book.cfg
     total = 0
     for (j, m, k), fam in book.Y.items():
         total += len(fam) * count_extensions(cfg.a, m, cfg.f(j, m, k))
-    if total > budget:
+    if total > EXTENSION_BUDGET:
         return None, total
     out = set()
     for (j, m, k), fam in sorted(book.Y.items()):
-        l = cfg.f(j, m, k)
-        if fits_dense(cfg.a, m, l):
-            sp = profile_space(cfg.a, m, l)
-            gmask = up_mask(sp, family_to_mask(sp, fam))
-            qs = (sp.l_tuples[i] for i in range(sp.l_size) if gmask >> i & 1)
-        else:
-            qs = {q for p in fam for q in enum_extensions(cfg.a, p, l)}
-        out.update(partition_from_ns(cfg.a, q) for q in qs)
+        out.update(partition_from_ns(cfg.a, q)
+                   for q in up(cfg.a, m, cfg.f(j, m, k), fam))
     return frozenset(out), None
 
 
@@ -394,41 +369,19 @@ def extract_slice(H, cfg, j, m, k):
 
 def pullback_Y(a, m, Z, l):
     """The family of m-profile tuples all of whose l-extensions lie in Z,
-    a set of l-profile tuples.
+    a set of l-profile tuples (`operators.down`).
 
     This inverts the up-closure on interior-closed families: when
     Z = up(Y) for Y interior-closed at some dominating profile, the
-    result is exactly Y.  Off the dense route it counts instead of
-    enumerating: one pass over Z counts, per m-tuple, the members of Z
-    extending it, and keeps the m-tuples whose count equals
-    `count_extensions`.
+    result is exactly Y.  Raises CodingError when the ground set is too
+    small for any l-extension or a tuple of Z does not have profile l.
     """
-    m, l = tuple(m), tuple(l)
     if a < sum(l):
-        raise CodingError(f"ground size {a} below sum{l}; pullback would be vacuous")
-    Z = frozenset(Z)
-    if fits_dense(a, m, l):
-        sp = profile_space(a, m, l)
-        zmask = 0
-        for q in Z:
-            zmask |= 1 << sp.l_index[q]
-        return mask_to_family(
-            sp,
-            sum(
-                1 << i
-                for i, e in enumerate(sp.ext)
-                if e & zmask == e
-            ),
-        )
-    hits = Counter()
-    for q in Z:
-        if profile_of(q) != l:
-            raise CodingError(f"tuple {q!r} in the slice does not have profile {l}")
-        hits.update(itertools.product(
-            *(itertools.combinations(c, mi) for c, mi in zip(q, m))
-        ))
-    per = count_extensions(a, m, l)
-    return frozenset(p for p, k in hits.items() if k == per)
+        raise CodingError(f"ground size {a} below sum{tuple(l)}; pullback would be vacuous")
+    try:
+        return down(a, m, l, Z)
+    except ValueError as e:
+        raise CodingError(str(e)) from e
 
 
 def decode(source, cfg=None, check=True):
@@ -457,7 +410,7 @@ def decode(source, cfg=None, check=True):
         for j, m, k in cfg.keys():
             Z = extract_slice(source, cfg, j, m, k)
             Yk = pullback_Y(cfg.a, m, Z, cfg.f(j, m, k))
-            if check and _interior(cfg.a, m, cfg.g(j, m), Yk) != Yk:
+            if check and interior(cfg.a, m, cfg.g(j, m), Yk) != Yk:
                 raise DecodeError(
                     f"slice ({j}, {m}, {k}) is not interior-closed after pullback; "
                     "the configuration is too small to decode this input faithfully"

@@ -9,17 +9,25 @@ maps to:
                  up(X); tuples with no l-extension are vacuously accepted
 * boundary(X) -- interior(X) minus X
 
+and a family Z of l-profile tuples pulls back to
+
+* down(Z)     -- all m-profile tuples every l-extension of which lies in Z,
+                 so interior(X) = down(up(X))
+
 boundary is nilpotent with index at most sum(m) + 1 once the ground set is
 large enough; on small ground sets iteration may cycle, which is detected
 and reported rather than looped on.
 
-Families are frozensets of canonical tuples.  Operators run on one of two
-routes, chosen by `fits_dense` from closed-form counts alone: dense bitmasks
+Families are frozensets of canonical tuples.  Each set-level operator
+(up, interior, boundary, down) chooses its own route, in one place
+(`_route`), from closed-form counts alone (`fits_dense`): dense bitmasks
 over the enumeration orders of both profile spaces, when they fit its
-budgets, and otherwise a sparse route that indexes neither side.  The
-sparse interior first tests the whole family: when the members' support
-leaves at least sum(l) ground elements fresh, each non-member has an
-extension that avoids the family, so the interior is X itself.  Only
+budgets, and otherwise a sparse route that indexes neither side.  Sparse
+up enumerates the extensions of each member, refusing first when there
+are too many; sparse down counts, per m-tuple, the members of Z extending
+it.  The sparse interior first tests the whole family: when the members'
+support leaves at least sum(l) ground elements fresh, each non-member has
+an extension that avoids the family, so the interior is X itself.  Only
 otherwise does it run a backtracking search, once per class of candidates
 that agree inside the support.
 """
@@ -27,6 +35,7 @@ that agree inside the support.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -42,6 +51,13 @@ from .core import (
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive computation would exceed its configured budget."""
+
+
+# Most l-extensions that sparse up (and the coder's materialize) will
+# enumerate, counted before enumerating any.
+EXTENSION_BUDGET = 2_000_000
+# Most nodes one uncovered-extension search may expand.
+_NODE_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +126,11 @@ def count_extensions(a, m, l):
     rest = a - sum(m)
     out = 1
     for mi, li in zip(m, l):
+        if rest < li - mi:
+            return 0
         out *= comb(rest, li - mi)
         rest -= li - mi
-    return max(out, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +144,7 @@ _TUPLE_BUDGET = 1 << 15
 _BIT_BUDGET = 1 << 20
 
 
+@cache  # asked on every set-level operator call
 def fits_dense(a, m, l):
     """True iff the (a, m, l) operator runs on dense bitmasks, decided from
     the closed-form sizes of both profile spaces; otherwise the sparse
@@ -204,13 +223,17 @@ def up_mask(sp, xmask):
     return g
 
 
-def interior_mask(sp, xmask):
-    g = up_mask(sp, xmask)
+def down_mask(sp, g):
+    """The m-tuples all of whose l-extensions lie in the l-side mask g."""
     r = 0
     for i, e in enumerate(sp.ext):
         if e & g == e:
             r |= 1 << i
     return r
+
+
+def interior_mask(sp, xmask):
+    return down_mask(sp, up_mask(sp, xmask))
 
 
 def boundary_mask(sp, xmask):
@@ -220,40 +243,95 @@ def boundary_mask(sp, xmask):
 # ---------------------------------------------------------------------------
 # set-level operator API
 
-def _space(a, m, l, X=None):
+def _route(a, m, l):
+    """The dense space of one (a, m, l) operator call, or None when the
+    call runs sparse.  The set-level operators ask here and nowhere else."""
     m, l = check_profiles(m, l)
-    sp = profile_space(a, m, l)
-    if X is not None:
-        for t in X:
-            check_disjoint_tuple(t, a, profile=m)
-    return sp
+    return profile_space(a, m, l) if fits_dense(a, m, l) else None
+
+
+def _members(a, X, profile):
+    X = frozenset(X)
+    for t in X:
+        check_disjoint_tuple(t, a, profile=profile)
+    return X
 
 
 def up(a, m, l, X):
-    """All l-profile tuples extending some member of X."""
-    sp = _space(a, m, l, X)
-    g = up_mask(sp, family_to_mask(sp, X))
-    return frozenset(sp.l_tuples[i] for i in range(sp.l_size) if g >> i & 1)
+    """All l-profile tuples extending some member of X.
+
+    Off the dense route the extensions are enumerated member by member;
+    BudgetExceeded is raised first when there are more than
+    EXTENSION_BUDGET of them."""
+    sp = _route(a, m, l)
+    X = _members(a, X, m)
+    if sp is not None:
+        g = up_mask(sp, family_to_mask(sp, X))
+        return frozenset(sp.l_tuples[i] for i in range(sp.l_size) if g >> i & 1)
+    total = len(X) * count_extensions(a, m, l)
+    if total > EXTENSION_BUDGET:
+        raise BudgetExceeded(
+            f"{total} extensions of O_{tuple(m)}({a}) into O_{tuple(l)}({a}) "
+            f"exceed the budget of {EXTENSION_BUDGET}"
+        )
+    return frozenset(q for p in X for q in enum_extensions(a, p, l))
 
 
 def interior(a, m, l, X):
     """All m-profile tuples whose every l-extension lies in up(X)."""
-    sp = _space(a, m, l, X)
+    sp = _route(a, m, l)
+    if sp is None:
+        return interior_sparse(a, m, l, X)
+    X = _members(a, X, m)
     return mask_to_family(sp, interior_mask(sp, family_to_mask(sp, X)))
 
 
 def boundary(a, m, l, X):
     """interior(X) minus X."""
-    sp = _space(a, m, l, X)
-    return mask_to_family(sp, boundary_mask(sp, family_to_mask(sp, X)))
+    X = frozenset(X)
+    return interior(a, m, l, X) - X
+
+
+def down(a, m, l, Z):
+    """All m-profile tuples whose every l-extension lies in Z, a family of
+    l-profile tuples; tuples with no l-extension are vacuously accepted.
+
+    Off the dense route it counts instead of enumerating: one pass over Z
+    counts, per m-tuple, the members of Z extending it, and keeps the
+    m-tuples whose count equals `count_extensions`.  Raises ValueError for
+    a member of Z that is not a disjoint l-profile tuple over range(a).
+    """
+    sp = _route(a, m, l)
+    Z = frozenset(Z)
+    if sp is not None:
+        g = 0
+        try:
+            for q in Z:
+                g |= 1 << sp.l_index[q]
+        except KeyError:
+            raise ValueError(
+                f"tuple {q!r} is not a disjoint tuple of profile "
+                f"{sp.l} over range({a})"
+            ) from None
+        return mask_to_family(sp, down_mask(sp, g))
+    per = count_extensions(a, m, l)
+    if per == 0:  # no m-tuple has an l-extension
+        return frozenset(enum_disjoint_tuples(a, m))
+    hits = Counter()
+    for q in Z:
+        check_disjoint_tuple(q, a, profile=l)
+        hits.update(itertools.product(
+            *(itertools.combinations(c, mi) for c, mi in zip(q, m))
+        ))
+    return frozenset(p for p, k in hits.items() if k == per)
 
 
 def boundary_power(a, m, l, X, k):
     """k-fold application of boundary; k == 0 returns X unchanged."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    sp = _space(a, m, l, X)
-    mask = family_to_mask(sp, X)
+    sp = profile_space(a, m, l)
+    mask = family_to_mask(sp, _members(a, X, m))
     for _ in range(k):
         mask = boundary_mask(sp, mask)
     return mask_to_family(sp, mask)
@@ -273,8 +351,8 @@ def nilpotency_index(a, m, l, X):
     """Least k with boundary^(k)(X) empty, or a CycleReport if iteration
     revisits a non-empty family (possible on small ground sets, where the
     interior operator can be vacuous)."""
-    sp = _space(a, m, l, X)
-    mask = family_to_mask(sp, X)
+    sp = profile_space(a, m, l)
+    mask = family_to_mask(sp, _members(a, X, m))
     seen = {}
     step = 0
     while True:
@@ -294,13 +372,14 @@ def nilpotency_index(a, m, l, X):
 # ---------------------------------------------------------------------------
 # sparse interior test (no l-side materialization)
 
-def exists_uncovered_extension(a, p, l, members, max_nodes=2_000_000):
+def exists_uncovered_extension(a, p, l, members):
     """True iff some l-extension of p avoids every member of `members`
     (i.e. no member is componentwise contained in it).
 
     Backtracking search; members are expected to share p's profile.  Fast
     when the members' supports leave fresh elements to route the extension
-    through; raises BudgetExceeded if the search exceeds max_nodes.
+    through; raises BudgetExceeded if the search expands more than
+    _NODE_BUDGET nodes.
     """
     n = len(p)
     if any(l[i] < len(p[i]) for i in range(n)):
@@ -337,7 +416,7 @@ def exists_uncovered_extension(a, p, l, members, max_nodes=2_000_000):
     def rec(i, start, check):
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > _NODE_BUDGET:
             raise BudgetExceeded("uncovered-extension search exceeded its node budget")
         if check and covered():
             return False
@@ -364,7 +443,7 @@ def exists_uncovered_extension(a, p, l, members, max_nodes=2_000_000):
     return rec(0, 0, False)
 
 
-def interior_sparse(a, m, l, X, max_nodes=2_000_000):
+def interior_sparse(a, m, l, X):
     """interior(X) computed without materializing either profile space:
     X itself plus every m-profile tuple p not in X that has no l-extension
     avoiding all members of X (`exists_uncovered_extension`).
@@ -378,9 +457,7 @@ def interior_sparse(a, m, l, X, max_nodes=2_000_000):
     that agree inside the support.
     """
     m, l = check_profiles(m, l)
-    X = frozenset(X)
-    for t in X:
-        check_disjoint_tuple(t, a, profile=m)
+    X = _members(a, X, m)
     support = {x for t in X for c in t for x in c}
     if a - len(support) >= sum(l):
         return X
@@ -395,8 +472,7 @@ def interior_sparse(a, m, l, X, max_nodes=2_000_000):
             continue
         key = tuple(tuple(x for x in c if x in support) for c in p)
         if key not in verdicts:
-            verdicts[key] = not exists_uncovered_extension(
-                a, p, l, X, max_nodes=max_nodes)
+            verdicts[key] = not exists_uncovered_extension(a, p, l, X)
         if verdicts[key]:
             out.append(p)
     return frozenset(out)

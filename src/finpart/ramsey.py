@@ -17,7 +17,7 @@ refuses, before building anything, grids whose witness masks exceed it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from math import comb, prod
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 
 from .core import as_subset, canonicalize_partition, enum_B_n, ns_blocks
 from .maps import signature_classes
@@ -80,10 +79,10 @@ def parity(pi):
 # structural action
 
 def _is_partition(obj, pi):
-    """Tuples of subsets come in two canonical flavors; partitions (blocks
-    covering the ground set) re-sort by least element after relabeling,
-    disjoint tuples keep their component order."""
-    if not (obj and all(isinstance(c, tuple) for c in obj)):
+    """Tuples of subsets come in two canonical flavors; partitions
+    (non-empty blocks covering the ground set) re-sort by least element
+    after relabeling, disjoint tuples keep their component order."""
+    if not (obj and all(isinstance(c, tuple) and c for c in obj)):
         return False
     elems = [x for c in obj for x in c]
     return sorted(elems) == list(range(len(pi)))
@@ -214,13 +213,19 @@ def preceq(Q, P, E):
     return True
 
 
-def fiber_of(P, E, n, a, budget=2_000_000):
+# Most partitions fiber_of sweeps, and most ordered pairs of projection
+# classes longest_strict_chain compares.
+_FIBER_BUDGET = 2_000_000
+_CHAIN_BUDGET = 2_000_000
+
+
+def fiber_of(P, E, n, a):
     """All partitions with exactly n non-singleton blocks sharing P's
     deleted projection.  Exhaustive; raises BudgetExceeded when the
     ground set is too large to sweep."""
     from .core import count_B_n
 
-    if count_B_n(a, n) > budget:
+    if count_B_n(a, n) > _FIBER_BUDGET:
         raise BudgetExceeded(f"|B_{n}({a})| exceeds the fiber sweep budget")
     target = restrict_outside(P, E)
     return frozenset(
@@ -233,7 +238,7 @@ def fiber_bound(n, E):
     return (n + 1) ** len(set(E))
 
 
-def longest_strict_chain(partitions, E, budget=2_000_000):
+def longest_strict_chain(partitions, E):
     """Length (number of partitions) of the longest strictly decreasing
     chain under the preorder, over the given partition set.
 
@@ -247,7 +252,7 @@ def longest_strict_chain(partitions, E, budget=2_000_000):
         groups.setdefault(key[i], []).append(i)
     reps = {k: v[0] for k, v in groups.items()}
     keys = list(reps)
-    if len(keys) * len(keys) > budget:
+    if len(keys) * len(keys) > _CHAIN_BUDGET:
         raise BudgetExceeded("chain digraph exceeds its budget")
 
     below = {

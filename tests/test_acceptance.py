@@ -6,7 +6,6 @@ the stated runtime limit where one applies.
 """
 
 import itertools
-import json
 import random
 import time
 from math import factorial

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from pathlib import Path
 
@@ -116,10 +115,26 @@ def test_pullback_rejects_small_ground():
         pullback_Y(2, (1,), frozenset(), (3,))
 
 
-def test_sparse_pullback_rejects_wrong_profile():
-    # (28, (2,), (10,)) is off the dense route, where pullback counts
+@pytest.mark.parametrize("a, m, Z, l", [
+    pytest.param(12, (1,), {((0, 1),)}, (3,), id="dense"),
+    # off the dense route pullback counts
+    pytest.param(28, (2,), {((0, 1, 2),)}, (10,), id="sparse"),
+])
+def test_pullback_rejects_wrong_profile(a, m, Z, l):
+    assert fits_dense(a, m, l) == (a == 12)
     with pytest.raises(CodingError, match="profile"):
-        pullback_Y(28, (2,), {((0, 1, 2),)}, (10,))
+        pullback_Y(a, m, Z, l)
+
+
+@pytest.mark.parametrize("a, m, l", [
+    pytest.param(12, (1,), (3,), id="dense"),
+    pytest.param(28, (2,), (10,), id="sparse"),
+])
+def test_pullback_rejects_malformed_tuple(a, m, l):
+    descending = tuple(range(l[0] - 1, -1, -1))
+    for bad in [(descending,), (tuple(range(a - l[0] + 1, a + 1)),)]:
+        with pytest.raises(CodingError):
+            pullback_Y(a, m, {bad}, l)
 
 
 def test_complement_family_uses_alternating_formula(cfg12):

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -62,6 +61,8 @@ def test_enum_extensions_count():
             exts = list(enum_extensions(a, p, l))
             assert len(exts) == count_extensions(a, m, l)
             assert all(tuple_extends(p, q) for q in exts)
+    # the first component already uses up the ground set
+    assert count_extensions(1, (0, 0), (2, 0)) == 0
 
 
 def test_up_examples():

@@ -10,9 +10,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from finpart import coding  # noqa: E402
+from finpart import coding, operators  # noqa: E402
 from finpart.core import enum_disjoint_tuples  # noqa: E402
 from finpart.operators import (  # noqa: E402
+    boundary,
+    down,
     exists_uncovered_extension,
     interior,
     interior_sparse,
@@ -30,13 +32,24 @@ def extends(p, q):
     return all(set(x) <= set(y) for x, y in zip(p, q))
 
 
-def oracle_interior(a, m, l, X):
-    """m-tuples all of whose l-extensions extend some member of X."""
+def oracle_up(a, m, l, X):
+    """l-tuples extending some member of X."""
+    return frozenset(q for q in enum_disjoint_tuples(a, l)
+                     if any(extends(x, q) for x in X))
+
+
+def oracle_down(a, m, l, Z):
+    """m-tuples all of whose l-extensions lie in Z."""
     l_tuples = list(enum_disjoint_tuples(a, l))
     return frozenset(
         p for p in enum_disjoint_tuples(a, m)
-        if all(any(extends(x, q) for x in X) for q in l_tuples if extends(p, q))
+        if all(q in Z for q in l_tuples if extends(p, q))
     )
+
+
+def oracle_interior(a, m, l, X):
+    """m-tuples all of whose l-extensions extend some member of X."""
+    return oracle_down(a, m, l, oracle_up(a, m, l, X))
 
 
 def support(t):
@@ -144,8 +157,30 @@ def test_pullback_inverts_up_on_closed_families(case):
     Y = interior(a, m, l, X)
     Z = up(a, m, l, Y)
     assert coding.pullback_Y(a, m, Z, l) == Y
-    with mock.patch.object(coding, "fits_dense", lambda a, m, l: False):
+    with mock.patch.object(operators, "fits_dense", lambda a, m, l: False):
         assert coding.pullback_Y(a, m, Z, l) == Y
+
+
+def check_operators(a, m, l, X, Z):
+    want = oracle_interior(a, m, l, X)
+    assert up(a, m, l, X) == oracle_up(a, m, l, X)
+    assert interior(a, m, l, X) == want
+    assert boundary(a, m, l, X) == want - X
+    assert down(a, m, l, Z) == oracle_down(a, m, l, Z)
+    assert down(a, m, l, oracle_up(a, m, l, X)) == want
+
+
+@given(st.one_of(families(), near_covering_families(), threshold_families()),
+       st.data())
+def test_operators_match_oracle_on_both_routes(case, data):
+    """up, interior, boundary and down on the route fits_dense picks (dense
+    at these sizes) and forced onto the sparse route, against the
+    definitions; down also on l-families that are not up-closed."""
+    a, m, l, X = case
+    Z = subfamily(data.draw, list(enum_disjoint_tuples(a, l)))
+    check_operators(a, m, l, X, Z)
+    with mock.patch.object(operators, "fits_dense", lambda a, m, l: False):
+        check_operators(a, m, l, X, Z)
 
 
 def oracle_counterexample(sizes, query):

@@ -48,9 +48,13 @@ def test_action_laws():
     P = canonicalize_partition(a, [(0, 1, 2), (3, 4), (5,)])
     t = ((0,), (2, 4))
     fam = frozenset({((0,),), ((3,),)})
+    # covers the ground set but has an empty component: a disjoint tuple,
+    # not a partition
+    cover = ((0, 1, 2), (), (3, 4, 5))
+    assert apply_perm((1, 0), ((0, 1), ())) == ((0, 1), ())
     for _ in range(30):
         pi, sg = random_perm(rng, a), random_perm(rng, a)
-        for obj in (P, t, fam):
+        for obj in (P, t, fam, cover):
             assert apply_perm(identity_perm(a), obj) == obj
             assert apply_perm(compose(pi, sg), obj) == \
                 apply_perm(pi, apply_perm(sg, obj))
