@@ -200,8 +200,8 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
         config={"a": a, "m": m, "l": l, "mode": mode, "samples": samples,
                 "seed": seed},
     )
-    sp = operators.profile_space(a, m, l)
-    size = len(sp.m_tuples)
+    m, l = operators.check_profiles(m, l)
+    size = core.count_disjoint_tuples(a, m)
     bound = sum(m) + 1
     if mode == "exhaustive":
         if size > 24:
@@ -212,12 +212,13 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
         rng = random.Random(seed)
         total = samples
         masks = (rng.getrandbits(size) for _ in range(samples))
+    # bit i of a mask selects the i-th m-tuple in enumeration order
+    m_tuples = tuple(core.enum_disjoint_tuples(a, m))
     checked = 0
     for mask in masks:
         checked += 1
-        idx = operators.nilpotency_index(
-            a, m, l, operators.mask_to_family(sp, mask)
-        )
+        X = frozenset(t for i, t in enumerate(m_tuples) if mask >> i & 1)
+        idx = operators.nilpotency_index(a, m, l, X)
         if isinstance(idx, operators.CycleReport):
             report.outcome = VIOLATION
             report.witnesses = [{
@@ -225,14 +226,14 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
                 "start": idx.start,
                 "period": idx.period,
                 "family": _plainfam(idx.family),
-                "X": _plainfam(sorted(operators.mask_to_family(sp, mask))),
+                "X": _plainfam(sorted(X)),
             }]
             break
         if idx > bound:
             report.outcome = VIOLATION
             report.witnesses = [{
                 "kind": "index-over-bound", "index": idx, "bound": bound,
-                "X": _plainfam(sorted(operators.mask_to_family(sp, mask))),
+                "X": _plainfam(sorted(X)),
             }]
             break
     report.counters = {"families_checked": checked, "total": total,
@@ -664,8 +665,20 @@ def _csl(text):
 
 
 def _parse_blocks(text, a):
-    ns = [tuple(int(x) for x in b.split(",")) for b in text.split("|")] if text else []
-    return core.partition_from_ns(a, ns)
+    """The partition of range(a) into the given blocks and singletons;
+    ValueError on an empty, overlapping or out-of-range block."""
+    blocks = [_csl(b) for b in text.split("|")] if text else []
+    used = {x for b in blocks for x in b}
+    blocks += [(x,) for x in range(a) if x not in used]
+    return core.canonicalize_partition(a, blocks)
+
+
+def _parse_elements(text, a):
+    E = _csl(text)
+    for x in E:
+        if not 0 <= x < a:
+            raise UsageError(f"--E element {x} out of range [0, {a})")
+    return E
 
 
 def run(argv=None):
@@ -675,6 +688,8 @@ def run(argv=None):
         import time
 
         t0 = time.monotonic()
+        if args.a < 0 or args.samples < 0:
+            raise UsageError("--a and --samples must be non-negative")
         m = tuple(args.m) if args.m else (1,)
         l = tuple(args.l) if args.l else (2,)
         if args.suite == "fact00":
@@ -777,12 +792,12 @@ def run(argv=None):
             return 0
         if args.action == "support":
             P = _parse_blocks(args.blocks, a)
-            E = _csl(args.E)
+            E = _parse_elements(args.E, a)
             print(json.dumps({"is_support": symmetry.is_support(E, P, a)}))
             return 0
         if args.action == "fiber":
             P = _parse_blocks(args.blocks, a)
-            E = _csl(args.E)
+            E = _parse_elements(args.E, a)
             fib = symmetry.fiber_of(P, E, args.n, a)
             bound = symmetry.fiber_bound(args.n, E)
             print(json.dumps({
@@ -791,7 +806,7 @@ def run(argv=None):
                 "within_bound": len(fib) <= bound,
             }, indent=2))
             return 0 if len(fib) <= bound else 1
-        E = _csl(args.E)
+        E = _parse_elements(args.E, a)
         allB = list(core.enum_B_n(a, args.n))
         L = symmetry.longest_strict_chain(allB, E)
         bound = symmetry.chain_bound(args.n, E)

@@ -16,7 +16,8 @@ and a family Z of l-profile tuples pulls back to
 
 boundary is nilpotent with index at most sum(m) + 1 once the ground set is
 large enough; on small ground sets iteration may cycle, which is detected
-and reported rather than looped on.
+and reported rather than looped on.  boundary_power and nilpotency_index
+iterate the set-level boundary, so they take the same route it does.
 
 Families are frozensets of canonical tuples.  Each set-level operator
 (up, interior, boundary, down) chooses its own route, in one place
@@ -45,7 +46,6 @@ from .core import (
     check_disjoint_tuple,
     count_disjoint_tuples,
     enum_disjoint_tuples,
-    is_disjoint,
 )
 
 
@@ -61,31 +61,7 @@ _NODE_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
-# componentwise tuple order
-
-def tuple_extends(p, q):
-    """True iff p_i is a subset of q_i for every component."""
-    if len(p) != len(q):
-        raise ValueError("arity mismatch")
-    return all(set(x) <= set(y) for x, y in zip(p, q))
-
-
-def tuple_join(p, q):
-    """Componentwise union; rejects results whose components collide."""
-    if len(p) != len(q):
-        raise ValueError("arity mismatch")
-    out = tuple(as_subset(set(x) | set(y)) for x, y in zip(p, q))
-    if not is_disjoint(out):
-        raise ValueError(f"join of {p!r} and {q!r} has colliding components")
-    return out
-
-
-def tuple_meet(p, q):
-    """Componentwise intersection."""
-    if len(p) != len(q):
-        raise ValueError("arity mismatch")
-    return tuple(as_subset(set(x) & set(y)) for x, y in zip(p, q))
-
+# profiles and extensions
 
 def check_profiles(m, l):
     m, l = tuple(m), tuple(l)
@@ -330,11 +306,11 @@ def boundary_power(a, m, l, X, k):
     """k-fold application of boundary; k == 0 returns X unchanged."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    sp = profile_space(a, m, l)
-    mask = family_to_mask(sp, _members(a, X, m))
+    m, l = check_profiles(m, l)
+    X = _members(a, X, m)
     for _ in range(k):
-        mask = boundary_mask(sp, mask)
-    return mask_to_family(sp, mask)
+        X = boundary(a, m, l, X)
+    return X
 
 
 @dataclass(frozen=True)
@@ -351,22 +327,21 @@ def nilpotency_index(a, m, l, X):
     """Least k with boundary^(k)(X) empty, or a CycleReport if iteration
     revisits a non-empty family (possible on small ground sets, where the
     interior operator can be vacuous)."""
-    sp = profile_space(a, m, l)
-    mask = family_to_mask(sp, _members(a, X, m))
+    m, l = check_profiles(m, l)
+    X = _members(a, X, m)
     seen = {}
     step = 0
-    while True:
-        if mask == 0:
-            return step
-        if mask in seen:
+    while X:
+        if X in seen:
             return CycleReport(
-                start=seen[mask],
-                period=step - seen[mask],
-                family=tuple(sorted(mask_to_family(sp, mask))),
+                start=seen[X],
+                period=step - seen[X],
+                family=tuple(sorted(X)),
             )
-        seen[mask] = step
-        mask = boundary_mask(sp, mask)
+        seen[X] = step
+        X = boundary(a, m, l, X)
         step += 1
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -477,42 +452,3 @@ def interior_sparse(a, m, l, X):
             out.append(p)
     return frozenset(out)
 
-
-# ---------------------------------------------------------------------------
-# feasibility oracle for the nilpotency bound
-
-def nilpotency_holds(a, m, l, mode="exhaustive", samples=1000, seed=0):
-    """Check whether boundary^(sum(m)+1) vanishes for families over
-    O_m({0..a-1}) with extension profile l.
-
-    Returns (True, None) or (False, witness_family).  mode "exhaustive"
-    sweeps all families (requires a small m-side); "random" draws seeded
-    uniform families.
-    """
-    import random
-
-    m, l = check_profiles(m, l)
-    sp = profile_space(a, m, l)
-    size = len(sp.m_tuples)
-    bound = sum(m) + 1
-
-    def check(mask):
-        x = mask
-        for _ in range(bound):
-            x = boundary_mask(sp, x)
-        return x == 0
-
-    if mode == "exhaustive":
-        if size > 24:
-            raise BudgetExceeded(f"2^{size} families is over the exhaustive budget")
-        masks = range(1 << size)
-    elif mode == "random":
-        rng = random.Random(seed)
-        masks = (rng.getrandbits(size) for _ in range(samples))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    for mask in masks:
-        if not check(mask):
-            return False, tuple(sorted(mask_to_family(sp, mask)))
-    return True, None

@@ -111,13 +111,6 @@ def apply_perm(pi, obj):
     raise TypeError(f"no action defined on {type(obj).__name__}")
 
 
-def apply_perm_seq(pi, s):
-    """Relabel an element sequence pointwise, keeping its order (unlike
-    apply_perm, which reads int-tuples as subsets and sorts them)."""
-    pi = check_perm(pi)
-    return tuple(pi[x] for x in s)
-
-
 def is_support(E, obj, a):
     """True iff every transposition of two elements outside E fixes the
     object.  Such transpositions generate all permutations fixing E

@@ -59,18 +59,20 @@ def test_criterion_02_operator_laws():
 
 
 def test_criterion_03_nilpotency():
-    ok = True
-    # ground sizes validated by the feasibility oracle first
-    for m, l, a in [((1,), (2,), 6), ((1,), (3,), 6)]:
-        held, _ = operators.nilpotency_holds(a, m, l, mode="exhaustive")
-        ok = ok and held
-    held, _ = operators.nilpotency_holds(
-        8, (1, 1), (2, 2), mode="random", samples=1000, seed=0
-    )
-    ok = ok and held
+    reps = [
+        cli.suite_nilpotency(6, (1,), (2,), "exhaustive", 1000, 0),
+        cli.suite_nilpotency(6, (1,), (3,), "exhaustive", 1000, 0),
+        cli.suite_nilpotency(8, (1, 1), (2, 2), "random", 1000, 0),
+    ]
+    ok = all(r.outcome == "pass" for r in reps)
+    ok = ok and [r.counters["families_checked"] for r in reps] == [64, 64, 1000]
     # the degenerate regime must surface as a cycle, not a hang
     rep = operators.nilpotency_index(2, (1,), (3,), {((0,),)})
     ok = ok and isinstance(rep, operators.CycleReport)
+    cyc = cli.suite_nilpotency(2, (1,), (3,), "exhaustive", 1000, 0)
+    ok = ok and cyc.outcome == "violation"
+    ok = ok and cyc.witnesses[0]["kind"] == "cycle"
+    ok = ok and cyc.witnesses[0]["X"] == [[[0]]]  # the first family, {(0,)}
     report("3 (boundary nilpotency + cycle detection)", ok)
 
 

@@ -52,6 +52,18 @@ def test_nilpotency_cycle_reported(capsys):
     assert doc["witnesses"][0]["period"] == 2
 
 
+def test_nilpotency_off_the_dense_route(capsys):
+    # O_(10,)(24) is over the dense budget, so boundary runs sparse
+    code, out = run_cli(capsys, [
+        "verify", "nilpotency", "--a", "24", "--m", "1", "--l", "10",
+        "--mode", "random", "--samples", "3",
+    ])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["outcome"] == "pass"
+    assert doc["counters"]["families_checked"] == 3
+
+
 def test_counts_bn(capsys):
     code, out = run_cli(capsys, [
         "counts", "--space", "bn", "--a-max", "6", "--n-max", "2",
@@ -180,6 +192,24 @@ def test_ramsey_negative_cap_exits_2(monkeypatch, capsys):
     assert_one_line_error(*run_main(monkeypatch, capsys, [
         "ramsey", "search", "--j", "1", "--c", "2", "--r", "2", "--cap", "-1",
     ]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "nilpotency", "--a", "-1"],
+    ["verify", "bijection", "--a", "-1"],
+    ["verify", "nilpotency", "--mode", "random", "--samples", "-3"],
+])
+def test_verify_negative_input_exits_2(monkeypatch, capsys, argv):
+    assert_one_line_error(*run_main(monkeypatch, capsys, argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["symmetry", "support", "--a", "3", "--blocks", "0,5"],
+    ["symmetry", "fiber", "--a", "4", "--blocks", "0,1|1,2"],
+    ["symmetry", "support", "--a", "4", "--E", "9"],
+])
+def test_symmetry_bad_input_exits_2(monkeypatch, capsys, argv):
+    assert_one_line_error(*run_main(monkeypatch, capsys, argv))
 
 
 def test_symmetry_orbits(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from finpart import cli
 from finpart.core import enum_disjoint_tuples
 from finpart.operators import (
     BudgetExceeded,
@@ -13,17 +14,20 @@ from finpart.operators import (
     exists_uncovered_extension,
     interior,
     interior_sparse,
-    nilpotency_holds,
     nilpotency_index,
     profile_space,
-    tuple_extends,
-    tuple_join,
-    tuple_meet,
     up,
 )
 
 
 # --- independent oracles, straight from the definitions -------------------
+
+def tuple_extends(p, q):
+    """True iff p_i is a subset of q_i for every component."""
+    if len(p) != len(q):
+        raise ValueError("arity mismatch")
+    return all(set(x) <= set(y) for x, y in zip(p, q))
+
 
 def oracle_up(a, m, l, X):
     return frozenset(
@@ -49,10 +53,8 @@ def random_family(rng, tuples, density=0.4):
 def test_tuple_order_ops():
     assert tuple_extends(((0,),), ((0, 1),))
     assert not tuple_extends(((2,),), ((0, 1),))
-    assert tuple_join(((0,), ()), ((), (1,))) == ((0,), (1,))
-    assert tuple_meet(((0, 1), (2,)), ((1,), (2, 3))) == ((1,), (2,))
-    with pytest.raises(ValueError, match="colliding"):
-        tuple_join(((0,), (1,)), ((1,), (0,)))
+    with pytest.raises(ValueError, match="arity"):
+        tuple_extends(((0,),), ((0,), ()))
 
 
 def test_enum_extensions_count():
@@ -134,19 +136,42 @@ def test_vacuous_alpha_cycles():
     assert rep.start == 0
 
 
+def subfamilies(a, m):
+    """Every family of m-profile tuples, in the order of the masks that
+    select them (bit i = the i-th tuple in enumeration order)."""
+    tuples = list(enum_disjoint_tuples(a, m))
+    for mask in range(1 << len(tuples)):
+        yield frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
+
+
 def test_nilpotency_holds_small_configs():
-    ok, _ = nilpotency_holds(6, (1,), (2,), mode="exhaustive")
-    assert ok
-    ok, _ = nilpotency_holds(6, (1,), (3,), mode="exhaustive")
-    assert ok
-    ok, witness = nilpotency_holds(2, (1,), (3,), mode="exhaustive")
-    assert not ok and witness
+    # at a=6 every family's boundary dies within sum(m) + 1 steps
+    for l in [(2,), (3,)]:
+        for X in subfamilies(6, (1,)):
+            idx = nilpotency_index(6, (1,), l, X)
+            assert isinstance(idx, int) and idx <= 2
+    # a=2 has no 3-subsets, so the interior is vacuous and {0} cycles
+    reps = [(X, nilpotency_index(2, (1,), (3,), X))
+            for X in subfamilies(2, (1,))]
+    X, rep = next((X, r) for X, r in reps if not isinstance(r, int) or r > 2)
+    assert X == {((0,),)}
+    assert rep == CycleReport(start=0, period=2, family=(((0,),),))
 
 
 def test_nilpotency_random_mode_seeded():
-    r1 = nilpotency_holds(8, (1, 1), (2, 2), mode="random", samples=50, seed=9)
-    r2 = nilpotency_holds(8, (1, 1), (2, 2), mode="random", samples=50, seed=9)
-    assert r1 == r2 == (True, None)
+    r1 = cli.suite_nilpotency(8, (1, 1), (2, 2), "random", 50, 9)
+    r2 = cli.suite_nilpotency(8, (1, 1), (2, 2), "random", 50, 9)
+    assert r1.canonical_json() == r2.canonical_json()
+    assert r1.outcome == "pass"
+    assert r1.counters == {"families_checked": 50, "total": 50, "bound": 3}
+
+
+def test_boundary_iteration_off_the_dense_route():
+    # O_(10,)(28) is far over the dense budget; the two members leave 24
+    # ground elements free, so the interior is X and the boundary is empty
+    X = {((0, 1),), ((2, 3),)}
+    assert boundary_power(28, (2,), (10,), X, 1) == frozenset()
+    assert nilpotency_index(28, (2,), (10,), X) == 1
 
 
 def test_budget_guard():
@@ -170,10 +195,17 @@ def test_profile_validation():
         interior(4, (2,), (1,), frozenset())
     with pytest.raises(ValueError, match="arity"):
         interior(4, (1,), (1, 1), frozenset())
+    # boundary iteration checks even when it iterates nothing
+    with pytest.raises(ValueError, match="fit under"):
+        boundary_power(4, (2,), (1,), frozenset(), 0)
+    with pytest.raises(ValueError, match="fit under"):
+        nilpotency_index(4, (2,), (1,), frozenset())
+    with pytest.raises(ValueError):
+        boundary_power(4, (1,), (2,), {((9,),)}, 0)
 
 
 @pytest.mark.parametrize("bad", [((1, 0),), ((99,),), ((0, 1),)])
-@pytest.mark.parametrize("route", [interior, interior_sparse])
+@pytest.mark.parametrize("route", [interior, interior_sparse, nilpotency_index])
 def test_member_validation_on_both_routes(route, bad):
     # non-canonical, out of range, wrong profile
     with pytest.raises(ValueError):

@@ -13,11 +13,14 @@ from hypothesis import given, strategies as st  # noqa: E402
 from finpart import coding, operators  # noqa: E402
 from finpart.core import enum_disjoint_tuples  # noqa: E402
 from finpart.operators import (  # noqa: E402
+    CycleReport,
     boundary,
+    boundary_power,
     down,
     exists_uncovered_extension,
     interior,
     interior_sparse,
+    nilpotency_index,
     up,
 )
 from finpart.ramsey import (  # noqa: E402
@@ -50,6 +53,27 @@ def oracle_down(a, m, l, Z):
 def oracle_interior(a, m, l, X):
     """m-tuples all of whose l-extensions extend some member of X."""
     return oracle_down(a, m, l, oracle_up(a, m, l, X))
+
+
+def oracle_boundary_chain(a, m, l, X, steps):
+    """X, boundary(X), boundary^2(X), ...: at least steps + 1 families, and
+    on until one is empty or repeats an earlier one."""
+    chain = [X]
+    while len(chain) <= steps or chain[-1] and chain[-1] not in chain[:-1]:
+        chain.append(oracle_interior(a, m, l, chain[-1]) - chain[-1])
+    return chain
+
+
+def oracle_nilpotency(chain):
+    """The first k whose family is empty, or the cycle the chain enters."""
+    for k, Y in enumerate(chain):
+        if not Y:
+            return k
+        if Y in chain[:k]:
+            start = chain.index(Y)
+            return CycleReport(start=start, period=k - start,
+                               family=tuple(sorted(Y)))
+    raise AssertionError("chain stops before it dies or repeats")
 
 
 def support(t):
@@ -168,14 +192,19 @@ def check_operators(a, m, l, X, Z):
     assert boundary(a, m, l, X) == want - X
     assert down(a, m, l, Z) == oracle_down(a, m, l, Z)
     assert down(a, m, l, oracle_up(a, m, l, X)) == want
+    chain = oracle_boundary_chain(a, m, l, X, sum(m) + 2)
+    for k in range(sum(m) + 3):
+        assert boundary_power(a, m, l, X, k) == chain[k]
+    assert nilpotency_index(a, m, l, X) == oracle_nilpotency(chain)
 
 
 @given(st.one_of(families(), near_covering_families(), threshold_families()),
        st.data())
 def test_operators_match_oracle_on_both_routes(case, data):
-    """up, interior, boundary and down on the route fits_dense picks (dense
-    at these sizes) and forced onto the sparse route, against the
-    definitions; down also on l-families that are not up-closed."""
+    """up, interior, boundary, down, boundary_power and nilpotency_index
+    on the route fits_dense picks (dense at these sizes) and forced onto
+    the sparse route, against the definitions; down also on l-families
+    that are not up-closed."""
     a, m, l, X = case
     Z = subfamily(data.draw, list(enum_disjoint_tuples(a, l)))
     check_operators(a, m, l, X, Z)
