@@ -30,10 +30,6 @@ class UsageError(ValueError):
     """Invalid configuration: exit code 2."""
 
 
-def _family_json(fam):
-    return sorted([list(c) for c in t] for t in fam)
-
-
 # ---------------------------------------------------------------------------
 # operator-law suite (fact00)
 
@@ -45,10 +41,10 @@ _LAW_NAMES = (
 
 
 def _fact00_chunk(args):
-    """Per-X laws over a contiguous mask range; returns counters,
-    violations, and (up-mask, X-mask) pairs of interior-closed families
-    for the global injectivity check."""
-    a, m, l, lo, hi = args
+    """Per-X laws over a sequence of masks; returns counters, violations,
+    and (up-mask, X-mask) pairs of interior-closed families for the
+    global injectivity check."""
+    a, m, l, masks = args
     sp = operators.profile_space(a, m, l)
     sub = [
         operators.profile_space(a, m, lp)
@@ -62,7 +58,7 @@ def _fact00_chunk(args):
         fam = sorted(operators.mask_to_family(sp, xmask))
         violations.append({"law": law, "X": _plainfam(fam), "detail": detail})
 
-    for xmask in range(lo, hi):
+    for xmask in masks:
         checked += 1
         al = operators.interior_mask(sp, xmask)
         if xmask & ~al:
@@ -105,24 +101,18 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
         config={"a": a, "m": m, "l": l, "mode": mode, "samples": samples,
                 "seed": seed},
     )
+    rng = random.Random(seed)
     if mode == "exhaustive":
         if size > 20:
             raise UsageError(f"2^{size} families is over the exhaustive budget")
-        total = 1 << size
-    else:
-        total = samples
-    rng = random.Random(seed)
-
-    if mode == "exhaustive":
-        chunk = max(1024, total // max(jobs, 1) // 4)
-        tasks = [
-            (a, m, l, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)
-        ]
+        masks = range(1 << size)
+        chunk = max(1024, len(masks) // max(jobs, 1) // 4)
     else:
         masks = sorted({rng.getrandbits(size) for _ in range(samples)})
-        # random mode routes through explicit per-mask ranges of width 1
-        tasks = [(a, m, l, mk, mk + 1) for mk in masks]
-        tasks = _coalesce(tasks)
+        chunk = max(1, -(-len(masks) // max(jobs, 1)))
+    # contiguous slices of the masks, at most one per job in random mode
+    tasks = [(a, m, l, masks[lo:lo + chunk])
+             for lo in range(0, len(masks), chunk)]
 
     checked = 0
     violations = []
@@ -178,17 +168,6 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
     report.witnesses = violations
     report.outcome = VIOLATION if violations else PASS
     return report
-
-
-def _coalesce(tasks):
-    """Merge adjacent (lo, hi) ranges so the pool gets fewer tasks."""
-    out = []
-    for t in tasks:
-        if out and out[-1][4] == t[3]:
-            out[-1] = out[-1][:4] + (t[4],)
-        else:
-            out.append(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +563,6 @@ def build_parser():
         prog="finpart",
         description="verification suites for finitary-partition constructions",
     )
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     sub = p.add_subparsers(dest="verb", required=True)
 
     v = sub.add_parser("verify", help="run a property suite")
@@ -609,7 +587,7 @@ def build_parser():
     c.add_argument("--space", choices=("bn", "on", "tuples"), default="bn")
     c.add_argument("--a-max", type=int, default=6)
     c.add_argument("--n-max", type=int, default=2)
-    c.add_argument("--format", choices=("json", "csv"), default=None)
+    c.add_argument("--format", choices=("json", "csv"), default="json")
 
     r = sub.add_parser("ramsey", help="direct Ramsey queries")
     rsub = r.add_subparsers(dest="action", required=True)
@@ -643,7 +621,8 @@ def build_parser():
             dp.add_argument("--seed", type=int, default=0)
         if name == "demo":
             dp.add_argument("--family")
-        dp.add_argument("--materialize", action="store_true")
+        if name in ("encode", "roundtrip"):
+            dp.add_argument("--materialize", action="store_true")
 
     s = sub.add_parser("symmetry", help="symmetry toolkit")
     ssub = s.add_subparsers(dest="action", required=True)
@@ -656,7 +635,6 @@ def build_parser():
         sp_.add_argument("--s", help="comma-separated seed sequence")
         sp_.add_argument("--blocks",
                          help="partition blocks, e.g. '0,1|2,3' (rest singletons)")
-        sp_.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -715,7 +693,7 @@ def run(argv=None):
     if args.verb == "counts":
         rows = emit_counts(args.space, args.a_max, args.n_max)
         header = ("a", "n_or_profile", "formula", "enumerated", "match")
-        if (args.format or "json") == "csv":
+        if args.format == "csv":
             print(rows_to_csv(rows, header), end="")
         else:
             print(json.dumps([dict(zip(header, r)) for r in rows], indent=2))
@@ -772,10 +750,12 @@ def run(argv=None):
                 raise UsageError("book does not match the given config")
             X = coding.decode(book)
             print(json.dumps(
-                {str(j): _family_json(fam) for j, fam in sorted(X.items())},
+                {str(j): sorted(_plainfam(fam)) for j, fam in sorted(X.items())},
                 indent=2,
             ))
             return 0
+        if args.samples < 0:
+            raise UsageError("--samples must be non-negative")
         rep = suite_coding(args.config, args.mode, args.samples, args.seed,
                            use_partitions=args.materialize or None)
         print(rep.to_json())
@@ -783,6 +763,8 @@ def run(argv=None):
 
     if args.verb == "symmetry":
         a = args.a
+        if a < 0:
+            raise UsageError("--a must be non-negative")
         if args.action == "orbits":
             B = _csl(args.B) if args.B else tuple(range(args.n + 2))
             s = _csl(args.s) if args.s else B[:-1]
@@ -793,7 +775,9 @@ def run(argv=None):
         if args.action == "support":
             P = _parse_blocks(args.blocks, a)
             E = _parse_elements(args.E, a)
-            print(json.dumps({"is_support": symmetry.is_support(E, P, a)}))
+            print(json.dumps(
+                {"is_support": symmetry.is_support(E, frozenset(P), a)}
+            ))
             return 0
         if args.action == "fiber":
             P = _parse_blocks(args.blocks, a)

@@ -2,8 +2,9 @@
 even/odd orbit pairs, and the deleted-projection preorder on partitions.
 
 Permutations are image tables (tuples) on {0..a-1}.  The structural action
-relabels elements recursively and restores every canonical form, so all
-operations here commute with the rest of the package's constructions.
+picks the kind of an object by its Python type alone and relabels its
+elements recursively; a partition is acted on as the frozenset of its
+blocks, so the result never depends on a guess about the object's shape.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import as_subset, canonicalize_partition, enum_B_n, ns_blocks
+from .core import as_subset, enum_B_n, ns_blocks
 from .maps import signature_classes
 from .operators import BudgetExceeded
 
@@ -78,47 +79,41 @@ def parity(pi):
 # ---------------------------------------------------------------------------
 # structural action
 
-def _is_partition(obj, pi):
-    """Tuples of subsets come in two canonical flavors; partitions
-    (non-empty blocks covering the ground set) re-sort by least element
-    after relabeling, disjoint tuples keep their component order."""
-    if not (obj and all(isinstance(c, tuple) and c for c in obj)):
-        return False
-    elems = [x for c in obj for x in c]
-    return sorted(elems) == list(range(len(pi)))
-
-
 def apply_perm(pi, obj):
-    """Relabel an object: ints pointwise; subsets (tuples of ints) with
-    canonical re-sorting; partitions with block re-sorting; disjoint
-    tuples componentwise in order; sets/frozensets of objects elementwise;
-    dicts as function graphs (both keys and values relabeled)."""
-    pi = check_perm(pi)
+    """Relabel an object, by its type alone: an int maps to its image; a
+    tuple of ints is a subset, re-sorted; any other tuple (a disjoint
+    tuple, a sequence of subsets) is acted on componentwise, in order; a
+    set or frozenset elementwise; a dict as a function graph (keys and
+    values).  Pass a partition as the frozenset of its blocks."""
+    return _act(check_perm(pi), obj)
+
+
+def _act(pi, obj):
     if isinstance(obj, int):
+        if not 0 <= obj < len(pi):
+            raise ValueError(f"element {obj} out of range [0, {len(pi)})")
         return pi[obj]
-    if isinstance(obj, (set, frozenset)):
-        return frozenset(apply_perm(pi, x) for x in obj)
-    if isinstance(obj, dict):
-        return {apply_perm(pi, k): apply_perm(pi, v) for k, v in obj.items()}
     if isinstance(obj, tuple):
         if all(isinstance(x, int) for x in obj):
-            return as_subset(pi[x] for x in obj)
-        if _is_partition(obj, pi):
-            return canonicalize_partition(
-                len(pi), [as_subset(pi[x] for x in b) for b in obj]
-            )
-        return tuple(apply_perm(pi, x) for x in obj)
+            return as_subset(_act(pi, x) for x in obj)
+        return tuple(_act(pi, x) for x in obj)
+    if isinstance(obj, (set, frozenset)):
+        return frozenset(_act(pi, x) for x in obj)
+    if isinstance(obj, dict):
+        return {_act(pi, k): _act(pi, v) for k, v in obj.items()}
     raise TypeError(f"no action defined on {type(obj).__name__}")
 
 
 def is_support(E, obj, a):
-    """True iff every transposition of two elements outside E fixes the
-    object.  Such transpositions generate all permutations fixing E
-    pointwise, so on a finite ground set this decides support."""
-    outside = [x for x in range(a) if x not in set(E)]
+    """True iff every permutation fixing E pointwise fixes the object, as
+    apply_perm acts on it (pass a partition as its block set).  For one
+    x0 outside E, the transpositions (x0 x) with the other x outside E
+    generate all such permutations, so only those are tested."""
+    E = set(E)
+    outside = [x for x in range(a) if x not in E]
     return all(
-        apply_perm(transposition(a, x, y), obj) == obj
-        for x, y in itertools.combinations(outside, 2)
+        apply_perm(transposition(a, outside[0], x), obj) == obj
+        for x in outside[1:]
     )
 
 

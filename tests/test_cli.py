@@ -207,9 +207,36 @@ def test_verify_negative_input_exits_2(monkeypatch, capsys, argv):
     ["symmetry", "support", "--a", "3", "--blocks", "0,5"],
     ["symmetry", "fiber", "--a", "4", "--blocks", "0,1|1,2"],
     ["symmetry", "support", "--a", "4", "--E", "9"],
+    ["symmetry", "support", "--a", "-1"],
 ])
 def test_symmetry_bad_input_exits_2(monkeypatch, capsys, argv):
     assert_one_line_error(*run_main(monkeypatch, capsys, argv))
+
+
+def test_code_roundtrip_negative_samples_exits_2(monkeypatch, capsys):
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "code", "roundtrip", "--config", CONFIG, "--samples", "-3",
+    ]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["symmetry", "orbits", "--a", "3", "--seed", "1"],
+    ["--format", "csv", "counts"],
+    ["code", "demo", "--config", CONFIG, "--materialize"],
+])
+def test_unread_options_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("E, verdict", [("0,1", True), ("0", False)])
+def test_symmetry_support(capsys, E, verdict):
+    code, out = run_cli(capsys, [
+        "symmetry", "support", "--a", "4", "--blocks", "0,1", "--E", E,
+    ])
+    assert code == 0
+    assert json.loads(out) == {"is_support": verdict}
 
 
 def test_symmetry_orbits(capsys):

@@ -1,17 +1,19 @@
 """Property tests: both operator routes, the coder's pullback and the
-Ramsey search against naive oracles written from the definitions."""
+Ramsey search against naive oracles written from the definitions, and the
+package's maps against relabellings of the ground set."""
 
 import itertools
 from math import comb, prod
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from finpart import coding, operators  # noqa: E402
-from finpart.core import enum_disjoint_tuples  # noqa: E402
+from finpart import coding, maps, operators  # noqa: E402
+from finpart.core import canonicalize_partition, enum_disjoint_tuples  # noqa: E402
 from finpart.operators import (  # noqa: E402
     CycleReport,
     boundary,
@@ -29,6 +31,7 @@ from finpart.ramsey import (  # noqa: E402
     check_witness,
     has_property,
 )
+from finpart.symmetry import apply_perm, is_support  # noqa: E402
 
 
 def extends(p, q):
@@ -256,3 +259,138 @@ def test_ramsey_search_matches_oracle(case):
     if want is not None:
         assert pruned.counterexample == full.counterexample == want
     assert pruned.searched <= full.searched
+
+
+# ---------------------------------------------------------------------------
+# equivariance: pi . f(X) == f(pi . X) for every permutation pi of the ground
+
+@st.composite
+def relabelled_families(draw):
+    """(a, m, l, X, Z, pi): a family X of m-tuples, a family Z of
+    l-tuples and a permutation of range(a)."""
+    a, m, l, X = draw(st.one_of(families(), near_covering_families(),
+                                threshold_families()))
+    Z = subfamily(draw, list(enum_disjoint_tuples(a, l)))
+    return a, m, l, X, Z, tuple(draw(st.permutations(range(a))))
+
+
+def check_operators_commute(a, m, l, X, Z, pi):
+    pX, pZ = apply_perm(pi, X), apply_perm(pi, Z)
+    for op in (up, interior, boundary):
+        assert op(a, m, l, pX) == apply_perm(pi, op(a, m, l, X)), op
+    assert down(a, m, l, pZ) == apply_perm(pi, down(a, m, l, Z))
+
+
+# members that cover the ground set, and members with an empty component
+@example((3, (1, 2), (1, 2), frozenset({((0,), (1, 2)), ((2,), (0, 1))}),
+          frozenset({((1,), (0, 2))}), (1, 0, 2)))
+@example((3, (0, 1), (1, 1), frozenset({((), (0,)), ((), (2,))}),
+          frozenset({((1,), (0,))}), (2, 0, 1)))
+@given(relabelled_families())
+def test_operators_commute_with_relabelling(case):
+    """up, interior, boundary and down on both routes; and the support of
+    X's members supports interior(X)."""
+    a, m, l, X, Z, pi = case
+    check_operators_commute(a, m, l, X, Z, pi)
+    with mock.patch.object(operators, "fits_dense", lambda a, m, l: False):
+        check_operators_commute(a, m, l, X, Z, pi)
+    E = set().union(*map(support, X))
+    assert is_support(E, interior(a, m, l, X), a)
+
+
+SINGLE_SLOT_A12 = coding.CodingConfig.from_json(
+    (Path(__file__).resolve().parent.parent / "configs"
+     / "single_slot_a12.json").read_text()
+)
+
+
+def block_sets(H):
+    return frozenset(frozenset(P) for P in H)
+
+
+def relabel_slots(pi, X):
+    return {j: apply_perm(pi, fam) for j, fam in X.items()}
+
+
+def singleton_family(members):
+    return {0: frozenset(((x,),) for x in members)} if members else {}
+
+
+@settings(max_examples=30)
+@given(st.sets(st.integers(0, 11)), st.sets(st.integers(0, 11)),
+       st.permutations(range(12)))
+def test_coder_commutes_with_relabelling(members, others, pi):
+    """encode per key and materialize as block sets; decode on the union
+    of two families' partition sets, which need not be any family's code."""
+    cfg = SINGLE_SLOT_A12
+    pi = tuple(pi)
+    X = singleton_family(members)
+    book = coding.encode(X, cfg)
+    pbook = coding.encode(relabel_slots(pi, X), cfg)
+    assert pbook.Y == {key: apply_perm(pi, fam) for key, fam in book.Y.items()}
+    H = coding.materialize(book)[0]
+    assert block_sets(coding.materialize(pbook)[0]) == \
+        apply_perm(pi, block_sets(H))
+    H |= coding.materialize(coding.encode(singleton_family(others), cfg))[0]
+    pH = frozenset(canonicalize_partition(cfg.a, B)
+                   for B in apply_perm(pi, block_sets(H)))
+    assert coding.decode(pH, cfg, check=False) == \
+        relabel_slots(pi, coding.decode(H, cfg, check=False))
+
+
+@st.composite
+def relabelled_sequences(draw):
+    """(a, s, pi): a sequence of 1-3 subsets of range(a), some empty."""
+    a = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    s = tuple(tuple(sorted(draw(st.sets(st.integers(0, a - 1)))))
+              for _ in range(n))
+    return a, s, tuple(draw(st.permutations(range(a))))
+
+
+@given(relabelled_sequences())
+def test_fin_to_disjoint_commutes_with_relabelling(case):
+    a, s, pi = case
+    assert maps.fin_to_disjoint(apply_perm(pi, s)) == \
+        apply_perm(pi, maps.fin_to_disjoint(s))
+
+
+@st.composite
+def relabelled_tuples(draw):
+    """(a, t, pi): one disjoint tuple of range(a) and a permutation."""
+    a, m, _ = draw(instances())
+    t = draw(st.sampled_from(sorted(enum_disjoint_tuples(a, m))))
+    return a, t, tuple(draw(st.permutations(range(a))))
+
+
+@example((3, ((0,), (1, 2)), (1, 0, 2)))
+@given(relabelled_tuples())
+def test_tuple_to_partition_commutes_with_relabelling(case):
+    a, t, pi = case
+    P, lands = maps.tuple_to_partition(a, t)
+    pP, plands = maps.tuple_to_partition(a, apply_perm(pi, t))
+    assert frozenset(pP) == apply_perm(pi, frozenset(P))
+    assert plands == lands
+
+
+@st.composite
+def relabelled_set_families(draw):
+    """(a, sets, pi): n distinct subsets of range(a), drawn through a
+    signature label per ground element so that bfin_map is often defined."""
+    a = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 2))
+    labels = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=a,
+                           max_size=a))
+    sets = [tuple(x for x in range(a) if labels[x] >> k & 1) for k in range(n)]
+    hypothesis.assume(len(set(sets)) == n)
+    return a, sets, tuple(draw(st.permutations(range(a))))
+
+
+@given(relabelled_set_families())
+def test_bfin_map_commutes_with_relabelling(case):
+    a, sets, pi = case
+    P = maps.bfin_map(a, sets)[0]
+    pP = maps.bfin_map(a, [apply_perm(pi, x) for x in sets])[0]
+    assert (pP is None) == (P is None)
+    if P is not None:
+        assert frozenset(pP) == apply_perm(pi, frozenset(P))

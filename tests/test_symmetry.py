@@ -34,11 +34,23 @@ def random_perm(rng, a):
 
 def test_apply_perm_examples():
     t = transposition(4, 0, 1)
-    P = canonicalize_partition(4, [(0, 2), (1,), (3,)])
-    assert apply_perm(t, P) == canonicalize_partition(4, [(1, 2), (0,), (3,)])
+    # a partition is acted on as its block set
+    P = frozenset(canonicalize_partition(4, [(0, 2), (1,), (3,)]))
+    assert apply_perm(t, P) == \
+        frozenset(canonicalize_partition(4, [(1, 2), (0,), (3,)]))
     assert apply_perm(identity_perm(4), P) == P
     c = from_cycles(4, [(0, 1, 2)])
     assert apply_perm(c, ((0,), (1, 3))) == ((1,), (2, 3))
+    # tuples of subsets that cover the ground set keep their order
+    assert apply_perm((0, 1, 2), ((2,), (0, 1))) == ((2,), (0, 1))
+    assert apply_perm((1, 0, 2), ((0, 2), (1,))) == ((1, 2), (0,))
+    assert apply_perm((1, 0), {0: (1,), 1: ()}) == {1: (0,), 0: ()}
+    with pytest.raises(TypeError, match="list"):
+        apply_perm((0,), [0])
+    # a negative element would index the table from its end
+    for obj in (-1, (-1, 0), 3):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_perm((1, 2, 0), obj)
 
 
 def test_action_laws():
@@ -81,25 +93,42 @@ def test_inverse():
 
 
 def test_is_support():
-    P = canonicalize_partition(4, [(0, 1), (2,), (3,)])
+    P = frozenset(canonicalize_partition(4, [(0, 1), (2,), (3,)]))
     assert not is_support((0,), P, 4)
     assert is_support((0, 1), P, 4)
     # the union of non-singleton blocks always supports a partition
     for Q in enum_B_n(5, 1):
         E = tuple(x for b in ns_blocks(Q) for x in b)
-        assert is_support(E, Q, 5)
+        assert is_support(E, frozenset(Q), 5)
     # the full ground set as an object is supported by the empty set
     assert is_support((), tuple(range(4)), 4)
 
 
 def test_support_monotone():
-    P = canonicalize_partition(5, [(0, 1), (2,), (3,), (4,)])
+    P = frozenset(canonicalize_partition(5, [(0, 1), (2,), (3,), (4,)]))
     for E in itertools.chain.from_iterable(
         itertools.combinations(range(5), k) for k in range(4)
     ):
         if is_support(E, P, 5):
             for extra in range(5):
                 assert is_support(tuple(set(E) | {extra}), P, 5)
+
+
+def test_is_support_matches_all_transpositions():
+    """The star transpositions decide as all pairs outside E do."""
+    a = 5
+    objects = [frozenset(P) for P in enum_B_n(a, 1)] + [
+        ((0, 1), (2,)), ((), (3, 4)), frozenset({((0,), (1,)), ((1,), (0,))}),
+    ]
+    for E in itertools.chain.from_iterable(
+        itertools.combinations(range(a), k) for k in range(a + 1)
+    ):
+        outside = [x for x in range(a) if x not in E]
+        for obj in objects:
+            assert is_support(E, obj, a) == all(
+                apply_perm(transposition(a, x, y), obj) == obj
+                for x, y in itertools.combinations(outside, 2)
+            ), (E, obj)
 
 
 def test_even_odd_orbits_example():
