@@ -336,12 +336,13 @@ def suite_coding(config_path, mode, samples, seed, use_partitions=None):
         config={"config": json.loads(cfg.to_json()), "mode": mode,
                 "samples": samples, "seed": seed},
     )
-    single_dense = (
-        len(cfg.slots) == 1
-        and operators.fits_dense(cfg.a, cfg.slots[0][1], cfg.g(*cfg.slots[0]))
-    )
     if use_partitions is None:
-        use_partitions = single_dense
+        # through partitions when materialize fits its budget on any family
+        use_partitions = sum(
+            core.count_disjoint_tuples(cfg.a, m)
+            * operators.count_extensions(cfg.a, m, cfg.f(j, m, k))
+            for j, m, k in cfg.keys()
+        ) <= operators.EXTENSION_BUDGET
 
     def roundtrip(X):
         # from the partition set when asked and within budget, else the book
@@ -749,6 +750,14 @@ def run(argv=None):
             if book.cfg != cfg:
                 raise UsageError("book does not match the given config")
             X = coding.decode(book)
+            # decode . encode = id, so a book is a code iff it re-encodes
+            try:
+                again = coding.encode(X, cfg)
+            except ValueError as e:
+                raise UsageError(f"book is not the code of any family: {e}") from e
+            if again != book:
+                raise UsageError("book is not the code of any family: its "
+                                 "decoded family encodes to a different book")
             print(json.dumps(
                 {str(j): sorted(_plainfam(fam)) for j, fam in sorted(X.items())},
                 indent=2,

@@ -11,6 +11,12 @@ sizes identify its key and the component order, so the code book — and
 from it the original family, via an alternating-difference formula — can
 be recovered from the bare partition set.
 
+A partition of a fixed ground set is determined by its non-singleton
+blocks (`maps.ns_injection`), so the partition set H is carried as the
+frozenset of each partition's non-singleton block set, with singletons
+implicit.  The decoder reads only the blocks of size >= 2 of each element,
+so it accepts full partitions as well.
+
 A sequence coder composes this with the subset-sequence/disjoint-tuple
 bijection to code sets of fixed-arity sequences of finite sets.
 """
@@ -18,15 +24,11 @@ bijection to code sets of fixed-arity sequences of finite sets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from math import prod
 
-from .core import (
-    check_disjoint_tuple,
-    ns_blocks,
-    partition_from_ns,
-    profile_of,
-)
+from .core import check_disjoint_tuple, profile_of
 from .maps import disjoint_to_fin, fin_to_disjoint
 from .operators import (
     EXTENSION_BUDGET,
@@ -134,7 +136,8 @@ def block_sizes(sig, j, m, k, n):
 
 def validate_signature(sig, slots):
     """Check the full signature contract over every (slot, k) key;
-    raises CodingError naming the failing clause."""
+    raises CodingError naming the failing clause.  Returns the table
+    (j, m, k) -> sizes."""
     seen = {}
     for j, m in slots:
         n = len(m)
@@ -145,6 +148,7 @@ def validate_signature(sig, slots):
                     f"signature collision: keys {seen[l]} and ({j}, {m}, {k}) both map to {l}"
                 )
             seen[l] = (j, m, k)
+    return {key: l for l, key in seen.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +162,8 @@ class CodingConfig:
     n: int
     signature: SizeSignature
     slots: tuple  # ordered ((j, m), ...)
+    # (j, m, k) -> sizes over the slots' keys, checked once on construction
+    _sizes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.slots:
@@ -169,19 +175,23 @@ class CodingConfig:
                 raise CodingError(f"negative slot index {j}")
             if len(m) != self.n or any(x < 0 for x in m):
                 raise CodingError(f"profile {m} invalid for arity {self.n}")
-            g = self.g(j, m)
+            g = block_sizes(self.signature, j, m, sum(m), self.n)
             if self.a < sum(g):
                 raise CodingError(
                     f"ground size {self.a} below sum{g} needed by slot ({j}, {m})"
                 )
-        validate_signature(self.signature, self.slots)
+        object.__setattr__(self, "_sizes",
+                           validate_signature(self.signature, self.slots))
 
     def f(self, j, m, k):
-        return block_sizes(self.signature, j, tuple(m), k, self.n)
+        # keys outside the table still go through block_sizes and its errors
+        m = tuple(m)
+        l = self._sizes.get((j, m, k))
+        return l if l is not None else block_sizes(self.signature, j, m, k, self.n)
 
     def g(self, j, m):
         m = tuple(m)
-        return block_sizes(self.signature, j, m, sum(m), self.n)
+        return self.f(j, m, sum(m))
 
     def keys(self):
         for j, m in self.slots:
@@ -333,7 +343,9 @@ def encode(X, cfg):
 
 def materialize(book):
     """The partition set carried by a book: for every key, the partitions
-    induced by the l-extensions of the stored family.
+    induced by the l-extensions of the stored family, each as the
+    frozenset of its non-singleton blocks (every l_i >= 2, so these are
+    the components of the l-extension; the singletons are implicit).
 
     Returns (partitions, None) or (None, count) when the number of
     candidate extension tuples exceeds EXTENSION_BUDGET.
@@ -345,26 +357,32 @@ def materialize(book):
     if total > EXTENSION_BUDGET:
         return None, total
     out = set()
-    for (j, m, k), fam in sorted(book.Y.items()):
-        out.update(partition_from_ns(cfg.a, q)
-                   for q in up(cfg.a, m, cfg.f(j, m, k), fam))
+    for (j, m, k), fam in book.Y.items():
+        out.update(map(frozenset, up(cfg.a, m, cfg.f(j, m, k), fam)))
     return frozenset(out), None
 
 
-def extract_slice(H, cfg, j, m, k):
-    """The l-profile tuples of key (j, m, k) present in a partition set:
-    partitions whose non-singleton block sizes match l as a set, with the
-    component order recovered by ascending block size."""
-    l = cfg.f(j, m, k)
-    want = sorted(l)
-    out = []
+def _slices(H):
+    """Bucket a partition set by the sorted sizes of each element's
+    non-singleton blocks, holding those blocks in ascending size.  The
+    sizes of an l-tuple strictly increase, so bucket l is the slice of
+    l-profile tuples, components in order."""
+    out = defaultdict(list)
     for P in H:
-        ns = ns_blocks(P)
-        if sorted(len(b) for b in ns) != want:
-            continue
-        by_size = sorted(ns, key=len)
-        out.append(tuple(by_size[want.index(li)] for li in l))
-    return frozenset(out)
+        ns = [b for b in P if len(b) >= 2]
+        if len(ns) > 1:
+            ns.sort(key=len)
+        ns = tuple(ns)
+        out[tuple(map(len, ns))].append(ns)
+    return out
+
+
+def extract_slice(H, cfg, j, m, k):
+    """The l-profile tuples of key (j, m, k) present in a partition set
+    (block sets or full partitions): elements whose non-singleton block
+    sizes match l as a set, with the component order recovered by
+    ascending block size."""
+    return frozenset(_slices(H).get(cfg.f(j, m, k), ()))
 
 
 def pullback_Y(a, m, Z, l):
@@ -387,9 +405,10 @@ def pullback_Y(a, m, Z, l):
 def decode(source, cfg=None, check=True):
     """Recover the indexed family from a code book or a partition set.
 
-    From partitions, each key's slice is extracted and pulled back to its
-    Y-family first.  Then, per slot, the alternating difference
-    Y_0 \\ (Y_1 \\ (... \\ Y_K)) rebuilds the slot family, and slot
+    A partition set (block sets as `materialize` gives them, or full
+    partitions) is bucketed once by non-singleton block sizes, and each
+    key's slice is pulled back to its Y-family first.  Then, per slot, the
+    alternating difference Y_0 \\ (Y_1 \\ (... \\ Y_K)) rebuilds the slot family, and slot
     families with the same index are unioned.
 
     With check=True every Y obtained by pullback is verified to be
@@ -406,10 +425,11 @@ def decode(source, cfg=None, check=True):
     else:
         if cfg is None:
             raise CodingError("decoding a partition set needs the configuration")
+        slices = _slices(source)
         Y = {}
         for j, m, k in cfg.keys():
-            Z = extract_slice(source, cfg, j, m, k)
-            Yk = pullback_Y(cfg.a, m, Z, cfg.f(j, m, k))
+            l = cfg.f(j, m, k)
+            Yk = pullback_Y(cfg.a, m, frozenset(slices.get(l, ())), l)
             if check and interior(cfg.a, m, cfg.g(j, m), Yk) != Yk:
                 raise DecodeError(
                     f"slice ({j}, {m}, {k}) is not interior-closed after pullback; "
@@ -436,7 +456,8 @@ class SeqCode:
 
     The empty sequence has no tuple image; its presence is recorded as a
     reserved marker (read as: the code contains the all-singleton
-    partition, which no real key can produce)."""
+    partition, whose non-singleton block set is empty, which no real key
+    can produce)."""
 
     books: dict  # arity -> CodeBook
     has_empty_seq: bool = False

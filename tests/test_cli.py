@@ -166,6 +166,50 @@ def test_book_missing_keys_exits_2(monkeypatch, capsys, tmp_path):
     ]))
 
 
+@pytest.mark.parametrize("entries", [
+    pytest.param({"0|1|0": [[[99]]], "0|1|1": []}, id="out-of-range"),
+    pytest.param({"0|1|0": [[[0, 1]]], "0|1|1": []}, id="wrong-profile"),
+    pytest.param({"0|1|0": [[[0]]], "0|1|1": [], "7|1|0": [[[0]]]},
+                 id="unknown-key"),
+    pytest.param({"0|1|0": [[[0]]], "0|1|1": [[[0]]]}, id="not-nested"),
+])
+def test_decode_rejects_book_no_family_encodes_to(monkeypatch, capsys,
+                                                   tmp_path, entries):
+    book = tmp_path / "book.json"
+    book.write_text(json.dumps({"config": json.loads(Path(CONFIG).read_text()),
+                                "book": entries}))
+    code, err = run_main(monkeypatch, capsys, [
+        "code", "decode", "--config", CONFIG, "--book", str(book),
+    ])
+    assert_one_line_error(code, err)
+    assert "not the code of any family" in err
+
+
+def test_decode_accepts_encoded_book(capsys, tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"0": [[[0]], [[5]]]}))
+    _, book = run_cli(capsys, ["code", "encode", "--config", CONFIG,
+                               "--family", str(family)])
+    (tmp_path / "book.json").write_text(book)
+    code, out = run_cli(capsys, ["code", "decode", "--config", CONFIG,
+                                 "--book", str(tmp_path / "book.json")])
+    assert code == 0
+    assert json.loads(out) == {"0": [[[0]], [[5]]]}
+
+
+@pytest.mark.parametrize("name, via", [
+    ("single_slot_a12.json", True),
+    ("seq_arity1_a12.json", True),
+    ("pair_slot_a24.json", False),
+    ("two_slot_a28.json", False),
+    ("seq_arity2_a40.json", False),
+])
+def test_suite_coding_route_per_config(name, via):
+    # through partitions exactly when materialize fits its budget on any family
+    rep = cli.suite_coding(str(CONFIGS / name), "random", 0, 0)
+    assert rep.counters["via_partitions"] is via
+
+
 def test_decode_error_exits_2(monkeypatch, capsys, tmp_path):
     family = tmp_path / "family.json"
     family.write_text(json.dumps({"0": [[[0]]]}))

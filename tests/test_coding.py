@@ -22,7 +22,7 @@ from finpart.coding import (
     pullback_Y,
     validate_signature,
 )
-from finpart.core import enum_disjoint_tuples, ns_blocks
+from finpart.core import enum_disjoint_tuples
 from finpart.operators import fits_dense
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -92,8 +92,8 @@ def test_encode_singleton_family(cfg12):
     H, over = materialize(book)
     assert over is None
     assert len(H) == 55
-    assert all(len(ns_blocks(P)) == 1 for P in H)
-    assert all(0 in P[0] or any(0 in b for b in ns_blocks(P)) for P in H)
+    # each element is the block set of its partition: one 3-block holding 0
+    assert all(len(P) == 1 and len(B) == 3 and 0 in B for P in H for B in P)
 
 
 def test_extract_and_pullback(cfg12):
@@ -145,6 +145,16 @@ def test_complement_family_uses_alternating_formula(cfg12):
     assert book.Y[(0, (1,), 1)] == {((0,),)}
     H, _ = materialize(book)
     assert normalize_indexed(decode(H, cfg12)) == normalize_indexed(X)
+
+
+def test_decode_orders_components_by_size():
+    # n = 2: the blocks of each element come back as l-tuples, (2, 3) in order
+    cfg = compact_config(6, 2, [(0, (0, 0))])
+    X = {0: frozenset({((), ())})}
+    H, _ = materialize(encode(X, cfg))
+    assert extract_slice(H, cfg, 0, (0, 0), 0) == \
+        frozenset(enum_disjoint_tuples(6, (2, 3)))
+    assert decode(H, cfg) == X
 
 
 def test_empty_family(cfg12):

@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from finpart import coding, maps, operators  # noqa: E402
-from finpart.core import canonicalize_partition, enum_disjoint_tuples  # noqa: E402
+from finpart.core import enum_disjoint_tuples, partition_from_ns  # noqa: E402
 from finpart.operators import (  # noqa: E402
     CycleReport,
     boundary,
@@ -304,10 +304,6 @@ SINGLE_SLOT_A12 = coding.CodingConfig.from_json(
 )
 
 
-def block_sets(H):
-    return frozenset(frozenset(P) for P in H)
-
-
 def relabel_slots(pi, X):
     return {j: apply_perm(pi, fam) for j, fam in X.items()}
 
@@ -320,8 +316,8 @@ def singleton_family(members):
 @given(st.sets(st.integers(0, 11)), st.sets(st.integers(0, 11)),
        st.permutations(range(12)))
 def test_coder_commutes_with_relabelling(members, others, pi):
-    """encode per key and materialize as block sets; decode on the union
-    of two families' partition sets, which need not be any family's code."""
+    """encode per key and materialize; decode on the union of two
+    families' partition sets, which need not be any family's code."""
     cfg = SINGLE_SLOT_A12
     pi = tuple(pi)
     X = singleton_family(members)
@@ -329,13 +325,102 @@ def test_coder_commutes_with_relabelling(members, others, pi):
     pbook = coding.encode(relabel_slots(pi, X), cfg)
     assert pbook.Y == {key: apply_perm(pi, fam) for key, fam in book.Y.items()}
     H = coding.materialize(book)[0]
-    assert block_sets(coding.materialize(pbook)[0]) == \
-        apply_perm(pi, block_sets(H))
+    assert coding.materialize(pbook)[0] == apply_perm(pi, H)
     H |= coding.materialize(coding.encode(singleton_family(others), cfg))[0]
-    pH = frozenset(canonicalize_partition(cfg.a, B)
-                   for B in apply_perm(pi, block_sets(H)))
+    pH = apply_perm(pi, H)
     assert coding.decode(pH, cfg, check=False) == \
         relabel_slots(pi, coding.decode(H, cfg, check=False))
+
+
+@settings(max_examples=30)
+@given(st.sets(st.integers(0, 11)))
+def test_materialize_is_ns_injection_of_partitions(members):
+    """Each element of H is the non-singleton block set of the partition
+    an l-extension induces."""
+    cfg = SINGLE_SLOT_A12
+    book = coding.encode(singleton_family(members), cfg)
+    assert coding.materialize(book)[0] == frozenset(
+        maps.ns_injection(partition_from_ns(cfg.a, q))
+        for (j, m, k), fam in book.Y.items()
+        for q in up(cfg.a, m, cfg.f(j, m, k), fam)
+    )
+
+
+# n = 2: each key's two blocks have distinct sizes, (2, 3) at a = 6
+PAIR_EMPTY_A6 = coding.compact_config(6, 2, [(0, (0, 0))])
+
+
+def oracle_slice(H, l):
+    """l-profile tuples in H: elements whose non-singleton block sizes are
+    l as a multiset, component i being the block of size l_i."""
+    out = set()
+    for P in H:
+        ns = [b for b in P if len(b) >= 2]
+        if sorted(map(len, ns)) == sorted(l):
+            out.add(tuple(next(b for b in ns if len(b) == li) for li in l))
+    return frozenset(out)
+
+
+def oracle_decode(H, cfg):
+    """Per key, the slice oracle pulled back by oracle_down; then the
+    book's alternating difference."""
+    Y = {}
+    for j, m, k in cfg.keys():
+        l = cfg.f(j, m, k)
+        Y[(j, m, k)] = oracle_down(cfg.a, m, l, oracle_slice(H, l))
+    return coding.decode(coding.CodeBook(cfg, Y))
+
+
+@st.composite
+def block_sets(draw, a):
+    """Disjoint blocks of sizes 2..6 cut from a shuffled range(a): none,
+    one, or several, with sizes a key may or may not have."""
+    order = draw(st.permutations(range(a)))
+    out, start = [], 0
+    for size in draw(st.lists(st.integers(2, 6), max_size=3)):
+        if start + size > a:
+            break
+        out.append(tuple(sorted(order[start:start + size])))
+        start += size
+    return frozenset(out)
+
+
+def code_of(cfg, X):
+    return coding.materialize(coding.encode(X, cfg))[0]
+
+
+@st.composite
+def coded_unions(draw):
+    """(cfg, H): the union of two families' partition sets plus arbitrary
+    block sets, so H need not be any family's code."""
+    cfg = draw(st.sampled_from([SINGLE_SLOT_A12, PAIR_EMPTY_A6]))
+    (j, m), = cfg.slots
+    tuples = sorted(enum_disjoint_tuples(cfg.a, m))
+    H = set()
+    for _ in range(2):
+        fam = draw(st.sets(st.sampled_from(tuples)))
+        H |= code_of(cfg, {j: fam} if fam else {})
+    H |= draw(st.sets(block_sets(cfg.a), max_size=6))
+    return cfg, frozenset(H)
+
+
+# junk: no non-singleton block, two blocks, and sizes of no key
+@example((SINGLE_SLOT_A12, code_of(SINGLE_SLOT_A12, {0: {((0,),), ((5,),)}}) | {
+    frozenset(), frozenset({(0, 1, 2), (3, 4, 5, 6, 7)}),
+    frozenset({(1, 2, 3, 4)}), frozenset({(4, 9)})}))
+@example((PAIR_EMPTY_A6, code_of(PAIR_EMPTY_A6, {0: {((), ())}}) | {
+    frozenset({(0, 1, 2), (3, 4, 5)}), frozenset({(0, 1)}),
+    frozenset({(0, 1), (2, 3), (4, 5)})}))
+@settings(max_examples=40)
+@given(coded_unions())
+def test_decode_matches_full_partitions_and_slice_oracle(case):
+    """decode(H) on block sets equals decode on the same partitions written
+    out in full, and the per-key slice oracle."""
+    cfg, H = case
+    got = coding.decode(H, cfg, check=False)
+    full = frozenset(partition_from_ns(cfg.a, P) for P in H)
+    assert coding.decode(full, cfg, check=False) == got
+    assert oracle_decode(H, cfg) == got
 
 
 @st.composite
