@@ -4,7 +4,7 @@ Verbs:
   verify {fact00,nilpotency,bijection,ramsey,coding,symmetry}  -- property suites
   counts                                                       -- counting tables
   ramsey {check,search,bound}                                  -- direct Ramsey queries
-  code {encode,decode,roundtrip,demo}                          -- the partition coder
+  code {encode,decode,demo}                                    -- the partition coder
   symmetry {orbits,support,fiber,chain}                        -- symmetry toolkit
 
 All randomized paths are seeded; reports are deterministic JSON (CSV for
@@ -19,6 +19,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
@@ -329,23 +330,22 @@ def sample_indexed_family(cfg, rng):
     return X
 
 
-def suite_coding(config_path, mode, samples, seed, use_partitions=None):
+def suite_coding(config_path, mode, samples, seed):
     cfg = _load_config(config_path)
     report = RunReport(
         command="verify coding",
         config={"config": json.loads(cfg.to_json()), "mode": mode,
                 "samples": samples, "seed": seed},
     )
-    if use_partitions is None:
-        # through partitions when materialize fits its budget on any family
-        use_partitions = sum(
-            core.count_disjoint_tuples(cfg.a, m)
-            * operators.count_extensions(cfg.a, m, cfg.f(j, m, k))
-            for j, m, k in cfg.keys()
-        ) <= operators.EXTENSION_BUDGET
+    # through partitions when materialize fits its budget on any family
+    use_partitions = sum(
+        core.count_disjoint_tuples(cfg.a, m)
+        * operators.count_extensions(cfg.a, m, cfg.f(j, m, k))
+        for j, m, k in cfg.keys()
+    ) <= operators.EXTENSION_BUDGET
 
     def roundtrip(X):
-        # from the partition set when asked and within budget, else the book
+        # from the partition set when it fits the budget, else the book
         book = coding.encode(X, cfg)
         H = coding.materialize(book)[0] if use_partitions else None
         got = coding.decode(book) if H is None else coding.decode(H, cfg)
@@ -552,11 +552,62 @@ def demo_coding(cfg, X=None, out=None):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: each command accepts exactly the options it reads
 
-_RAMSEY_BUDGET_HELP = ("budget of the Ramsey search, in search nodes (partial "
-                       "colorings); grids whose witness masks exceed it are "
-                       "refused before the search")
+_VERIFY_OPTIONS = {
+    "a": {"type": int, "default": 6},
+    "n": {"type": int, "default": 1},
+    "m": {"type": int, "action": "append"},
+    "l": {"type": int, "action": "append"},
+    "mode": {"choices": ("exhaustive", "random"), "default": "exhaustive"},
+    "samples": {"type": int, "default": 1000},
+    "seed": {"type": int, "default": 0},
+    "jobs": {"type": int, "default": 1},
+    "max-colorings": {
+        "type": int, "default": ramsey.DEFAULT_MAX_COLORINGS,
+        "help": "budget of the Ramsey search, in search nodes (partial "
+                "colorings); grids whose witness masks exceed it are "
+                "refused before the search",
+    },
+    "no-prune": {"action": "store_true"},
+    "config": {"required": True},
+}
+
+
+def _profiles(o):
+    # "append" would extend a default list, so the defaults are applied here
+    return tuple(o.m or (1,)), tuple(o.l or (2,))
+
+
+_SWEEP = ("a", "m", "l", "mode", "samples", "seed")
+
+# verify's suites: the options each reads, and its call on them
+_SUITES = {
+    "fact00": (_SWEEP + ("jobs",), lambda o: suite_fact00(
+        o.a, *_profiles(o), o.mode, o.samples, o.seed, o.jobs)),
+    "nilpotency": (_SWEEP, lambda o: suite_nilpotency(
+        o.a, *_profiles(o), o.mode, o.samples, o.seed)),
+    "bijection": (("a", "n"), lambda o: suite_bijection(o.a, o.n)),
+    "ramsey": (("max-colorings", "no-prune"),
+               lambda o: suite_ramsey(o.max_colorings, not o.no_prune)),
+    "coding": (("config", "mode", "samples", "seed"),
+               lambda o: suite_coding(o.config, o.mode, o.samples, o.seed)),
+    "symmetry": ((), lambda o: suite_symmetry()),
+}
+
+_SYMMETRY_OPTIONS = {
+    "a": {"type": int, "required": True},
+    "n": {"type": int, "default": 1},
+    "B": {"help": "comma-separated base elements"},
+    "E": {"default": "", "help": "comma-separated elements"},
+    "s": {"help": "comma-separated seed sequence"},
+    "blocks": {"help": "partition blocks, e.g. '0,1|2,3' (rest singletons)"},
+}
+
+
+def _add_options(parser, table, names):
+    for name in names:
+        parser.add_argument(f"--{name}", **table[name])
 
 
 def build_parser():
@@ -567,22 +618,9 @@ def build_parser():
     sub = p.add_subparsers(dest="verb", required=True)
 
     v = sub.add_parser("verify", help="run a property suite")
-    v.add_argument("suite", choices=("fact00", "nilpotency", "bijection",
-                                     "ramsey", "coding", "symmetry"))
-    v.add_argument("--a", type=int, default=6)
-    v.add_argument("--n", type=int, default=1)
-    v.add_argument("--m", type=int, action="append")
-    v.add_argument("--l", type=int, action="append")
-    v.add_argument("--mode", choices=("exhaustive", "random"),
-                   default="exhaustive")
-    v.add_argument("--samples", type=int, default=1000)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--max-colorings", type=int,
-                   default=ramsey.DEFAULT_MAX_COLORINGS,
-                   help=_RAMSEY_BUDGET_HELP)
-    v.add_argument("--no-prune", action="store_true")
-    v.add_argument("--config")
+    vsub = v.add_subparsers(dest="suite", required=True)
+    for name, (names, _) in _SUITES.items():
+        _add_options(vsub.add_parser(name), _VERIFY_OPTIONS, names)
 
     c = sub.add_parser("counts", help="formula-vs-enumeration tables")
     c.add_argument("--space", choices=("bn", "on", "tuples"), default="bn")
@@ -601,41 +639,24 @@ def build_parser():
             rp.add_argument("--sizes", type=int, action="append", required=True)
         if name == "search":
             rp.add_argument("--cap", type=int, required=True)
-        rp.add_argument("--max-colorings", type=int,
-                        default=ramsey.DEFAULT_MAX_COLORINGS,
-                        help=_RAMSEY_BUDGET_HELP)
-        rp.add_argument("--no-prune", action="store_true")
+        if name != "bound":
+            _add_options(rp, _VERIFY_OPTIONS, ("max-colorings", "no-prune"))
 
     d = sub.add_parser("code", help="partition coder")
     dsub = d.add_subparsers(dest="action", required=True)
-    for name in ("encode", "decode", "roundtrip", "demo"):
+    for name, extra in (("encode", "family"), ("decode", "book"),
+                        ("demo", "family")):
         dp = dsub.add_parser(name)
         dp.add_argument("--config", required=True)
-        if name == "encode":
-            dp.add_argument("--family", required=True)
-        if name == "decode":
-            dp.add_argument("--book", required=True)
-        if name == "roundtrip":
-            dp.add_argument("--mode", choices=("exhaustive", "random"),
-                            default="random")
-            dp.add_argument("--samples", type=int, default=100)
-            dp.add_argument("--seed", type=int, default=0)
-        if name == "demo":
-            dp.add_argument("--family")
-        if name in ("encode", "roundtrip"):
-            dp.add_argument("--materialize", action="store_true")
+        dp.add_argument(f"--{extra}", required=name != "demo")
 
     s = sub.add_parser("symmetry", help="symmetry toolkit")
     ssub = s.add_subparsers(dest="action", required=True)
-    for name in ("orbits", "support", "fiber", "chain"):
-        sp_ = ssub.add_parser(name)
-        sp_.add_argument("--a", type=int, required=True)
-        sp_.add_argument("--n", type=int, default=1)
-        sp_.add_argument("--B", help="comma-separated base elements")
-        sp_.add_argument("--E", default="", help="comma-separated elements")
-        sp_.add_argument("--s", help="comma-separated seed sequence")
-        sp_.add_argument("--blocks",
-                         help="partition blocks, e.g. '0,1|2,3' (rest singletons)")
+    for name, names in (("orbits", ("n", "B", "s")),
+                        ("support", ("a", "blocks", "E")),
+                        ("fiber", ("a", "n", "blocks", "E")),
+                        ("chain", ("a", "n", "E"))):
+        _add_options(ssub.add_parser(name), _SYMMETRY_OPTIONS, names)
     return p
 
 
@@ -662,31 +683,14 @@ def _parse_elements(text, a):
 
 def run(argv=None):
     args = build_parser().parse_args(argv)
+    # ground sizes and sample counts, wherever a command reads them
+    for name in ("a", "samples"):
+        if getattr(args, name, 0) < 0:
+            raise UsageError(f"--{name} must be non-negative")
 
     if args.verb == "verify":
-        import time
-
         t0 = time.monotonic()
-        if args.a < 0 or args.samples < 0:
-            raise UsageError("--a and --samples must be non-negative")
-        m = tuple(args.m) if args.m else (1,)
-        l = tuple(args.l) if args.l else (2,)
-        if args.suite == "fact00":
-            rep = suite_fact00(args.a, m, l, args.mode, args.samples,
-                               args.seed, args.jobs)
-        elif args.suite == "nilpotency":
-            rep = suite_nilpotency(args.a, m, l, args.mode, args.samples,
-                                   args.seed)
-        elif args.suite == "bijection":
-            rep = suite_bijection(args.a, args.n)
-        elif args.suite == "ramsey":
-            rep = suite_ramsey(args.max_colorings, not args.no_prune)
-        elif args.suite == "coding":
-            if not args.config:
-                raise UsageError("verify coding needs --config")
-            rep = suite_coding(args.config, args.mode, args.samples, args.seed)
-        else:
-            rep = suite_symmetry()
+        rep = _SUITES[args.suite][1](args)
         rep.wall_time_s = time.monotonic() - t0
         print(rep.to_json())
         return rep.exit_code
@@ -702,11 +706,10 @@ def run(argv=None):
 
     if args.verb == "ramsey":
         q = ramsey.RamseyQuery(tuple(args.j), args.c, args.r)
-        prune = not args.no_prune
         if args.action == "check":
             res = ramsey.has_property(tuple(args.sizes), q,
                                       max_colorings=args.max_colorings,
-                                      prune=prune)
+                                      prune=not args.no_prune)
             doc = {"holds": res.holds, "searched": res.searched,
                    "pruned": res.pruned, "note": res.note}
             if res.counterexample is not None:
@@ -718,7 +721,7 @@ def run(argv=None):
         if args.action == "search":
             res = ramsey.search_min_N(q, args.cap,
                                       max_colorings=args.max_colorings,
-                                      prune=prune)
+                                      prune=not args.no_prune)
             doc = {"value": res.value, "cap": res.cap,
                    "counterexample_N": res.counterexample_N,
                    "searched": res.searched_total,
@@ -734,16 +737,7 @@ def run(argv=None):
             X = _load_family(args.family, cfg) if args.family else None
             return 0 if demo_coding(cfg, X) else 1
         if args.action == "encode":
-            X = _load_family(args.family, cfg)
-            book = coding.encode(X, cfg)
-            print(book.to_json())
-            if args.materialize:
-                H, over = coding.materialize(book)
-                if H is None:
-                    print(json.dumps({"materialize": "infeasible",
-                                      "candidates": over}))
-                else:
-                    print(json.dumps({"materialize": len(H)}))
+            print(coding.encode(_load_family(args.family, cfg), cfg).to_json())
             return 0
         if args.action == "decode":
             book = _load_json(args.book, "book", coding.CodeBook.from_json)
@@ -763,17 +757,8 @@ def run(argv=None):
                 indent=2,
             ))
             return 0
-        if args.samples < 0:
-            raise UsageError("--samples must be non-negative")
-        rep = suite_coding(args.config, args.mode, args.samples, args.seed,
-                           use_partitions=args.materialize or None)
-        print(rep.to_json())
-        return rep.exit_code
 
     if args.verb == "symmetry":
-        a = args.a
-        if a < 0:
-            raise UsageError("--a must be non-negative")
         if args.action == "orbits":
             B = _csl(args.B) if args.B else tuple(range(args.n + 2))
             s = _csl(args.s) if args.s else B[:-1]
@@ -781,6 +766,7 @@ def run(argv=None):
             print(json.dumps({"xi": sorted(map(list, op.xi)),
                               "theta": sorted(map(list, op.theta))}, indent=2))
             return 0
+        a = args.a
         if args.action == "support":
             P = _parse_blocks(args.blocks, a)
             E = _parse_elements(args.E, a)

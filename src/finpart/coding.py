@@ -274,13 +274,6 @@ class CodeBook:
             and self.Y == other.Y
         )
 
-    def validate(self):
-        """Re-check that every stored family is interior-closed."""
-        for (j, m, k), fam in self.Y.items():
-            g = self.cfg.g(j, m)
-            if interior(self.cfg.a, m, g, fam) != fam:
-                raise CodingError(f"book entry ({j}, {m}, {k}) is not interior-closed")
-
     def to_json(self):
         entries = {
             f"{j}|{','.join(map(str, m))}|{k}": sorted(
@@ -493,13 +486,13 @@ def encode_seq_family(W, cfgs):
     return SeqCode(books=books, has_empty_seq=has_empty)
 
 
-def decode_seq_family(code, check=True):
+def decode_seq_family(code):
     """Invert encode_seq_family."""
     out = set()
     if code.has_empty_seq:
         out.add(())
     for arity, book in code.books.items():
-        X = decode(book, check=check)
+        X = decode(book)
         for q in X.get(0, ()):
             out.add(disjoint_to_fin(q, arity))
     return frozenset(out)

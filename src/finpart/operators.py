@@ -176,10 +176,19 @@ def profile_space(a, m, l):
                         l_tuples, l_index)
 
 
-def family_to_mask(sp, X):
+def _index_mask(index, X, a, profile):
+    """The mask of X's positions in a dense space's index; ValueError for
+    a member that is not a disjoint `profile` tuple over range(a), which
+    is exactly a member the index does not hold."""
     mask = 0
     for t in X:
-        mask |= 1 << sp.m_index[t]
+        try:
+            mask |= 1 << index[t]
+        except KeyError:
+            raise ValueError(
+                f"tuple {t!r} is not a disjoint tuple of profile "
+                f"{tuple(profile)} over range({a})"
+            ) from None
     return mask
 
 
@@ -240,10 +249,10 @@ def up(a, m, l, X):
     BudgetExceeded is raised first when there are more than
     EXTENSION_BUDGET of them."""
     sp = _route(a, m, l)
-    X = _members(a, X, m)
     if sp is not None:
-        g = up_mask(sp, family_to_mask(sp, X))
+        g = up_mask(sp, _index_mask(sp.m_index, X, a, sp.m))
         return frozenset(sp.l_tuples[i] for i in range(sp.l_size) if g >> i & 1)
+    X = _members(a, X, m)
     total = len(X) * count_extensions(a, m, l)
     if total > EXTENSION_BUDGET:
         raise BudgetExceeded(
@@ -258,8 +267,7 @@ def interior(a, m, l, X):
     sp = _route(a, m, l)
     if sp is None:
         return interior_sparse(a, m, l, X)
-    X = _members(a, X, m)
-    return mask_to_family(sp, interior_mask(sp, family_to_mask(sp, X)))
+    return mask_to_family(sp, interior_mask(sp, _index_mask(sp.m_index, X, a, sp.m)))
 
 
 def boundary(a, m, l, X):
@@ -278,18 +286,9 @@ def down(a, m, l, Z):
     a member of Z that is not a disjoint l-profile tuple over range(a).
     """
     sp = _route(a, m, l)
-    Z = frozenset(Z)
     if sp is not None:
-        g = 0
-        try:
-            for q in Z:
-                g |= 1 << sp.l_index[q]
-        except KeyError:
-            raise ValueError(
-                f"tuple {q!r} is not a disjoint tuple of profile "
-                f"{sp.l} over range({a})"
-            ) from None
-        return mask_to_family(sp, down_mask(sp, g))
+        return mask_to_family(sp, down_mask(sp, _index_mask(sp.l_index, Z, a, sp.l)))
+    Z = frozenset(Z)
     per = count_extensions(a, m, l)
     if per == 0:  # no m-tuple has an l-extension
         return frozenset(enum_disjoint_tuples(a, m))

@@ -1,4 +1,5 @@
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from finpart import cli, coding
 from finpart.report import RunReport
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 CONFIG = str(CONFIGS / "single_slot_a12.json")
 
 
@@ -117,8 +119,8 @@ def test_code_demo_sparse_pullback(capsys):
 
 def test_code_roundtrip_random(capsys):
     code, out = run_cli(capsys, [
-        "code", "roundtrip", "--config", CONFIG, "--samples", "5",
-        "--seed", "3",
+        "verify", "coding", "--config", CONFIG, "--mode", "random",
+        "--samples", "5", "--seed", "3",
     ])
     doc = json.loads(out)
     assert code == 0
@@ -259,7 +261,8 @@ def test_symmetry_bad_input_exits_2(monkeypatch, capsys, argv):
 
 def test_code_roundtrip_negative_samples_exits_2(monkeypatch, capsys):
     assert_one_line_error(*run_main(monkeypatch, capsys, [
-        "code", "roundtrip", "--config", CONFIG, "--samples", "-3",
+        "verify", "coding", "--config", CONFIG, "--mode", "random",
+        "--samples", "-3",
     ]))
 
 
@@ -267,11 +270,35 @@ def test_code_roundtrip_negative_samples_exits_2(monkeypatch, capsys):
     ["symmetry", "orbits", "--a", "3", "--seed", "1"],
     ["--format", "csv", "counts"],
     ["code", "demo", "--config", CONFIG, "--materialize"],
+    ["verify", "fact00", "--n", "2"],
+    ["verify", "nilpotency", "--jobs", "2"],
+    ["verify", "bijection", "--samples", "5"],
+    ["verify", "ramsey", "--a", "99"],
+    ["verify", "coding", "--config", CONFIG, "--jobs", "7"],
+    ["verify", "symmetry", "--m", "9"],
+    ["symmetry", "orbits", "--a", "3"],
+    ["symmetry", "support", "--a", "4", "--n", "2"],
+    ["symmetry", "fiber", "--a", "4", "--s", "9"],
+    ["symmetry", "chain", "--a", "4", "--blocks", "0,1"],
+    ["ramsey", "bound", "--j", "1", "--c", "2", "--r", "2", "--no-prune"],
+    ["code", "roundtrip", "--config", CONFIG],
+    ["code", "encode", "--config", CONFIG, "--family", CONFIG, "--materialize"],
 ])
 def test_unread_options_are_gone(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.run(argv)
     assert exc.value.code == 2
+
+
+def test_readme_cli_lines_parse():
+    # the README's CLI examples stay in step with the per-command parsers
+    block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```")[1]
+    lines = [shlex.split(ln, comments=True) for ln in block.splitlines()
+             if ln.startswith("finpart ")]
+    assert len(lines) > 10
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 @pytest.mark.parametrize("E, verdict", [("0,1", True), ("0", False)])
@@ -284,7 +311,7 @@ def test_symmetry_support(capsys, E, verdict):
 
 
 def test_symmetry_orbits(capsys):
-    code, out = run_cli(capsys, ["symmetry", "orbits", "--a", "3", "--n", "1"])
+    code, out = run_cli(capsys, ["symmetry", "orbits", "--n", "1"])
     assert code == 0
     doc = json.loads(out)
     assert len(doc["xi"]) == len(doc["theta"]) == 3

@@ -23,7 +23,7 @@ from finpart.coding import (
     validate_signature,
 )
 from finpart.core import enum_disjoint_tuples
-from finpart.operators import fits_dense
+from finpart.operators import fits_dense, interior
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -88,7 +88,8 @@ def test_encode_singleton_family(cfg12):
     book = encode(X, cfg12)
     assert book.Y[(0, (1,), 0)] == {((0,),)}
     assert book.Y[(0, (1,), 1)] == frozenset()
-    book.validate()
+    for (j, m, _), fam in book.Y.items():
+        assert interior(12, m, cfg12.g(j, m), fam) == fam
     H, over = materialize(book)
     assert over is None
     assert len(H) == 55

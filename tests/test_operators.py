@@ -10,6 +10,7 @@ from finpart.operators import (
     boundary,
     boundary_power,
     count_extensions,
+    down,
     enum_extensions,
     exists_uncovered_extension,
     interior,
@@ -205,7 +206,8 @@ def test_profile_validation():
 
 
 @pytest.mark.parametrize("bad", [((1, 0),), ((99,),), ((0, 1),)])
-@pytest.mark.parametrize("route", [interior, interior_sparse, nilpotency_index])
+@pytest.mark.parametrize("route", [interior, interior_sparse, nilpotency_index,
+                                   up, down])
 def test_member_validation_on_both_routes(route, bad):
     # non-canonical, out of range, wrong profile
     with pytest.raises(ValueError):
