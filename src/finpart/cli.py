@@ -21,6 +21,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from math import factorial
 
 from . import coding, core, maps, operators, ramsey, symmetry
@@ -249,14 +250,12 @@ def suite_bijection(a, n):
     return report
 
 
-def suite_ramsey(max_colorings, prune):
-    report = RunReport(
-        command="verify ramsey",
-        config={"max_colorings": max_colorings, "prune": prune},
-    )
+def suite_ramsey(max_colorings):
+    report = RunReport(command="verify ramsey",
+                       config={"max_colorings": max_colorings})
     witnesses = []
     q = ramsey.RamseyQuery((2,), 2, 3)
-    tri = ramsey.search_min_N(q, cap=7, max_colorings=max_colorings, prune=prune)
+    tri = ramsey.search_min_N(q, cap=7, max_colorings=max_colorings)
     cert_ok = False
     if tri.value == 6 and tri.counterexample is not None:
         col = ramsey.ProductColoring((5,), (2,), tri.counterexample)
@@ -276,7 +275,7 @@ def suite_ramsey(max_colorings, prune):
             expect = c * (r - 1) + 1
             got = ramsey.search_min_N(
                 ramsey.RamseyQuery((1,), c, r), cap=expect + 1,
-                max_colorings=max_colorings, prune=prune,
+                max_colorings=max_colorings,
             ).value
             pigeonhole[f"c={c},r={r}"] = got
             if got != expect:
@@ -290,8 +289,7 @@ def suite_ramsey(max_colorings, prune):
         qq = ramsey.RamseyQuery((j,), c, r)
         ub = ramsey.upper_bound_R(qq)
         try:
-            res = ramsey.has_property((ub,), qq, max_colorings=max_colorings,
-                                      prune=prune)
+            res = ramsey.has_property((ub,), qq, max_colorings=max_colorings)
         except operators.BudgetExceeded:
             continue
         bound_checked += 1
@@ -451,41 +449,37 @@ def suite_symmetry(a_max=7, n_max=3):
 _COUNT_BUDGET = 2_000_000
 
 
+def _tuple_profiles(a, n_max):
+    """Profiles of arity 1..n_max with parts below 4 that fit in a."""
+    return [m for n in range(1, n_max + 1)
+            for m in itertools.product(range(4), repeat=n) if sum(m) <= a]
+
+
+# Per space: the row keys at one ground size, and a row's closed form and
+# enumerator.
+_SPACES = {
+    "bn": (lambda a, n_max: range(n_max + 1), core.count_B_n, core.enum_B_n),
+    "on": (lambda a, n_max: range(n_max + 1), lambda a, n: (n + 1) ** a,
+           core.enum_O_n),
+    "tuples": (_tuple_profiles, core.count_disjoint_tuples,
+               core.enum_disjoint_tuples),
+}
+
+
 def emit_counts(space, a_max, n_max):
-    rows = []
-    if space == "bn":
-        for a in range(a_max + 1):
-            for n in range(n_max + 1):
-                formula = core.count_B_n(a, n)
-                if formula > _COUNT_BUDGET:
-                    rows.append((a, n, formula, "", "infeasible"))
-                    continue
-                enum = sum(1 for _ in core.enum_B_n(a, n))
-                rows.append((a, n, formula, enum, formula == enum))
-    elif space == "on":
-        for a in range(a_max + 1):
-            for n in range(n_max + 1):
-                formula = (n + 1) ** a
-                if formula > _COUNT_BUDGET:
-                    rows.append((a, n, formula, "", "infeasible"))
-                    continue
-                enum = sum(1 for _ in core.enum_O_n(a, n))
-                rows.append((a, n, formula, enum, formula == enum))
-    elif space == "tuples":
-        for a in range(a_max + 1):
-            for n in range(1, n_max + 1):
-                for m in itertools.product(range(4), repeat=n):
-                    if sum(m) > a:
-                        continue
-                    formula = core.count_disjoint_tuples(a, m)
-                    if formula > _COUNT_BUDGET:
-                        rows.append((a, m, formula, "", "infeasible"))
-                        continue
-                    enum = sum(1 for _ in core.enum_disjoint_tuples(a, m))
-                    rows.append((a, "|".join(map(str, m)), formula, enum,
-                                 formula == enum))
-    else:
+    if space not in _SPACES:
         raise UsageError(f"unknown space {space!r}")
+    keys, formula, enum = _SPACES[space]
+    rows = []
+    for a in range(a_max + 1):
+        for key in keys(a, n_max):
+            label = key if isinstance(key, int) else "|".join(map(str, key))
+            count = formula(a, key)
+            if count > _COUNT_BUDGET:
+                rows.append((a, label, count, "", "infeasible"))
+                continue
+            got = sum(1 for _ in enum(a, key))
+            rows.append((a, label, count, got, count == got))
     return rows
 
 
@@ -518,60 +512,49 @@ def _load_family(path, cfg):
     return _load_json(path, "family", parse)
 
 
-def demo_coding(cfg, X=None, out=None):
-    out = out if out is not None else sys.stdout
+def demo_coding(cfg, X=None):
     if X is None:
         j, m = cfg.slots[0]
         first = next(iter(core.enum_disjoint_tuples(cfg.a, m)))
         X = {j: frozenset({first})}
-    print(f"ground size {cfg.a}, arity {cfg.n}, slots {list(cfg.slots)}", file=out)
-    print("input X:", file=out)
+    print(f"ground size {cfg.a}, arity {cfg.n}, slots {list(cfg.slots)}")
+    print("input X:")
     for j, fam in sorted(X.items()):
-        print(f"  {j}: {sorted(fam)}", file=out)
+        print(f"  {j}: {sorted(fam)}")
     book = coding.encode(X, cfg)
-    print("code book:", file=out)
+    print("code book:")
     for key, fam in sorted(book.Y.items()):
-        print(f"  {key}: {sorted(fam)}", file=out)
+        print(f"  {key}: {sorted(fam)}")
     H, over = coding.materialize(book)
     if H is None:
         print(f"materialization infeasible ({over} candidate tuples); "
-              "decoding symbolically", file=out)
+              "decoding symbolically")
         dec = coding.decode(book)
     else:
-        print(f"|H| = {len(H)} partitions", file=out)
+        print(f"|H| = {len(H)} partitions")
         for key in sorted(book.Y):
             Z = coding.extract_slice(H, cfg, *key)
-            print(f"  slice {key}: {len(Z)} tuples", file=out)
+            print(f"  slice {key}: {len(Z)} tuples")
         dec = coding.decode(H, cfg)
     verdict = coding.normalize_indexed(dec) == coding.normalize_indexed(X)
-    print("decoded:", file=out)
+    print("decoded:")
     for j, fam in sorted(dec.items()):
-        print(f"  {j}: {sorted(fam)}", file=out)
-    print(f"round trip: {'pass' if verdict else 'FAIL'}", file=out)
+        print(f"  {j}: {sorted(fam)}")
+    print(f"round trip: {'pass' if verdict else 'FAIL'}")
     return verdict
 
 
 # ---------------------------------------------------------------------------
-# argument parsing: each command accepts exactly the options it reads
+# command handlers: each reads the parsed options and returns the exit code
 
-_VERIFY_OPTIONS = {
-    "a": {"type": int, "default": 6},
-    "n": {"type": int, "default": 1},
-    "m": {"type": int, "action": "append"},
-    "l": {"type": int, "action": "append"},
-    "mode": {"choices": ("exhaustive", "random"), "default": "exhaustive"},
-    "samples": {"type": int, "default": 1000},
-    "seed": {"type": int, "default": 0},
-    "jobs": {"type": int, "default": 1},
-    "max-colorings": {
-        "type": int, "default": ramsey.DEFAULT_MAX_COLORINGS,
-        "help": "budget of the Ramsey search, in search nodes (partial "
-                "colorings); grids whose witness masks exceed it are "
-                "refused before the search",
-    },
-    "no-prune": {"action": "store_true"},
-    "config": {"required": True},
-}
+def _verify(suite, args):
+    """Run a suite on the parsed options and print its report, with the
+    wall time outside the digest."""
+    t0 = time.monotonic()
+    rep = suite(args)
+    rep.wall_time_s = time.monotonic() - t0
+    print(rep.to_json())
+    return rep.exit_code
 
 
 def _profiles(o):
@@ -579,85 +562,80 @@ def _profiles(o):
     return tuple(o.m or (1,)), tuple(o.l or (2,))
 
 
-_SWEEP = ("a", "m", "l", "mode", "samples", "seed")
-
-# verify's suites: the options each reads, and its call on them
-_SUITES = {
-    "fact00": (_SWEEP + ("jobs",), lambda o: suite_fact00(
-        o.a, *_profiles(o), o.mode, o.samples, o.seed, o.jobs)),
-    "nilpotency": (_SWEEP, lambda o: suite_nilpotency(
-        o.a, *_profiles(o), o.mode, o.samples, o.seed)),
-    "bijection": (("a", "n"), lambda o: suite_bijection(o.a, o.n)),
-    "ramsey": (("max-colorings", "no-prune"),
-               lambda o: suite_ramsey(o.max_colorings, not o.no_prune)),
-    "coding": (("config", "mode", "samples", "seed"),
-               lambda o: suite_coding(o.config, o.mode, o.samples, o.seed)),
-    "symmetry": ((), lambda o: suite_symmetry()),
-}
-
-_SYMMETRY_OPTIONS = {
-    "a": {"type": int, "required": True},
-    "n": {"type": int, "default": 1},
-    "B": {"help": "comma-separated base elements"},
-    "E": {"default": "", "help": "comma-separated elements"},
-    "s": {"help": "comma-separated seed sequence"},
-    "blocks": {"help": "partition blocks, e.g. '0,1|2,3' (rest singletons)"},
-}
+def _counts(args):
+    rows = emit_counts(args.space, args.a_max, args.n_max)
+    header = ("a", "n_or_profile", "formula", "enumerated", "match")
+    if args.format == "csv":
+        print(rows_to_csv(rows, header), end="")
+    else:
+        print(json.dumps([dict(zip(header, r)) for r in rows], indent=2))
+    return 0 if all(r[-1] is True for r in rows) else 1
 
 
-def _add_options(parser, table, names):
-    for name in names:
-        parser.add_argument(f"--{name}", **table[name])
+def _query(args):
+    return ramsey.RamseyQuery(tuple(args.j), args.c, args.r)
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="finpart",
-        description="verification suites for finitary-partition constructions",
-    )
-    sub = p.add_subparsers(dest="verb", required=True)
+def _ramsey_check(args):
+    res = ramsey.has_property(tuple(args.sizes), _query(args),
+                              max_colorings=args.max_colorings)
+    doc = {"holds": res.holds, "searched": res.searched,
+           "pruned": res.pruned, "note": res.note}
+    if res.counterexample is not None:
+        doc["counterexample"] = sorted(
+            (str(k), v) for k, v in res.counterexample.items()
+        )
+    print(json.dumps(doc, indent=2))
+    return 0
 
-    v = sub.add_parser("verify", help="run a property suite")
-    vsub = v.add_subparsers(dest="suite", required=True)
-    for name, (names, _) in _SUITES.items():
-        _add_options(vsub.add_parser(name), _VERIFY_OPTIONS, names)
 
-    c = sub.add_parser("counts", help="formula-vs-enumeration tables")
-    c.add_argument("--space", choices=("bn", "on", "tuples"), default="bn")
-    c.add_argument("--a-max", type=int, default=6)
-    c.add_argument("--n-max", type=int, default=2)
-    c.add_argument("--format", choices=("json", "csv"), default="json")
+def _ramsey_search(args):
+    res = ramsey.search_min_N(_query(args), args.cap,
+                              max_colorings=args.max_colorings)
+    doc = {"value": res.value, "cap": res.cap,
+           "counterexample_N": res.counterexample_N,
+           "searched": res.searched_total,
+           "pruned": res.pruned_total}
+    print(json.dumps(doc, indent=2))
+    return 0
 
-    r = sub.add_parser("ramsey", help="direct Ramsey queries")
-    rsub = r.add_subparsers(dest="action", required=True)
-    for name in ("check", "search", "bound"):
-        rp = rsub.add_parser(name)
-        rp.add_argument("--j", type=int, action="append", required=True)
-        rp.add_argument("--c", type=int, required=True)
-        rp.add_argument("--r", type=int, required=True)
-        if name == "check":
-            rp.add_argument("--sizes", type=int, action="append", required=True)
-        if name == "search":
-            rp.add_argument("--cap", type=int, required=True)
-        if name != "bound":
-            _add_options(rp, _VERIFY_OPTIONS, ("max-colorings", "no-prune"))
 
-    d = sub.add_parser("code", help="partition coder")
-    dsub = d.add_subparsers(dest="action", required=True)
-    for name, extra in (("encode", "family"), ("decode", "book"),
-                        ("demo", "family")):
-        dp = dsub.add_parser(name)
-        dp.add_argument("--config", required=True)
-        dp.add_argument(f"--{extra}", required=name != "demo")
+def _ramsey_bound(args):
+    print(json.dumps({"upper_bound": ramsey.upper_bound_R(_query(args))}, indent=2))
+    return 0
 
-    s = sub.add_parser("symmetry", help="symmetry toolkit")
-    ssub = s.add_subparsers(dest="action", required=True)
-    for name, names in (("orbits", ("n", "B", "s")),
-                        ("support", ("a", "blocks", "E")),
-                        ("fiber", ("a", "n", "blocks", "E")),
-                        ("chain", ("a", "n", "E"))):
-        _add_options(ssub.add_parser(name), _SYMMETRY_OPTIONS, names)
-    return p
+
+def _code_encode(args):
+    cfg = _load_config(args.config)
+    print(coding.encode(_load_family(args.family, cfg), cfg).to_json())
+    return 0
+
+
+def _code_decode(args):
+    cfg = _load_config(args.config)
+    book = _load_json(args.book, "book", coding.CodeBook.from_json)
+    if book.cfg != cfg:
+        raise UsageError("book does not match the given config")
+    X = coding.decode(book)
+    # decode . encode = id, so a book is a code iff it re-encodes
+    try:
+        again = coding.encode(X, cfg)
+    except ValueError as e:
+        raise UsageError(f"book is not the code of any family: {e}") from e
+    if again != book:
+        raise UsageError("book is not the code of any family: its "
+                         "decoded family encodes to a different book")
+    print(json.dumps(
+        {str(j): sorted(_plainfam(fam)) for j, fam in sorted(X.items())},
+        indent=2,
+    ))
+    return 0
+
+
+def _code_demo(args):
+    cfg = _load_config(args.config)
+    X = _load_family(args.family, cfg) if args.family else None
+    return 0 if demo_coding(cfg, X) else 1
 
 
 def _csl(text):
@@ -681,128 +659,161 @@ def _parse_elements(text, a):
     return E
 
 
+def _symmetry_orbits(args):
+    B = _csl(args.B) if args.B else tuple(range(args.n + 2))
+    s = _csl(args.s) if args.s else B[:-1]
+    op = symmetry.even_odd_orbits(B, s)
+    print(json.dumps({"xi": sorted(map(list, op.xi)),
+                      "theta": sorted(map(list, op.theta))}, indent=2))
+    return 0
+
+
+def _symmetry_support(args):
+    P = _parse_blocks(args.blocks, args.a)
+    E = _parse_elements(args.E, args.a)
+    print(json.dumps(
+        {"is_support": symmetry.is_support(E, frozenset(P), args.a)}
+    ))
+    return 0
+
+
+def _symmetry_fiber(args):
+    P = _parse_blocks(args.blocks, args.a)
+    E = _parse_elements(args.E, args.a)
+    fib = symmetry.fiber_of(P, E, args.n, args.a)
+    bound = symmetry.fiber_bound(args.n, E)
+    print(json.dumps({
+        "fiber": sorted(_plainfam([Q])[0] for Q in fib),
+        "size": len(fib), "bound": bound,
+        "within_bound": len(fib) <= bound,
+    }, indent=2))
+    return 0 if len(fib) <= bound else 1
+
+
+def _symmetry_chain(args):
+    E = _parse_elements(args.E, args.a)
+    allB = list(core.enum_B_n(args.a, args.n))
+    L = symmetry.longest_strict_chain(allB, E)
+    bound = symmetry.chain_bound(args.n, E)
+    print(json.dumps({"longest_chain": L, "bound": bound,
+                      "within_bound": L <= bound}))
+    return 0 if L <= bound else 1
+
+
+# ---------------------------------------------------------------------------
+# the command table: each command accepts exactly the options it reads
+
+# Every option any command reads.  A command lists an option as "name!"
+# to make it required.
+_OPTIONS = {
+    "a": {"type": int, "default": 6},
+    "n": {"type": int, "default": 1},
+    "m": {"type": int, "action": "append"},
+    "l": {"type": int, "action": "append"},
+    "mode": {"choices": ("exhaustive", "random"), "default": "exhaustive"},
+    "samples": {"type": int, "default": 1000},
+    "seed": {"type": int, "default": 0},
+    "jobs": {"type": int, "default": 1},
+    "config": {},
+    "family": {},
+    "book": {},
+    "space": {"choices": tuple(_SPACES), "default": "bn"},
+    "a-max": {"type": int, "default": 6},
+    "n-max": {"type": int, "default": 2},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "j": {"type": int, "action": "append"},
+    "c": {"type": int},
+    "r": {"type": int},
+    "sizes": {"type": int, "action": "append"},
+    "cap": {"type": int},
+    "max-colorings": {
+        "type": int, "default": ramsey.DEFAULT_MAX_COLORINGS,
+        "help": "budget of the Ramsey search, in search nodes (partial "
+                "colorings); grids whose witness masks exceed it are "
+                "refused before the search",
+    },
+    "B": {"help": "comma-separated base elements"},
+    "E": {"default": "", "help": "comma-separated elements"},
+    "s": {"help": "comma-separated seed sequence"},
+    "blocks": {"help": "partition blocks, e.g. '0,1|2,3' (rest singletons)"},
+}
+
+# Least value of each count option, checked wherever a command reads it.
+_MINIMUM = {"a": 0, "n": 0, "samples": 0, "a-max": 0, "n-max": 0,
+            "max-colorings": 0, "jobs": 1}
+
+_SWEEP = ("a", "m", "l", "mode", "samples", "seed")
+_QUERY = ("j!", "c!", "r!")
+
+# verb -> (help, action -> (the options the action reads, its handler)).
+# counts, the one verb without actions, has the single action None.
+_COMMANDS = {
+    "verify": ("run a property suite", {
+        "fact00": (_SWEEP + ("jobs",), partial(_verify, lambda o: suite_fact00(
+            o.a, *_profiles(o), o.mode, o.samples, o.seed, o.jobs))),
+        "nilpotency": (_SWEEP, partial(_verify, lambda o: suite_nilpotency(
+            o.a, *_profiles(o), o.mode, o.samples, o.seed))),
+        "bijection": (("a", "n"), partial(
+            _verify, lambda o: suite_bijection(o.a, o.n))),
+        "ramsey": (("max-colorings",), partial(
+            _verify, lambda o: suite_ramsey(o.max_colorings))),
+        "coding": (("config!", "mode", "samples", "seed"), partial(
+            _verify, lambda o: suite_coding(o.config, o.mode, o.samples, o.seed))),
+        "symmetry": ((), partial(_verify, lambda o: suite_symmetry())),
+    }),
+    "counts": ("formula-vs-enumeration tables", {
+        None: (("space", "a-max", "n-max", "format"), _counts),
+    }),
+    "ramsey": ("direct Ramsey queries", {
+        "check": (_QUERY + ("sizes!", "max-colorings"), _ramsey_check),
+        "search": (_QUERY + ("cap!", "max-colorings"), _ramsey_search),
+        "bound": (_QUERY, _ramsey_bound),
+    }),
+    "code": ("partition coder", {
+        "encode": (("config!", "family!"), _code_encode),
+        "decode": (("config!", "book!"), _code_decode),
+        "demo": (("config!", "family"), _code_demo),
+    }),
+    "symmetry": ("symmetry toolkit", {
+        "orbits": (("n", "B", "s"), _symmetry_orbits),
+        "support": (("a!", "blocks", "E"), _symmetry_support),
+        "fiber": (("a!", "n", "blocks", "E"), _symmetry_fiber),
+        "chain": (("a!", "n", "E"), _symmetry_chain),
+    }),
+}
+
+
+def build_parser():
+    p = argparse.ArgumentParser(
+        prog="finpart",
+        description="verification suites for finitary-partition constructions",
+    )
+    verbs = p.add_subparsers(dest="verb", required=True)
+    for verb, (text, actions) in _COMMANDS.items():
+        vp = verbs.add_parser(verb, help=text)
+        sub = (None if None in actions
+               else vp.add_subparsers(dest="action", required=True))
+        for action, (names, handler) in actions.items():
+            ap = vp if action is None else sub.add_parser(action)
+            for name in names:
+                ap.add_argument(f"--{name.rstrip('!')}", required=name.endswith("!"),
+                                **_OPTIONS[name.rstrip("!")])
+            ap.set_defaults(handler=handler)
+    return p
+
+
 def run(argv=None):
     args = build_parser().parse_args(argv)
-    # ground sizes and sample counts, wherever a command reads them
-    for name in ("a", "samples"):
-        if getattr(args, name, 0) < 0:
-            raise UsageError(f"--{name} must be non-negative")
-
-    if args.verb == "verify":
-        t0 = time.monotonic()
-        rep = _SUITES[args.suite][1](args)
-        rep.wall_time_s = time.monotonic() - t0
-        print(rep.to_json())
-        return rep.exit_code
-
-    if args.verb == "counts":
-        rows = emit_counts(args.space, args.a_max, args.n_max)
-        header = ("a", "n_or_profile", "formula", "enumerated", "match")
-        if args.format == "csv":
-            print(rows_to_csv(rows, header), end="")
-        else:
-            print(json.dumps([dict(zip(header, r)) for r in rows], indent=2))
-        return 0 if all(r[-1] is True for r in rows) else 1
-
-    if args.verb == "ramsey":
-        q = ramsey.RamseyQuery(tuple(args.j), args.c, args.r)
-        if args.action == "check":
-            res = ramsey.has_property(tuple(args.sizes), q,
-                                      max_colorings=args.max_colorings,
-                                      prune=not args.no_prune)
-            doc = {"holds": res.holds, "searched": res.searched,
-                   "pruned": res.pruned, "note": res.note}
-            if res.counterexample is not None:
-                doc["counterexample"] = sorted(
-                    (str(k), v) for k, v in res.counterexample.items()
-                )
-            print(json.dumps(doc, indent=2))
-            return 0
-        if args.action == "search":
-            res = ramsey.search_min_N(q, args.cap,
-                                      max_colorings=args.max_colorings,
-                                      prune=not args.no_prune)
-            doc = {"value": res.value, "cap": res.cap,
-                   "counterexample_N": res.counterexample_N,
-                   "searched": res.searched_total,
-                   "pruned": res.pruned_total}
-            print(json.dumps(doc, indent=2))
-            return 0
-        print(json.dumps({"upper_bound": ramsey.upper_bound_R(q)}, indent=2))
-        return 0
-
-    if args.verb == "code":
-        cfg = _load_config(args.config)
-        if args.action == "demo":
-            X = _load_family(args.family, cfg) if args.family else None
-            return 0 if demo_coding(cfg, X) else 1
-        if args.action == "encode":
-            print(coding.encode(_load_family(args.family, cfg), cfg).to_json())
-            return 0
-        if args.action == "decode":
-            book = _load_json(args.book, "book", coding.CodeBook.from_json)
-            if book.cfg != cfg:
-                raise UsageError("book does not match the given config")
-            X = coding.decode(book)
-            # decode . encode = id, so a book is a code iff it re-encodes
-            try:
-                again = coding.encode(X, cfg)
-            except ValueError as e:
-                raise UsageError(f"book is not the code of any family: {e}") from e
-            if again != book:
-                raise UsageError("book is not the code of any family: its "
-                                 "decoded family encodes to a different book")
-            print(json.dumps(
-                {str(j): sorted(_plainfam(fam)) for j, fam in sorted(X.items())},
-                indent=2,
-            ))
-            return 0
-
-    if args.verb == "symmetry":
-        if args.action == "orbits":
-            B = _csl(args.B) if args.B else tuple(range(args.n + 2))
-            s = _csl(args.s) if args.s else B[:-1]
-            op = symmetry.even_odd_orbits(B, s)
-            print(json.dumps({"xi": sorted(map(list, op.xi)),
-                              "theta": sorted(map(list, op.theta))}, indent=2))
-            return 0
-        a = args.a
-        if args.action == "support":
-            P = _parse_blocks(args.blocks, a)
-            E = _parse_elements(args.E, a)
-            print(json.dumps(
-                {"is_support": symmetry.is_support(E, frozenset(P), a)}
-            ))
-            return 0
-        if args.action == "fiber":
-            P = _parse_blocks(args.blocks, a)
-            E = _parse_elements(args.E, a)
-            fib = symmetry.fiber_of(P, E, args.n, a)
-            bound = symmetry.fiber_bound(args.n, E)
-            print(json.dumps({
-                "fiber": sorted(_plainfam([Q])[0] for Q in fib),
-                "size": len(fib), "bound": bound,
-                "within_bound": len(fib) <= bound,
-            }, indent=2))
-            return 0 if len(fib) <= bound else 1
-        E = _parse_elements(args.E, a)
-        allB = list(core.enum_B_n(a, args.n))
-        L = symmetry.longest_strict_chain(allB, E)
-        bound = symmetry.chain_bound(args.n, E)
-        print(json.dumps({"longest_chain": L, "bound": bound,
-                          "within_bound": L <= bound}))
-        return 0 if L <= bound else 1
-
-    raise UsageError(f"unhandled verb {args.verb}")
+    for name, least in _MINIMUM.items():
+        if getattr(args, name.replace("-", "_"), least) < least:
+            raise UsageError(f"--{name} must be at least {least}")
+    return args.handler(args)
 
 
 def main():
     try:
         code = run()
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (coding.CodingError, coding.DecodeError, ValueError) as e:
+    except (ValueError, coding.DecodeError) as e:  # UsageError, CodingError too
         print(f"error: {e}", file=sys.stderr)
         return 2
     except operators.BudgetExceeded as e:

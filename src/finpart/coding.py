@@ -267,13 +267,6 @@ class CodeBook:
     cfg: CodingConfig
     Y: dict
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CodeBook)
-            and self.cfg == other.cfg
-            and self.Y == other.Y
-        )
-
     def to_json(self):
         entries = {
             f"{j}|{','.join(map(str, m))}|{k}": sorted(

@@ -71,26 +71,41 @@ def enum_k_subsets(a, k):
     return itertools.combinations(range(a), k)
 
 
-def enum_disjoint_tuples(a, profile):
-    """All tuples of pairwise disjoint subsets of {0..a-1} with the given
-    size profile, ordered lexicographically by the concatenation of their
-    canonical components.  Empty stream when sum(profile) > a.
+def enum_extensions(a, p, l):
+    """All l-profile tuples of pairwise disjoint subsets of {0..a-1} that
+    contain the disjoint tuple p componentwise, ordered lexicographically
+    by the concatenation of the elements added to each component.  Empty
+    stream when some l[i] < |p[i]| or the free elements run out.
     """
-    profile = tuple(profile)
-    if any(m < 0 for m in profile):
+    if any(li < 0 for li in l):
         raise ValueError("profile entries must be non-negative")
-    n = len(profile)
+    n = len(p)
+    need = [li - len(c) for c, li in zip(p, l)]
+    if any(k < 0 for k in need):
+        return
 
     def rec(i, used):
         if i == n:
             yield ()
             return
         avail = [x for x in range(a) if x not in used]
-        for comp in itertools.combinations(avail, profile[i]):
-            for rest in rec(i + 1, used | set(comp)):
+        base = p[i]
+        for extra in itertools.combinations(avail, need[i]):
+            comp = tuple(sorted(base + extra)) if base else extra
+            for rest in rec(i + 1, used.union(extra)):
                 yield (comp,) + rest
 
-    yield from rec(0, frozenset())
+    yield from rec(0, frozenset(x for c in p for x in c))
+
+
+def enum_disjoint_tuples(a, profile):
+    """All tuples of pairwise disjoint subsets of {0..a-1} with the given
+    size profile, ordered lexicographically by the concatenation of their
+    canonical components: the extensions of the tuple of empty sets.
+    Empty stream when sum(profile) > a.
+    """
+    profile = tuple(profile)
+    return enum_extensions(a, ((),) * len(profile), profile)
 
 
 def enum_O_n(a, n, cap=None):
@@ -198,6 +213,12 @@ def count_disjoint_tuples(a, profile):
     for m in profile:
         out //= factorial(m)
     return out
+
+
+def count_extensions(a, m, l):
+    """Number of l-extensions of any single m-profile tuple: the disjoint
+    (l - m)-profile tuples over the a - sum(m) elements it leaves free."""
+    return count_disjoint_tuples(a - sum(m), [li - mi for mi, li in zip(m, l)])
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import comb
 
 from .core import (
-    as_subset,
     check_disjoint_tuple,
     count_disjoint_tuples,
+    count_extensions,
     enum_disjoint_tuples,
+    enum_extensions,
 )
 
 
@@ -61,7 +61,7 @@ _NODE_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
-# profiles and extensions
+# profiles
 
 def check_profiles(m, l):
     m, l = tuple(m), tuple(l)
@@ -72,41 +72,6 @@ def check_profiles(m, l):
     if any(x < 0 for x in m + l):
         raise ValueError("profile entries must be non-negative")
     return m, l
-
-
-def enum_extensions(a, p, l):
-    """All l-profile tuples q with p componentwise contained in q, in
-    deterministic order (extra elements chosen lexicographically per
-    component)."""
-    n = len(p)
-    if any(l[i] < len(p[i]) for i in range(n)):
-        return
-    base = frozenset(x for c in p for x in c)
-
-    def rec(i, used):
-        if i == n:
-            yield ()
-            return
-        need = l[i] - len(p[i])
-        avail = [x for x in range(a) if x not in used]
-        for extra in itertools.combinations(avail, need):
-            comp = as_subset(p[i] + extra)
-            for rest in rec(i + 1, used | set(extra)):
-                yield (comp,) + rest
-
-    yield from rec(0, base)
-
-
-def count_extensions(a, m, l):
-    """Number of l-extensions of any single m-profile tuple."""
-    rest = a - sum(m)
-    out = 1
-    for mi, li in zip(m, l):
-        if rest < li - mi:
-            return 0
-        out *= comb(rest, li - mi)
-        rest -= li - mi
-    return out
 
 
 # ---------------------------------------------------------------------------

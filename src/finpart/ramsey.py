@@ -258,7 +258,7 @@ class SearchResult:
     pruned_total: int = 0
 
 
-def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
+def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
     """Least N <= cap such that the property holds on sides of size N.
 
     Exact (exhaustive per N); the certificate for N-1 is kept so a caller
@@ -270,7 +270,7 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
     searched = pruned = 0
     for N in range(cap + 1):
         res = has_property((N,) * len(query.j), query,
-                           max_colorings=max_colorings, prune=prune)
+                           max_colorings=max_colorings)
         searched += res.searched
         pruned += res.pruned
         if res.holds:

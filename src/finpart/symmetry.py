@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 
 from .core import as_subset, enum_B_n, ns_blocks
 from .maps import signature_classes
@@ -128,14 +129,20 @@ class OrbitPair:
     seed: tuple
 
 
-def even_odd_orbits(B, s, a=None):
+# Most permutations of the base even_odd_orbits sweeps.  Both orbits are
+# held in memory: a base of 9 (9! = 362,880) takes ~10 s and ~400 MB.
+_ORBIT_BUDGET = 400_000
+
+
+def even_odd_orbits(B, s):
     """Split the injective sequences over a base of size n+2 into the even
     and odd orbits of a seed sequence of length n+1.
 
     Every permutation of the base moves the seed somewhere, and the seed's
     stabilizer is trivial (only one base point is off the seed), so the
     two orbits are disjoint, cover everything, and have (n+2)!/2 members
-    each."""
+    each.  Raises BudgetExceeded, before sweeping, when (n+2)! is over
+    _ORBIT_BUDGET."""
     B = as_subset(B)
     s = tuple(s)
     if len(set(s)) != len(s) or not set(s) <= set(B):
@@ -144,6 +151,8 @@ def even_odd_orbits(B, s, a=None):
         raise ValueError(
             f"seed length {len(s)} must be one less than the base size {len(B)}"
         )
+    if factorial(len(B)) > _ORBIT_BUDGET:
+        raise BudgetExceeded(f"{len(B)}! base permutations exceed {_ORBIT_BUDGET}")
     xi, theta = set(), set()
     for images in itertools.permutations(B):
         table = dict(zip(B, images))

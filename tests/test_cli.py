@@ -1,11 +1,12 @@
 import json
 import shlex
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
 
-from finpart import cli, coding
+from finpart import cli, coding, symmetry
 from finpart.report import RunReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +74,19 @@ def test_counts_bn(capsys):
     assert code == 0
     rows = json.loads(out)
     assert all(r["match"] is True for r in rows)
+
+
+@pytest.mark.parametrize("space", ["bn", "on", "tuples"])
+def test_counts_over_budget_rows_keep_their_key(monkeypatch, capsys, space):
+    argv = ["counts", "--space", space, "--a-max", "4", "--n-max", "2"]
+    _, out = run_cli(capsys, argv)
+    keys = [(r["a"], r["n_or_profile"]) for r in json.loads(out)]
+    monkeypatch.setattr(cli, "_COUNT_BUDGET", 10)
+    code, out = run_cli(capsys, argv)
+    rows = json.loads(out)
+    assert code == 1
+    assert any(r["match"] == "infeasible" for r in rows)
+    assert [(r["a"], r["n_or_profile"]) for r in rows] == keys
 
 
 def test_counts_csv(capsys):
@@ -244,6 +258,13 @@ def test_ramsey_negative_cap_exits_2(monkeypatch, capsys):
     ["verify", "nilpotency", "--a", "-1"],
     ["verify", "bijection", "--a", "-1"],
     ["verify", "nilpotency", "--mode", "random", "--samples", "-3"],
+    ["counts", "--a-max", "-1"],
+    ["counts", "--space", "tuples", "--n-max", "-3"],
+    ["verify", "fact00", "--jobs", "-2"],
+    ["verify", "fact00", "--jobs", "0"],
+    ["ramsey", "check", "--j", "2", "--c", "2", "--r", "3", "--sizes", "5",
+     "--max-colorings", "-5"],
+    ["symmetry", "orbits", "--n", "-1"],
 ])
 def test_verify_negative_input_exits_2(monkeypatch, capsys, argv):
     assert_one_line_error(*run_main(monkeypatch, capsys, argv))
@@ -257,6 +278,14 @@ def test_verify_negative_input_exits_2(monkeypatch, capsys, argv):
 ])
 def test_symmetry_bad_input_exits_2(monkeypatch, capsys, argv):
     assert_one_line_error(*run_main(monkeypatch, capsys, argv))
+
+
+def test_symmetry_orbits_over_budget_exits_1(monkeypatch, capsys):
+    # a base of 9 still answers; 10! permutations are refused unbuilt
+    assert factorial(9) <= symmetry._ORBIT_BUDGET < factorial(10)
+    code, err = run_main(monkeypatch, capsys, ["symmetry", "orbits", "--n", "8"])
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("infeasible: ")
 
 
 def test_code_roundtrip_negative_samples_exits_2(monkeypatch, capsys):
@@ -283,6 +312,11 @@ def test_code_roundtrip_negative_samples_exits_2(monkeypatch, capsys):
     ["ramsey", "bound", "--j", "1", "--c", "2", "--r", "2", "--no-prune"],
     ["code", "roundtrip", "--config", CONFIG],
     ["code", "encode", "--config", CONFIG, "--family", CONFIG, "--materialize"],
+    ["verify", "ramsey", "--no-prune"],
+    ["ramsey", "check", "--j", "1", "--c", "2", "--r", "2", "--sizes", "3",
+     "--no-prune"],
+    ["ramsey", "search", "--j", "1", "--c", "2", "--r", "2", "--cap", "3",
+     "--no-prune"],
 ])
 def test_unread_options_are_gone(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -299,6 +333,11 @@ def test_readme_cli_lines_parse():
     parser = cli.build_parser()
     for argv in lines:
         parser.parse_args(argv[1:])
+    # and show every command of the table at least once
+    for verb, (_, actions) in cli._COMMANDS.items():
+        for action in actions:
+            assert any(argv[1] == verb and (action is None or argv[2] == action)
+                       for argv in lines), (verb, action)
 
 
 @pytest.mark.parametrize("E, verdict", [("0,1", True), ("0", False)])
