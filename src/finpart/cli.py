@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -45,13 +46,25 @@ _LAW_NAMES = (
 def _fact00_chunk(args):
     """Per-X laws over a sequence of masks; returns counters, violations,
     and (up-mask, X-mask) pairs of interior-closed families for the
-    global injectivity check."""
+    global injectivity check.  Each up-closure and interior is computed
+    once per family: interior(X) = down(up(X)) is shared by the laws, the
+    sub-profile at l itself and the first nesting level."""
     a, m, l, masks = args
     sp = operators.profile_space(a, m, l)
     sub = [
         operators.profile_space(a, m, lp)
         for lp in itertools.product(*(range(mi, li + 1) for mi, li in zip(m, l)))
     ]
+    # (lower, upper) index pairs of comparable sub-profiles, in sweep order
+    comparable = [
+        (i, j)
+        for i, spp in enumerate(sub)
+        for j, spq in enumerate(sub)
+        if all(x <= y for x, y in zip(spp.l, spq.l))
+    ]
+    full = sp.full_m_mask
+    # interior(empty family): every nesting level that reaches it shares it
+    empty_interior = operators.interior_mask(sp, 0)
     checked = 0
     violations = []
     closed = []
@@ -62,28 +75,36 @@ def _fact00_chunk(args):
 
     for xmask in masks:
         checked += 1
-        al = operators.interior_mask(sp, xmask)
+        ux = operators.up_mask(sp, xmask)
+        al = operators.down_mask(sp, ux)
         if xmask & ~al:
             witness("extensive-interior", xmask, "X not within its interior")
-        if operators.up_mask(sp, al) != operators.up_mask(sp, xmask):
+        ual = operators.up_mask(sp, al)
+        # when up(al) = up(X), interior(al) = down(up(X)) = al already
+        if ual != ux:
             witness("up-of-interior", xmask, "up(interior(X)) != up(X)")
-        if operators.interior_mask(sp, al) != al:
-            witness("idempotent-interior", xmask, "interior not idempotent")
+            if operators.down_mask(sp, ual) != al:
+                witness("idempotent-interior", xmask, "interior not idempotent")
         if al == xmask:
-            closed.append((operators.up_mask(sp, xmask), xmask))
-        for spp in sub:
-            app = operators.interior_mask(spp, xmask)
-            for spq in sub:
-                if all(x <= y for x, y in zip(spp.l, spq.l)):
-                    if app & ~operators.interior_mask(spq, xmask):
-                        witness(
-                            "profile-monotone-interior", xmask,
-                            f"interior at {spp.l} not within interior at {spq.l}",
-                        )
-        d = xmask
-        for _ in range(sum(m) + 2):
-            nd = operators.boundary_mask(sp, d)
-            if d != operators.interior_mask(sp, d) & ~nd:
+            closed.append((ux, xmask))
+        ints = [al if spp.l == sp.l else operators.interior_mask(spp, xmask)
+                for spp in sub]
+        for i, j in comparable:
+            if ints[i] & ~ints[j]:
+                witness(
+                    "profile-monotone-interior", xmask,
+                    f"interior at {sub[i].l} not within interior at {sub[j].l}",
+                )
+        # level k: d = boundary^k(X), di = interior(d); once both are
+        # empty every later level repeats a passing check
+        d, di = xmask, al
+        for k in range(sum(m) + 2):
+            if k:
+                di = operators.interior_mask(sp, d) if d else empty_interior
+            if not (d or di):
+                break
+            nd = di & ~d & full
+            if d != di & ~nd:
                 witness("nesting", xmask, "level set != interior minus next level")
             d = nd
         if len(violations) > 20:
@@ -119,8 +140,10 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
     checked = 0
     violations = []
     closed = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # no more workers than tasks or cores
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fact00_chunk, tasks))
     else:
         results = [_fact00_chunk(t) for t in tasks]
@@ -146,14 +169,16 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
         ymask = rng.getrandbits(size)
         xmask = ymask & rng.getrandbits(size)
         pair_checked += 1
-        if operators.up_mask(sp, xmask) & ~operators.up_mask(sp, ymask):
+        ux = operators.up_mask(sp, xmask)
+        uy = operators.up_mask(sp, ymask)
+        if ux & ~uy:
             violations.append({
                 "law": "monotone-up",
                 "X": _plainfam(sorted(operators.mask_to_family(sp, xmask))),
                 "Y": _plainfam(sorted(operators.mask_to_family(sp, ymask))),
                 "detail": "up not monotone",
             })
-        if operators.interior_mask(sp, xmask) & ~operators.interior_mask(sp, ymask):
+        if operators.down_mask(sp, ux) & ~operators.down_mask(sp, uy):
             violations.append({
                 "law": "monotone-interior",
                 "X": _plainfam(sorted(operators.mask_to_family(sp, xmask))),
@@ -417,18 +442,17 @@ def suite_symmetry(a_max=7, n_max=3):
     for E in itertools.chain.from_iterable(
         itertools.combinations(range(5), k) for k in range(3)
     ):
+        restricted = [symmetry.restrict_outside(Q, E) for Q in allB]
         buckets = {}
-        for Q in allB:
-            buckets.setdefault(symmetry.restrict_outside(Q, E), []).append(Q)
+        for Q, QE in zip(allB, restricted):
+            buckets.setdefault(QE, []).append(Q)
         fiber_checked += len(allB)
         for key, qs in buckets.items():
             if len(qs) > symmetry.fiber_bound(1, E):
                 witnesses.append({"kind": "fiber", "E": list(E),
                                   "size": len(qs)})
-        for Q in allB:
-            for P in allB:
-                QE = symmetry.restrict_outside(Q, E)
-                PE = symmetry.restrict_outside(P, E)
+        for Q, QE in zip(allB, restricted):
+            for P, PE in zip(allB, restricted):
                 if symmetry.preceq(Q, P, E) and len(QE) == len(PE) and QE != PE:
                     witnesses.append({"kind": "projection-law", "E": list(E)})
 

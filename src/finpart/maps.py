@@ -92,20 +92,19 @@ def subset_index(s, n):
 def fin_to_disjoint(s):
     """Encode a sequence of n subsets as a (2^n - 1)-tuple of pairwise
     disjoint subsets: component i holds the elements lying in exactly the
-    sets indexed by the one-bits of i."""
+    sets indexed by the one-bits of i.  One pass: each element of the
+    union goes to the component indexed by its membership signature."""
     n = len(s)
     if n < 1:
         raise ValueError("need at least one subset")
-    sets = [frozenset(x) for x in s]
-    comps = []
-    for i in range(1, 1 << n):
-        inside = index_subset(i, n)
-        members = set.intersection(*(set(sets[k]) for k in inside))
-        for k in range(n):
-            if k not in inside:
-                members -= sets[k]
-        comps.append(as_subset(members))
-    return tuple(comps)
+    sig = {}
+    for k, x in enumerate(s):
+        for e in x:
+            sig[e] = sig.get(e, 0) | 1 << k
+    comps = [[] for _ in range((1 << n) - 1)]
+    for e, i in sig.items():
+        comps[i - 1].append(e)
+    return tuple(tuple(sorted(c)) for c in comps)
 
 
 def disjoint_to_fin(q, n):

@@ -424,6 +424,33 @@ def test_decode_matches_full_partitions_and_slice_oracle(case):
 
 
 @st.composite
+def subset_sequences(draw):
+    """A sequence of 1-4 subsets of range(a), some empty, some repeated."""
+    a = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 4))
+    return tuple(tuple(sorted(draw(st.sets(st.integers(0, a - 1)))))
+                 for _ in range(n))
+
+
+@example(((0, 1), (0, 1)))
+@example(((), (2,), ()))
+@given(subset_sequences())
+def test_fin_to_disjoint_matches_definition(s):
+    """Component i holds exactly the elements lying in the sets indexed by
+    i's one-bits and in no other set; disjoint_to_fin inverts it."""
+    n = len(s)
+    q = maps.fin_to_disjoint(s)
+    assert len(q) == (1 << n) - 1
+    union = sorted(set().union(*s))
+    for i, comp in enumerate(q, start=1):
+        assert comp == tuple(
+            x for x in union
+            if all((x in s[k]) == bool(i >> k & 1) for k in range(n))
+        )
+    assert maps.disjoint_to_fin(q, n) == s
+
+
+@st.composite
 def relabelled_sequences(draw):
     """(a, s, pi): a sequence of 1-3 subsets of range(a), some empty."""
     a = draw(st.integers(1, 6))
