@@ -11,10 +11,8 @@ from .core import (
     assoc_stirling,
     count_B_n,
     count_disjoint_tuples,
-    enum_B_fin,
     enum_B_n,
     enum_disjoint_tuples,
-    enum_k_subsets,
     enum_O_n,
     enum_set_partitions,
     ns_blocks,

@@ -15,496 +15,23 @@ tables via --format csv).  Exit codes: 0 pass, 1 violation/infeasible,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import os
-import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from math import factorial
 
-from . import coding, core, maps, operators, ramsey, symmetry
-from .report import PASS, VIOLATION, RunReport, rows_to_csv
-
-
-class UsageError(ValueError):
-    """Invalid configuration: exit code 2."""
-
-
-# ---------------------------------------------------------------------------
-# operator-law suite (fact00)
-
-_LAW_NAMES = (
-    "monotone-up", "extensive-interior", "monotone-interior",
-    "up-of-interior", "idempotent-interior", "injective-on-closed",
-    "profile-monotone-interior", "nesting",
+from . import coding, core, operators, ramsey, symmetry
+from .report import UsageError, rows_to_csv
+from .suites import (
+    _SPACES,
+    emit_counts,
+    suite_bijection,
+    suite_coding,
+    suite_fact00,
+    suite_nilpotency,
+    suite_ramsey,
+    suite_symmetry,
 )
-
-
-def _fact00_chunk(args):
-    """Per-X laws over a sequence of masks; returns counters, violations,
-    and (up-mask, X-mask) pairs of interior-closed families for the
-    global injectivity check.  Each up-closure and interior is computed
-    once per family: interior(X) = down(up(X)) is shared by the laws, the
-    sub-profile at l itself and the first nesting level."""
-    a, m, l, masks = args
-    sp = operators.profile_space(a, m, l)
-    sub = [
-        operators.profile_space(a, m, lp)
-        for lp in itertools.product(*(range(mi, li + 1) for mi, li in zip(m, l)))
-    ]
-    # (lower, upper) index pairs of comparable sub-profiles, in sweep order
-    comparable = [
-        (i, j)
-        for i, spp in enumerate(sub)
-        for j, spq in enumerate(sub)
-        if all(x <= y for x, y in zip(spp.l, spq.l))
-    ]
-    full = sp.full_m_mask
-    # interior(empty family): every nesting level that reaches it shares it
-    empty_interior = operators.interior_mask(sp, 0)
-    checked = 0
-    violations = []
-    closed = []
-
-    def witness(law, xmask, detail):
-        fam = sorted(operators.mask_to_family(sp, xmask))
-        violations.append({"law": law, "X": _plainfam(fam), "detail": detail})
-
-    for xmask in masks:
-        checked += 1
-        ux = operators.up_mask(sp, xmask)
-        al = operators.down_mask(sp, ux)
-        if xmask & ~al:
-            witness("extensive-interior", xmask, "X not within its interior")
-        ual = operators.up_mask(sp, al)
-        # when up(al) = up(X), interior(al) = down(up(X)) = al already
-        if ual != ux:
-            witness("up-of-interior", xmask, "up(interior(X)) != up(X)")
-            if operators.down_mask(sp, ual) != al:
-                witness("idempotent-interior", xmask, "interior not idempotent")
-        if al == xmask:
-            closed.append((ux, xmask))
-        ints = [al if spp.l == sp.l else operators.interior_mask(spp, xmask)
-                for spp in sub]
-        for i, j in comparable:
-            if ints[i] & ~ints[j]:
-                witness(
-                    "profile-monotone-interior", xmask,
-                    f"interior at {sub[i].l} not within interior at {sub[j].l}",
-                )
-        # level k: d = boundary^k(X), di = interior(d); once both are
-        # empty every later level repeats a passing check
-        d, di = xmask, al
-        for k in range(sum(m) + 2):
-            if k:
-                di = operators.interior_mask(sp, d) if d else empty_interior
-            if not (d or di):
-                break
-            nd = di & ~d & full
-            if d != di & ~nd:
-                witness("nesting", xmask, "level set != interior minus next level")
-            d = nd
-        if len(violations) > 20:
-            break
-    return checked, violations, closed
-
-
-def _plainfam(fam):
-    return [[list(c) for c in t] for t in fam]
-
-
-def suite_fact00(a, m, l, mode, samples, seed, jobs):
-    sp = operators.profile_space(a, m, l)
-    size = len(sp.m_tuples)
-    report = RunReport(
-        command="verify fact00",
-        config={"a": a, "m": m, "l": l, "mode": mode, "samples": samples,
-                "seed": seed},
-    )
-    rng = random.Random(seed)
-    if mode == "exhaustive":
-        if size > 20:
-            raise UsageError(f"2^{size} families is over the exhaustive budget")
-        masks = range(1 << size)
-        chunk = max(1024, len(masks) // max(jobs, 1) // 4)
-    else:
-        masks = sorted({rng.getrandbits(size) for _ in range(samples)})
-        chunk = max(1, -(-len(masks) // max(jobs, 1)))
-    # contiguous slices of the masks, at most one per job in random mode
-    tasks = [(a, m, l, masks[lo:lo + chunk])
-             for lo in range(0, len(masks), chunk)]
-
-    checked = 0
-    violations = []
-    closed = []
-    # no more workers than tasks or cores
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fact00_chunk, tasks))
-    else:
-        results = [_fact00_chunk(t) for t in tasks]
-    for c, v, cl in results:
-        checked += c
-        violations.extend(v)
-        closed.extend(cl)
-
-    # injectivity of up on interior-closed families, across all chunks
-    seen = {}
-    for upm, xmask in sorted(closed):
-        if upm in seen and seen[upm] != xmask:
-            violations.append({
-                "law": "injective-on-closed",
-                "X": _plainfam(sorted(operators.mask_to_family(sp, seen[upm]))),
-                "detail": "two closed families share an up-closure",
-            })
-        seen[upm] = xmask
-
-    # pair laws, seeded
-    pair_checked = 0
-    for _ in range(max(samples, 1000)):
-        ymask = rng.getrandbits(size)
-        xmask = ymask & rng.getrandbits(size)
-        pair_checked += 1
-        ux = operators.up_mask(sp, xmask)
-        uy = operators.up_mask(sp, ymask)
-        if ux & ~uy:
-            violations.append({
-                "law": "monotone-up",
-                "X": _plainfam(sorted(operators.mask_to_family(sp, xmask))),
-                "Y": _plainfam(sorted(operators.mask_to_family(sp, ymask))),
-                "detail": "up not monotone",
-            })
-        if operators.down_mask(sp, ux) & ~operators.down_mask(sp, uy):
-            violations.append({
-                "law": "monotone-interior",
-                "X": _plainfam(sorted(operators.mask_to_family(sp, xmask))),
-                "Y": _plainfam(sorted(operators.mask_to_family(sp, ymask))),
-                "detail": "interior not monotone",
-            })
-
-    report.counters = {
-        "families_checked": checked,
-        "pairs_checked": pair_checked,
-        "closed_families": len(closed),
-        "laws": len(_LAW_NAMES),
-    }
-    report.witnesses = violations
-    report.outcome = VIOLATION if violations else PASS
-    return report
-
-
-# ---------------------------------------------------------------------------
-# other verification suites
-
-def suite_nilpotency(a, m, l, mode, samples, seed):
-    report = RunReport(
-        command="verify nilpotency",
-        config={"a": a, "m": m, "l": l, "mode": mode, "samples": samples,
-                "seed": seed},
-    )
-    m, l = operators.check_profiles(m, l)
-    size = core.count_disjoint_tuples(a, m)
-    bound = sum(m) + 1
-    if mode == "exhaustive":
-        if size > 24:
-            raise UsageError(f"2^{size} families is over the exhaustive budget")
-        masks = range(1 << size)
-        total = 1 << size
-    else:
-        rng = random.Random(seed)
-        total = samples
-        masks = (rng.getrandbits(size) for _ in range(samples))
-    # bit i of a mask selects the i-th m-tuple in enumeration order
-    m_tuples = tuple(core.enum_disjoint_tuples(a, m))
-    checked = 0
-    for mask in masks:
-        checked += 1
-        X = frozenset(t for i, t in enumerate(m_tuples) if mask >> i & 1)
-        idx = operators.nilpotency_index(a, m, l, X)
-        if isinstance(idx, operators.CycleReport):
-            report.outcome = VIOLATION
-            report.witnesses = [{
-                "kind": "cycle",
-                "start": idx.start,
-                "period": idx.period,
-                "family": _plainfam(idx.family),
-                "X": _plainfam(sorted(X)),
-            }]
-            break
-        if idx > bound:
-            report.outcome = VIOLATION
-            report.witnesses = [{
-                "kind": "index-over-bound", "index": idx, "bound": bound,
-                "X": _plainfam(sorted(X)),
-            }]
-            break
-    report.counters = {"families_checked": checked, "total": total,
-                       "bound": bound}
-    return report
-
-
-def suite_bijection(a, n):
-    report = RunReport(command="verify bijection", config={"a": a, "n": n})
-    subsets = list(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(a), k) for k in range(a + 1)
-        )
-    )
-    images = set()
-    checked = 0
-    for s in itertools.product(subsets, repeat=n):
-        q = maps.fin_to_disjoint(s)
-        images.add(q)
-        checked += 1
-        if maps.disjoint_to_fin(q, n) != s:
-            report.outcome = VIOLATION
-            report.witnesses.append({"sequence": _plainfam([s])})
-            break
-    expected = (2 ** a) ** n
-    report.counters = {
-        "round_trips": checked,
-        "distinct_images": len(images),
-        "count_identity": expected == (2 ** n) ** a == len(images),
-    }
-    if not report.counters["count_identity"]:
-        report.outcome = VIOLATION
-    return report
-
-
-def suite_ramsey(max_colorings):
-    report = RunReport(command="verify ramsey",
-                       config={"max_colorings": max_colorings})
-    witnesses = []
-    q = ramsey.RamseyQuery((2,), 2, 3)
-    tri = ramsey.search_min_N(q, cap=7, max_colorings=max_colorings)
-    cert_ok = False
-    if tri.value == 6 and tri.counterexample is not None:
-        col = ramsey.ProductColoring((5,), (2,), tri.counterexample)
-        cert_ok = not any(
-            ramsey.check_witness(col, [T], d)
-            for T in itertools.combinations(range(5), 3)
-            for d in range(2)
-        )
-    if tri.value != 6 or not cert_ok:
-        report.outcome = VIOLATION
-        witnesses.append({"query": "(j=2,c=2,r=3)", "value": tri.value,
-                          "certificate_valid": cert_ok})
-
-    pigeonhole = {}
-    for c in (1, 2, 3):
-        for r in (1, 2, 3, 4):
-            expect = c * (r - 1) + 1
-            got = ramsey.search_min_N(
-                ramsey.RamseyQuery((1,), c, r), cap=expect + 1,
-                max_colorings=max_colorings,
-            ).value
-            pigeonhole[f"c={c},r={r}"] = got
-            if got != expect:
-                report.outcome = VIOLATION
-                witnesses.append({"query": f"(j=1,c={c},r={r})",
-                                  "value": got, "expected": expect})
-
-    bound_checked = 0
-    for j, c, r in [(1, 2, 2), (1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 2, 3),
-                    (2, 3, 2), (3, 2, 3), (0, 2, 2)]:
-        qq = ramsey.RamseyQuery((j,), c, r)
-        ub = ramsey.upper_bound_R(qq)
-        try:
-            res = ramsey.has_property((ub,), qq, max_colorings=max_colorings)
-        except operators.BudgetExceeded:
-            continue
-        bound_checked += 1
-        if not res.holds:
-            report.outcome = VIOLATION
-            witnesses.append({"query": f"(j={j},c={c},r={r})", "bound": ub,
-                              "holds": False})
-    report.counters = {
-        "min_N_triangle": tri.value,
-        "pigeonhole": pigeonhole,
-        "bounds_validated": bound_checked,
-    }
-    report.witnesses = witnesses
-    return report
-
-
-# Slots with at most _UNIFORM_MAX_TUPLES m-profile tuples are sampled as
-# uniform subsets; larger slots get at most _FEW_MEMBERS members, because
-# the sparse operator route is fast only while few members cover the ground.
-_UNIFORM_MAX_TUPLES = 64
-_FEW_MEMBERS = 4
-
-
-def sample_indexed_family(cfg, rng):
-    """Seeded random family conforming to a config: uniform subsets on
-    slots with small m-sides, few-member samples on the others."""
-    X = {}
-    for j, m in cfg.slots:
-        tuples = sorted(core.enum_disjoint_tuples(cfg.a, m))
-        if len(tuples) <= _UNIFORM_MAX_TUPLES:
-            fam = frozenset(t for t in tuples if rng.random() < 0.5)
-        else:
-            fam = frozenset(rng.sample(tuples, rng.randrange(_FEW_MEMBERS + 1)))
-        if fam:
-            X[j] = X.get(j, frozenset()) | fam
-    return X
-
-
-def suite_coding(config_path, mode, samples, seed):
-    cfg = _load_config(config_path)
-    report = RunReport(
-        command="verify coding",
-        config={"config": json.loads(cfg.to_json()), "mode": mode,
-                "samples": samples, "seed": seed},
-    )
-    # through partitions when materialize fits its budget on any family
-    use_partitions = sum(
-        core.count_disjoint_tuples(cfg.a, m)
-        * operators.count_extensions(cfg.a, m, cfg.f(j, m, k))
-        for j, m, k in cfg.keys()
-    ) <= operators.EXTENSION_BUDGET
-
-    def roundtrip(X):
-        # from the partition set when it fits the budget, else the book
-        book = coding.encode(X, cfg)
-        H = coding.materialize(book)[0] if use_partitions else None
-        got = coding.decode(book) if H is None else coding.decode(H, cfg)
-        return coding.normalize_indexed(got) == coding.normalize_indexed(X)
-
-    checked = 0
-    if mode == "exhaustive":
-        if len(cfg.slots) != 1:
-            raise UsageError("exhaustive mode needs a single-slot config")
-        j, m = cfg.slots[0]
-        tuples = sorted(core.enum_disjoint_tuples(cfg.a, m))
-        if len(tuples) > 14:
-            raise UsageError(f"2^{len(tuples)} families is over the exhaustive budget")
-        for mask in range(1 << len(tuples)):
-            fam = frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
-            X = {j: fam} if fam else {}
-            checked += 1
-            if not roundtrip(X):
-                report.outcome = VIOLATION
-                report.witnesses.append({"X": {str(j): _plainfam(sorted(fam))}})
-                break
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            X = sample_indexed_family(cfg, rng)
-            checked += 1
-            if not roundtrip(X):
-                report.outcome = VIOLATION
-                report.witnesses.append({
-                    "X": {str(j): _plainfam(sorted(f)) for j, f in X.items()}
-                })
-                break
-    report.counters = {"round_trips": checked,
-                       "via_partitions": use_partitions}
-    return report
-
-
-def suite_symmetry(a_max=7, n_max=3):
-    report = RunReport(command="verify symmetry",
-                       config={"a_max": a_max, "n_max": n_max})
-    witnesses = []
-
-    orbit_checked = 0
-    for n in range(n_max + 1):
-        B = tuple(range(n + 2))
-        for s in itertools.permutations(B, n + 1):
-            op = symmetry.even_odd_orbits(B, s)
-            orbit_checked += 1
-            half = factorial(n + 2) // 2
-            ok = (
-                not (op.xi & op.theta)
-                and len(op.xi) == len(op.theta) == half
-                and op.xi | op.theta == set(itertools.permutations(B, n + 1))
-            )
-            if not ok:
-                witnesses.append({"kind": "orbit", "B": list(B), "s": list(s)})
-
-    trans_checked = 0
-    for n in (1, 2):
-        for a in range(n + 2, a_max + 1):
-            for p in core.enum_disjoint_tuples(a, (1,) * n):
-                for B in itertools.combinations(range(a), n + 2):
-                    trans_checked += 1
-                    t = symmetry.find_fixing_transposition(p, B, a)
-                    if t is None or symmetry.apply_perm(t, p) != p:
-                        witnesses.append({"kind": "transposition",
-                                          "p": _plainfam([p]), "B": list(B)})
-
-    fiber_checked = 0
-    allB = list(core.enum_B_n(5, 1))
-    for E in itertools.chain.from_iterable(
-        itertools.combinations(range(5), k) for k in range(3)
-    ):
-        restricted = [symmetry.restrict_outside(Q, E) for Q in allB]
-        buckets = {}
-        for Q, QE in zip(allB, restricted):
-            buckets.setdefault(QE, []).append(Q)
-        fiber_checked += len(allB)
-        for key, qs in buckets.items():
-            if len(qs) > symmetry.fiber_bound(1, E):
-                witnesses.append({"kind": "fiber", "E": list(E),
-                                  "size": len(qs)})
-        for Q, QE in zip(allB, restricted):
-            for P, PE in zip(allB, restricted):
-                if symmetry.preceq(Q, P, E) and len(QE) == len(PE) and QE != PE:
-                    witnesses.append({"kind": "projection-law", "E": list(E)})
-
-    report.counters = {
-        "orbit_pairs": orbit_checked,
-        "transpositions": trans_checked,
-        "fiber_partitions": fiber_checked,
-    }
-    report.witnesses = witnesses
-    report.outcome = VIOLATION if witnesses else PASS
-    return report
-
-
-# ---------------------------------------------------------------------------
-# counting tables
-
-# Largest count that emit_counts checks by enumeration.
-_COUNT_BUDGET = 2_000_000
-
-
-def _tuple_profiles(a, n_max):
-    """Profiles of arity 1..n_max with parts below 4 that fit in a."""
-    return [m for n in range(1, n_max + 1)
-            for m in itertools.product(range(4), repeat=n) if sum(m) <= a]
-
-
-# Per space: the row keys at one ground size, and a row's closed form and
-# enumerator.
-_SPACES = {
-    "bn": (lambda a, n_max: range(n_max + 1), core.count_B_n, core.enum_B_n),
-    "on": (lambda a, n_max: range(n_max + 1), lambda a, n: (n + 1) ** a,
-           core.enum_O_n),
-    "tuples": (_tuple_profiles, core.count_disjoint_tuples,
-               core.enum_disjoint_tuples),
-}
-
-
-def emit_counts(space, a_max, n_max):
-    if space not in _SPACES:
-        raise UsageError(f"unknown space {space!r}")
-    keys, formula, enum = _SPACES[space]
-    rows = []
-    for a in range(a_max + 1):
-        for key in keys(a, n_max):
-            label = key if isinstance(key, int) else "|".join(map(str, key))
-            count = formula(a, key)
-            if count > _COUNT_BUDGET:
-                rows.append((a, label, count, "", "infeasible"))
-                continue
-            got = sum(1 for _ in enum(a, key))
-            rows.append((a, label, count, got, count == got))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +177,7 @@ def _code_decode(args):
         raise UsageError("book is not the code of any family: its "
                          "decoded family encodes to a different book")
     print(json.dumps(
-        {str(j): sorted(_plainfam(fam)) for j, fam in sorted(X.items())},
+        {str(j): sorted(fam) for j, fam in sorted(X.items())},
         indent=2,
     ))
     return 0
@@ -707,7 +234,7 @@ def _symmetry_fiber(args):
     fib = symmetry.fiber_of(P, E, args.n, args.a)
     bound = symmetry.fiber_bound(args.n, E)
     print(json.dumps({
-        "fiber": sorted(_plainfam([Q])[0] for Q in fib),
+        "fiber": sorted(fib),
         "size": len(fib), "bound": bound,
         "within_bound": len(fib) <= bound,
     }, indent=2))
@@ -716,8 +243,7 @@ def _symmetry_fiber(args):
 
 def _symmetry_chain(args):
     E = _parse_elements(args.E, args.a)
-    allB = list(core.enum_B_n(args.a, args.n))
-    L = symmetry.longest_strict_chain(allB, E)
+    L = symmetry.longest_strict_chain(symmetry.sweep_B_n(args.a, args.n), E)
     bound = symmetry.chain_bound(args.n, E)
     print(json.dumps({"longest_chain": L, "bound": bound,
                       "within_bound": L <= bound}))
@@ -782,7 +308,8 @@ _COMMANDS = {
         "ramsey": (("max-colorings",), partial(
             _verify, lambda o: suite_ramsey(o.max_colorings))),
         "coding": (("config!", "mode", "samples", "seed"), partial(
-            _verify, lambda o: suite_coding(o.config, o.mode, o.samples, o.seed))),
+            _verify, lambda o: suite_coding(
+                _load_config(o.config), o.mode, o.samples, o.seed))),
         "symmetry": ((), partial(_verify, lambda o: suite_symmetry())),
     }),
     "counts": ("formula-vs-enumeration tables", {

@@ -61,16 +61,6 @@ def profile_of(t):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enum_k_subsets(a, k):
-    """All k-subsets of {0..a-1} in lexicographic order.
-
-    Empty stream when k > a; the single empty subset when k == 0.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return itertools.combinations(range(a), k)
-
-
 def enum_extensions(a, p, l):
     """All l-profile tuples of pairwise disjoint subsets of {0..a-1} that
     contain the disjoint tuple p componentwise, ordered lexicographically
@@ -133,9 +123,6 @@ def enum_set_partitions(a):
 
     Blocks come out sorted by least element, so every partition is canonical.
     """
-    if a == 0:
-        yield ()
-        return
     blocks = []
 
     def rec(i):
@@ -161,20 +148,35 @@ def ns_blocks(P):
 def enum_B_n(a, n):
     """All finitary partitions of {0..a-1} with exactly n non-singleton
     blocks, in restricted-growth order of the underlying set partitions.
+
+    The traversal of enum_set_partitions, pruned where no completion has
+    n non-singleton blocks: their count never falls, and each unplaced
+    element can join at most one singleton while the rest pair up.  Every
+    node visited has a completion, so the cost is proportional to |B_n(a)|.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    for P in enum_set_partitions(a):
-        if len(ns_blocks(P)) == n:
-            yield P
+    blocks = []
 
+    def rec(i, ns, single):
+        # ns non-singleton and `single` singleton blocks hold range(i)
+        left = a - i
+        grow = min(single, left)
+        if ns > n or ns + grow + (left - grow) // 2 < n:
+            return
+        if i == a:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            was_single = len(b) == 1
+            b.append(i)
+            yield from rec(i + 1, ns + was_single, single - was_single)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, ns, single + 1)
+        blocks.pop()
 
-def enum_B_fin(a, max_ns=None):
-    """All finitary partitions of {0..a-1}, optionally with at most max_ns
-    non-singleton blocks."""
-    for P in enum_set_partitions(a):
-        if max_ns is None or len(ns_blocks(P)) <= max_ns:
-            yield P
+    yield from rec(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

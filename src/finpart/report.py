@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 
 PASS = "pass"
 VIOLATION = "violation"
-INFEASIBLE = "infeasible"
+
+
+class UsageError(ValueError):
+    """Invalid configuration: exit code 2."""
 
 
 def _plain(obj):
@@ -62,7 +65,7 @@ class RunReport:
 
     @property
     def exit_code(self):
-        return {PASS: 0, VIOLATION: 1, INFEASIBLE: 1}[self.outcome]
+        return {PASS: 0, VIOLATION: 1}[self.outcome]
 
 
 def rows_to_csv(rows, header):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .core import as_subset, enum_B_n, ns_blocks
+from .core import as_subset, count_B_n, enum_B_n, ns_blocks
 from .maps import signature_classes
 from .operators import BudgetExceeded
 
@@ -28,36 +28,10 @@ def check_perm(pi):
     return tuple(pi)
 
 
-def identity_perm(a):
-    return tuple(range(a))
-
-
-def compose(pi, sigma):
-    """The permutation acting as sigma first, then pi."""
-    check_perm(pi), check_perm(sigma)
-    return tuple(pi[sigma[x]] for x in range(len(pi)))
-
-
-def inverse(pi):
-    out = [0] * len(pi)
-    for x, y in enumerate(check_perm(pi)):
-        out[y] = x
-    return tuple(out)
-
-
 def transposition(a, x, y):
     out = list(range(a))
     out[x], out[y] = y, x
     return tuple(out)
-
-
-def from_cycles(a, cycles):
-    """Permutation of range(a) from disjoint cycles, e.g. [(0, 1, 2)]."""
-    out = list(range(a))
-    for cyc in cycles:
-        for i, x in enumerate(cyc):
-            out[x] = cyc[(i + 1) % len(cyc)]
-    return check_perm(tuple(out))
 
 
 def parity(pi):
@@ -196,37 +170,42 @@ def restrict_outside(P, E):
     return frozenset(out)
 
 
+def projection_preceq(QE, PE):
+    """True iff every block of the deleted projection QE is a union of
+    blocks of the deleted projection PE."""
+    return all(
+        {x for pb in PE if q.issuperset(pb) for x in pb} == q
+        for q in map(set, QE)
+    )
+
+
 def preceq(Q, P, E):
     """True iff every deleted-projection block of Q is a union of
     deleted-projection blocks of P."""
-    PE = restrict_outside(P, E)
-    for qb in restrict_outside(Q, E):
-        covered = set()
-        for pb in PE:
-            if set(pb) <= set(qb):
-                covered.update(pb)
-        if covered != set(qb):
-            return False
-    return True
+    return projection_preceq(restrict_outside(Q, E), restrict_outside(P, E))
 
 
-# Most partitions fiber_of sweeps, and most ordered pairs of projection
-# classes longest_strict_chain compares.
-_FIBER_BUDGET = 2_000_000
+# Most partitions a sweep of B_n(a) visits, and most ordered pairs of
+# projection classes longest_strict_chain compares.
+_SWEEP_BUDGET = 2_000_000
 _CHAIN_BUDGET = 2_000_000
+
+
+def sweep_B_n(a, n):
+    """enum_B_n(a, n), refused with BudgetExceeded before it starts when
+    |B_n(a)| is over _SWEEP_BUDGET."""
+    if count_B_n(a, n) > _SWEEP_BUDGET:
+        raise BudgetExceeded(f"|B_{n}({a})| exceeds the sweep budget")
+    return enum_B_n(a, n)
 
 
 def fiber_of(P, E, n, a):
     """All partitions with exactly n non-singleton blocks sharing P's
     deleted projection.  Exhaustive; raises BudgetExceeded when the
     ground set is too large to sweep."""
-    from .core import count_B_n
-
-    if count_B_n(a, n) > _FIBER_BUDGET:
-        raise BudgetExceeded(f"|B_{n}({a})| exceeds the fiber sweep budget")
     target = restrict_outside(P, E)
     return frozenset(
-        Q for Q in enum_B_n(a, n) if restrict_outside(Q, E) == target
+        Q for Q in sweep_B_n(a, n) if restrict_outside(Q, E) == target
     )
 
 
@@ -242,13 +221,7 @@ def longest_strict_chain(partitions, E):
     Mutually related partitions share their deleted projection and cannot
     both appear in a strict chain, so they collapse into one node; the
     answer is the longest path in the condensed acyclic digraph."""
-    parts = list(partitions)
-    key = {i: restrict_outside(P, E) for i, P in enumerate(parts)}
-    groups = {}
-    for i, P in enumerate(parts):
-        groups.setdefault(key[i], []).append(i)
-    reps = {k: v[0] for k, v in groups.items()}
-    keys = list(reps)
+    keys = list(dict.fromkeys(restrict_outside(P, E) for P in partitions))
     if len(keys) * len(keys) > _CHAIN_BUDGET:
         raise BudgetExceeded("chain digraph exceeds its budget")
 
@@ -257,8 +230,8 @@ def longest_strict_chain(partitions, E):
             k2
             for k2 in keys
             if k2 != k
-            and preceq(parts[reps[k2]], parts[reps[k]], E)
-            and not preceq(parts[reps[k]], parts[reps[k2]], E)
+            and projection_preceq(k2, k)
+            and not projection_preceq(k, k2)
         ]
         for k in keys
     }

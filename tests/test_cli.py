@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from finpart import cli, coding, symmetry
+from finpart import cli, coding, core, suites, symmetry
 from finpart.report import RunReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,12 +81,39 @@ def test_counts_over_budget_rows_keep_their_key(monkeypatch, capsys, space):
     argv = ["counts", "--space", space, "--a-max", "4", "--n-max", "2"]
     _, out = run_cli(capsys, argv)
     keys = [(r["a"], r["n_or_profile"]) for r in json.loads(out)]
-    monkeypatch.setattr(cli, "_COUNT_BUDGET", 10)
+    monkeypatch.setattr(suites, "_COUNT_BUDGET", 10)
     code, out = run_cli(capsys, argv)
     rows = json.loads(out)
     assert code == 1
     assert any(r["match"] == "infeasible" for r in rows)
     assert [(r["a"], r["n_or_profile"]) for r in rows] == keys
+
+
+def test_counts_budget_bounds_the_whole_table(monkeypatch, capsys):
+    # every row but the last fits the budget alone; the table does not
+    enumerated = []
+
+    def counted(enum):
+        def wrapped(a, key):
+            for item in enum(a, key):
+                enumerated.append(item)
+                yield item
+        return wrapped
+
+    monkeypatch.setattr(suites, "_SPACES", {
+        space: (keys, formula, counted(enum))
+        for space, (keys, formula, enum) in suites._SPACES.items()
+    })
+    monkeypatch.setattr(suites, "_COUNT_BUDGET", 100)
+    code, out = run_cli(capsys, [
+        "counts", "--space", "bn", "--a-max", "6", "--n-max", "2",
+    ])
+    rows = json.loads(out)
+    assert code == 1
+    assert len(enumerated) <= 100
+    assert sum(r["formula"] for r in rows if r["formula"] <= 100) > 100
+    assert sum(r["enumerated"] for r in rows if r["match"] is True) \
+        == len(enumerated)
 
 
 def test_counts_csv(capsys):
@@ -222,7 +249,8 @@ def test_decode_accepts_encoded_book(capsys, tmp_path):
 ])
 def test_suite_coding_route_per_config(name, via):
     # through partitions exactly when materialize fits its budget on any family
-    rep = cli.suite_coding(str(CONFIGS / name), "random", 0, 0)
+    cfg = coding.CodingConfig.from_json((CONFIGS / name).read_text())
+    rep = cli.suite_coding(cfg, "random", 0, 0)
     assert rep.counters["via_partitions"] is via
 
 
@@ -364,6 +392,34 @@ def test_symmetry_fiber(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["within_bound"] and doc["size"] == 2
+
+
+def test_symmetry_fiber_does_not_sweep_all_set_partitions(monkeypatch, capsys):
+    # B_1(13) has 8,178 partitions; there are Bell(13) = 27,644,437 in all
+    def no_sweep(a):
+        raise AssertionError(f"swept all set partitions of {a} elements")
+
+    monkeypatch.setattr(core, "enum_set_partitions", no_sweep)
+    code, out = run_cli(capsys, [
+        "symmetry", "fiber", "--a", "13", "--n", "1", "--E", "0",
+        "--blocks", "1,2",
+    ])
+    assert code == 0
+    assert json.loads(out)["size"] == 2
+
+
+def test_symmetry_chain_refuses_before_enumerating(monkeypatch, capsys):
+    assert core.count_B_n(13, 3) > symmetry._SWEEP_BUDGET
+
+    def no_enumeration(a, n):
+        raise AssertionError(f"enumerated B_{n}({a})")
+
+    monkeypatch.setattr(core, "enum_B_n", no_enumeration)
+    monkeypatch.setattr(symmetry, "enum_B_n", no_enumeration)
+    code, err = run_main(monkeypatch, capsys,
+                         ["symmetry", "chain", "--a", "13", "--n", "3"])
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("infeasible: ")
 
 
 def test_report_determinism(capsys):

@@ -8,23 +8,13 @@ from finpart.core import (
     canonicalize_partition,
     count_B_n,
     count_disjoint_tuples,
-    enum_B_fin,
     enum_B_n,
     enum_disjoint_tuples,
-    enum_k_subsets,
     enum_O_n,
     enum_set_partitions,
     ns_blocks,
     partition_from_ns,
 )
-
-
-def test_enum_k_subsets_lex_order():
-    got = list(enum_k_subsets(4, 2))
-    assert got == sorted(got)
-    assert len(got) == 6
-    assert list(enum_k_subsets(3, 0)) == [()]
-    assert list(enum_k_subsets(2, 3)) == []
 
 
 def test_enum_disjoint_tuples_count_and_order():
@@ -81,11 +71,14 @@ def test_enum_B_n_example():
         assert len(ns_blocks(P)) == 2
 
 
-def test_enum_B_fin_cap():
-    for P in enum_B_fin(5, max_ns=1):
-        assert len(ns_blocks(P)) <= 1
-    total = sum(1 for _ in enum_B_fin(5))
-    assert total == sum(1 for _ in enum_set_partitions(5))
+def test_enum_B_n_is_the_filtered_set_partitions():
+    """The pruned traversal yields the set partitions with exactly n
+    non-singleton blocks, in the same order."""
+    for a in range(10):
+        parts = list(enum_set_partitions(a))
+        for n in range(5):
+            want = [P for P in parts if len(ns_blocks(P)) == n]
+            assert list(enum_B_n(a, n)) == want, (a, n)
 
 
 def test_assoc_stirling_values():

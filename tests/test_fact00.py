@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from finpart import cli, operators
+from finpart import cli, operators, suites
 
 
 def oracle_chunk(args):
@@ -24,7 +24,7 @@ def oracle_chunk(args):
 
     def witness(law, xmask, detail):
         fam = sorted(operators.mask_to_family(sp, xmask))
-        violations.append({"law": law, "X": cli._plainfam(fam), "detail": detail})
+        violations.append({"law": law, "X": suites._plainfam(fam), "detail": detail})
 
     for xmask in masks:
         checked += 1
@@ -95,7 +95,7 @@ def test_chunk_matches_oracle(monkeypatch, a, m, l, fault):
         name, plant = FAULTS[fault]
         monkeypatch.setattr(operators, name, plant(getattr(operators, name)))
     task = (a, m, l, range(1 << len(operators.profile_space(a, m, l).m_tuples)))
-    got = cli._fact00_chunk(task)
+    got = suites._fact00_chunk(task)
     assert got == oracle_chunk(task)
     if fault != "none":
         assert got[1], "a planted fault must show up as witnesses"
@@ -134,8 +134,8 @@ def _fact00_report(capsys, argv):
 ])
 def test_pool_is_capped_by_tasks_and_cores(capsys, monkeypatch, cores, mode,
                                            workers):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(RecordingPool, "made", [])
     argv = ["--a", "6", "--m", "1", "--l", "3", "--mode", mode]
     wide = _fact00_report(capsys, argv + ["--jobs", "64"])

@@ -9,21 +9,43 @@ from finpart.maps import fin_to_disjoint, disjoint_to_fin
 from finpart.symmetry import (
     apply_perm,
     chain_bound,
-    compose,
     even_odd_orbits,
     fiber_bound,
     fiber_of,
     find_fixing_transposition,
-    from_cycles,
-    identity_perm,
-    inverse,
     is_support,
     longest_strict_chain,
     parity,
     preceq,
+    projection_preceq,
     restrict_outside,
     transposition,
 )
+
+
+def identity_perm(a):
+    return tuple(range(a))
+
+
+def compose(pi, sigma):
+    """The permutation acting as sigma first, then pi."""
+    return tuple(pi[x] for x in sigma)
+
+
+def inverse(pi):
+    out = [0] * len(pi)
+    for x, y in enumerate(pi):
+        out[y] = x
+    return tuple(out)
+
+
+def from_cycles(a, cycles):
+    """Permutation of range(a) from disjoint cycles, e.g. [(0, 1, 2)]."""
+    out = list(range(a))
+    for cyc in cycles:
+        for i, x in enumerate(cyc):
+            out[x] = cyc[(i + 1) % len(cyc)]
+    return tuple(out)
 
 
 def random_perm(rng, a):
@@ -198,6 +220,23 @@ def test_preceq():
     P2 = canonicalize_partition(4, [(0, 1), (2,), (3,)])
     Q2 = canonicalize_partition(4, [(0, 2), (1,), (3,)])
     assert not preceq(Q2, P2, ())
+
+
+def test_projection_preceq_matches_elementwise_definition():
+    """QE precedes PE iff each element of a QE block lies in a PE block
+    inside that QE block; preceq decides it on the two projections."""
+    parts = list(enum_B_n(5, 1)) + list(enum_B_n(5, 2))
+    for E in [(), (0,), (1, 3)]:
+        for Q in parts:
+            QE = restrict_outside(Q, E)
+            for P in parts:
+                PE = restrict_outside(P, E)
+                want = all(
+                    any(x in pb and set(pb) <= set(qb) for pb in PE)
+                    for qb in QE for x in qb
+                )
+                assert projection_preceq(QE, PE) == want, (QE, PE)
+                assert preceq(Q, P, E) == want, (Q, P, E)
 
 
 def test_fiber_example():
