@@ -243,7 +243,7 @@ def _symmetry_fiber(args):
 
 def _symmetry_chain(args):
     E = _parse_elements(args.E, args.a)
-    L = symmetry.longest_strict_chain(symmetry.sweep_B_n(args.a, args.n), E)
+    L = symmetry.longest_chain_B_n(args.a, args.n, E)
     bound = symmetry.chain_bound(args.n, E)
     print(json.dumps({"longest_chain": L, "bound": bound,
                       "within_bound": L <= bound}))

@@ -26,13 +26,14 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from math import prod
 
 from .core import check_disjoint_tuple, profile_of
 from .maps import disjoint_to_fin, fin_to_disjoint
 from .operators import (
     EXTENSION_BUDGET,
-    boundary,
+    boundary_chain,
     count_extensions,
     down,
     interior,
@@ -295,32 +296,23 @@ def encode(X, cfg):
     """Build the code book for an indexed family.
 
     Per slot, iterates the boundary operator at the top profile g and
-    stores the interior of each iterate.  Verifies on the fly that the
-    boundary chain dies within sum(m)+1 steps and that the nesting
-    identity D_k = Y_k \\ D_{k+1} holds; either failure means the ground
-    set is too small for this family and raises CodingError.
+    stores the interior of each iterate, D_k | D_{k+1}.  The chain must
+    die within sum(m)+1 steps; otherwise the ground set is too small for
+    this family and CodingError is raised.
     """
     X = validate_indexed(X, cfg)
     book = {}
     for j, m in cfg.slots:
-        g = cfg.g(j, m)
         K = sum(m)
-        D = slot_family(X, j, m)
-        chain = [D]
-        for _ in range(K + 1):
-            chain.append(boundary(cfg.a, m, g, chain[-1]))
+        chain = list(islice(
+            boundary_chain(cfg.a, m, cfg.g(j, m), slot_family(X, j, m)), K + 2))
         if chain[K + 1]:
             raise CodingError(
                 f"boundary chain for slot ({j}, {m}) does not vanish at step {K + 1}; "
                 f"ground size {cfg.a} too small for this family"
             )
         for k in range(K + 1):
-            Yk = chain[k] | chain[k + 1]  # interior = the set plus its boundary
-            if chain[k] != Yk - chain[k + 1]:
-                raise CodingError(
-                    f"nesting identity fails at slot ({j}, {m}), level {k}"
-                )
-            book[(j, m, k)] = Yk
+            book[(j, m, k)] = chain[k] | chain[k + 1]
     return CodeBook(cfg, book)
 
 

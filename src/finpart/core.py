@@ -98,13 +98,12 @@ def enum_disjoint_tuples(a, profile):
     return enum_extensions(a, ((),) * len(profile), profile)
 
 
-def enum_O_n(a, n, cap=None):
+def enum_O_n(a, n):
     """All n-tuples of pairwise disjoint (possibly empty) subsets of
-    {0..a-1}, optionally with every component of size <= cap.
+    {0..a-1}: exactly (n+1)**a of them.
 
     Order: by the element-to-component assignment vector, where value 0
     means "in no component" and value i places the element in component i.
-    Without a cap the stream has exactly (n+1)**a tuples.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -113,8 +112,6 @@ def enum_O_n(a, n, cap=None):
         for x, c in enumerate(assign):
             if c:
                 comps[c - 1].append(x)
-        if cap is not None and any(len(c) > cap for c in comps):
-            continue
         yield tuple(tuple(c) for c in comps)
 
 

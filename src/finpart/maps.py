@@ -31,14 +31,6 @@ class SignatureClasses:
     inside: dict
     outside: tuple
 
-    def classes(self):
-        """All classes (inside ones first, by sorted signature, then the
-        outside class if non-empty)."""
-        out = [self.inside[k] for k in sorted(self.inside, key=sorted)]
-        if self.outside:
-            out.append(self.outside)
-        return out
-
 
 def signature_classes(a, sets):
     """Group {0..a-1} by which of the given sets each element belongs to.

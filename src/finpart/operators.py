@@ -16,8 +16,9 @@ and a family Z of l-profile tuples pulls back to
 
 boundary is nilpotent with index at most sum(m) + 1 once the ground set is
 large enough; on small ground sets iteration may cycle, which is detected
-and reported rather than looped on.  boundary_power and nilpotency_index
-iterate the set-level boundary, so they take the same route it does.
+and reported rather than looped on.  `boundary_chain` is the one loop over
+boundary: it picks the route and checks X once, then steps on masks or on
+the sparse interior; boundary_power, nilpotency_index and the coder read it.
 
 Families are frozensets of canonical tuples.  Each set-level operator
 (up, interior, boundary, down) chooses its own route, in one place
@@ -266,15 +267,26 @@ def down(a, m, l, Z):
     return frozenset(p for p, k in hits.items() if k == per)
 
 
-def boundary_power(a, m, l, X, k):
-    """k-fold application of boundary; k == 0 returns X unchanged."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+def boundary_chain(a, m, l, X):
+    """Yield X, boundary(X), boundary^2(X), ... without end.  The route is
+    picked and X's members are checked once, on entry; every later level
+    is the chain's own output, so it is not checked again."""
     m, l = check_profiles(m, l)
-    X = _members(a, X, m)
-    for _ in range(k):
-        X = boundary(a, m, l, X)
-    return X
+    sp = _route(a, m, l)
+    if sp is None:
+        X = _members(a, X, m)
+        while True:
+            yield X
+            X = _interior_of_members(a, m, l, X) - X
+    x = _index_mask(sp.m_index, X, a, sp.m)
+    while True:
+        yield mask_to_family(sp, x)
+        x = boundary_mask(sp, x)
+
+
+def boundary_power(a, m, l, X, k):
+    """k-fold application of boundary (k >= 0); k == 0 returns X unchanged."""
+    return next(itertools.islice(boundary_chain(a, m, l, X), k, None))
 
 
 @dataclass(frozen=True)
@@ -291,11 +303,10 @@ def nilpotency_index(a, m, l, X):
     """Least k with boundary^(k)(X) empty, or a CycleReport if iteration
     revisits a non-empty family (possible on small ground sets, where the
     interior operator can be vacuous)."""
-    m, l = check_profiles(m, l)
-    X = _members(a, X, m)
     seen = {}
-    step = 0
-    while X:
+    for step, X in enumerate(boundary_chain(a, m, l, X)):
+        if not X:
+            return step
         if X in seen:
             return CycleReport(
                 start=seen[X],
@@ -303,9 +314,6 @@ def nilpotency_index(a, m, l, X):
                 family=tuple(sorted(X)),
             )
         seen[X] = step
-        X = boundary(a, m, l, X)
-        step += 1
-    return step
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +404,11 @@ def interior_sparse(a, m, l, X):
     that agree inside the support.
     """
     m, l = check_profiles(m, l)
-    X = _members(a, X, m)
+    return _interior_of_members(a, m, l, _members(a, X, m))
+
+
+def _interior_of_members(a, m, l, X):
+    """interior_sparse of a frozenset X whose members are already checked."""
     support = {x for t in X for c in t for x in c}
     if a - len(support) >= sum(l):
         return X

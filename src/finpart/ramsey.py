@@ -88,7 +88,6 @@ class PropertyResult:
     nodes those tests cut; both are 0 when the answer needs no search."""
 
     holds: bool
-    exhaustive: bool
     searched: int
     pruned: int = 0
     counterexample: dict = None  # point -> color, when holds is False
@@ -224,17 +223,15 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
     if W == 0:
         return PropertyResult(
             holds=False,
-            exhaustive=True,
             searched=0,
             counterexample={pt: 0 for pt in points},
             note=f"no witness sets of size {r} exist",
         )
     if P == 0:
         # witnesses exist and the grid is empty: vacuously monochromatic
-        return PropertyResult(holds=True, exhaustive=True, searched=0,
-                              note="empty grid")
+        return PropertyResult(holds=True, searched=0, note="empty grid")
     if any(r < jj for jj in j):
-        return PropertyResult(holds=True, exhaustive=True, searched=0,
+        return PropertyResult(holds=True, searched=0,
                               note="vacuous witness (empty sub-grid)")
 
     index = {pt: i for i, pt in enumerate(points)}
@@ -243,9 +240,9 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
     color, searched, pruned = _search(P, c, ends, gens, 1 if prune else c,
                                       max_colorings)
     if color is None:
-        return PropertyResult(True, True, searched, pruned)
+        return PropertyResult(True, searched, pruned)
     cex = dict(zip(points, color))
-    return PropertyResult(False, True, searched, pruned, cex)
+    return PropertyResult(False, searched, pruned, cex)
 
 
 @dataclass

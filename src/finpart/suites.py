@@ -1,6 +1,6 @@
 """The property suites behind `finpart verify` and the tables behind
 `finpart counts`.  Suites read no files and return a RunReport; a
-configuration over an exhaustive budget raises UsageError.
+configuration over an exhaustive budget raises BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
 from . import coding, core, maps, operators, ramsey, symmetry
+from .operators import BudgetExceeded
 from .report import PASS, VIOLATION, RunReport, UsageError
 
 
@@ -100,6 +101,13 @@ def _plainfam(fam):
     return [[list(c) for c in t] for t in fam]
 
 
+def _exhaustive_masks(size, cap):
+    """Every mask of `size` bits, refused when size is over the cap."""
+    if size > cap:
+        raise BudgetExceeded(f"2^{size} families is over the exhaustive budget")
+    return range(1 << size)
+
+
 def suite_fact00(a, m, l, mode, samples, seed, jobs):
     sp = operators.profile_space(a, m, l)
     size = len(sp.m_tuples)
@@ -110,16 +118,12 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
     )
     rng = random.Random(seed)
     if mode == "exhaustive":
-        if size > 20:
-            raise UsageError(f"2^{size} families is over the exhaustive budget")
-        masks = range(1 << size)
-        chunk = max(1024, len(masks) // max(jobs, 1) // 4)
+        masks = _exhaustive_masks(size, 20)
     else:
         masks = sorted({rng.getrandbits(size) for _ in range(samples)})
-        chunk = max(1, -(-len(masks) // max(jobs, 1)))
-    # contiguous slices of the masks, at most one per job in random mode
-    tasks = [(a, m, l, masks[lo:lo + chunk])
-             for lo in range(0, len(masks), chunk)]
+    # tasks of 4096 masks, cut from the masks alone: where a task stops
+    # after 21 violations, and so the report, does not depend on --jobs
+    tasks = [(a, m, l, masks[lo:lo + 4096]) for lo in range(0, len(masks), 4096)]
 
     checked = 0
     violations = []
@@ -193,10 +197,8 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
     size = core.count_disjoint_tuples(a, m)
     bound = sum(m) + 1
     if mode == "exhaustive":
-        if size > 24:
-            raise UsageError(f"2^{size} families is over the exhaustive budget")
-        masks = range(1 << size)
-        total = 1 << size
+        masks = _exhaustive_masks(size, 24)
+        total = len(masks)
     else:
         rng = random.Random(seed)
         total = samples
@@ -296,7 +298,7 @@ def suite_ramsey(max_colorings):
         ub = ramsey.upper_bound_R(qq)
         try:
             res = ramsey.has_property((ub,), qq, max_colorings=max_colorings)
-        except operators.BudgetExceeded:
+        except BudgetExceeded:
             continue
         bound_checked += 1
         if not res.holds:
@@ -360,9 +362,7 @@ def suite_coding(cfg, mode, samples, seed):
             raise UsageError("exhaustive mode needs a single-slot config")
         j, m = cfg.slots[0]
         tuples = sorted(core.enum_disjoint_tuples(cfg.a, m))
-        if len(tuples) > 14:
-            raise UsageError(f"2^{len(tuples)} families is over the exhaustive budget")
-        for mask in range(1 << len(tuples)):
+        for mask in _exhaustive_masks(len(tuples), 14):
             fam = frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
             X = {j: fam} if fam else {}
             checked += 1

@@ -246,6 +246,16 @@ def longest_strict_chain(partitions, E):
     return max((depth(k) for k in keys), default=0)
 
 
+def longest_chain_B_n(a, n, E):
+    """longest_strict_chain over B_n(a).  A projection class holds at most
+    fiber_bound(n, E) partitions, so the pair budget is checked on the
+    least number of classes that allows, before the sweep starts."""
+    least = -(-count_B_n(a, n) // fiber_bound(n, E))
+    if least * least > _CHAIN_BUDGET:
+        raise BudgetExceeded("chain digraph exceeds its budget")
+    return longest_strict_chain(sweep_B_n(a, n), E)
+
+
 def chain_bound(n, E):
     """Upper bound (n+1)^(|E|+1) on strict chain length."""
     return (n + 1) ** (len(set(E)) + 1)

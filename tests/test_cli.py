@@ -135,6 +135,26 @@ def test_ramsey_search(capsys):
     assert 0 < doc["pruned"] < doc["searched"]
 
 
+def test_ramsey_suite(capsys):
+    code, out = run_cli(capsys, ["verify", "ramsey"])
+    doc = json.loads(out)
+    assert code == 0 and doc["outcome"] == "pass"
+    assert doc["counters"] == {
+        "min_N_triangle": 6,
+        "pigeonhole": {f"c={c},r={r}": c * (r - 1) + 1
+                       for c in (1, 2, 3) for r in (1, 2, 3, 4)},
+        "bounds_validated": 8,
+    }
+
+
+def test_ramsey_check_readme_line(capsys):
+    code, out = run_cli(capsys, [
+        "ramsey", "check", "--j", "2", "--c", "2", "--r", "3", "--sizes", "6",
+    ])
+    assert code == 0
+    assert json.loads(out)["holds"] is True
+
+
 def test_ramsey_bound(capsys):
     code, out = run_cli(capsys, [
         "ramsey", "bound", "--j", "1", "--c", "3", "--r", "4",
@@ -267,6 +287,29 @@ def test_decode_error_exits_2(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(coding, "decode", unfaithful)
     assert_one_line_error(*run_main(monkeypatch, capsys, [
         "code", "decode", "--config", CONFIG, "--book", str(tmp_path / "book.json"),
+    ]))
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["verify", "fact00", "--a", "7", "--m", "2", "--l", "3"], 21),
+    (["verify", "nilpotency", "--a", "25", "--m", "1", "--l", "3"], 25),
+    (["verify", "coding", "--config", "a15.json", "--mode", "exhaustive"], 15),
+], ids=["fact00", "nilpotency", "coding"])
+def test_exhaustive_caps_are_infeasible(monkeypatch, capsys, tmp_path, argv,
+                                        size):
+    # over 2^20, 2^24 and 2^14 families: refused as work over a budget
+    cfg = tmp_path / "a15.json"
+    cfg.write_text(json.dumps({"a": 15, "n": 1, "signature": "compact",
+                               "slots": [[0, [1]]]}))
+    argv = [str(cfg) if x == "a15.json" else x for x in argv]
+    assert run_main(monkeypatch, capsys, argv) == (
+        1, f"infeasible: 2^{size} families is over the exhaustive budget\n")
+
+
+def test_exhaustive_coding_needs_one_slot(monkeypatch, capsys):
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "verify", "coding", "--config", str(CONFIGS / "two_slot_a28.json"),
+        "--mode", "exhaustive",
     ]))
 
 
@@ -420,6 +463,28 @@ def test_symmetry_chain_refuses_before_enumerating(monkeypatch, capsys):
                          ["symmetry", "chain", "--a", "13", "--n", "3"])
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("infeasible: ")
+
+
+def test_symmetry_chain_refuses_from_the_class_count(monkeypatch, capsys):
+    # |B_2(12)| = 237,127 is within the sweep budget, but with E empty every
+    # partition is its own projection class and 237,127^2 pairs are not
+    assert core.count_B_n(12, 2) <= symmetry._SWEEP_BUDGET
+
+    def no_enumeration(a, n):
+        raise AssertionError(f"enumerated B_{n}({a})")
+
+    monkeypatch.setattr(core, "enum_B_n", no_enumeration)
+    monkeypatch.setattr(symmetry, "enum_B_n", no_enumeration)
+    code, err = run_main(monkeypatch, capsys,
+                         ["symmetry", "chain", "--a", "12", "--n", "2"])
+    assert (code, err) == (1, "infeasible: chain digraph exceeds its budget\n")
+
+
+def test_symmetry_chain_strict_pairs(capsys):
+    code, out = run_cli(capsys, ["symmetry", "chain", "--a", "6", "--n", "2",
+                                 "--E", "0,1"])
+    assert code == 0
+    assert json.loads(out)["longest_chain"] == 2
 
 
 def test_report_determinism(capsys):

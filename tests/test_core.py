@@ -48,11 +48,6 @@ def test_enum_O_n_counts():
             assert sum(1 for _ in enum_O_n(a, n)) == (n + 1) ** a
 
 
-def test_enum_O_n_cap():
-    capped = list(enum_O_n(4, 2, cap=1))
-    assert all(all(len(c) <= 1 for c in t) for t in capped)
-
-
 def test_set_partitions_bell_numbers():
     bell = [1, 1, 2, 5, 15, 52, 203]
     for a, b in enumerate(bell):

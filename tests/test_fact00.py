@@ -127,17 +127,44 @@ def _fact00_report(capsys, argv):
     return doc
 
 
+def _pool_sizes(capsys, monkeypatch, cores, argv):
+    """The pool sizes a --jobs 64 run asks for, after checking that its
+    report equals the serial one."""
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    wide = _fact00_report(capsys, argv + ["--jobs", "64"])
+    assert wide == _fact00_report(capsys, argv + ["--jobs", "1"])
+    return RecordingPool.made
+
+
 @pytest.mark.parametrize("cores, mode, workers", [
-    (2, "exhaustive", []),   # one task: no pool at all
-    (3, "random", [3]),      # 64 tasks: capped at the cores
+    (2, "exhaustive", []),   # 64 masks, one task: no pool at all
+    (3, "random", []),       # at most 1000 masks, one task whatever --jobs
     (None, "random", []),    # unknown core count: serial
 ])
 def test_pool_is_capped_by_tasks_and_cores(capsys, monkeypatch, cores, mode,
                                            workers):
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(RecordingPool, "made", [])
     argv = ["--a", "6", "--m", "1", "--l", "3", "--mode", mode]
-    wide = _fact00_report(capsys, argv + ["--jobs", "64"])
-    assert RecordingPool.made == workers
-    assert wide == _fact00_report(capsys, argv + ["--jobs", "1"])
+    assert _pool_sizes(capsys, monkeypatch, cores, argv) == workers
+
+
+def test_pool_is_capped_by_cores(capsys, monkeypatch):
+    # 2^14 masks make 4 tasks of 4096: three workers on three cores
+    argv = ["--a", "14", "--m", "1", "--l", "2", "--mode", "exhaustive"]
+    assert _pool_sizes(capsys, monkeypatch, 3, argv) == [3]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_report_under_a_fault_does_not_depend_on_jobs(monkeypatch, mode):
+    """Each task stops after 21 violations; tasks are cut from the masks
+    alone, so the witnesses (and the digest) are the same at any --jobs.
+    The jobs=2 run maps its tasks in this process, on a recording pool."""
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
+    # a down operator that keeps nothing breaks the laws on most families
+    monkeypatch.setattr(operators, "down_mask", lambda sp, g: 0)
+    serial = suites.suite_fact00(6, (2,), (3,), mode, 3000, 0, 1)
+    parallel = suites.suite_fact00(6, (2,), (3,), mode, 3000, 0, 2)
+    assert serial.outcome == "violation"
+    assert serial.canonical_json() == parallel.canonical_json()

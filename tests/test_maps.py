@@ -55,7 +55,6 @@ def test_signature_classes():
     assert sc.inside[frozenset({0, 1})] == (1,)
     assert sc.inside[frozenset({1})] == (2,)
     assert sc.outside == (3, 4)
-    assert len(sc.classes()) == 4
 
 
 def test_tuple_to_partition():

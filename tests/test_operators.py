@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from finpart import cli
+from finpart import cli, operators
 from finpart.core import enum_disjoint_tuples
 from finpart.operators import (
     BudgetExceeded,
@@ -212,3 +213,30 @@ def test_member_validation_on_both_routes(route, bad):
     # non-canonical, out of range, wrong profile
     with pytest.raises(ValueError):
         route(6, (1,), (3,), {bad})
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("iterate", [
+    lambda X: nilpotency_index(3, (1,), (2,), X),
+    lambda X: boundary_power(3, (1,), (2,), X, 4),
+], ids=["nilpotency_index", "boundary_power"])
+def test_boundary_iteration_routes_and_checks_once(monkeypatch, dense, iterate):
+    # the chain X, {(2,)}, {}, ... runs several levels on either route, but
+    # the route is picked and X's members are checked once for all of them
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(operators, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    if not dense:
+        monkeypatch.setattr(operators, "fits_dense", lambda a, m, l: False)
+    for name in ("_route", "_members", "_index_mask"):
+        monkeypatch.setattr(operators, name, counting(name))
+    iterate({((0,),), ((1,),)})
+    assert calls == {"_route": 1, "_index_mask" if dense else "_members": 1}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cache
 from math import factorial
 
 import pytest
@@ -279,6 +280,21 @@ def test_chain_length_bound():
         for E in [(), (0,)]:
             L = longest_strict_chain(allB, E)
             assert 1 <= L <= chain_bound(n, E), (a, n, E)
+
+
+def test_longest_strict_chain_matches_brute_force():
+    # with E = (0, 1), B_2(6) has strictly related partitions, so the
+    # strictness test runs; the chain is built from preceq on partitions
+    E = (0, 1)
+    allB = list(enum_B_n(6, 2))
+    below = {P: [Q for Q in allB if preceq(Q, P, E) and not preceq(P, Q, E)]
+             for P in allB}
+
+    @cache
+    def depth(P):
+        return 1 + max(map(depth, below[P]), default=0)
+
+    assert max(map(depth, allB)) == longest_strict_chain(allB, E) == 2
 
 
 def test_equivariance_of_canonical_maps():
