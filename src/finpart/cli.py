@@ -83,9 +83,10 @@ def demo_coding(cfg, X=None):
         dec = coding.decode(book)
     else:
         print(f"|H| = {len(H)} partitions")
+        # one pass over H for every key's count
+        sizes = {l: len(Z) for l, Z in coding._slices(H).items()}
         for key in sorted(book.Y):
-            Z = coding.extract_slice(H, cfg, *key)
-            print(f"  slice {key}: {len(Z)} tuples")
+            print(f"  slice {key}: {sizes.get(cfg.f(*key), 0)} tuples")
         dec = coding.decode(H, cfg)
     verdict = coding.normalize_indexed(dec) == coding.normalize_indexed(X)
     print("decoded:")

@@ -30,8 +30,9 @@ are too many; sparse down counts, per m-tuple, the members of Z extending
 it.  The sparse interior first tests the whole family: when the members'
 support leaves at least sum(l) ground elements fresh, each non-member has
 an extension that avoids the family, so the interior is X itself.  Only
-otherwise does it run a backtracking search, once per class of candidates
-that agree inside the support.
+otherwise does it search, once per class of candidates that agree inside
+the support, over placements of the support elements that an extension
+cannot avoid (`exists_uncovered_extension`).
 """
 
 from __future__ import annotations
@@ -321,73 +322,60 @@ def nilpotency_index(a, m, l, X):
 
 def exists_uncovered_extension(a, p, l, members):
     """True iff some l-extension of p avoids every member of `members`
-    (i.e. no member is componentwise contained in it).
+    (i.e. no member is componentwise contained in it); members share p's
+    profile.
 
-    Backtracking search; members are expected to share p's profile.  Fast
-    when the members' supports leave fresh elements to route the extension
-    through; raises BudgetExceeded if the search expands more than
-    _NODE_BUDGET nodes.
+    Lemma: let S be the members' support, U the elements of p and need_i =
+    l_i - |p_i|.  Elements outside S complete no member, so an extension
+    takes its extra elements from the a - |S | U| fresh ones while they
+    last and the other D = sum(need) - (a - |S | U|) from S - U.  As
+    containment is monotone, some extension avoids every member iff some
+    placement of exactly D elements of S - U, at most need_i into
+    component i, leaves no member inside p extended by the placement.
+    D <= 0 asks only that no member lie inside p.  Without extensions (a
+    need_i < 0, or sum(l) > a, where D > |S - U|) the answer is False.
+
+    Depth-first placement over S - U, backtracking once a member is
+    covered; raises BudgetExceeded past _NODE_BUDGET nodes.
     """
-    n = len(p)
-    if any(l[i] < len(p[i]) for i in range(n)):
-        return False  # no extensions at all
-    members = [tuple(frozenset(c) for c in t) for t in members]
-    psets = [frozenset(c) for c in p]
-    # a member contained in p itself is contained in every extension
-    for t in members:
-        if all(t[i] <= psets[i] for i in range(n)):
-            return False
-    need = [l[i] - len(p[i]) for i in range(n)]
-    base = set().union(*psets) if psets else set()
-    support = set(base)
-    for t in members:
-        for c in t:
-            support |= c
-    if a - len(support) >= sum(need):
-        return True  # route all extra elements through fresh ground
-
-    # prefer elements outside the members' supports, so avoiding
-    # extensions are found early
-    order = sorted(range(a), key=lambda x: (x in support, x))
-
-    qsets = [set(c) for c in psets]
-    used = set(base)
-    nodes = 0
+    need = [li - len(c) for li, c in zip(l, p)]
+    if min(need, default=0) < 0:
+        return False
+    members = [tuple(map(frozenset, t)) for t in members]
+    trace = [set(c) for c in p]
+    used = set().union(*trace)
+    support = set().union(*(c for t in members for c in t))
+    D = sum(need) - (a - len(support | used))
 
     def covered():
-        return any(all(t[i] <= qsets[i] for i in range(n)) for t in members)
+        return any(all(c <= q for c, q in zip(t, trace)) for t in members)
 
-    # `check`: the last element added lies in the members' support.  Only
-    # such an element can complete a member, and the root (q = p) was
-    # tested above.
-    def rec(i, start, check):
+    if D <= 0:
+        return not covered()
+    free = sorted(support - used)
+    nodes = 0
+
+    # The root is not tested: a member inside p fails every child's test.
+    def rec(start, left):
         nonlocal nodes
         nodes += 1
         if nodes > _NODE_BUDGET:
             raise BudgetExceeded("uncovered-extension search exceeded its node budget")
-        if check and covered():
-            return False
-        while i < n and need[i] == 0:
-            i, start = i + 1, 0
-        if i == n:
+        if not left:
             return True
-        for pos in range(start, a):
-            x = order[pos]
-            if x in used:
-                continue
-            qsets[i].add(x)
-            used.add(x)
-            need[i] -= 1
-            hit = x in support
-            ok = rec(i, pos + 1, hit) if need[i] else rec(i + 1, 0, hit)
-            need[i] += 1
-            used.discard(x)
-            qsets[i].discard(x)
-            if ok:
-                return True
+        for pos in range(start, len(free) - left + 1):
+            for i, q in enumerate(trace):
+                if need[i]:
+                    q.add(free[pos])
+                    need[i] -= 1
+                    ok = not covered() and rec(pos + 1, left - 1)
+                    need[i] += 1
+                    q.discard(free[pos])
+                    if ok:
+                        return True
         return False
 
-    return rec(0, 0, False)
+    return rec(0, D)
 
 
 def interior_sparse(a, m, l, X):
@@ -400,8 +388,8 @@ def interior_sparse(a, m, l, X):
     enumerated.  A tuple p not in X can then take all its extra elements
     from the free ground; a member contained in that extension lies inside
     p componentwise, hence equals p (same profile), which is impossible.
-    Otherwise the backtracking search runs once per class of candidates
-    that agree inside the support.
+    Otherwise the support search runs once per class of candidates that
+    agree inside the support.
     """
     m, l = check_profiles(m, l)
     return _interior_of_members(a, m, l, _members(a, X, m))

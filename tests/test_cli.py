@@ -1,7 +1,7 @@
 import json
 import shlex
 import sys
-from math import factorial
+from math import comb, factorial, perm
 from pathlib import Path
 
 import pytest
@@ -178,6 +178,20 @@ def test_code_demo_sparse_pullback(capsys):
     assert "round trip: pass" in out
 
 
+def test_code_demo_materialization_infeasible(tmp_path, capsys):
+    # two pairs in slot 1 carry 3,124,550 candidate tuples, over the
+    # extension budget, so the demo decodes the book instead
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"1": [[[0, 1]], [[2, 3]]]}))
+    code, out = run_cli(capsys, [
+        "code", "demo", "--config", str(CONFIGS / "two_slot_a28.json"),
+        "--family", str(family),
+    ])
+    assert code == 0
+    assert "materialization infeasible (3124550 candidate tuples)" in out
+    assert "round trip: pass" in out
+
+
 def test_code_roundtrip_random(capsys):
     code, out = run_cli(capsys, [
         "verify", "coding", "--config", CONFIG, "--mode", "random",
@@ -268,10 +282,25 @@ def test_decode_accepts_encoded_book(capsys, tmp_path):
     ("seq_arity2_a40.json", False),
 ])
 def test_suite_coding_route_per_config(name, via):
-    # through partitions exactly when materialize fits its budget on any family
+    # through partitions exactly when materialize fits its budget on any
+    # family; slots with over 64 tuples (pair_slot_a24's 552, for one) are
+    # sampled with at most 4 members
     cfg = coding.CodingConfig.from_json((CONFIGS / name).read_text())
-    rep = cli.suite_coding(cfg, "random", 0, 0)
-    assert rep.counters["via_partitions"] is via
+    rep = cli.suite_coding(cfg, "random", 5, 0)
+    assert rep.outcome == "pass"
+    assert rep.counters == {"round_trips": 5, "via_partitions": via}
+
+
+def test_suite_coding_exhaustive():
+    # all 2^9 families of singletons; grounds of 5 to 8 are too small for
+    # some of them, and the round trip raises CodingError
+    rep = cli.suite_coding(coding.compact_config(9, 1, [(0, (1,))]),
+                           "exhaustive", 0, 0)
+    assert rep.outcome == "pass"
+    assert rep.counters == {"round_trips": 512, "via_partitions": True}
+    with pytest.raises(coding.CodingError, match="too small"):
+        cli.suite_coding(coding.compact_config(8, 1, [(0, (1,))]),
+                         "exhaustive", 0, 0)
 
 
 def test_decode_error_exits_2(monkeypatch, capsys, tmp_path):
@@ -485,6 +514,22 @@ def test_symmetry_chain_strict_pairs(capsys):
                                  "--E", "0,1"])
     assert code == 0
     assert json.loads(out)["longest_chain"] == 2
+
+
+def test_verify_symmetry(capsys):
+    code, out = run_cli(capsys, ["verify", "symmetry"])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["outcome"] == "pass"
+    # (n+2)! sequences per n <= 3; P(a, n) tuples times C(a, n+2) bases;
+    # the 26 partitions of B_1(5) under each of the 16 sets E of size <= 2
+    assert doc["counters"] == {
+        "orbit_pairs": sum(factorial(n + 2) for n in range(4)),
+        "transpositions": sum(perm(a, n) * comb(a, n + 2)
+                              for n in (1, 2) for a in range(n + 2, 8)),
+        "fiber_partitions": 26 * 16,
+    }
+    assert doc["counters"]["transpositions"] == 2466
 
 
 def test_report_determinism(capsys):

@@ -272,6 +272,15 @@ def test_decode_reports_unfaithful_slice(cfg12):
         decode(H, cfg12)
 
 
+def test_decode_configuration_errors(cfg12):
+    book = encode({0: frozenset({((0,),)})}, cfg12)
+    with pytest.raises(CodingError, match="different configuration"):
+        decode(book, compact_config(13, 1, [(0, (1,))]))
+    H, _ = materialize(book)
+    with pytest.raises(CodingError, match="needs the configuration"):
+        decode(H)
+
+
 # --- sequence coder -------------------------------------------------------
 
 @pytest.fixture(scope="module")

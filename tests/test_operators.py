@@ -176,6 +176,20 @@ def test_boundary_iteration_off_the_dense_route():
     assert nilpotency_index(28, (2,), (10,), X) == 1
 
 
+def test_uncovered_extension_search_is_bounded(monkeypatch):
+    # the members are the edges between {2,4,6,8} and {3,5,7}; p = {0,1}
+    # and l = 7 leave no fresh element, so D = 5 support elements must be
+    # placed, and the verdict (no 5 of them avoid every edge) needs the
+    # whole pruned search
+    X = [((min(e, o), max(e, o)),) for e in (2, 4, 6, 8) for o in (3, 5, 7)]
+    p = ((0, 1),)
+    assert exists_uncovered_extension(9, p, (6,), X)  # the four evens
+    assert not exists_uncovered_extension(9, p, (7,), X)
+    monkeypatch.setattr(operators, "_NODE_BUDGET", 3)
+    with pytest.raises(BudgetExceeded, match="node budget"):
+        exists_uncovered_extension(9, p, (7,), X)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         # the extension relation here is astronomically over budget
