@@ -2,55 +2,13 @@
 
 Contains the tuple-to-partition surjection, the bijection pair between
 n-sequences of finite subsets and (2^n - 1)-tuples of pairwise disjoint
-subsets, membership-signature equivalence classes, and the partial map
-from n-sets of subsets onto partitions with 2^n - 1 non-singleton blocks.
+subsets, and their composition: the partial map from n-sets of subsets
+onto partitions with 2^n - 1 non-singleton blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import (
-    as_subset,
-    canonicalize_partition,
-    check_disjoint_tuple,
-    ns_blocks,
-    partition_from_ns,
-)
-
-
-@dataclass(frozen=True)
-class SignatureClasses:
-    """Partition of the ground set by membership signature.
-
-    inside maps each non-empty signature (frozenset of 0-based indices
-    into the defining sequence of sets) to its class; outside holds the
-    elements lying in none of the sets.
-    """
-
-    inside: dict
-    outside: tuple
-
-
-def signature_classes(a, sets):
-    """Group {0..a-1} by which of the given sets each element belongs to.
-
-    The sets need not be disjoint.  Elements in no set form the outside
-    class.
-    """
-    sets = [frozenset(s) for s in sets]
-    inside = {}
-    outside = []
-    for x in range(a):
-        sig = frozenset(i for i, s in enumerate(sets) if x in s)
-        if sig:
-            inside.setdefault(sig, []).append(x)
-        else:
-            outside.append(x)
-    return SignatureClasses(
-        inside={k: tuple(v) for k, v in inside.items()},
-        outside=tuple(outside),
-    )
+from .core import as_subset, check_disjoint_tuple, ns_blocks, partition_from_ns
 
 
 def tuple_to_partition(a, t):
@@ -115,33 +73,26 @@ def disjoint_to_fin(q, n):
 
 
 def bfin_map(a, sets):
-    """Partial map from an n-set of distinct subsets to a partition with
-    2^n - 1 non-singleton blocks.
+    """Partial map from an n-set of distinct subsets of {0..a-1} to a
+    partition with 2^n - 1 non-singleton blocks: fin_to_disjoint buckets
+    the elements by membership signature and tuple_to_partition makes the
+    classes blocks and the elements in no set singletons.
 
-    Defined iff all 2^n - 1 inside signature classes are non-empty with
-    size >= 2; then the inside classes become blocks and the outside
-    elements become singletons.  Returns (partition, None) when defined,
-    (None, reason) otherwise.
-    """
+    Defined iff the tuple lands, that is iff every signature class has at
+    least 2 elements.  Returns (partition, None) when defined, (None,
+    reason) otherwise; the reason names the first empty class by index,
+    else the undersized class with the least element."""
     sets = [as_subset(s) for s in sets]
     if len(set(sets)) != len(sets):
         raise ValueError("sets must be distinct")
-    n = len(sets)
-    if n < 1:
-        raise ValueError("need at least one set")
-    sc = signature_classes(a, sets)
-    if len(sc.inside) < (1 << n) - 1:
-        missing = next(
-            index_subset(i, n)
-            for i in range(1, 1 << n)
-            if index_subset(i, n) not in sc.inside
-        )
+    q = fin_to_disjoint(sets)
+    P, lands = tuple_to_partition(a, q)
+    if lands:
+        return P, None
+    if () in q:
+        missing = index_subset(q.index(()) + 1, len(sets))
         return None, f"missing signature class {sorted(missing)}"
-    small = [c for c in sc.inside.values() if len(c) < 2]
-    if small:
-        return None, f"singleton signature class {small[0]}"
-    blocks = list(sc.inside.values()) + [(x,) for x in sc.outside]
-    return canonicalize_partition(a, blocks), None
+    return None, f"singleton signature class {min(c for c in q if len(c) < 2)}"
 
 
 def ns_injection(P):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from math import comb, prod
+from math import comb, log2, prod
 
 from .operators import BudgetExceeded
 
@@ -280,24 +280,43 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
 # ---------------------------------------------------------------------------
 # constructive upper bounds (sufficient, monotone; never claimed optimal)
 
-@cache
-def _graph_bound(rvec):
-    """Clique-style bound for pairs (j = 2) with per-color targets rvec,
-    via the classical recurrence R(r-bar) <= 2 - c + sum_i R(r-bar - e_i)."""
-    rvec = tuple(sorted(rvec))
-    if not rvec:
-        return 2
-    if rvec[0] <= 1:
-        return max(rvec[0], 0)
-    if len(rvec) == 1:
-        return rvec[0]
-    if rvec[0] == 2:
-        return max(2, _graph_bound(rvec[1:]))
-    c = len(rvec)
-    return 2 - c + sum(
-        _graph_bound(rvec[:i] + (rvec[i] - 1,) + rvec[i + 1 :])
-        for i in range(c)
-    )
+# Most work the constructive bounds may do, refused with BudgetExceeded
+# before it starts: steps of the graph recurrence (target vectors times
+# colors), and bits of a power c ** e.
+_GRAPH_WORK = 1_000_000
+_BOUND_BITS = 1 << 20
+
+
+def _power(c, e):
+    """c ** e, refused when it would have over _BOUND_BITS bits."""
+    if c > 1 and (e > _BOUND_BITS or e * log2(c) > _BOUND_BITS):
+        raise BudgetExceeded(f"the bound has over {_BOUND_BITS} bits")
+    return c**e
+
+
+def _graph_bound(c, r):
+    """Clique-style bound for pairs (j = 2) with c colors, each with
+    target r >= 3, via the classical recurrence
+    R(r-bar) <= 2 - c + sum_i R(r-bar - e_i), where a color whose target
+    reaches 2 drops out and a single color needs its own target.  Built
+    bottom-up over the sorted target vectors with entries 3..r, shortest
+    first: comb(c + r - 2, c) vectors of up to c terms each."""
+    if c == 1:
+        return r
+    # c * (r - 2) is a cheap lower bound on the work, tested first
+    if c * (r - 2) > _GRAPH_WORK or c * comb(c + r - 2, c) > _GRAPH_WORK:
+        raise BudgetExceeded(
+            f"the graph bound takes over {_GRAPH_WORK} recurrence steps")
+    R = {(x,): x for x in range(3, r + 1)}
+    for k in range(2, c + 1):
+        # lexicographic order: each sorted v - e_i lies below v termwise,
+        # so it comes first (or is one shorter, once its 2 drops out)
+        for v in itertools.combinations_with_replacement(range(3, r + 1), k):
+            R[v] = 2 - k
+            for i in range(k):
+                w = tuple(sorted(v[:i] + (v[i] - 1,) + v[i + 1:]))
+                R[v] += R[w[1:] if w[0] == 2 else w]
+    return R[(r,) * c]
 
 
 @cache
@@ -308,12 +327,13 @@ def _single_coordinate_bound(j, c, r):
         return r
     if j == 1:
         return c * (r - 1) + 1  # pigeonhole, exact
-    if j == 2:
-        return _graph_bound((r,) * c)
-    # hypergraph step-down, Erdos--Rado shape: color (j-1)-sets through a
-    # large enough lower-uniformity bound
-    m = _single_coordinate_bound(j - 1, c, r - 1)
-    return j - 1 + c ** comb(m, j - 1)
+    # hypergraph step-down, Erdos--Rado shape: color (k-1)-sets through a
+    # large enough bound at uniformity k - 1, up from the graph bound at
+    # k = 2, whose target is r - j + 2
+    m = _graph_bound(c, r - j + 2)
+    for k in range(3, j + 1):
+        m = k - 1 + _power(c, comb(m, k - 1))
+    return m
 
 
 def upper_bound_R(query):
@@ -330,5 +350,5 @@ def upper_bound_R(query):
         return _single_coordinate_bound(j[0], c, r)
     prefix = upper_bound_R(RamseyQuery(j[:-1], c, r))
     K = prod(comb(prefix, jj) for jj in j[:-1])
-    last = _single_coordinate_bound(j[-1], c**K, r)
+    last = _single_coordinate_bound(j[-1], _power(c, K), r)
     return max(prefix, last, r)

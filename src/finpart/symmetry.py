@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import factorial
 
 from .core import as_subset, count_B_n, enum_B_n, ns_blocks
-from .maps import signature_classes
 from .operators import BudgetExceeded
 
 
@@ -144,13 +143,15 @@ def _parity_of_mapping(domain, images):
 def find_fixing_transposition(p, B, a):
     """A transposition of two base elements equivalent under the tuple's
     induced classes (same component, or both outside every component).
+    The classes are tried in order: the non-empty components by least
+    element, then the elements outside p.
 
     With |B| = arity + 2 there are at most arity + 1 classes on B, so a
     pair always exists by pigeonhole."""
     B = as_subset(B)
-    sc = signature_classes(a, p)
-    for cls in [*sc.inside.values(), sc.outside]:
-        hits = [x for x in cls if x in set(B)]
+    outside = set(B).difference(*p)
+    for cls in [*sorted(filter(None, p), key=min), outside]:
+        hits = [x for x in B if x in cls]
         if len(hits) >= 2:
             return transposition(a, hits[0], hits[1])
     return None

@@ -1,3 +1,4 @@
+import itertools
 import json
 import shlex
 import sys
@@ -161,6 +162,39 @@ def test_ramsey_bound(capsys):
     ])
     assert code == 0
     assert json.loads(out)["upper_bound"] == 10
+
+
+@pytest.mark.parametrize("argv", [
+    # 2^15 colors on the last coordinate: the graph recurrence is refused
+    ["--j", "2", "--j", "2", "--c", "2", "--r", "3"],
+    # 2 ** comb(32770, 3) is refused before it is raised
+    ["--j", "4", "--c", "2", "--r", "5"],
+])
+def test_ramsey_bound_over_budget_exits_1(monkeypatch, capsys, argv):
+    code, err = run_main(monkeypatch, capsys, ["ramsey", "bound"] + argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("infeasible: ")
+
+
+def test_ramsey_bound_large_value(capsys):
+    # step-down from the graph bound R(4, 4) <= 20: 2 + 2 ** comb(20, 2)
+    code, out = run_cli(capsys, [
+        "ramsey", "bound", "--j", "3", "--c", "2", "--r", "5",
+    ])
+    assert code == 0
+    assert json.loads(out)["upper_bound"] == 2 + 2**190
+
+
+def test_counts_tuples_makes_only_profiles_that_fit():
+    # 4^12 profiles of arity 12 alone, of which 91 fit in a = 2
+    rows = suites.emit_counts("tuples", 2, 12)
+    assert len(rows) == 556 and all(r[-1] is True for r in rows)
+    for a in range(6):
+        for n_max in range(5):
+            assert suites._tuple_profiles(a, n_max) == [
+                m for n in range(1, n_max + 1)
+                for m in itertools.product(range(4), repeat=n) if sum(m) <= a
+            ]
 
 
 def test_code_demo(capsys):

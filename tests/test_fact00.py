@@ -20,7 +20,7 @@ def oracle_chunk(args):
     ]
     checked = 0
     violations = []
-    closed = []
+    closed = 0
 
     def witness(law, xmask, detail):
         fam = sorted(operators.mask_to_family(sp, xmask))
@@ -35,8 +35,7 @@ def oracle_chunk(args):
             witness("up-of-interior", xmask, "up(interior(X)) != up(X)")
         if operators.interior_mask(sp, al) != al:
             witness("idempotent-interior", xmask, "interior not idempotent")
-        if al == xmask:
-            closed.append((operators.up_mask(sp, xmask), xmask))
+        closed += al == xmask
         for spp in sub:
             app = operators.interior_mask(spp, xmask)
             for spq in sub:

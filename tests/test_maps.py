@@ -9,7 +9,6 @@ from finpart.maps import (
     fin_to_disjoint,
     index_subset,
     ns_injection,
-    signature_classes,
     subset_index,
     tuple_to_partition,
 )
@@ -47,14 +46,6 @@ def test_index_subset_roundtrip():
         index_subset(0, 2)
     with pytest.raises(ValueError):
         subset_index(frozenset(), 2)
-
-
-def test_signature_classes():
-    sc = signature_classes(5, [(0, 1), (1, 2)])
-    assert sc.inside[frozenset({0})] == (0,)
-    assert sc.inside[frozenset({0, 1})] == (1,)
-    assert sc.inside[frozenset({1})] == (2,)
-    assert sc.outside == (3, 4)
 
 
 def test_tuple_to_partition():
@@ -95,6 +86,22 @@ def test_bfin_map_undefined_cases():
     assert P is None and "missing" in reason
     P, reason = bfin_map(5, [(0, 1, 4), (2, 3, 4)])
     assert P is None and "singleton" in reason
+
+
+def test_bfin_map_reasons_name_the_class():
+    # signatures {0, 1}, {0, 2}, {1, 2} and {0, 1, 2} (indices 3, 5, 6 and
+    # 7) are empty: the reason names the first by index
+    assert bfin_map(6, [(0, 1), (2, 3), (4, 5)]) == (
+        None, "missing signature class [0, 1]")
+    # (5,) has the lower index ({1}) and (4,) the least element
+    assert bfin_map(6, [(0, 1, 4), (4, 5)]) == (
+        None, "singleton signature class (4,)")
+
+
+def test_bfin_map_rejects_elements_outside_the_ground_set():
+    # 9 is outside {0..3}: refused, not dropped into a "missing" reason
+    with pytest.raises(ValueError, match="out of range"):
+        bfin_map(4, [(0, 1, 9), (2, 3)])
 
 
 def test_ns_injection_injective():

@@ -506,3 +506,42 @@ def test_bfin_map_commutes_with_relabelling(case):
     assert (pP is None) == (P is None)
     if P is not None:
         assert frozenset(pP) == apply_perm(pi, frozenset(P))
+
+
+def bfin_oracle(a, sets):
+    """bfin_map from the definition: each element's signature is the set of
+    indices of the sets holding it; the map is defined iff each of the
+    2^n - 1 non-empty signatures holds at least 2 elements, and then the
+    partition's blocks are those classes plus a singleton per element of
+    no set.  Blocks sorted by least element, as in a canonical partition."""
+    n = len(sets)
+    sig = [frozenset(k for k, s in enumerate(sets) if x in s) for x in range(a)]
+    classes = [
+        tuple(x for x in range(a) if sig[x] == {k for k in range(n) if i >> k & 1})
+        for i in range(1, 1 << n)
+    ]
+    if any(len(c) < 2 for c in classes):
+        return None
+    return tuple(sorted(classes + [(x,) for x in range(a) if not sig[x]]))
+
+
+@st.composite
+def set_families(draw):
+    """(a, sets): up to 3 distinct subsets of range(a), drawn through a
+    signature label per ground element so that every case arises."""
+    a = draw(st.integers(0, 9))
+    n = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=a,
+                           max_size=a))
+    sets = [tuple(x for x in range(a) if labels[x] >> k & 1) for k in range(n)]
+    hypothesis.assume(len(set(sets)) == n)
+    return a, sets
+
+
+@example((8, [(0, 1, 4, 5), (2, 3, 4, 5)]))
+@given(set_families())
+def test_bfin_map_matches_definition(case):
+    a, sets = case
+    P, reason = maps.bfin_map(a, sets)
+    assert P == bfin_oracle(a, sets)
+    assert (reason is None) == (P is not None)

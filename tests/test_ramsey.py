@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from finpart import ramsey
 from finpart.operators import BudgetExceeded
 from finpart.ramsey import (
     ProductColoring,
@@ -176,6 +177,40 @@ def test_upper_bound_values():
     assert upper_bound_R(RamseyQuery((2,), 2, 3)) == 6
     assert upper_bound_R(RamseyQuery((1,), 3, 4)) == 10
     assert upper_bound_R(RamseyQuery((1, 1), 2, 2)) >= 3
+
+
+def recurrence_oracle(rvec):
+    """The graph recurrence R(r-bar) <= 2 - c + sum_i R(r-bar - e_i) by
+    plain recursion: a target of 2 drops its color, one color left needs
+    its own target."""
+    rvec = tuple(sorted(rvec))
+    if rvec and rvec[0] == 2:
+        return recurrence_oracle(rvec[1:])
+    if len(rvec) <= 1:
+        return rvec[0] if rvec else 2
+    return 2 - len(rvec) + sum(
+        recurrence_oracle(rvec[:i] + (rvec[i] - 1,) + rvec[i + 1:])
+        for i in range(len(rvec))
+    )
+
+
+def test_graph_bound_matches_recurrence():
+    for c in (1, 2, 3):
+        for r in range(3, 9 - c):
+            assert ramsey._graph_bound(c, r) == recurrence_oracle((r,) * c), (c, r)
+    assert ramsey._graph_bound(2, 4) == 20  # R(4, 4) <= 20
+
+
+def test_bounds_refuse_before_computing(monkeypatch):
+    monkeypatch.setattr(ramsey, "_GRAPH_WORK", 100)
+    assert ramsey._graph_bound(3, 5) == recurrence_oracle((5, 5, 5))  # 60 steps
+    with pytest.raises(BudgetExceeded, match="recurrence"):
+        ramsey._graph_bound(3, 6)  # 3 * C(7, 3) = 105 steps
+    monkeypatch.setattr(ramsey, "_BOUND_BITS", 100)
+    assert ramsey._power(2, 99) == 2**99
+    assert ramsey._power(1, 10**100) == 1
+    with pytest.raises(BudgetExceeded, match="bits"):
+        ramsey._power(3, 64)  # 64 log2(3) = 101.4 bits
 
 
 def test_subgrid():

@@ -192,6 +192,9 @@ def test_find_fixing_transposition_examples():
         transposition(6, 0, 1)
     t = find_fixing_transposition(((5,),), (0, 1, 2), 6)
     assert t is not None
+    # components out of order: the class with the least element comes first
+    assert find_fixing_transposition(((2, 3), (0, 1)), (0, 1, 2, 3), 4) == \
+        transposition(4, 0, 1)
 
 
 def test_find_fixing_transposition_total():
