@@ -153,7 +153,16 @@ def _ramsey_search(args):
 
 
 def _ramsey_bound(args):
-    print(json.dumps({"upper_bound": ramsey.upper_bound_R(_query(args))}, indent=2))
+    bound = ramsey.upper_bound_R(_query(args))
+    # ramsey._BOUND_BITS keeps the digits bounded; the interpreter's
+    # int-to-str limit is lifted for this one conversion only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps({"upper_bound": bound}, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
     return 0
 
 

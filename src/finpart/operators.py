@@ -33,6 +33,12 @@ an extension that avoids the family, so the interior is X itself.  Only
 otherwise does it search, once per class of candidates that agree inside
 the support, over placements of the support elements that an extension
 cannot avoid (`exists_uncovered_extension`).
+
+The dense kernels read per-byte tables that `profile_space` builds once:
+`up_mask` ORs one table entry per byte of its mask.  `down_mask` ORs, per
+byte of the l-side mask, the m-tuples with an extension outside it, and
+keeps the rest; where those tables would take more steps than a quarter
+of the m-tuples, it scans the extension masks instead.
 """
 
 from __future__ import annotations
@@ -79,9 +85,15 @@ def check_profiles(m, l):
 # ---------------------------------------------------------------------------
 # dense index spaces
 
-# A dense space holds every m- and l-tuple with an index dict over each
-# (about 200 bytes per tuple), plus one l_size-bit extension mask per
-# m-tuple.  The bit budget also bounds the build, which sets at most
+# A dense space holds every m- and l-tuple with an index dict over each,
+# one l_size-bit extension mask per m-tuple (about 300 bytes per tuple in
+# all), and the byte tables of the mask kernels: one table of 256 entries
+# per 8 m-tuples, and per 8 l-tuples where down_mask reads tables.  A
+# table takes about 10 kB plus the bits of its entries, which are masks
+# over the other side, so up to 32 entries (about 1.3 kB) per indexed
+# tuple plus 4 bytes per mask bit for each side's tables: 21 MB for
+# (16, (8,), (15,)), at the edge of the tuple budget, measured with
+# tracemalloc.  The bit budget also bounds the build, which sets at most
 # l_size bits in each mask.
 _TUPLE_BUDGET = 1 << 15
 _BIT_BUDGET = 1 << 20
@@ -110,10 +122,29 @@ class ProfileSpace:
     ext: list          # per m-tuple: bitmask of its l-extensions
     l_tuples: tuple
     l_index: dict
+    full_m_mask: int   # one bit per m-tuple
+    # per run of 8 m-indices: byte of an m-side mask -> OR of their ext
+    up_bytes: tuple
+    # per run of 8 l-indices: byte of an l-side mask g -> the m-tuples
+    # with an extension among those l-indices outside g; None where
+    # down_mask scans ext instead
+    down_bytes: tuple | None
 
-    @property
-    def full_m_mask(self):
-        return (1 << len(self.m_tuples)) - 1
+
+def _byte_tables(masks):
+    """Per run of 8 masks, the 256 ORs of its subsets: entry b ORs the
+    masks at the set bits of b, built from the entry with b's lowest bit
+    cleared.  The last run is padded with empty masks, so bits past the
+    end select nothing."""
+    tables = []
+    for lo in range(0, len(masks), 8):
+        run = masks[lo:lo + 8]
+        run += [0] * (8 - len(run))
+        t = [0] * 256
+        for b in range(1, 256):
+            t[b] = t[b & b - 1] | run[(b & -b).bit_length() - 1]
+        tables.append(tuple(t))
+    return tuple(tables)
 
 
 @cache
@@ -139,8 +170,23 @@ def profile_space(a, m, l):
         for q in enum_extensions(a, p, l):
             mask |= 1 << l_index[q]
         ext.append(mask)
+    # Table down takes one step per byte of g, the scan one per m-tuple.
+    # Measured, the tables won wherever they take at most a quarter as
+    # many steps, and lost 1.5-7.6x on (25, (2,), (3,)), (12, (1,), (3,))
+    # and (12, (1,), (5,)), where they take 0.96, 2.3 and 8.3 times as many.
+    down_bytes = None
+    if 4 * ((len(l_tuples) + 7) // 8) <= len(m_tuples):
+        inc = [0] * len(l_tuples)  # per l-tuple: the m-tuples it extends
+        for i, e in enumerate(ext):
+            while e:
+                low = e & -e
+                inc[low.bit_length() - 1] |= 1 << i
+                e ^= low
+        # indexed by g's byte b itself: 255 - b is the complement of b
+        down_bytes = tuple(t[::-1] for t in _byte_tables(inc))
     return ProfileSpace(a, m, l, m_tuples, m_index, len(l_tuples), ext,
-                        l_tuples, l_index)
+                        l_tuples, l_index, (1 << len(m_tuples)) - 1,
+                        _byte_tables(ext), down_bytes)
 
 
 def _index_mask(index, X, a, profile):
@@ -166,22 +212,31 @@ def mask_to_family(sp, mask):
 
 
 def up_mask(sp, xmask):
+    """The l-tuples extending some m-tuple in xmask: one table lookup per
+    byte of xmask."""
     g = 0
-    x = xmask
-    while x:
-        low = x & -x
-        g |= sp.ext[low.bit_length() - 1]
-        x ^= low
+    for t in sp.up_bytes:
+        g |= t[xmask & 255]
+        xmask >>= 8
     return g
 
 
 def down_mask(sp, g):
-    """The m-tuples all of whose l-extensions lie in the l-side mask g."""
-    r = 0
-    for i, e in enumerate(sp.ext):
-        if e & g == e:
-            r |= 1 << i
-    return r
+    """The m-tuples all of whose l-extensions lie in the l-side mask g:
+    those that no table entry for g's bytes rules out, or, without
+    tables, those whose ext lies within g.  Either way an m-tuple without
+    extensions is kept."""
+    if sp.down_bytes is None:
+        r = 0
+        for i, e in enumerate(sp.ext):
+            if e & g == e:
+                r |= 1 << i
+        return r
+    out = 0
+    for t in sp.down_bytes:
+        out |= t[g & 255]
+        g >>= 8
+    return sp.full_m_mask & ~out
 
 
 def interior_mask(sp, xmask):

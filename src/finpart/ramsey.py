@@ -323,8 +323,8 @@ def _graph_bound(c, r):
 def _single_coordinate_bound(j, c, r):
     if r <= j:
         return max(r, 0)  # a single (or empty) sub-grid point suffices
-    if j == 0:
-        return r
+    if j == 0 or c == 1:
+        return r  # every r-subset will do, and a side needs r points
     if j == 1:
         return c * (r - 1) + 1  # pigeonhole, exact
     # hypergraph step-down, Erdos--Rado shape: color (k-1)-sets through a

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from finpart import cli, coding, core, suites, symmetry
+from finpart import cli, coding, core, ramsey, suites, symmetry
 from finpart.report import RunReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,6 +183,25 @@ def test_ramsey_bound_large_value(capsys):
     ])
     assert code == 0
     assert json.loads(out)["upper_bound"] == 2 + 2**190
+
+
+def test_ramsey_bound_prints_every_digit(monkeypatch, capsys):
+    # a 9,521-digit bound, past the interpreter's 4,300-digit str limit,
+    # which the command lifts for its one conversion and then restores
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(sys, "argv", [
+        "finpart", "ramsey", "bound", "--j", "3", "--c", "2", "--r", "7",
+    ])
+    assert cli.main() == 0
+    assert sys.get_int_max_str_digits() == limit
+    digits = json.loads(capsys.readouterr().out, parse_int=str)["upper_bound"]
+    bound = ramsey.upper_bound_R(ramsey.RamseyQuery((3,), 2, 7))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert digits == str(bound)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) == 9521
 
 
 def test_counts_tuples_makes_only_profiles_that_fit():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -98,6 +99,64 @@ def test_operators_match_oracle():
             assert up(a, m, l, X) == oracle_up(a, m, l, X)
             assert interior(a, m, l, X) == oracle_interior(a, m, l, X)
             assert boundary(a, m, l, X) == oracle_interior(a, m, l, X) - X
+
+
+# (a, m, l, whether down_mask reads byte tables rather than scanning ext)
+KERNEL_SPACES = [
+    (6, (2,), (3,), True),        # 15 m-tuples, 20 l-tuples
+    (5, (1, 1), (2, 2), True),    # 20, 30
+    (8, (3,), (4,), True),        # 56 m-tuples: whole runs of 8; 70 l-tuples
+    (12, (1,), (5,), False),      # 12, 792
+    (6, (1,), (3,), False),       # 6, 20
+    (3, (1,), (4,), True),        # sum(l) > a: no l-tuples, all vacuous
+    (2, (3,), (3,), True),        # no m-tuples at all
+]
+
+
+@pytest.mark.parametrize("a, m, l, tables", KERNEL_SPACES)
+def test_mask_kernels_match_a_scan_over_ext(a, m, l, tables):
+    """up_mask and down_mask against the definitions read off ext: up ORs
+    the extension masks of the members, down keeps the m-tuples whose
+    extensions all lie in g.  Every mask where there are at most 2^8,
+    seeded ones otherwise, plus the empty and the full mask."""
+    sp = profile_space(a, m, l)
+    assert (sp.down_bytes is not None) == tables
+    M, L = len(sp.m_tuples), sp.l_size
+    rng = random.Random(3)
+
+    def masks(size):
+        if size <= 8:
+            return range(1 << size)
+        return [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(300)]
+
+    for x in masks(M):
+        want = 0
+        for i, e in enumerate(sp.ext):
+            if x >> i & 1:
+                want |= e
+        assert operators.up_mask(sp, x) == want
+    gs = list(masks(L)) + [operators.up_mask(sp, x) for x in masks(M)]
+    for g in gs:
+        want = 0
+        for i, e in enumerate(sp.ext):
+            if not e & ~g:
+                want |= 1 << i
+        assert operators.down_mask(sp, g) == want
+
+
+def test_dense_space_memory_stays_within_the_budget_figure():
+    """coder_partitions' space: up tables, and the down scan over 792
+    l-tuples.  Its build allocates within the figure beside _TUPLE_BUDGET:
+    ~300 B per tuple, ~10 kB per byte table, 4 B per table mask bit."""
+    tracemalloc.start()
+    try:
+        sp = profile_space.__wrapped__(12, (1,), (5,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    M, L = len(sp.m_tuples), sp.l_size
+    assert sp.down_bytes is None and len(sp.up_bytes) == 2
+    assert peak <= 300 * (M + L) + 10_000 * 2 + 4 * M * L
 
 
 def test_interior_sparse_matches_dense():

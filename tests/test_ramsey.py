@@ -179,6 +179,16 @@ def test_upper_bound_values():
     assert upper_bound_R(RamseyQuery((1, 1), 2, 2)) >= 3
 
 
+def test_single_colour_bound_is_a_side_that_holds():
+    # with one colour every r-subset is monochromatic, so r is exact; the
+    # step-down used to answer j < r for j >= 3
+    for j in range(6):
+        for r in range(8):
+            q = RamseyQuery((j,), 1, r)
+            ub = upper_bound_R(q)
+            assert has_property((ub,), q).holds, (j, r, ub)
+
+
 def recurrence_oracle(rvec):
     """The graph recurrence R(r-bar) <= 2 - c + sum_i R(r-bar - e_i) by
     plain recursion: a target of 2 drops its color, one color left needs
