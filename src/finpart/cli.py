@@ -84,7 +84,7 @@ def demo_coding(cfg, X=None):
     else:
         print(f"|H| = {len(H)} partitions")
         # one pass over H for every key's count
-        sizes = {l: len(Z) for l, Z in coding._slices(H).items()}
+        sizes = {l: len(Z) for l, Z in coding.slices(H, cfg).items()}
         for key in sorted(book.Y):
             print(f"  slice {key}: {sizes.get(cfg.f(*key), 0)} tuples")
         dec = coding.decode(H, cfg)

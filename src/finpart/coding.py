@@ -17,6 +17,12 @@ frozenset of each partition's non-singleton block set, with singletons
 implicit.  The decoder reads only the blocks of size >= 2 of each element,
 so it accepts full partitions as well.
 
+On a key whose (a, m, l) operator runs dense, every l-tuple has one shared
+block-set object, built once per (a, l): `materialize` returns these
+objects rather than new frozensets, and `decode` looks each element of H up
+in a per-config index of them before bucketing only the misses by block
+sizes.  A hit compares by identity and reuses the set's cached hash.
+
 A sequence coder composes this with the subset-sequence/disjoint-tuple
 bijection to code sets of fixed-arity sequences of finite sets.
 """
@@ -26,18 +32,22 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cache
+from itertools import compress, islice, repeat
 from math import prod
 
 from .core import check_disjoint_tuple, profile_of
 from .maps import disjoint_to_fin, fin_to_disjoint
 from .operators import (
     EXTENSION_BUDGET,
+    _index_mask,
+    _route,
     boundary_chain,
     count_extensions,
     down,
     interior,
     up,
+    up_mask,
 )
 
 
@@ -319,11 +329,29 @@ def encode(X, cfg):
 # ---------------------------------------------------------------------------
 # materialized partitions
 
+# (a, l) -> one frozenset of blocks per l-tuple of a dense l-side, in
+# l-index order; keyed by (a, l) because the l-side does not depend on m
+_BLOCK_SETS = {}
+
+
+def _block_sets(sp):
+    """The shared block set of each l-tuple of the dense space sp."""
+    key = (sp.a, sp.l)
+    sets = _BLOCK_SETS.get(key)
+    if sets is None:
+        sets = _BLOCK_SETS[key] = tuple(map(frozenset, sp.l_tuples))
+    return sets
+
+
 def materialize(book):
     """The partition set carried by a book: for every key, the partitions
     induced by the l-extensions of the stored family, each as the
     frozenset of its non-singleton blocks (every l_i >= 2, so these are
     the components of the l-extension; the singletons are implicit).
+
+    On a dense key the elements are the shared block sets of the l-side
+    (`_block_sets`) at the set bits of the family's up mask, so no new
+    frozenset is built; a sparse key builds one per extension.
 
     Returns (partitions, None) or (None, count) when the number of
     candidate extension tuples exceeds EXTENSION_BUDGET.
@@ -336,22 +364,51 @@ def materialize(book):
         return None, total
     out = set()
     for (j, m, k), fam in book.Y.items():
-        out.update(map(frozenset, up(cfg.a, m, cfg.f(j, m, k), fam)))
+        l = cfg.f(j, m, k)
+        sp = _route(cfg.a, m, l)
+        if sp is None:
+            out.update(map(frozenset, up(cfg.a, m, l, fam)))
+            continue
+        g = up_mask(sp, _index_mask(sp.m_index, fam, cfg.a, sp.m))
+        # bit i of g, lowest first, as a zero or non-zero byte
+        out.update(compress(_block_sets(sp),
+                            bin(g)[:1:-1].encode().replace(b"0", b"\0")))
     return frozenset(out), None
 
 
-def _slices(H):
-    """Bucket a partition set by the sorted sizes of each element's
-    non-singleton blocks, holding those blocks in ascending size.  The
-    sizes of an l-tuple strictly increase, so bucket l is the slice of
-    l-profile tuples, components in order."""
+@cache
+def _slice_index(cfg):
+    """Shared block set -> (l, l-tuple), over the dense keys of cfg."""
+    index = {}
+    for j, m, k in cfg.keys():
+        l = cfg.f(j, m, k)
+        sp = _route(cfg.a, m, l)
+        if sp is not None:
+            index.update(zip(_block_sets(sp), zip(repeat(l), sp.l_tuples)))
+    return index
+
+
+def slices(H, cfg):
+    """Bucket a partition set into slices, l -> list of l-profile tuples.
+
+    An element equal to a block set of one of cfg's dense keys is looked
+    up in the config's index and goes into that key's slice as its
+    l-tuple.  Any other element (a full partition, a sparse key's block
+    set, junk, malformed blocks) goes into the bucket of the sorted sizes
+    of its non-singleton blocks, holding those blocks in ascending size.
+    The sizes of an l-tuple strictly increase, so bucket l is the slice of
+    l-profile tuples, components in order, either way."""
+    index = _slice_index(cfg)
     out = defaultdict(list)
     for P in H:
-        ns = [b for b in P if len(b) >= 2]
-        if len(ns) > 1:
-            ns.sort(key=len)
-        ns = tuple(ns)
-        out[tuple(map(len, ns))].append(ns)
+        entry = index.get(P)
+        if entry is None:
+            ns = [b for b in P if len(b) >= 2]
+            if len(ns) > 1:
+                ns.sort(key=len)
+            ns = tuple(ns)
+            entry = tuple(map(len, ns)), ns
+        out[entry[0]].append(entry[1])
     return out
 
 
@@ -360,7 +417,7 @@ def extract_slice(H, cfg, j, m, k):
     (block sets or full partitions): elements whose non-singleton block
     sizes match l as a set, with the component order recovered by
     ascending block size."""
-    return frozenset(_slices(H).get(cfg.f(j, m, k), ()))
+    return frozenset(slices(H, cfg).get(cfg.f(j, m, k), ()))
 
 
 def pullback_Y(a, m, Z, l):
@@ -384,10 +441,13 @@ def decode(source, cfg=None, check=True):
     """Recover the indexed family from a code book or a partition set.
 
     A partition set (block sets as `materialize` gives them, or full
-    partitions) is bucketed once by non-singleton block sizes, and each
-    key's slice is pulled back to its Y-family first.  Then, per slot, the
-    alternating difference Y_0 \\ (Y_1 \\ (... \\ Y_K)) rebuilds the slot family, and slot
-    families with the same index are unioned.
+    partitions) is bucketed once by `slices`: each element is looked up
+    among the shared block sets of the dense keys first, and only the
+    misses are bucketed by non-singleton block sizes.  Each key's slice is
+    then pulled back to its Y-family by `pullback_Y`, which checks its
+    tuples.  Then, per slot, the alternating difference
+    Y_0 \\ (Y_1 \\ (... \\ Y_K)) rebuilds the slot family, and slot families
+    with the same index are unioned.
 
     With check=True every Y obtained by pullback is verified to be
     interior-closed at the slot's top profile; failure raises DecodeError
@@ -403,11 +463,11 @@ def decode(source, cfg=None, check=True):
     else:
         if cfg is None:
             raise CodingError("decoding a partition set needs the configuration")
-        slices = _slices(source)
+        by_l = slices(source, cfg)
         Y = {}
         for j, m, k in cfg.keys():
             l = cfg.f(j, m, k)
-            Yk = pullback_Y(cfg.a, m, frozenset(slices.get(l, ())), l)
+            Yk = pullback_Y(cfg.a, m, frozenset(by_l.get(l, ())), l)
             if check and interior(cfg.a, m, cfg.g(j, m), Yk) != Yk:
                 raise DecodeError(
                     f"slice ({j}, {m}, {k}) is not interior-closed after pullback; "

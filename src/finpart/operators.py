@@ -94,7 +94,10 @@ def check_profiles(m, l):
 # tuple plus 4 bytes per mask bit for each side's tables: 21 MB for
 # (16, (8,), (15,)), at the edge of the tuple budget, measured with
 # tracemalloc.  The bit budget also bounds the build, which sets at most
-# l_size bits in each mask.
+# l_size bits in each mask.  The coder adds, per dense l-tuple it reads,
+# one shared block set and one entry of its decode index: about 300 bytes,
+# so 10.4 MB for (256, (0,), (2,)), at the edge of the tuple budget, also
+# measured with tracemalloc.
 _TUPLE_BUDGET = 1 << 15
 _BIT_BUDGET = 1 << 20
 

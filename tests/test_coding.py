@@ -178,6 +178,53 @@ def test_roundtrip_sampled(cfg12):
             normalize_indexed(X)
 
 
+def test_dense_keys_share_block_sets(cfg12):
+    # two materializations of a dense key hand out the same objects
+    H1, _ = materialize(encode({0: frozenset({((0,),)})}, cfg12))
+    H2, _ = materialize(encode({0: frozenset({((0,),), ((1,),)})}, cfg12))
+    shared = {id(P) for P in H2}
+    assert H1 < H2
+    assert all(id(P) in shared for P in H1)
+
+
+def test_decode_of_equal_fresh_block_sets(cfg12):
+    # equal but not identical elements take the same path as shared ones
+    X = {0: frozenset({((0,),), ((4,),), ((7,),)})}
+    H, _ = materialize(encode(X, cfg12))
+    fresh = frozenset(frozenset(tuple(list(b)) for b in P) for P in H)
+    assert fresh == H
+    assert not {id(P) for P in fresh} & {id(P) for P in H}
+    assert decode(fresh, cfg12) == decode(H, cfg12) == X
+    for k in (0, 1):
+        assert extract_slice(fresh, cfg12, 0, (1,), k) == \
+            extract_slice(H, cfg12, 0, (1,), k)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param((2, 1, 0), id="unsorted"),
+    pytest.param((10, 11, 12), id="out-of-range"),
+])
+def test_decode_rejects_malformed_dense_block(cfg12, bad):
+    # a 3-block sits in the dense key (0, (1,), 0) but matches no l-tuple
+    assert fits_dense(12, (1,), (3,))
+    H, _ = materialize(encode({0: frozenset({((0,),)})}, cfg12))
+    with pytest.raises(CodingError):
+        decode(H | {frozenset({bad})}, cfg12)
+
+
+def test_sparse_key_config_decodes():
+    # at a = 60 both keys, l = (3,) and (5,), run sparse: every element of
+    # H is bucketed by block sizes
+    cfg = compact_config(60, 1, [(0, (1,))])
+    assert not fits_dense(60, (1,), (3,)) and not fits_dense(60, (1,), (5,))
+    X = {0: frozenset({((0,),), ((1,),)})}
+    H, _ = materialize(encode(X, cfg))
+    assert len(H) == 2 * 1711 - 58
+    assert extract_slice(H, cfg, 0, (1,), 0) == frozenset(
+        q for q in enum_disjoint_tuples(60, (3,)) if {0, 1} & set(q[0]))
+    assert decode(H, cfg) == X
+
+
 def test_book_json_roundtrip(cfg12):
     X = {0: frozenset({((0,),), ((3,),)})}
     book = encode(X, cfg12)

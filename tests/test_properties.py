@@ -363,25 +363,37 @@ def oracle_slice(H, l):
 
 def oracle_decode(H, cfg):
     """Per key, the slice oracle pulled back by oracle_down; then the
-    book's alternating difference."""
+    book's alternating difference.  A slice holding anything but a
+    disjoint l-profile tuple over range(a) is no code: CodingError."""
     Y = {}
     for j, m, k in cfg.keys():
         l = cfg.f(j, m, k)
-        Y[(j, m, k)] = oracle_down(cfg.a, m, l, oracle_slice(H, l))
+        Z = oracle_slice(H, l)
+        if not Z <= set(enum_disjoint_tuples(cfg.a, l)):
+            raise coding.CodingError(f"slice {l} holds a malformed tuple")
+        Y[(j, m, k)] = oracle_down(cfg.a, m, l, Z)
     return coding.decode(coding.CodeBook(cfg, Y))
 
 
 @st.composite
 def block_sets(draw, a):
     """Disjoint blocks of sizes 2..6 cut from a shuffled range(a): none,
-    one, or several, with sizes a key may or may not have."""
+    one, or several, with sizes a key may or may not have.  Now and then a
+    block is malformed: in descending order, or with its largest element
+    moved to a or beyond."""
     order = draw(st.permutations(range(a)))
     out, start = [], 0
     for size in draw(st.lists(st.integers(2, 6), max_size=3)):
         if start + size > a:
             break
-        out.append(tuple(sorted(order[start:start + size])))
+        block = sorted(order[start:start + size])
         start += size
+        flaw = draw(st.sampled_from([None, None, None, "unsorted", "out of range"]))
+        if flaw == "unsorted":
+            block.reverse()
+        elif flaw == "out of range":
+            block[-1] += a
+        out.append(tuple(block))
     return frozenset(out)
 
 
@@ -411,16 +423,32 @@ def coded_unions(draw):
 @example((PAIR_EMPTY_A6, code_of(PAIR_EMPTY_A6, {0: {((), ())}}) | {
     frozenset({(0, 1, 2), (3, 4, 5)}), frozenset({(0, 1)}),
     frozenset({(0, 1), (2, 3), (4, 5)})}))
+# malformed blocks: with the sizes of a key, and of no key
+@example((SINGLE_SLOT_A12, code_of(SINGLE_SLOT_A12, {0: {((0,),)}}) | {
+    frozenset({(2, 1, 0)})}))
+@example((SINGLE_SLOT_A12, code_of(SINGLE_SLOT_A12, {0: {((0,),)}}) | {
+    frozenset({(9, 10, 12)}), frozenset({(1, 0)}), frozenset({(3, 12)})}))
+@example((PAIR_EMPTY_A6, frozenset({frozenset({(0, 7), (1, 2, 3)})})))
 @settings(max_examples=40)
 @given(coded_unions())
 def test_decode_matches_full_partitions_and_slice_oracle(case):
-    """decode(H) on block sets equals decode on the same partitions written
-    out in full, and the per-key slice oracle."""
+    """Every key's slice equals the slice oracle.  decode(H) on block sets
+    raises CodingError exactly when oracle_decode does, and otherwise
+    equals it and decode on the same partitions written out in full."""
     cfg, H = case
+    for j, m, k in cfg.keys():
+        assert coding.extract_slice(H, cfg, j, m, k) == \
+            oracle_slice(H, cfg.f(j, m, k))
+    try:
+        want = oracle_decode(H, cfg)
+    except coding.CodingError:
+        with pytest.raises(coding.CodingError):
+            coding.decode(H, cfg, check=False)
+        return
     got = coding.decode(H, cfg, check=False)
+    assert got == want
     full = frozenset(partition_from_ns(cfg.a, P) for P in H)
     assert coding.decode(full, cfg, check=False) == got
-    assert oracle_decode(H, cfg) == got
 
 
 @st.composite
