@@ -83,11 +83,11 @@ def demo_coding(cfg, X=None):
         dec = coding.decode(book)
     else:
         print(f"|H| = {len(H)} partitions")
-        # one pass over H for every key's count
-        sizes = {l: len(Z) for l, Z in coding.slices(H, cfg).items()}
+        # one pass over H, for every key's count and for the decoder
+        by_l = coding.slices(H, cfg)
         for key in sorted(book.Y):
-            print(f"  slice {key}: {sizes.get(cfg.f(*key), 0)} tuples")
-        dec = coding.decode(H, cfg)
+            print(f"  slice {key}: {len(by_l.get(cfg.f(*key), ()))} tuples")
+        dec = coding.decode(coding._book_of_slices(by_l, cfg))
     verdict = coding.normalize_indexed(dec) == coding.normalize_indexed(X)
     print("decoded:")
     for j, fam in sorted(dec.items()):

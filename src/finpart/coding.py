@@ -33,7 +33,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from math import prod
 
 from .core import check_disjoint_tuple, profile_of
@@ -42,9 +42,11 @@ from .operators import (
     EXTENSION_BUDGET,
     _index_mask,
     _route,
+    at_bits,
     boundary_chain,
     count_extensions,
     down,
+    indexed_tuples,
     interior,
     up,
     up_mask,
@@ -186,13 +188,14 @@ class CodingConfig:
                 raise CodingError(f"negative slot index {j}")
             if len(m) != self.n or any(x < 0 for x in m):
                 raise CodingError(f"profile {m} invalid for arity {self.n}")
-            g = block_sizes(self.signature, j, m, sum(m), self.n)
+        object.__setattr__(self, "_sizes",
+                           validate_signature(self.signature, self.slots))
+        for j, m in self.slots:
+            g = self.g(j, m)
             if self.a < sum(g):
                 raise CodingError(
                     f"ground size {self.a} below sum{g} needed by slot ({j}, {m})"
                 )
-        object.__setattr__(self, "_sizes",
-                           validate_signature(self.signature, self.slots))
 
     def f(self, j, m, k):
         # keys outside the table still go through block_sizes and its errors
@@ -329,18 +332,11 @@ def encode(X, cfg):
 # ---------------------------------------------------------------------------
 # materialized partitions
 
-# (a, l) -> one frozenset of blocks per l-tuple of a dense l-side, in
-# l-index order; keyed by (a, l) because the l-side does not depend on m
-_BLOCK_SETS = {}
-
-
-def _block_sets(sp):
-    """The shared block set of each l-tuple of the dense space sp."""
-    key = (sp.a, sp.l)
-    sets = _BLOCK_SETS.get(key)
-    if sets is None:
-        sets = _BLOCK_SETS[key] = tuple(map(frozenset, sp.l_tuples))
-    return sets
+@cache
+def _block_sets(a, l):
+    """The shared block set of each l-tuple of `indexed_tuples(a, l)`; kept
+    per (a, l), as the l-side of a dense key does not depend on m."""
+    return tuple(map(frozenset, indexed_tuples(a, l)[0]))
 
 
 def materialize(book):
@@ -369,10 +365,8 @@ def materialize(book):
         if sp is None:
             out.update(map(frozenset, up(cfg.a, m, l, fam)))
             continue
-        g = up_mask(sp, _index_mask(sp.m_index, fam, cfg.a, sp.m))
-        # bit i of g, lowest first, as a zero or non-zero byte
-        out.update(compress(_block_sets(sp),
-                            bin(g)[:1:-1].encode().replace(b"0", b"\0")))
+        g = up_mask(sp, _index_mask(cfg.a, sp.m, fam))
+        out.update(at_bits(_block_sets(cfg.a, l), g))
     return frozenset(out), None
 
 
@@ -384,7 +378,7 @@ def _slice_index(cfg):
         l = cfg.f(j, m, k)
         sp = _route(cfg.a, m, l)
         if sp is not None:
-            index.update(zip(_block_sets(sp), zip(repeat(l), sp.l_tuples)))
+            index.update(zip(_block_sets(cfg.a, l), zip(repeat(l), sp.l_tuples)))
     return index
 
 
@@ -422,7 +416,7 @@ def extract_slice(H, cfg, j, m, k):
 
 def pullback_Y(a, m, Z, l):
     """The family of m-profile tuples all of whose l-extensions lie in Z,
-    a set of l-profile tuples (`operators.down`).
+    an iterable of l-profile tuples (`operators.down`).
 
     This inverts the up-closure on interior-closed families: when
     Z = up(Y) for Y interior-closed at some dominating profile, the
@@ -437,14 +431,27 @@ def pullback_Y(a, m, Z, l):
         raise CodingError(str(e)) from e
 
 
+def _book_of_slices(by_l, cfg, check=True):
+    """The code book of `decode`'s pullbacks of a partition set's slices."""
+    Y = {}
+    for j, m, k in cfg.keys():
+        l = cfg.f(j, m, k)
+        Yk = pullback_Y(cfg.a, m, by_l.get(l, ()), l)
+        if check and interior(cfg.a, m, cfg.g(j, m), Yk) != Yk:
+            raise DecodeError(
+                f"slice ({j}, {m}, {k}) is not interior-closed after pullback; "
+                "the configuration is too small to decode this input faithfully"
+            )
+        Y[(j, m, k)] = Yk
+    return CodeBook(cfg, Y)
+
+
 def decode(source, cfg=None, check=True):
     """Recover the indexed family from a code book or a partition set.
 
     A partition set (block sets as `materialize` gives them, or full
-    partitions) is bucketed once by `slices`: each element is looked up
-    among the shared block sets of the dense keys first, and only the
-    misses are bucketed by non-singleton block sizes.  Each key's slice is
-    then pulled back to its Y-family by `pullback_Y`, which checks its
+    partitions) is bucketed once by `slices`, and `_book_of_slices` pulls
+    each key's slice back to its Y-family by `pullback_Y`, which checks its
     tuples.  Then, per slot, the alternating difference
     Y_0 \\ (Y_1 \\ (... \\ Y_K)) rebuilds the slot family, and slot families
     with the same index are unioned.
@@ -454,26 +461,13 @@ def decode(source, cfg=None, check=True):
     naming the slice (it means the configuration is too small to be
     faithful for this input).
     """
-    if isinstance(source, CodeBook):
-        if cfg is None:
-            cfg = source.cfg
-        elif cfg != source.cfg:
-            raise CodingError("book was built over a different configuration")
-        Y = source.Y
-    else:
+    if not isinstance(source, CodeBook):
         if cfg is None:
             raise CodingError("decoding a partition set needs the configuration")
-        by_l = slices(source, cfg)
-        Y = {}
-        for j, m, k in cfg.keys():
-            l = cfg.f(j, m, k)
-            Yk = pullback_Y(cfg.a, m, frozenset(by_l.get(l, ())), l)
-            if check and interior(cfg.a, m, cfg.g(j, m), Yk) != Yk:
-                raise DecodeError(
-                    f"slice ({j}, {m}, {k}) is not interior-closed after pullback; "
-                    "the configuration is too small to decode this input faithfully"
-                )
-            Y[(j, m, k)] = Yk
+        source = _book_of_slices(slices(source, cfg), cfg, check)
+    elif cfg is not None and cfg != source.cfg:
+        raise CodingError("book was built over a different configuration")
+    cfg, Y = source.cfg, source.Y
     out = {}
     for j, m in cfg.slots:
         K = sum(m)

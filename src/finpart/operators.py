@@ -39,6 +39,13 @@ The dense kernels read per-byte tables that `profile_space` builds once:
 byte of the l-side mask, the m-tuples with an extension outside it, and
 keeps the rest; where those tables would take more steps than a quarter
 of the m-tuples, it scans the extension masks instead.
+
+This module owns the family-mask format: bit i of a mask selects tuple i
+of `indexed_tuples(a, profile)`, which lists and indexes the profile's
+tuples once for every space, coder key and suite; `_index_mask` writes
+masks and `at_bits` reads them.  Callers that visit each tuple once stream
+`enum_disjoint_tuples` instead: the sparse interior, sparse `down` without
+extensions, and the suites' `counts` tables and symmetry sweep.
 """
 
 from __future__ import annotations
@@ -85,19 +92,19 @@ def check_profiles(m, l):
 # ---------------------------------------------------------------------------
 # dense index spaces
 
-# A dense space holds every m- and l-tuple with an index dict over each,
-# one l_size-bit extension mask per m-tuple (about 300 bytes per tuple in
-# all), and the byte tables of the mask kernels: one table of 256 entries
-# per 8 m-tuples, and per 8 l-tuples where down_mask reads tables.  A
-# table takes about 10 kB plus the bits of its entries, which are masks
-# over the other side, so up to 32 entries (about 1.3 kB) per indexed
-# tuple plus 4 bytes per mask bit for each side's tables: 21 MB for
-# (16, (8,), (15,)), at the edge of the tuple budget, measured with
-# tracemalloc.  The bit budget also bounds the build, which sets at most
-# l_size bits in each mask.  The coder adds, per dense l-tuple it reads,
-# one shared block set and one entry of its decode index: about 300 bytes,
-# so 10.4 MB for (256, (0,), (2,)), at the edge of the tuple budget, also
-# measured with tracemalloc.
+# A dense space holds every m- and l-tuple with an index dict over each
+# (`indexed_tuples`, shared by every space with that side), one extension
+# mask per m-tuple (about 300 bytes per tuple in all), and the byte tables
+# of the mask kernels: one table of 256 entries per 8 m-tuples, and per 8
+# l-tuples where down_mask reads tables.  A table takes about 10 kB plus
+# the bits of its entries, which are masks over the other side, so up to
+# 32 entries (about 1.3 kB) per indexed tuple plus 4 bytes per mask bit
+# for each side's tables: 21 MB for (16, (8,), (15,)), at the edge of the
+# tuple budget, measured with tracemalloc.  The bit budget also bounds the
+# build, which sets at most one bit per l-tuple in each mask.  The coder
+# adds, per dense l-tuple it reads, one shared block set and one entry of
+# its decode index: about 300 bytes, so 10.4 MB for (256, (0,), (2,)), at
+# the edge of the tuple budget, also measured with tracemalloc.
 _TUPLE_BUDGET = 1 << 15
 _BIT_BUDGET = 1 << 20
 
@@ -112,6 +119,24 @@ def fits_dense(a, m, l):
     return m_size + l_size <= _TUPLE_BUDGET and m_size * l_size <= _BIT_BUDGET
 
 
+@cache
+def indexed_tuples(a, profile):
+    """The disjoint `profile` tuples over range(a) in enumeration order,
+    which is sorted order, and the index of each.  Raises BudgetExceeded,
+    before enumerating, past _TUPLE_BUDGET tuples."""
+    count = count_disjoint_tuples(a, profile)
+    if count > _TUPLE_BUDGET:
+        raise BudgetExceeded(f"{count} tuples of O_{profile}({a}) exceed the "
+                             f"budget of {_TUPLE_BUDGET} listed tuples")
+    tuples = tuple(enum_disjoint_tuples(a, profile))
+    return tuples, {t: i for i, t in enumerate(tuples)}
+
+
+def at_bits(seq, mask):
+    """The items of seq at the set bits of mask, bit i selecting seq[i]."""
+    return itertools.compress(seq, bin(mask)[:1:-1].encode().replace(b"0", b"\0"))
+
+
 @dataclass
 class ProfileSpace:
     """Precomputed index structures for one (a, m, l) operator instance."""
@@ -120,11 +145,8 @@ class ProfileSpace:
     m: tuple
     l: tuple
     m_tuples: tuple
-    m_index: dict
-    l_size: int
     ext: list          # per m-tuple: bitmask of its l-extensions
     l_tuples: tuple
-    l_index: dict
     full_m_mask: int   # one bit per m-tuple
     # per run of 8 m-indices: byte of an m-side mask -> OR of their ext
     up_bytes: tuple
@@ -163,16 +185,9 @@ def profile_space(a, m, l):
             f"O_{m}({a}) x O_{l}({a}) is over the dense budget "
             f"({_TUPLE_BUDGET} tuples, {_BIT_BUDGET} mask bits)"
         )
-    m_tuples = tuple(enum_disjoint_tuples(a, m))
-    m_index = {t: i for i, t in enumerate(m_tuples)}
-    l_tuples = tuple(enum_disjoint_tuples(a, l))
-    l_index = {t: i for i, t in enumerate(l_tuples)}
-    ext = []
-    for p in m_tuples:
-        mask = 0
-        for q in enum_extensions(a, p, l):
-            mask |= 1 << l_index[q]
-        ext.append(mask)
+    m_tuples = indexed_tuples(a, m)[0]
+    l_tuples = indexed_tuples(a, l)[0]
+    ext = [_index_mask(a, l, enum_extensions(a, p, l)) for p in m_tuples]
     # Table down takes one step per byte of g, the scan one per m-tuple.
     # Measured, the tables won wherever they take at most a quarter as
     # many steps, and lost 1.5-7.6x on (25, (2,), (3,)), (12, (1,), (3,))
@@ -181,21 +196,19 @@ def profile_space(a, m, l):
     if 4 * ((len(l_tuples) + 7) // 8) <= len(m_tuples):
         inc = [0] * len(l_tuples)  # per l-tuple: the m-tuples it extends
         for i, e in enumerate(ext):
-            while e:
-                low = e & -e
-                inc[low.bit_length() - 1] |= 1 << i
-                e ^= low
+            for q in at_bits(range(len(l_tuples)), e):
+                inc[q] |= 1 << i
         # indexed by g's byte b itself: 255 - b is the complement of b
         down_bytes = tuple(t[::-1] for t in _byte_tables(inc))
-    return ProfileSpace(a, m, l, m_tuples, m_index, len(l_tuples), ext,
-                        l_tuples, l_index, (1 << len(m_tuples)) - 1,
-                        _byte_tables(ext), down_bytes)
+    return ProfileSpace(a, m, l, m_tuples, ext, l_tuples,
+                        (1 << len(m_tuples)) - 1, _byte_tables(ext), down_bytes)
 
 
-def _index_mask(index, X, a, profile):
-    """The mask of X's positions in a dense space's index; ValueError for
-    a member that is not a disjoint `profile` tuple over range(a), which
-    is exactly a member the index does not hold."""
+def _index_mask(a, profile, X):
+    """The mask of X's positions in `indexed_tuples(a, profile)`;
+    ValueError for a member that is not a disjoint `profile` tuple over
+    range(a), which is exactly a member the index does not hold."""
+    index = indexed_tuples(a, profile)[1]
     mask = 0
     for t in X:
         try:
@@ -209,9 +222,7 @@ def _index_mask(index, X, a, profile):
 
 
 def mask_to_family(sp, mask):
-    return frozenset(
-        sp.m_tuples[i] for i in range(len(sp.m_tuples)) if mask >> i & 1
-    )
+    return frozenset(at_bits(sp.m_tuples, mask))
 
 
 def up_mask(sp, xmask):
@@ -275,8 +286,7 @@ def up(a, m, l, X):
     EXTENSION_BUDGET of them."""
     sp = _route(a, m, l)
     if sp is not None:
-        g = up_mask(sp, _index_mask(sp.m_index, X, a, sp.m))
-        return frozenset(sp.l_tuples[i] for i in range(sp.l_size) if g >> i & 1)
+        return frozenset(at_bits(sp.l_tuples, up_mask(sp, _index_mask(a, sp.m, X))))
     X = _members(a, X, m)
     total = len(X) * count_extensions(a, m, l)
     if total > EXTENSION_BUDGET:
@@ -292,7 +302,7 @@ def interior(a, m, l, X):
     sp = _route(a, m, l)
     if sp is None:
         return interior_sparse(a, m, l, X)
-    return mask_to_family(sp, interior_mask(sp, _index_mask(sp.m_index, X, a, sp.m)))
+    return mask_to_family(sp, interior_mask(sp, _index_mask(a, sp.m, X)))
 
 
 def boundary(a, m, l, X):
@@ -312,7 +322,7 @@ def down(a, m, l, Z):
     """
     sp = _route(a, m, l)
     if sp is not None:
-        return mask_to_family(sp, down_mask(sp, _index_mask(sp.l_index, Z, a, sp.l)))
+        return mask_to_family(sp, down_mask(sp, _index_mask(a, sp.l, Z)))
     Z = frozenset(Z)
     per = count_extensions(a, m, l)
     if per == 0:  # no m-tuple has an l-extension
@@ -337,7 +347,7 @@ def boundary_chain(a, m, l, X):
         while True:
             yield X
             X = _interior_of_members(a, m, l, X) - X
-    x = _index_mask(sp.m_index, X, a, sp.m)
+    x = _index_mask(a, sp.m, X)
     while True:
         yield mask_to_family(sp, x)
         x = boundary_mask(sp, x)

@@ -194,12 +194,11 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
         rng = random.Random(seed)
         total = samples
         masks = (rng.getrandbits(size) for _ in range(samples))
-    # bit i of a mask selects the i-th m-tuple in enumeration order
-    m_tuples = tuple(core.enum_disjoint_tuples(a, m))
+    m_tuples = operators.indexed_tuples(a, m)[0]
     checked = 0
     for mask in masks:
         checked += 1
-        X = frozenset(t for i, t in enumerate(m_tuples) if mask >> i & 1)
+        X = frozenset(operators.at_bits(m_tuples, mask))
         idx = operators.nilpotency_index(a, m, l, X)
         if isinstance(idx, operators.CycleReport):
             report.outcome = VIOLATION
@@ -317,7 +316,7 @@ def sample_indexed_family(cfg, rng):
     slots with small m-sides, few-member samples on the others."""
     X = {}
     for j, m in cfg.slots:
-        tuples = sorted(core.enum_disjoint_tuples(cfg.a, m))
+        tuples = operators.indexed_tuples(cfg.a, m)[0]
         if len(tuples) <= _UNIFORM_MAX_TUPLES:
             fam = frozenset(t for t in tuples if rng.random() < 0.5)
         else:
@@ -352,9 +351,9 @@ def suite_coding(cfg, mode, samples, seed):
         if len(cfg.slots) != 1:
             raise UsageError("exhaustive mode needs a single-slot config")
         j, m = cfg.slots[0]
-        tuples = sorted(core.enum_disjoint_tuples(cfg.a, m))
+        tuples = operators.indexed_tuples(cfg.a, m)[0]
         for mask in _exhaustive_masks(len(tuples), 14):
-            fam = frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
+            fam = frozenset(operators.at_bits(tuples, mask))
             X = {j: fam} if fam else {}
             checked += 1
             if not roundtrip(X):

@@ -114,8 +114,9 @@ def even_odd_orbits(B, s):
     Every permutation of the base moves the seed somewhere, and the seed's
     stabilizer is trivial (only one base point is off the seed), so the
     two orbits are disjoint, cover everything, and have (n+2)!/2 members
-    each.  Raises BudgetExceeded, before sweeping, when (n+2)! is over
-    _ORBIT_BUDGET."""
+    each.  B is sorted, so the mapping B -> images is odd exactly when
+    images has an odd number of inversions.  Raises BudgetExceeded, before
+    sweeping, when (n+2)! is over _ORBIT_BUDGET."""
     B = as_subset(B)
     s = tuple(s)
     if len(set(s)) != len(s) or not set(s) <= set(B):
@@ -129,15 +130,9 @@ def even_odd_orbits(B, s):
     xi, theta = set(), set()
     for images in itertools.permutations(B):
         table = dict(zip(B, images))
-        sign = _parity_of_mapping(B, images)
-        moved = tuple(table[x] for x in s)
-        (xi if sign == "even" else theta).add(moved)
+        odd = sum(x > y for x, y in itertools.combinations(images, 2)) & 1
+        (theta if odd else xi).add(tuple(table[x] for x in s))
     return OrbitPair(frozenset(xi), frozenset(theta), B, s)
-
-
-def _parity_of_mapping(domain, images):
-    pos = {x: i for i, x in enumerate(domain)}
-    return parity(tuple(pos[y] for y in images))
 
 
 def find_fixing_transposition(p, B, a):

@@ -2,12 +2,13 @@ import itertools
 import json
 import shlex
 import sys
+import time
 from math import comb, factorial, perm
 from pathlib import Path
 
 import pytest
 
-from finpart import cli, coding, core, ramsey, suites, symmetry
+from finpart import cli, coding, core, operators, ramsey, suites, symmetry
 from finpart.report import RunReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -245,6 +246,17 @@ def test_code_demo_materialization_infeasible(tmp_path, capsys):
     assert "round trip: pass" in out
 
 
+def test_code_demo_buckets_H_once(monkeypatch, capsys):
+    # the slices it counts are the slices it decodes
+    calls = []
+    slices = coding.slices
+    monkeypatch.setattr(coding, "slices",
+                        lambda H, cfg: calls.append(len(H)) or slices(H, cfg))
+    code, out = run_cli(capsys, ["code", "demo", "--config", CONFIG])
+    assert code == 0 and "round trip: pass" in out
+    assert len(calls) == 1
+
+
 def test_code_roundtrip_random(capsys):
     code, out = run_cli(capsys, [
         "verify", "coding", "--config", CONFIG, "--mode", "random",
@@ -386,6 +398,22 @@ def test_exhaustive_caps_are_infeasible(monkeypatch, capsys, tmp_path, argv,
     argv = [str(cfg) if x == "a15.json" else x for x in argv]
     assert run_main(monkeypatch, capsys, argv) == (
         1, f"infeasible: 2^{size} families is over the exhaustive budget\n")
+
+
+def test_random_nilpotency_refuses_before_listing_tuples(monkeypatch, capsys):
+    # 11,875,500 (3, 3)-tuples over 30 points: over the budget of listed
+    # tuples, so refused before one is enumerated
+    def enumerating(a, profile):
+        raise AssertionError(f"enumerated O_{profile}({a})")
+
+    monkeypatch.setattr(operators, "enum_disjoint_tuples", enumerating)
+    t0 = time.monotonic()
+    code, err = run_main(monkeypatch, capsys, [
+        "verify", "nilpotency", "--a", "30", "--m", "3", "--m", "3",
+        "--l", "8", "--l", "8", "--mode", "random", "--samples", "1",
+    ])
+    assert time.monotonic() - t0 < 1
+    assert code == 1 and err.startswith("infeasible: 11875500 tuples")
 
 
 def test_exhaustive_coding_needs_one_slot(monkeypatch, capsys):

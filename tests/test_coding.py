@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from finpart import coding
 from finpart.coding import (
     CodeBook,
     CodingConfig,
@@ -23,7 +25,7 @@ from finpart.coding import (
     validate_signature,
 )
 from finpart.core import enum_disjoint_tuples
-from finpart.operators import fits_dense, interior
+from finpart.operators import fits_dense, indexed_tuples, interior
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -266,6 +268,30 @@ def test_config_route_table():
                 reached.add((m, l))
                 assert fits_dense(cfg.a, m, l) == ((m, l) in dense), (name, m, l)
         assert dense <= reached, name
+
+
+def test_indexed_tuples_are_sorted_on_every_shipped_profile():
+    # bit i of a family mask selects the i-th tuple in enumeration order,
+    # which the suites and the coder's witnesses read as sorted order
+    for name, dense in DENSE_SPACES.items():
+        cfg = load_config(name)
+        profiles = {m for _, m in cfg.slots} | {p for ml in dense for p in ml}
+        for p in profiles:
+            tuples, index = indexed_tuples(cfg.a, p)
+            assert tuples == tuple(sorted(enum_disjoint_tuples(cfg.a, p))), (name, p)
+            assert all(index[t] == i for i, t in enumerate(tuples))
+
+
+def test_config_checks_each_key_once(monkeypatch):
+    calls = Counter()
+
+    def counting(sig, j, m, k, n):
+        calls[j, m, k] += 1
+        return block_sizes(sig, j, m, k, n)
+
+    monkeypatch.setattr(coding, "block_sizes", counting)
+    cfg = load_config("seq_arity1_a12.json")
+    assert calls == Counter(cfg.keys())
 
 
 def test_two_slot_config_roundtrip():

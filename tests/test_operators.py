@@ -121,7 +121,7 @@ def test_mask_kernels_match_a_scan_over_ext(a, m, l, tables):
     seeded ones otherwise, plus the empty and the full mask."""
     sp = profile_space(a, m, l)
     assert (sp.down_bytes is not None) == tables
-    M, L = len(sp.m_tuples), sp.l_size
+    M, L = len(sp.m_tuples), len(sp.l_tuples)
     rng = random.Random(3)
 
     def masks(size):
@@ -147,14 +147,16 @@ def test_mask_kernels_match_a_scan_over_ext(a, m, l, tables):
 def test_dense_space_memory_stays_within_the_budget_figure():
     """coder_partitions' space: up tables, and the down scan over 792
     l-tuples.  Its build allocates within the figure beside _TUPLE_BUDGET:
-    ~300 B per tuple, ~10 kB per byte table, 4 B per table mask bit."""
+    ~300 B per tuple, ~10 kB per byte table, 4 B per table mask bit.  The
+    sides are listed afresh, so the figure counts them too."""
+    operators.indexed_tuples.cache_clear()
     tracemalloc.start()
     try:
         sp = profile_space.__wrapped__(12, (1,), (5,))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    M, L = len(sp.m_tuples), sp.l_size
+    M, L = len(sp.m_tuples), len(sp.l_tuples)
     assert sp.down_bytes is None and len(sp.up_bytes) == 2
     assert peak <= 300 * (M + L) + 10_000 * 2 + 4 * M * L
 

@@ -162,6 +162,21 @@ def test_interior_routes_match_oracle(case):
     check_routes_agree(*case)
 
 
+@given(families())
+def test_mask_format_round_trips(case):
+    # at_bits agrees with the per-bit reader on both sides of a dense
+    # space, and reads back the family that _index_mask wrote
+    a, m, l, X = case
+    sp = operators.profile_space(a, m, l)
+    x = operators._index_mask(a, m, X)
+    for profile, tuples, mask in ((m, sp.m_tuples, x),
+                                  (l, sp.l_tuples, operators.up_mask(sp, x))):
+        got = list(operators.at_bits(tuples, mask))
+        assert got == [t for i, t in enumerate(tuples) if mask >> i & 1]
+        assert operators._index_mask(a, profile, got) == mask
+    assert operators.mask_to_family(sp, x) == X
+
+
 @given(near_covering_families())
 def test_interior_routes_match_oracle_near_covering(case):
     a, m, l, X = case

@@ -178,6 +178,28 @@ def test_odd_permutation_swaps_orbits():
     assert frozenset(tuple(t[x] for x in s) for s in op.theta) == op.xi
 
 
+def oracle_orbits(B, s):
+    """Both orbits from the definition: the images of s under the even,
+    and under the odd, permutations of B, each parity read by `parity`
+    off the positions of the images."""
+    orbits = {"even": set(), "odd": set()}
+    for images in itertools.permutations(B):
+        pi = dict(zip(B, images))
+        orbits[parity(tuple(B.index(y) for y in images))].add(
+            tuple(pi[x] for x in s))
+    return orbits["even"], orbits["odd"]
+
+
+@pytest.mark.parametrize("base", [(0, 1, 2, 3, 4), (1, 3, 4, 7, 9)])
+def test_orbits_match_the_parity_definition(base):
+    # every seed over every base of 2 to 5 points
+    for size in range(2, 6):
+        B = base[:size]
+        for s in itertools.permutations(B, size - 1):
+            op = even_odd_orbits(B, s)
+            assert (op.xi, op.theta) == oracle_orbits(B, s), (B, s)
+
+
 def test_even_odd_orbits_validation():
     with pytest.raises(ValueError, match="injective"):
         even_odd_orbits((0, 1, 2), (0, 0))
