@@ -52,15 +52,13 @@ def _load_config(path):
     return _load_json(path, "config", coding.CodingConfig.from_json)
 
 
-def _load_family(path, cfg):
-    def parse(text):
-        X = {
-            int(j): frozenset(tuple(tuple(c) for c in t) for t in fam)
-            for j, fam in json.loads(text).items()
-        }
-        return coding.validate_indexed(X, cfg)
-
-    return _load_json(path, "family", parse)
+def _load_family(path):
+    """{j: frozenset of tuples} from the JSON file, without empty families;
+    `coding.encode` checks the members."""
+    return _load_json(path, "family", lambda text: coding.normalize_indexed({
+        int(j): {tuple(tuple(c) for c in t) for t in fam}
+        for j, fam in json.loads(text).items()
+    }))
 
 
 def demo_coding(cfg, X=None):
@@ -68,11 +66,11 @@ def demo_coding(cfg, X=None):
         j, m = cfg.slots[0]
         first = next(iter(core.enum_disjoint_tuples(cfg.a, m)))
         X = {j: frozenset({first})}
+    book = coding.encode(X, cfg)  # before any output: it checks X
     print(f"ground size {cfg.a}, arity {cfg.n}, slots {list(cfg.slots)}")
     print("input X:")
     for j, fam in sorted(X.items()):
         print(f"  {j}: {sorted(fam)}")
-    book = coding.encode(X, cfg)
     print("code book:")
     for key, fam in sorted(book.Y.items()):
         print(f"  {key}: {sorted(fam)}")
@@ -168,7 +166,7 @@ def _ramsey_bound(args):
 
 def _code_encode(args):
     cfg = _load_config(args.config)
-    print(coding.encode(_load_family(args.family, cfg), cfg).to_json())
+    print(coding.encode(_load_family(args.family), cfg).to_json())
     return 0
 
 
@@ -195,7 +193,7 @@ def _code_decode(args):
 
 def _code_demo(args):
     cfg = _load_config(args.config)
-    X = _load_family(args.family, cfg) if args.family else None
+    X = _load_family(args.family) if args.family else None
     return 0 if demo_coding(cfg, X) else 1
 
 

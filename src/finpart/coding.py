@@ -23,6 +23,9 @@ objects rather than new frozensets, and `decode` looks each element of H up
 in a per-config index of them before bucketing only the misses by block
 sizes.  A hit compares by identity and reuses the set's cached hash.
 
+An indexed family is checked once, in `encode`: its one pass sorts the
+members into slot families, and each slot's operators check them on entry.
+
 A sequence coder composes this with the subset-sequence/disjoint-tuple
 bijection to code sets of fixed-arity sequences of finite sets.
 """
@@ -36,7 +39,7 @@ from functools import cache
 from itertools import islice, repeat
 from math import prod
 
-from .core import check_disjoint_tuple, profile_of
+from .core import profile_of
 from .maps import disjoint_to_fin, fin_to_disjoint
 from .operators import (
     EXTENSION_BUDGET,
@@ -179,6 +182,9 @@ class CodingConfig:
     _sizes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for v in (self.a, self.n, *(x for j, m in self.slots for x in (j, *m))):
+            if type(v) is not int:
+                raise CodingError(f"config value {v!r} is not an int")
         if not self.slots:
             raise CodingError("at least one slot required")
         if len(set(self.slots)) != len(self.slots):
@@ -242,31 +248,6 @@ def compact_config(a, n, slots):
 # ---------------------------------------------------------------------------
 # indexed families
 
-def validate_indexed(X, cfg):
-    """Canonicalize {j: family of arity-n tuples}; every member's profile
-    must be an admissible slot profile for its index."""
-    out = {}
-    admissible = set(cfg.slots)
-    for j, fam in X.items():
-        fam = frozenset(fam)
-        for t in fam:
-            check_disjoint_tuple(t, cfg.a)
-            if len(t) != cfg.n:
-                raise CodingError(f"member {t!r} does not have arity {cfg.n}")
-            if (j, profile_of(t)) not in admissible:
-                raise CodingError(
-                    f"profile {profile_of(t)} of {t!r} not admissible at slot index {j}"
-                )
-        if fam:
-            out[j] = fam
-    return out
-
-
-def slot_family(X, j, m):
-    """Members of X(j) with profile m."""
-    return frozenset(t for t in X.get(j, ()) if profile_of(t) == tuple(m))
-
-
 def normalize_indexed(X):
     return {j: frozenset(fam) for j, fam in X.items() if fam}
 
@@ -308,17 +289,31 @@ class CodeBook:
 def encode(X, cfg):
     """Build the code book for an indexed family.
 
+    One pass sorts X into its slot families, raising CodingError for a
+    member of the wrong arity or whose (j, profile) is not a slot; each
+    slot's `boundary_chain` then checks its members on entry (ValueError).
+
     Per slot, iterates the boundary operator at the top profile g and
     stores the interior of each iterate, D_k | D_{k+1}.  The chain must
     die within sum(m)+1 steps; otherwise the ground set is too small for
     this family and CodingError is raised.
     """
-    X = validate_indexed(X, cfg)
+    fams = {slot: set() for slot in cfg.slots}
+    for j, fam in X.items():
+        for t in fam:
+            if len(t) != cfg.n:
+                raise CodingError(f"member {t!r} does not have arity {cfg.n}")
+            m = profile_of(t)
+            if (j, m) not in fams:
+                raise CodingError(
+                    f"profile {m} of {t!r} not admissible at slot index {j}"
+                )
+            fams[(j, m)].add(t)
     book = {}
     for j, m in cfg.slots:
         K = sum(m)
         chain = list(islice(
-            boundary_chain(cfg.a, m, cfg.g(j, m), slot_family(X, j, m)), K + 2))
+            boundary_chain(cfg.a, m, cfg.g(j, m), fams[(j, m)]), K + 2))
         if chain[K + 1]:
             raise CodingError(
                 f"boundary chain for slot ({j}, {m}) does not vanish at step {K + 1}; "

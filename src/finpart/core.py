@@ -26,8 +26,9 @@ def as_subset(elems):
 
 
 def check_subset(s, a):
-    """Validate a canonical subset of {0..a-1}; raises ValueError."""
-    if list(s) != sorted(set(s)):
+    """Validate a canonical subset of {0..a-1}, a strictly increasing
+    tuple of ints (not bools); raises ValueError."""
+    if any(type(x) is not int for x in s) or list(s) != sorted(set(s)):
         raise ValueError(f"not a canonical subset: {s!r}")
     if s and (s[0] < 0 or s[-1] >= a):
         raise ValueError(f"element out of range [0, {a}): {s!r}")

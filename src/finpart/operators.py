@@ -301,7 +301,7 @@ def interior(a, m, l, X):
     """All m-profile tuples whose every l-extension lies in up(X)."""
     sp = _route(a, m, l)
     if sp is None:
-        return interior_sparse(a, m, l, X)
+        return _interior_of_members(a, m, l, _members(a, X, m))
     return mask_to_family(sp, interior_mask(sp, _index_mask(a, sp.m, X)))
 
 
@@ -340,7 +340,6 @@ def boundary_chain(a, m, l, X):
     """Yield X, boundary(X), boundary^2(X), ... without end.  The route is
     picked and X's members are checked once, on entry; every later level
     is the chain's own output, so it is not checked again."""
-    m, l = check_profiles(m, l)
     sp = _route(a, m, l)
     if sp is None:
         X = _members(a, X, m)

@@ -223,6 +223,8 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
 
 
 def suite_bijection(a, n):
+    if a * n > 20:
+        raise BudgetExceeded(f"2^{a * n} sequences is over the exhaustive budget")
     report = RunReport(command="verify bijection", config={"a": a, "n": n})
     subsets = list(
         itertools.chain.from_iterable(

@@ -416,6 +416,69 @@ def test_random_nilpotency_refuses_before_listing_tuples(monkeypatch, capsys):
     assert code == 1 and err.startswith("infeasible: 11875500 tuples")
 
 
+@pytest.mark.parametrize("family", [
+    {"0": [[[0.5]]]},
+    {"1": [[[True, 2]]]},
+    {"1": [[["a", "b"]]]},
+], ids=["float", "bool", "str"])
+def test_family_of_non_int_elements_exits_2(monkeypatch, capsys, tmp_path,
+                                            family):
+    # both slots of two_slot_a28 run sparse, so the member check is
+    # core.check_subset's, which takes ints only
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "code", "encode", "--config", str(CONFIGS / "two_slot_a28.json"),
+        "--family", str(path),
+    ]))
+
+
+@pytest.mark.parametrize("family", [
+    {"0": [[[2, 1]]]},
+    {"0": [[[12]]]},
+    {"0": [[[0], [1]]]},
+], ids=["malformed", "out-of-range", "wrong-arity"])
+def test_code_demo_rejects_family_before_printing(monkeypatch, capsys,
+                                                  tmp_path, family):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    monkeypatch.setattr(sys, "argv", ["finpart", "code", "demo", "--config",
+                                      CONFIG, "--family", str(path)])
+    code = cli.main()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line_error(code, err)
+
+
+@pytest.mark.parametrize("change", [
+    {"a": 12.5},
+    {"n": True},
+    {"slots": [[0.5, [1]]]},
+    {"slots": [[True, [1]]]},
+    {"slots": [[0, [1.0]]]},
+], ids=["a", "n", "slot-float", "slot-bool", "profile-entry"])
+def test_config_of_non_ints_exits_2(monkeypatch, capsys, tmp_path, change):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**json.loads(Path(CONFIG).read_text()),
+                                **change}))
+    code, err = run_main(monkeypatch, capsys, [
+        "code", "demo", "--config", str(path),
+    ])
+    assert_one_line_error(code, err)
+    assert "bad config" in err and "is not an int" in err
+
+
+def test_bijection_refuses_before_listing_subsets(monkeypatch, capsys):
+    # 2^21 sequences: refused before the first round trip
+    def round_trip(s):
+        raise AssertionError("a round trip ran")
+
+    monkeypatch.setattr(suites.maps, "fin_to_disjoint", round_trip)
+    assert run_main(monkeypatch, capsys, [
+        "verify", "bijection", "--a", "7", "--n", "3",
+    ]) == (1, "infeasible: 2^21 sequences is over the exhaustive budget\n")
+
+
 def test_exhaustive_coding_needs_one_slot(monkeypatch, capsys):
     assert_one_line_error(*run_main(monkeypatch, capsys, [
         "verify", "coding", "--config", str(CONFIGS / "two_slot_a28.json"),

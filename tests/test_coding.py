@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from finpart import coding
+from finpart import coding, operators
 from finpart.coding import (
     CodeBook,
     CodingConfig,
@@ -327,6 +327,39 @@ def test_encode_rejects_bad_members(cfg12):
         encode({0: frozenset({((0, 1),)})}, cfg12)
     with pytest.raises(ValueError):
         encode({0: frozenset({((0,), (1,))})}, cfg12)
+
+
+def counting_calls(monkeypatch, names):
+    """Count the calls of each (module, name) pair; returns the Counter."""
+    calls = Counter()
+    for module, name in names:
+        fn = getattr(module, name)
+
+        def wrapped(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_encode_checks_each_member_once(monkeypatch):
+    # both slots of two_slot_a28 run sparse: the slot's boundary_chain
+    # checks each member on entry, and encode's pass profiles it once
+    cfg = load_config("two_slot_a28.json")
+    X = {0: frozenset({((0,),), ((5,),)}), 1: frozenset({((1, 2),)})}
+    calls = counting_calls(monkeypatch, [(operators, "check_disjoint_tuple"),
+                                         (coding, "profile_of")])
+    encode(X, cfg)
+    assert calls == {"check_disjoint_tuple": 3, "profile_of": 3}
+
+
+def test_dense_encode_checks_members_by_the_index_lookup(monkeypatch, cfg12):
+    calls = counting_calls(monkeypatch, [(operators, "check_disjoint_tuple")])
+    encode({0: frozenset({((0,),), ((5,),)})}, cfg12)
+    assert calls == {}
+    with pytest.raises(ValueError, match="not a disjoint tuple"):
+        encode({0: frozenset({((12,),)})}, cfg12)
 
 
 def test_decode_reports_unfaithful_slice(cfg12):

@@ -294,10 +294,12 @@ def test_member_validation_on_both_routes(route, bad):
 @pytest.mark.parametrize("iterate", [
     lambda X: nilpotency_index(3, (1,), (2,), X),
     lambda X: boundary_power(3, (1,), (2,), X, 4),
-], ids=["nilpotency_index", "boundary_power"])
+    lambda X: interior(3, (1,), (2,), X),
+], ids=["nilpotency_index", "boundary_power", "interior"])
 def test_boundary_iteration_routes_and_checks_once(monkeypatch, dense, iterate):
     # the chain X, {(2,)}, {}, ... runs several levels on either route, but
-    # the route is picked and X's members are checked once for all of them
+    # the route is picked and X's members are checked once for all of them;
+    # one interior call checks them once too
     calls = Counter()
 
     def counting(name):
@@ -309,9 +311,12 @@ def test_boundary_iteration_routes_and_checks_once(monkeypatch, dense, iterate):
 
         return wrapped
 
-    if not dense:
+    if dense:
+        profile_space(3, (1,), (2,))  # built, and its own check run, beforehand
+    else:
         monkeypatch.setattr(operators, "fits_dense", lambda a, m, l: False)
-    for name in ("_route", "_members", "_index_mask"):
+    for name in ("_route", "check_profiles", "_members", "_index_mask"):
         monkeypatch.setattr(operators, name, counting(name))
     iterate({((0,),), ((1,),)})
-    assert calls == {"_route": 1, "_index_mask" if dense else "_members": 1}
+    assert calls == {"_route": 1, "check_profiles": 1,
+                     "_index_mask" if dense else "_members": 1}
