@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from functools import reduce
 from math import factorial
+from operator import and_, invert, or_, xor
 
 from . import coding, core, maps, operators, ramsey, symmetry
 from .operators import BudgetExceeded
@@ -31,72 +31,89 @@ _LAW_NAMES = (
 )
 
 
-def _fact00_chunk(args):
-    """Per-X laws over a sequence of masks; returns the families checked,
-    the violations and the number of interior-closed families.  Each
-    up-closure and interior is computed once per family: interior(X) =
-    down(up(X)) is shared by the laws, the sub-profile at l itself and the
-    first nesting level."""
-    a, m, l, masks = args
+# A sweep is cut into tasks of _TASK masks, from the masks alone, and each
+# task stops after 21 violations, so where the cuts fall fixes the report.
+# A task is one tile of the transpose, so an exhaustive task's columns
+# are truth tables.
+_TASK = operators.TILE
+
+
+def _any(cols):
+    return reduce(or_, cols, 0)
+
+
+def _fact00_chunk(a, m, l, masks):
+    """The per-family laws over one task of masks, bit-sliced: each law is
+    a violation vector over the task's families, computed from columns
+    (`operators.columns`) by the sliced kernels.  Returns the families checked, the
+    violations and the number of interior-closed families, as a loop over
+    the masks would: the violating families lowest first, each family's
+    witnesses in law order, stopping after the family that takes the
+    count past 20."""
     sp = operators.profile_space(a, m, l)
     sub = [
         operators.profile_space(a, m, lp)
         for lp in itertools.product(*(range(mi, li + 1) for mi, li in zip(m, l)))
     ]
-    # (lower, upper) index pairs of comparable sub-profiles, in sweep order
-    comparable = [
-        (i, j)
+    ones = (1 << len(masks)) - 1
+    x = operators.columns(masks, len(sp.m_tuples))
+    ux = operators.up_sliced(sp, x)
+    al = operators.down_sliced(sp, ux, ones)
+    ual = operators.up_sliced(sp, al)
+    up_fails = _any(map(xor, ual, ux))
+    # where up(al) = up(X), interior(al) = down(up(X)) = al already
+    idem_fails = up_fails and up_fails & _any(
+        map(xor, operators.down_sliced(sp, ual, ones), al))
+    laws = [
+        ("extensive-interior", _any(_outside(x, al)),
+         "X not within its interior"),
+        ("up-of-interior", up_fails, "up(interior(X)) != up(X)"),
+        ("idempotent-interior", idem_fails, "interior not idempotent"),
+    ]
+    closed = ones & ~_any(map(xor, al, x))
+    ints = [al if spp.l == sp.l else operators.interior_sliced(spp, x, ones)
+            for spp in sub]
+    # comparable sub-profiles, lower then upper, in sweep order; an
+    # interior always lies within itself
+    laws += [
+        ("profile-monotone-interior", _any(_outside(ints[i], ints[j])),
+         f"interior at {spp.l} not within interior at {spq.l}")
         for i, spp in enumerate(sub)
         for j, spq in enumerate(sub)
-        if all(x <= y for x, y in zip(spp.l, spq.l))
+        if i != j and all(p <= q for p, q in zip(spp.l, spq.l))
     ]
-    full = sp.full_m_mask
-    # interior(empty family): every nesting level that reaches it shares it
-    empty_interior = operators.interior_mask(sp, 0)
-    checked = 0
-    violations = []
-    closed = 0
-
-    def witness(law, xmask, detail):
-        fam = sorted(operators.mask_to_family(sp, xmask))
-        violations.append({"law": law, "X": _plainfam(fam), "detail": detail})
-
-    for xmask in masks:
-        checked += 1
-        ux = operators.up_mask(sp, xmask)
-        al = operators.down_mask(sp, ux)
-        if xmask & ~al:
-            witness("extensive-interior", xmask, "X not within its interior")
-        ual = operators.up_mask(sp, al)
-        # when up(al) = up(X), interior(al) = down(up(X)) = al already
-        if ual != ux:
-            witness("up-of-interior", xmask, "up(interior(X)) != up(X)")
-            if operators.down_mask(sp, ual) != al:
-                witness("idempotent-interior", xmask, "interior not idempotent")
-        closed += al == xmask
-        ints = [al if spp.l == sp.l else operators.interior_mask(spp, xmask)
-                for spp in sub]
-        for i, j in comparable:
-            if ints[i] & ~ints[j]:
-                witness(
-                    "profile-monotone-interior", xmask,
-                    f"interior at {sub[i].l} not within interior at {sub[j].l}",
-                )
-        # level k: d = boundary^k(X), di = interior(d); once both are
-        # empty every later level repeats a passing check
-        d, di = xmask, al
-        for k in range(sum(m) + 2):
-            if k:
-                di = operators.interior_mask(sp, d) if d else empty_interior
-            if not (d or di):
-                break
-            nd = di & ~d & full
-            if d != di & ~nd:
-                witness("nesting", xmask, "level set != interior minus next level")
-            d = nd
-        if len(violations) > 20:
+    # level k: d = boundary^k(X), di = interior(d), and the next level is
+    # di minus d, so d = di minus the next level exactly when d lies within
+    # di.  Once both are empty for every family, every later level repeats
+    # a passing check.
+    d, di = x, al
+    for k in range(sum(m) + 2):
+        if k:
+            di = operators.interior_sliced(sp, d, ones)
+        if not (_any(d) or _any(di)):
             break
-    return checked, violations, closed
+        laws.append(("nesting", _any(_outside(d, di)),
+                     "level set != interior minus next level"))
+        d = list(_outside(di, d))
+
+    checked = len(masks)
+    violations = []
+    bad = _any(v for _, v, _ in laws)
+    while bad:
+        f = (bad & -bad).bit_length() - 1
+        bad &= bad - 1
+        fam = _plainfam(sorted(operators.mask_to_family(sp, masks[f])))
+        violations += [{"law": law, "X": fam, "detail": detail}
+                       for law, v, detail in laws if v >> f & 1]
+        if len(violations) > 20:
+            checked = f + 1
+            break
+    return checked, violations, (closed & (1 << checked) - 1).bit_count()
+
+
+def _outside(p, q):
+    """Per column, the families in columns p and not in columns q."""
+    return map(and_, p, map(invert, q))
 
 
 def _plainfam(fam):
@@ -111,6 +128,9 @@ def _exhaustive_masks(size, cap):
 
 
 def suite_fact00(a, m, l, mode, samples, seed, jobs):
+    """The operator laws over every family (exhaustive, at most 2^24) or a
+    seeded sample of families, and the pair laws over seeded pairs.  The
+    sweep runs in this process, so `jobs` changes nothing."""
     sp = operators.profile_space(a, m, l)
     size = len(sp.m_tuples)
     report = RunReport(
@@ -120,24 +140,14 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
     )
     rng = random.Random(seed)
     if mode == "exhaustive":
-        masks = _exhaustive_masks(size, 20)
+        masks = _exhaustive_masks(size, 24)
     else:
         masks = sorted({rng.getrandbits(size) for _ in range(samples)})
-    # tasks of 4096 masks, cut from the masks alone: where a task stops
-    # after 21 violations, and so the report, does not depend on --jobs
-    tasks = [(a, m, l, masks[lo:lo + 4096]) for lo in range(0, len(masks), 4096)]
-
     checked = 0
     violations = []
     closed = 0
-    # no more workers than tasks or cores
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fact00_chunk, tasks))
-    else:
-        results = [_fact00_chunk(t) for t in tasks]
-    for c, v, cl in results:
+    for lo in range(0, len(masks), _TASK):
+        c, v, cl = _fact00_chunk(a, m, l, masks[lo:lo + _TASK])
         checked += c
         violations.extend(v)
         closed += cl

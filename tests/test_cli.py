@@ -385,13 +385,13 @@ def test_decode_error_exits_2(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, size", [
-    (["verify", "fact00", "--a", "7", "--m", "2", "--l", "3"], 21),
+    (["verify", "fact00", "--a", "8", "--m", "2", "--l", "3"], 28),
     (["verify", "nilpotency", "--a", "25", "--m", "1", "--l", "3"], 25),
     (["verify", "coding", "--config", "a15.json", "--mode", "exhaustive"], 15),
 ], ids=["fact00", "nilpotency", "coding"])
 def test_exhaustive_caps_are_infeasible(monkeypatch, capsys, tmp_path, argv,
                                         size):
-    # over 2^20, 2^24 and 2^14 families: refused as work over a budget
+    # over 2^24, 2^24 and 2^14 families: refused as work over a budget
     cfg = tmp_path / "a15.json"
     cfg.write_text(json.dumps({"a": 15, "n": 1, "signature": "compact",
                                "slots": [[0, [1]]]}))

@@ -1,18 +1,19 @@
-"""The fact00 sweep against a per-law oracle, and the size of its pool."""
+"""The bit-sliced fact00 sweep against a per-mask, per-law oracle."""
 
 import itertools
-import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finpart import cli, operators, suites
+from finpart import operators, suites
 
 
-def oracle_chunk(args):
-    """The fact00 per-family laws, each operator asked separately: up and
-    interior recomputed per law, every sub-profile interior recomputed per
-    comparison, and boundary_mask at every nesting level."""
-    a, m, l, masks = args
+def oracle_chunk(a, m, l, masks):
+    """The fact00 per-family laws, mask by mask, each operator asked
+    separately: up and interior recomputed per law, every sub-profile
+    interior recomputed per comparison, and boundary_mask at every
+    nesting level."""
     sp = operators.profile_space(a, m, l)
     sub = [
         operators.profile_space(a, m, lp)
@@ -59,8 +60,16 @@ def oracle_chunk(args):
 INSTANCES = [(4, (2,), (3,)), (4, (1, 1), (2, 2)), (5, (1,), (3,))]
 
 
-def _or_bit0(down):
-    return lambda sp, g: down(sp, g) | 1
+def _column(i, change):
+    """Plants change(column, ones) as column i of a sliced kernel's
+    output: the transpose of a per-mask fault on bit i."""
+    def plant(kernel):
+        def planted(sp, cols, *ones):
+            out = kernel(sp, cols, *ones)
+            out[i] = change(out[i], *ones)
+            return out
+        return planted
+    return plant
 
 
 def _flip_bit0(down):
@@ -70,99 +79,124 @@ def _flip_bit0(down):
     return lambda sp, g: down(sp, g) ^ 1
 
 
-def _drop_top(down):
-    return lambda sp, g: down(sp, g) & sp.full_m_mask >> 1
-
-
-def _drop_bit0(up):
-    return lambda sp, x: up(sp, x) & ~1
-
-
+# per fault: the per-mask kernel and its plant, then the sliced ones
 FAULTS = {
-    "none": None,
-    "down-or-bit0": ("down_mask", _or_bit0),
-    "down-flips-bit0": ("down_mask", _flip_bit0),
-    "down-drops-top": ("down_mask", _drop_top),
-    "up-drops-bit0": ("up_mask", _drop_bit0),
+    "none": (),
+    "down-or-bit0": (
+        ("down_mask", lambda down: lambda sp, g: down(sp, g) | 1),
+        ("down_sliced", _column(0, lambda col, ones: ones)),
+    ),
+    "down-flips-bit0": (
+        ("down_mask", _flip_bit0),
+        ("down_sliced", _column(0, lambda col, ones: col ^ ones)),
+    ),
+    "down-drops-top": (
+        ("down_mask", lambda down: lambda sp, g: down(sp, g) & sp.full_m_mask >> 1),
+        ("down_sliced", _column(-1, lambda col, ones: 0)),
+    ),
+    "up-drops-bit0": (
+        ("up_mask", lambda up: lambda sp, x: up(sp, x) & ~1),
+        ("up_sliced", _column(0, lambda col: 0)),
+    ),
 }
+
+
+def _plant(mp, fault):
+    for name, plant in FAULTS[fault]:
+        mp.setattr(operators, name, plant(getattr(operators, name)))
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
 @pytest.mark.parametrize("a, m, l", INSTANCES)
 def test_chunk_matches_oracle(monkeypatch, a, m, l, fault):
-    if FAULTS[fault] is not None:
-        name, plant = FAULTS[fault]
-        monkeypatch.setattr(operators, name, plant(getattr(operators, name)))
-    task = (a, m, l, range(1 << len(operators.profile_space(a, m, l).m_tuples)))
-    got = suites._fact00_chunk(task)
-    assert got == oracle_chunk(task)
+    _plant(monkeypatch, fault)
+    masks = range(1 << len(operators.profile_space(a, m, l).m_tuples))
+    got = suites._fact00_chunk(a, m, l, masks)
+    assert got == oracle_chunk(a, m, l, masks)
     if fault != "none":
         assert got[1], "a planted fault must show up as witnesses"
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        RecordingPool.made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+def _mask_runs(size):
+    """Sorted lists of distinct masks, and runs of masks from any start."""
+    top = (1 << size) - 1
+    return st.one_of(
+        st.sets(st.integers(0, top), min_size=1, max_size=120).map(sorted),
+        st.tuples(st.integers(0, top), st.integers(1, 120)).map(
+            lambda r: range(r[0], min(r[0] + r[1], top + 1))),
+    )
 
 
-def _fact00_report(capsys, argv):
-    assert cli.run(["verify", "fact00"] + argv) == 0
-    doc = json.loads(capsys.readouterr().out)
-    doc.pop("wall_time_s")
-    return doc
+@st.composite
+def _tasks(draw):
+    a, m, l = draw(st.sampled_from(INSTANCES))
+    return a, m, l, draw(_mask_runs(len(operators.profile_space(a, m, l).m_tuples)))
 
 
-def _pool_sizes(capsys, monkeypatch, cores, argv):
-    """The pool sizes a --jobs 64 run asks for, after checking that its
-    report equals the serial one."""
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(RecordingPool, "made", [])
-    wide = _fact00_report(capsys, argv + ["--jobs", "64"])
-    assert wide == _fact00_report(capsys, argv + ["--jobs", "1"])
-    return RecordingPool.made
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fault=st.sampled_from(list(FAULTS)), task=_tasks())
+def test_sliced_chunk_matches_oracle_on_any_masks(fault, task):
+    """Sorted mask lists, and runs that need not start at a multiple of
+    4096, take the bit-string transpose; under a fault the stop after 21
+    violations falls anywhere in the task."""
+    with pytest.MonkeyPatch.context() as mp:
+        _plant(mp, fault)
+        assert suites._fact00_chunk(*task) == oracle_chunk(*task)
 
 
-@pytest.mark.parametrize("cores, mode, workers", [
-    (2, "exhaustive", []),   # 64 masks, one task: no pool at all
-    (3, "random", []),       # at most 1000 masks, one task whatever --jobs
-    (None, "random", []),    # unknown core count: serial
-])
-def test_pool_is_capped_by_tasks_and_cores(capsys, monkeypatch, cores, mode,
-                                           workers):
-    argv = ["--a", "6", "--m", "1", "--l", "3", "--mode", mode]
-    assert _pool_sizes(capsys, monkeypatch, cores, argv) == workers
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(0, 9000))
+def test_columns_are_the_transpose(data, size):
+    """Per bit i, bit f of column i is bit i of masks[f], past one tile of
+    4096 bits too."""
+    masks = data.draw(_mask_runs(size) if size < 60 else st.lists(
+        st.integers(0, (1 << size) - 1), min_size=1, max_size=5))
+    assert operators.columns(masks, size) == [
+        sum((x >> i & 1) << f for f, x in enumerate(masks)) for i in range(size)]
 
 
-def test_pool_is_capped_by_cores(capsys, monkeypatch):
-    # 2^14 masks make 4 tasks of 4096: three workers on three cores
-    argv = ["--a", "14", "--m", "1", "--l", "2", "--mode", "exhaustive"]
-    assert _pool_sizes(capsys, monkeypatch, 3, argv) == [3]
+def _drop_first(space, side):
+    """The incidence with one (m-tuple, l-tuple) incidence of `space`
+    dropped, on the up side (0) or the down side (1): the first tuple's
+    first index is replaced by its second, which adds nothing to an OR or
+    an AND.  Every tuple of each instance has at least two on each side."""
+    incidence = operators._incidence
+
+    def dropped(*key):
+        tables = list(incidence(*key))
+        if key == space:
+            first, second, *rest = tables[side]
+            tables[side] = ((second[0],) + first[1:], second, *rest)
+        return tuple(tables)
+    return dropped
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["up", "down"])
+@pytest.mark.parametrize("a, m, l", INSTANCES)
+def test_dropped_incidence_shows_witnesses(monkeypatch, a, m, l, side):
+    monkeypatch.setattr(operators, "_incidence", _drop_first((a, m, l), side))
+    masks = range(1 << len(operators.profile_space(a, m, l).m_tuples))
+    assert suites._fact00_chunk(a, m, l, masks)[1]
+
+
+def test_first_and_last_tasks_at_a7_match_oracle():
+    """(7, (2,), (3,)) has 2^21 families, over the old cap of 2^20: its
+    first and last two tasks of 4096, cut as the sweep cuts them."""
+    a, m, l = 7, (2,), (3,)
+    masks = suites._exhaustive_masks(len(operators.profile_space(a, m, l).m_tuples), 24)
+    for lo in (0, 4096, len(masks) - 8192, len(masks) - 4096):
+        task = masks[lo:lo + 4096]
+        assert suites._fact00_chunk(a, m, l, task) == oracle_chunk(a, m, l, task)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
 def test_report_under_a_fault_does_not_depend_on_jobs(monkeypatch, mode):
     """Each task stops after 21 violations; tasks are cut from the masks
-    alone, so the witnesses (and the digest) are the same at any --jobs.
-    The jobs=2 run maps its tasks in this process, on a recording pool."""
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
+    alone, so the witnesses (and the digest) are the same at any --jobs."""
     # a down operator that keeps nothing breaks the laws on most families
     monkeypatch.setattr(operators, "down_mask", lambda sp, g: 0)
+    monkeypatch.setattr(operators, "down_sliced",
+                        lambda sp, g, ones: [0] * len(sp.m_tuples))
     serial = suites.suite_fact00(6, (2,), (3,), mode, 3000, 0, 1)
     parallel = suites.suite_fact00(6, (2,), (3,), mode, 3000, 0, 2)
     assert serial.outcome == "violation"
