@@ -24,7 +24,8 @@ in a per-config index of them before bucketing only the misses by block
 sizes.  A hit compares by identity and reuses the set's cached hash.
 
 An indexed family is checked once, in `encode`: its one pass sorts the
-members into slot families, and each slot's operators check them on entry.
+members into slot families and takes only ints as ground elements, and
+each slot's operators check the members on entry.
 
 A sequence coder composes this with the subset-sequence/disjoint-tuple
 bijection to code sets of fixed-arity sequences of finite sets.
@@ -290,8 +291,10 @@ def encode(X, cfg):
     """Build the code book for an indexed family.
 
     One pass sorts X into its slot families, raising CodingError for a
-    member of the wrong arity or whose (j, profile) is not a slot; each
-    slot's `boundary_chain` then checks its members on entry (ValueError).
+    member of the wrong arity or whose (j, profile) is not a slot, and
+    ValueError for a ground element that is not an int (bools included);
+    each slot's `boundary_chain` then checks its members on entry
+    (ValueError).
 
     Per slot, iterates the boundary operator at the top profile g and
     stores the interior of each iterate, D_k | D_{k+1}.  The chain must
@@ -308,6 +311,11 @@ def encode(X, cfg):
                 raise CodingError(
                     f"profile {m} of {t!r} not admissible at slot index {j}"
                 )
+            for c in t:
+                for x in c:
+                    # a dense slot's index lookup would take 1.0 or True as 1
+                    if type(x) is not int:
+                        raise ValueError(f"not a canonical subset: {c!r}")
             fams[(j, m)].add(t)
     book = {}
     for j, m in cfg.slots:

@@ -8,6 +8,10 @@ onto partitions with 2^n - 1 non-singleton blocks.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import chain
+from operator import itemgetter
+
 from .core import as_subset, check_disjoint_tuple, ns_blocks, partition_from_ns
 
 
@@ -43,7 +47,8 @@ def fin_to_disjoint(s):
     """Encode a sequence of n subsets as a (2^n - 1)-tuple of pairwise
     disjoint subsets: component i holds the elements lying in exactly the
     sets indexed by the one-bits of i.  One pass: each element of the
-    union goes to the component indexed by its membership signature."""
+    union goes to the component indexed by its membership signature, in
+    sorted order, so every component comes out sorted."""
     n = len(s)
     if n < 1:
         raise ValueError("need at least one subset")
@@ -52,9 +57,22 @@ def fin_to_disjoint(s):
         for e in x:
             sig[e] = sig.get(e, 0) | 1 << k
     comps = [[] for _ in range((1 << n) - 1)]
-    for e, i in sig.items():
-        comps[i - 1].append(e)
-    return tuple(tuple(sorted(c)) for c in comps)
+    for e in sorted(sig):
+        comps[sig[e] - 1].append(e)
+    return tuple(map(tuple, comps))
+
+
+@cache
+def _bit_getters(n):
+    """Per k < n, a getter of the components of a fin_to_disjoint tuple
+    whose index has bit k set.  itemgetter of one position returns the
+    item itself, so a lone component (n = 1) is got as a slice."""
+    out = []
+    for k in range(n):
+        held = [i - 1 for i in range(1, 1 << n) if i >> k & 1]
+        out.append(itemgetter(*held) if len(held) > 1
+                   else itemgetter(slice(held[0], held[0] + 1)))
+    return tuple(out)
 
 
 def disjoint_to_fin(q, n):
@@ -62,14 +80,8 @@ def disjoint_to_fin(q, n):
     components whose index has the corresponding bit set."""
     if len(q) != (1 << n) - 1:
         raise ValueError(f"expected {(1 << n) - 1} components for n={n}, got {len(q)}")
-    out = []
-    for k in range(n):
-        members = set()
-        for i in range(1, 1 << n):
-            if i >> k & 1:
-                members.update(q[i - 1])
-        out.append(as_subset(members))
-    return tuple(out)
+    return tuple([as_subset(chain.from_iterable(get(q)))
+                  for get in _bit_getters(n)])
 
 
 def bfin_map(a, sets):

@@ -402,14 +402,15 @@ def suite_symmetry():
     orbit_checked = 0
     for n in range(_SYMMETRY_N_MAX + 1):
         B = tuple(range(n + 2))
+        half = factorial(n + 2) // 2
+        sequences = set(itertools.permutations(B, n + 1))
         for s in itertools.permutations(B, n + 1):
             op = symmetry.even_odd_orbits(B, s)
             orbit_checked += 1
-            half = factorial(n + 2) // 2
             ok = (
                 not (op.xi & op.theta)
                 and len(op.xi) == len(op.theta) == half
-                and op.xi | op.theta == set(itertools.permutations(B, n + 1))
+                and op.xi | op.theta == sequences
             )
             if not ok:
                 witnesses.append({"kind": "orbit", "B": list(B), "s": list(s)})
@@ -430,16 +431,19 @@ def suite_symmetry():
     for E in itertools.chain.from_iterable(
         itertools.combinations(range(5), k) for k in range(3)
     ):
-        restricted = [symmetry.restrict_outside(Q, E) for Q in allB]
+        fibers = Counter(symmetry.restrict_outside(Q, E) for Q in allB)
         fiber_checked += len(allB)
-        for size in Counter(restricted).values():
+        for size in fibers.values():
             if size > symmetry.fiber_bound(1, E):
                 witnesses.append({"kind": "fiber", "E": list(E), "size": size})
-        for QE in restricted:
-            for PE in restricted:
+        # one test per pair of distinct projections, one witness per pair
+        # of partitions in their fibers
+        for QE, q_size in fibers.items():
+            for PE, p_size in fibers.items():
                 if (len(QE) == len(PE) and QE != PE
                         and symmetry.projection_preceq(QE, PE)):
-                    witnesses.append({"kind": "projection-law", "E": list(E)})
+                    witnesses += [{"kind": "projection-law", "E": list(E)}
+                                  for _ in range(q_size * p_size)]
 
     report.counters = {
         "orbit_pairs": orbit_checked,

@@ -433,6 +433,18 @@ def test_family_of_non_int_elements_exits_2(monkeypatch, capsys, tmp_path,
     ]))
 
 
+@pytest.mark.parametrize("element", [1.0, True], ids=["float", "bool"])
+def test_dense_slot_rejects_non_int_elements(monkeypatch, capsys, tmp_path,
+                                             element):
+    # single_slot_a12's slot runs dense, where the index lookup alone would
+    # take 1.0 and True as the int 1
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"0": [[[element]]]}))
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "code", "demo", "--config", CONFIG, "--family", str(path),
+    ]))
+
+
 @pytest.mark.parametrize("family", [
     {"0": [[[2, 1]]]},
     {"0": [[[12]]]},

@@ -1,6 +1,7 @@
 """Property tests: both operator routes, the coder's pullback and the
-Ramsey search against naive oracles written from the definitions, and the
-package's maps against relabellings of the ground set."""
+Ramsey search against naive oracles written from the definitions, the
+package's maps against relabellings of the ground set, and the subset
+action against its elementwise definition."""
 
 import itertools
 from math import comb, prod
@@ -13,7 +14,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from finpart import coding, maps, operators  # noqa: E402
-from finpart.core import enum_disjoint_tuples, partition_from_ns  # noqa: E402
+from finpart.core import (  # noqa: E402
+    as_subset,
+    enum_disjoint_tuples,
+    partition_from_ns,
+)
 from finpart.operators import (  # noqa: E402
     CycleReport,
     boundary,
@@ -588,3 +593,40 @@ def test_bfin_map_matches_definition(case):
     P, reason = maps.bfin_map(a, sets)
     assert P == bfin_oracle(a, sets)
     assert (reason is None) == (P is not None)
+
+
+def oracle_subset_action(pi, obj):
+    """A tuple of ints as a subset, relabelled element by element; an
+    element outside the table is refused, a bool indexes it as 0 or 1."""
+    for x in obj:
+        if not 0 <= x < len(pi):
+            raise ValueError(f"element {x} out of range [0, {len(pi)})")
+    return as_subset(pi[x] for x in obj)
+
+
+@st.composite
+def perms_and_int_tuples(draw):
+    """(pi, obj): a permutation of range(a) and a tuple of ints and bools,
+    some negative, some at a or beyond, some repeated, in any order."""
+    a = draw(st.integers(0, 7))
+    pi = tuple(draw(st.permutations(range(a))))
+    obj = draw(st.lists(st.integers(-2, a + 1) | st.booleans(), max_size=6))
+    return pi, tuple(obj)
+
+
+@example(((1, 2, 0), (-1, 0)))
+@example(((1, 2, 0), (0, 3, -1)))
+@example(((1, 0), (True, False, 1)))
+@example(((0,), (True,)))
+@example(((), ()))
+@given(perms_and_int_tuples())
+def test_subset_action_matches_the_elementwise_oracle(case):
+    pi, obj = case
+    try:
+        want = oracle_subset_action(pi, obj)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            apply_perm(pi, obj)
+        assert str(got.value) == str(e)
+    else:
+        assert apply_perm(pi, obj) == want

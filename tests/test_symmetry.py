@@ -5,8 +5,10 @@ from math import factorial
 
 import pytest
 
+from finpart import suites, symmetry
 from finpart.core import canonicalize_partition, enum_B_n, ns_blocks
 from finpart.maps import fin_to_disjoint, disjoint_to_fin
+from finpart.report import VIOLATION
 from finpart.symmetry import (
     apply_perm,
     chain_bound,
@@ -207,6 +209,36 @@ def test_even_odd_orbits_validation():
         even_odd_orbits((0, 1, 2), (0,))
 
 
+def test_parity_table_matches_parity():
+    # indexed in itertools.permutations order; each entry is also the
+    # parity of the digit sum of the inversion table in that position
+    for k in range(8):
+        table = symmetry._odd_table(k)
+        perms = list(itertools.permutations(range(k)))
+        assert [parity(p) for p in perms] == \
+            ["odd" if b else "even" for b in table], k
+        codes = itertools.product(*map(range, range(k, 0, -1)))
+        assert list(table) == [sum(c) & 1 for c in codes], k
+
+
+def test_flipped_parity_entry_is_an_orbit_witness(monkeypatch):
+    # the identity goes to the odd side: over the base of 4 points every
+    # seed's orbits come out uneven, and no other check fails
+    table = symmetry._odd_table
+
+    def flipped(k):
+        t = table(k)
+        return bytes([t[0] ^ 1]) + t[1:] if k == 4 else t
+
+    monkeypatch.setattr(symmetry, "_odd_table", flipped)
+    report = suites.suite_symmetry()
+    assert report.outcome == VIOLATION
+    assert report.witnesses == [
+        {"kind": "orbit", "B": [0, 1, 2, 3], "s": list(s)}
+        for s in itertools.permutations(range(4), 3)
+    ]
+
+
 def test_find_fixing_transposition_examples():
     assert find_fixing_transposition(((0,), (1,)), (0, 1, 2, 3), 6) == \
         transposition(6, 2, 3)
@@ -297,6 +329,23 @@ def test_projection_law():
                     PE = restrict_outside(P, E)
                     if len(QE) == len(PE):
                         assert QE == PE
+
+
+def test_projection_law_witness_per_partition_pair(monkeypatch):
+    # with every pair related, the suite reports one witness per ordered
+    # pair of partitions whose projections differ with as many blocks
+    monkeypatch.setattr(symmetry, "projection_preceq", lambda QE, PE: True)
+    report = suites.suite_symmetry()
+    allB = list(enum_B_n(5, 1))
+    pairs = 0
+    for E in itertools.chain.from_iterable(
+        itertools.combinations(range(5), k) for k in range(3)
+    ):
+        restricted = [restrict_outside(Q, E) for Q in allB]
+        pairs += sum(len(QE) == len(PE) and QE != PE
+                     for QE in restricted for PE in restricted)
+    assert pairs > 0
+    assert [w["kind"] for w in report.witnesses] == ["projection-law"] * pairs
 
 
 def test_chain_length_bound():
