@@ -29,10 +29,14 @@ up enumerates the extensions of each member, refusing first when there
 are too many; sparse down counts, per m-tuple, the members of Z extending
 it.  The sparse interior first tests the whole family: when the members'
 support leaves at least sum(l) ground elements fresh, each non-member has
-an extension that avoids the family, so the interior is X itself.  Only
-otherwise does it search, once per class of candidates that agree inside
-the support, over placements of the support elements that an extension
-cannot avoid (`exists_uncovered_extension`).
+an extension that avoids the family, so the interior is X itself.
+Otherwise it lists the classes of candidates that agree inside the
+support directly, each as its support part per component plus a count of
+fresh elements, and searches once per class, over placements of the
+support elements that an extension cannot avoid
+(`exists_uncovered_extension`).  It lists a class's members only when the
+class lies inside the interior, so it costs per class and per output
+tuple, not per m-tuple.
 
 The dense kernels read per-byte tables that `profile_space` builds once:
 `up_mask` ORs one table entry per byte of its mask.  `down_mask` ORs, per
@@ -50,8 +54,9 @@ This module owns the family-mask format: bit i of a mask selects tuple i
 of `indexed_tuples(a, profile)`, which lists and indexes the profile's
 tuples once for every space, coder key and suite; `_index_mask` writes
 masks and `at_bits` reads them.  Callers that visit each tuple once stream
-`enum_disjoint_tuples` instead: the sparse interior, sparse `down` without
-extensions, and the suites' `counts` tables and symmetry sweep.
+`enum_disjoint_tuples` instead: the sparse interior (over the support and
+over the fresh elements), sparse `down` without extensions, and the
+suites' `counts` tables and symmetry sweep.
 """
 
 from __future__ import annotations
@@ -468,10 +473,11 @@ def nilpotency_index(a, m, l, X):
 # ---------------------------------------------------------------------------
 # sparse interior test (no l-side materialization)
 
-def exists_uncovered_extension(a, p, l, members):
+def exists_uncovered_extension(a, p, l, members, support=None):
     """True iff some l-extension of p avoids every member of `members`
     (i.e. no member is componentwise contained in it); members share p's
-    profile.
+    profile.  A caller that searches one family for many p may convert it
+    once: members as tuples of frozensets, and their `support` as a set.
 
     Lemma: let S be the members' support, U the elements of p and need_i =
     l_i - |p_i|.  Elements outside S complete no member, so an extension
@@ -489,10 +495,11 @@ def exists_uncovered_extension(a, p, l, members):
     need = [li - len(c) for li, c in zip(l, p)]
     if min(need, default=0) < 0:
         return False
-    members = [tuple(map(frozenset, t)) for t in members]
+    if support is None:
+        members = [tuple(map(frozenset, t)) for t in members]
+        support = set().union(*(c for t in members for c in t))
     trace = [set(c) for c in p]
     used = set().union(*trace)
-    support = set().union(*(c for t in members for c in t))
     D = sum(need) - (a - len(support | used))
 
     def covered():
@@ -536,8 +543,17 @@ def interior_sparse(a, m, l, X):
     enumerated.  A tuple p not in X can then take all its extra elements
     from the free ground; a member contained in that extension lies inside
     p componentwise, hence equals p (same profile), which is impossible.
-    Otherwise the support search runs once per class of candidates that
-    agree inside the support.
+
+    Otherwise the candidates are taken by class, those that agree inside
+    the support component by component: a permutation fixing the support
+    pointwise fixes X, so they share a verdict.  The classes are listed
+    directly, as a support part of k_i <= m_i elements per component plus
+    need_i = m_i - k_i fresh elements, skipping those that need more
+    fresh elements than there are.  Each class not in X gets one support
+    search, on its first fill (the lowest fresh elements), and its members
+    are listed only when it lies inside; a member of X is a class of its
+    own.  So the cost grows with the classes and the output, not with the
+    size of O_m(a).
     """
     m, l = check_profiles(m, l)
     return _interior_of_members(a, m, l, _members(a, X, m))
@@ -545,22 +561,34 @@ def interior_sparse(a, m, l, X):
 
 def _interior_of_members(a, m, l, X):
     """interior_sparse of a frozenset X whose members are already checked."""
-    support = {x for t in X for c in t for x in c}
+    support = sorted({x for t in X for c in t for x in c})
     if a - len(support) >= sum(l):
         return X
-    # A permutation fixing the support pointwise fixes X, so candidates
-    # that agree inside the support, component by component, share a
-    # verdict; the search runs once per such class.
-    verdicts = {}
-    out = []
-    for p in enum_disjoint_tuples(a, m):
-        if p in X:
-            out.append(p)  # members are always interior points
+    in_support = set(support)
+    fresh = tuple(x for x in range(a) if x not in in_support)
+    searched = [tuple(map(frozenset, t)) for t in X]  # converted once per X
+    out = set(X)  # members are always interior points
+    for k in itertools.product(*(range(mi + 1) for mi in m)):
+        need = [mi - ki for mi, ki in zip(m, k)]
+        if sum(need) > len(fresh):
             continue
-        key = tuple(tuple(x for x in c if x in support) for c in p)
-        if key not in verdicts:
-            verdicts[key] = not exists_uncovered_extension(a, p, l, X)
-        if verdicts[key]:
-            out.append(p)
+        # the first fill: the lowest fresh elements, in component order
+        ends = itertools.accumulate(need)
+        first = [fresh[e - n:e] for n, e in zip(need, ends)]
+        for part in _disjoint_over(support, k):
+            if part in X:
+                continue  # a member is a class of its own, with no fill
+            p = tuple(tuple(sorted(s + f)) for s, f in zip(part, first))
+            if not exists_uncovered_extension(a, p, l, searched, in_support):
+                # inside: every fill of the class is an interior point
+                out.update(tuple(tuple(sorted(s + f)) for s, f in zip(part, fill))
+                           for fill in _disjoint_over(fresh, need))
     return frozenset(out)
+
+
+def _disjoint_over(elems, profile):
+    """enum_disjoint_tuples over the sorted sequence `elems` in place of
+    range(a): the same order, each index i read as elems[i]."""
+    return (tuple(tuple(elems[i] for i in c) for c in t)
+            for t in enum_disjoint_tuples(len(elems), profile))
 

@@ -35,6 +35,38 @@ def test_bijection_suite(capsys):
     assert doc["counters"]["round_trips"] == 256
 
 
+@pytest.mark.parametrize("fault, distinct", [
+    ("earlier", 20),   # the image of a sequence already checked: a repeat
+    ("later", 21),     # the image of a sequence not yet checked
+    ("no-image", 21),  # its inverse (element 7) is no sequence over range(3)
+    ("overlap", 21),   # its inverse comes earlier but maps to another image
+])
+def test_bijection_counts_a_failing_image_as_a_set_would(monkeypatch, fault,
+                                                         distinct):
+    # fin_to_disjoint sends the 21st sequence to another tuple; the suite's
+    # counters read as when it kept every image in a set
+    a, n = 3, 2
+    real = suites.maps.fin_to_disjoint
+    subsets = [c for k in range(a + 1) for c in itertools.combinations(range(a), k)]
+    seqs = list(itertools.product(subsets, repeat=n))
+    target = {"earlier": real(seqs[5]), "later": real(seqs[40]),
+              "no-image": ((7,), (), ()), "overlap": ((0,), (0,), ())}[fault]
+    monkeypatch.setattr(suites.maps, "fin_to_disjoint",
+                        lambda s: target if s == seqs[20] else real(s))
+    images = set()
+    for s in seqs:
+        q = suites.maps.fin_to_disjoint(s)
+        images.add(q)
+        if suites.maps.disjoint_to_fin(q, n) != s:
+            break
+    report = suites.suite_bijection(a, n)
+    assert report.outcome == "violation"
+    assert report.witnesses == [{"sequence": [list(map(list, seqs[20]))]}]
+    assert report.counters == {"round_trips": 21, "distinct_images": distinct,
+                               "count_identity": False}
+    assert len(images) == distinct
+
+
 def test_fact00_pass(capsys):
     code, out = run_cli(capsys, [
         "verify", "fact00", "--a", "6", "--m", "1", "--l", "2",

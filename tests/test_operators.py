@@ -170,6 +170,54 @@ def test_interior_sparse_matches_dense():
             assert interior_sparse(a, m, l, X) == interior(a, m, l, X)
 
 
+def test_sparse_interior_searches_once_per_class(monkeypatch):
+    # 3 members over a support of s = 6 leave 18 fresh elements, one short
+    # of sum(l).  A class is a support part with k_i <= 1 per component:
+    # (s + 1)^2 - s = 43 of them, 3 of which are the members, so 40
+    # searches; none of the 552 tuples of O_(1,1)(24) is listed, only one
+    # support part per class
+    searches = []
+    listed = Counter()
+    search, enum = operators.exists_uncovered_extension, operators.enum_disjoint_tuples
+
+    def counted_search(*args):
+        searches.append(args[1])
+        return search(*args)
+
+    def counted_enum(a, profile):
+        for t in enum(a, profile):
+            listed[a, tuple(profile)] += 1
+            yield t
+
+    monkeypatch.setattr(operators, "exists_uncovered_extension", counted_search)
+    monkeypatch.setattr(operators, "enum_disjoint_tuples", counted_enum)
+    X = {((0,), (1,)), ((2,), (3,)), ((4,), (5,))}
+    assert interior(24, (1, 1), (9, 10), X) == X
+    assert len(searches) == len(set(searches)) == 7 ** 2 - 6 - len(X) == 40
+    assert sum(listed.values()) == 43 and (24, (1, 1)) not in listed
+
+
+def test_sparse_interior_lists_a_class_of_fresh_fills():
+    # the support {1, 2, 4, 5} leaves 0 and 3 fresh: the class with 5 from
+    # the support and one fresh element is inside (any 4-set over it takes
+    # 1, 2 or 4), and its members sort the fresh element in below 5
+    X = {((1, 5),), ((2, 5),), ((4, 5),)}
+    want = oracle_interior(6, (2,), (4,), X)
+    assert want == X | {((0, 5),), ((3, 5),)}
+    assert interior_sparse(6, (2,), (4,), X) == want
+
+
+@pytest.mark.parametrize("a, m, l", [(5, (1, 1, 0), (2, 2, 1)),
+                                     (6, (0, 2), (1, 3))])
+def test_sparse_interior_with_a_zero_part(a, m, l):
+    # a component that holds nothing has one class part, the empty one
+    rng = random.Random(7)
+    tuples = list(enum_disjoint_tuples(a, m))
+    for _ in range(30):
+        X = random_family(rng, tuples, density=rng.choice([0.1, 0.3, 0.6]))
+        assert interior_sparse(a, m, l, X) == oracle_interior(a, m, l, X)
+
+
 def test_exists_uncovered_extension_agrees_with_enumeration():
     rng = random.Random(3)
     a, m, l = 6, (1, 1), (2, 2)
