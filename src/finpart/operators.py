@@ -561,10 +561,10 @@ def interior_sparse(a, m, l, X):
 
 def _interior_of_members(a, m, l, X):
     """interior_sparse of a frozenset X whose members are already checked."""
-    support = sorted({x for t in X for c in t for x in c})
-    if a - len(support) >= sum(l):
+    in_support = {x for t in X for c in t for x in c}
+    if a - len(in_support) >= sum(l):
         return X
-    in_support = set(support)
+    support = sorted(in_support)
     fresh = tuple(x for x in range(a) if x not in in_support)
     searched = [tuple(map(frozenset, t)) for t in X]  # converted once per X
     out = set(X)  # members are always interior points
