@@ -84,7 +84,7 @@ def demo_coding(cfg, X=None):
         # one pass over H, for every key's count and for the decoder
         by_l = coding.slices(H, cfg)
         for key in sorted(book.Y):
-            print(f"  slice {key}: {len(by_l.get(cfg.f(*key), ()))} tuples")
+            print(f"  slice {key}: {by_l.count(cfg.f(*key))} tuples")
         dec = coding.decode(coding._book_of_slices(by_l, cfg))
     verdict = coding.normalize_indexed(dec) == coding.normalize_indexed(X)
     print("decoded:")

@@ -17,11 +17,16 @@ frozenset of each partition's non-singleton block set, with singletons
 implicit.  The decoder reads only the blocks of size >= 2 of each element,
 so it accepts full partitions as well.
 
-On a key whose (a, m, l) operator runs dense, every l-tuple has one shared
-block-set object, built once per (a, l): `materialize` returns these
-objects rather than new frozensets, and `decode` looks each element of H up
-in a per-config index of them before bucketing only the misses by block
-sizes.  A hit compares by identity and reuses the set's cached hash.
+Every per-key decision is made once per config, in its cached plan
+(`_plan`): each key's block sizes and the dense spaces of its (a, m, l)
+and (a, m, g) operators, and one position, a small int, per block set of
+a dense key.  On a dense key every l-tuple has one shared block-set
+object, built once per (a, l), and `materialize` returns these objects
+rather than new frozensets.  `slices` marks each element's position in
+a bytearray in one pass over H (a hit compares by identity and reuses the
+set's cached hash), reads each dense l's span of positions as a mask,
+and buckets only the misses by block sizes; `decode` then pulls each
+dense key back on masks, hashing no hit again.
 
 An indexed family is checked once, in `encode`: its one pass sorts the
 members into slot families and takes only ints as ground elements, and
@@ -35,10 +40,12 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice, repeat
+from itertools import count, filterfalse, islice, repeat
 from math import prod
+from typing import NamedTuple
 
 from .core import profile_of
 from .maps import disjoint_to_fin, fin_to_disjoint
@@ -50,8 +57,10 @@ from .operators import (
     boundary_chain,
     count_extensions,
     down,
+    down_mask,
     indexed_tuples,
     interior,
+    interior_mask,
     up,
     up_mask,
 )
@@ -342,6 +351,39 @@ def _block_sets(a, l):
     return tuple(map(frozenset, indexed_tuples(a, l)[0]))
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """Every per-key decision of one config, made once (`_plan`)."""
+
+    # (j, m, k) -> (l, the (a, m, l) space, the (a, m, g) space), each
+    # space None where that operator runs sparse
+    keys: dict
+    # shared block set of a dense key -> its position, a small int
+    index: dict
+    # dense l -> [lo, hi), the positions of its block sets in l-index order
+    spans: dict
+
+
+def _key_plan(cfg, key):
+    """(l, the (a, m, l) space, the (a, m, g) space) of one key."""
+    j, m, k = key
+    l = cfg.f(j, m, k)
+    return l, _route(cfg.a, m, l), _route(cfg.a, m, cfg.g(j, m))
+
+
+@cache
+def _plan(cfg):
+    """The plan of cfg's keys; the positions run key by key."""
+    keys = {key: _key_plan(cfg, key) for key in cfg.keys()}
+    index, spans = {}, {}
+    for l, sp, _ in keys.values():
+        if sp is not None:
+            lo = len(index)
+            index.update(zip(_block_sets(cfg.a, l), count(lo)))
+            spans[l] = lo, len(index)
+    return _Plan(keys, index, spans)
+
+
 def materialize(book):
     """The partition set carried by a book: for every key, the partitions
     induced by the l-extensions of the stored family, each as the
@@ -361,52 +403,65 @@ def materialize(book):
         total += len(fam) * count_extensions(cfg.a, m, cfg.f(j, m, k))
     if total > EXTENSION_BUDGET:
         return None, total
+    plan = _plan(cfg).keys
     out = set()
-    for (j, m, k), fam in book.Y.items():
-        l = cfg.f(j, m, k)
-        sp = _route(cfg.a, m, l)
+    for key, fam in book.Y.items():
+        l, sp, _ = plan.get(key) or _key_plan(cfg, key)
         if sp is None:
-            out.update(map(frozenset, up(cfg.a, m, l, fam)))
+            out.update(map(frozenset, up(cfg.a, key[1], l, fam)))
             continue
         g = up_mask(sp, _index_mask(cfg.a, sp.m, fam))
         out.update(at_bits(_block_sets(cfg.a, l), g))
     return frozenset(out), None
 
 
-@cache
-def _slice_index(cfg):
-    """Shared block set -> (l, l-tuple), over the dense keys of cfg."""
-    index = {}
-    for j, m, k in cfg.keys():
-        l = cfg.f(j, m, k)
-        sp = _route(cfg.a, m, l)
-        if sp is not None:
-            index.update(zip(_block_sets(cfg.a, l), zip(repeat(l), sp.l_tuples)))
-    return index
+# bytes of a bytearray of 0s and 1s -> the digits of a bit string
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class Slices(NamedTuple):
+    """A partition set bucketed by `slices`."""
+
+    hits: dict    # dense l -> mask over indexed_tuples(a, l)
+    misses: dict  # l -> list of l-profile tuples, bucketed by block sizes
+
+    def count(self, l):
+        return self.hits.get(l, 0).bit_count() + len(self.misses.get(l, ()))
 
 
 def slices(H, cfg):
-    """Bucket a partition set into slices, l -> list of l-profile tuples.
+    """Bucket a partition set into slices.
 
-    An element equal to a block set of one of cfg's dense keys is looked
-    up in the config's index and goes into that key's slice as its
-    l-tuple.  Any other element (a full partition, a sparse key's block
-    set, junk, malformed blocks) goes into the bucket of the sorted sizes
-    of its non-singleton blocks, holding those blocks in ascending size.
-    The sizes of an l-tuple strictly increase, so bucket l is the slice of
-    l-profile tuples, components in order, either way."""
-    index = _slice_index(cfg)
-    out = defaultdict(list)
-    for P in H:
-        entry = index.get(P)
-        if entry is None:
+    An element equal to a block set of one of cfg's dense keys is a hit:
+    one pass over H marks its position in the config's plan in a
+    bytearray, and each dense l's span of positions is read as that l's
+    hit mask, bit i selecting l-tuple i.  Any other element (a full
+    partition, a sparse key's block set, junk, malformed blocks) is a miss
+    and goes into the bucket of the sorted sizes of its non-singleton
+    blocks, holding those blocks in ascending size.  The sizes of an
+    l-tuple strictly increase, so bucket l holds l-profile tuples,
+    components in order, either way.  A repeated element marks its
+    position again, so repeats change no mask."""
+    if not isinstance(H, Collection):
+        H = list(H)  # the misses are read in a second pass
+    plan = _plan(cfg)
+    index = plan.index
+    size = len(index)
+    seen = bytearray(size + 1)  # position `size` marks that some element missed
+    # a plain store beats feeding map() to seen.__setitem__, whose method
+    # wrapper costs more per call than the whole loop body
+    for pos in map(index.get, H, repeat(size)):
+        seen[pos] = 1
+    misses = defaultdict(list)
+    if seen[size]:
+        for P in filterfalse(index.__contains__, H):
             ns = [b for b in P if len(b) >= 2]
             if len(ns) > 1:
                 ns.sort(key=len)
-            ns = tuple(ns)
-            entry = tuple(map(len, ns)), ns
-        out[entry[0]].append(entry[1])
-    return out
+            misses[tuple(map(len, ns))].append(tuple(ns))
+    hits = {l: int(seen[lo:hi][::-1].translate(_DIGITS), 2)
+            for l, (lo, hi) in plan.spans.items()}
+    return Slices(hits, misses)
 
 
 def extract_slice(H, cfg, j, m, k):
@@ -414,7 +469,12 @@ def extract_slice(H, cfg, j, m, k):
     (block sets or full partitions): elements whose non-singleton block
     sizes match l as a set, with the component order recovered by
     ascending block size."""
-    return frozenset(slices(H, cfg).get(cfg.f(j, m, k), ()))
+    l = cfg.f(j, m, k)
+    hits, misses = slices(H, cfg)
+    out = frozenset(misses.get(l, ()))
+    if l in hits:
+        out |= frozenset(at_bits(indexed_tuples(cfg.a, l)[0], hits[l]))
+    return out
 
 
 def pullback_Y(a, m, Z, l):
@@ -435,16 +495,36 @@ def pullback_Y(a, m, Z, l):
 
 
 def _book_of_slices(by_l, cfg, check=True):
-    """The code book of `decode`'s pullbacks of a partition set's slices."""
+    """The code book of `decode`'s pullbacks of a partition set's slices.
+
+    On a dense key the pullback runs on masks: the hit mask ORed with the
+    mask of the misses (CodingError for a malformed one) goes through
+    `down_mask`, and Y_k is built once from the result.  A sparse key
+    pulls its misses back by `pullback_Y`.  With check, Y_k must be
+    interior-closed at g, by `interior_mask` where both (a, m, l) and
+    (a, m, g) are dense."""
+    hits, misses = by_l
     Y = {}
-    for j, m, k in cfg.keys():
-        l = cfg.f(j, m, k)
-        Yk = pullback_Y(cfg.a, m, by_l.get(l, ()), l)
-        if check and interior(cfg.a, m, cfg.g(j, m), Yk) != Yk:
-            raise DecodeError(
-                f"slice ({j}, {m}, {k}) is not interior-closed after pullback; "
-                "the configuration is too small to decode this input faithfully"
-            )
+    for (j, m, k), (l, sp, sp_g) in _plan(cfg).keys.items():
+        y = None
+        if sp is None:
+            Yk = pullback_Y(cfg.a, m, misses.get(l, ()), l)
+        else:
+            try:
+                y = down_mask(sp, hits[l] | _index_mask(cfg.a, l, misses.get(l, ())))
+            except ValueError as e:
+                raise CodingError(str(e)) from e
+            Yk = frozenset(at_bits(sp.m_tuples, y))
+        if check:
+            if sp_g is None or y is None:
+                closed = interior(cfg.a, m, cfg.g(j, m), Yk) == Yk
+            else:
+                closed = interior_mask(sp_g, y) == y
+            if not closed:
+                raise DecodeError(
+                    f"slice ({j}, {m}, {k}) is not interior-closed after pullback; "
+                    "the configuration is too small to decode this input faithfully"
+                )
         Y[(j, m, k)] = Yk
     return CodeBook(cfg, Y)
 

@@ -114,9 +114,9 @@ def check_profiles(m, l):
 # for each side's tables: 21 MB for (16, (8,), (15,)), at the edge of the
 # tuple budget, measured with tracemalloc.  The bit budget also bounds the
 # build, which sets at most one bit per l-tuple in each mask.  The coder
-# adds, per dense l-tuple it reads, one shared block set and one entry of
-# its decode index: about 300 bytes, so 10.4 MB for (256, (0,), (2,)), at
-# the edge of the tuple budget, also measured with tracemalloc.
+# adds, per dense l-tuple it reads, one shared block set and its position
+# in the config's plan: about 290 bytes, so 9.5 MB for (256, (0,), (2,)),
+# at the edge of the tuple budget, also measured with tracemalloc.
 _TUPLE_BUDGET = 1 << 15
 _BIT_BUDGET = 1 << 20
 

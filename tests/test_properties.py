@@ -381,17 +381,21 @@ def oracle_slice(H, l):
     return frozenset(out)
 
 
-def oracle_decode(H, cfg):
-    """Per key, the slice oracle pulled back by oracle_down; then the
-    book's alternating difference.  A slice holding anything but a
-    disjoint l-profile tuple over range(a) is no code: CodingError."""
+def oracle_decode(H, cfg, check=False):
+    """Per key, in key order, the slice oracle pulled back by oracle_down;
+    then the book's alternating difference.  A slice holding anything but
+    a disjoint l-profile tuple over range(a) is no code: CodingError.
+    With check, a pullback that is not interior-closed at the slot's top
+    profile g is not faithful: DecodeError."""
     Y = {}
     for j, m, k in cfg.keys():
         l = cfg.f(j, m, k)
         Z = oracle_slice(H, l)
         if not Z <= set(enum_disjoint_tuples(cfg.a, l)):
             raise coding.CodingError(f"slice {l} holds a malformed tuple")
-        Y[(j, m, k)] = oracle_down(cfg.a, m, l, Z)
+        Yk = Y[(j, m, k)] = oracle_down(cfg.a, m, l, Z)
+        if check and oracle_interior(cfg.a, m, cfg.g(j, m), Yk) != Yk:
+            raise coding.DecodeError(f"slice {l} is not interior-closed")
     return coding.decode(coding.CodeBook(cfg, Y))
 
 
@@ -469,6 +473,31 @@ def test_decode_matches_full_partitions_and_slice_oracle(case):
     assert got == want
     full = frozenset(partition_from_ns(cfg.a, P) for P in H)
     assert coding.decode(full, cfg, check=False) == got
+
+
+# not interior-closed at g = (5,): the slice of k = 0 pulls back to the
+# singletons 0..7, and every 5-set through 8..11 meets them
+@example((SINGLE_SLOT_A12, frozenset(
+    frozenset({q}) for q in itertools.combinations(range(12), 3) if q[0] < 8)))
+@settings(max_examples=40)
+@given(coded_unions())
+def test_checked_decode_matches_interior_oracle(case):
+    """decode(H) with its check raises DecodeError exactly where the
+    oracle's pullback of the first failing key is not interior-closed at
+    g, CodingError where that key's slice is malformed, and otherwise
+    returns the oracle's family.  H listed twice decodes the same: a
+    repeated element must not change any slice."""
+    cfg, H = case
+    twice = list(H) * 2
+    try:
+        want = oracle_decode(H, cfg, check=True)
+    except (coding.CodingError, coding.DecodeError) as e:
+        for source in (H, twice):
+            with pytest.raises(type(e)):
+                coding.decode(source, cfg)
+        return
+    assert coding.decode(H, cfg) == want
+    assert coding.decode(twice, cfg) == want
 
 
 @st.composite
