@@ -18,9 +18,10 @@ implicit.  The decoder reads only the blocks of size >= 2 of each element,
 so it accepts full partitions as well.
 
 Every per-key decision is made once per config, in its cached plan
-(`_plan`): each key's block sizes and the dense spaces of its (a, m, l)
-and (a, m, g) operators, and one position, a small int, per block set of
-a dense key.  On a dense key every l-tuple has one shared block-set
+(`_plan`): each key's block sizes, the dense spaces of its (a, m, l)
+and (a, m, g) operators and its per-member extension count (what
+`materialize`'s budget multiplies), and one position, a small int, per
+block set of a dense key.  On a dense key every l-tuple has one shared block-set
 object, built once per (a, l), and `materialize` returns these objects
 rather than new frozensets.  `slices` marks each element's position in
 a bytearray in one pass over H (a hit compares by identity and reuses the
@@ -351,13 +352,20 @@ def _block_sets(a, l):
     return tuple(map(frozenset, indexed_tuples(a, l)[0]))
 
 
+class _Key(NamedTuple):
+    """One key's entry in a config's plan."""
+
+    l: tuple
+    sp: object    # the (a, m, l) space, None where that operator runs sparse
+    sp_g: object  # the (a, m, g) space, None likewise
+    per_member: int  # l-extensions of one m-tuple (`count_extensions`)
+
+
 @dataclass(frozen=True)
 class _Plan:
     """Every per-key decision of one config, made once (`_plan`)."""
 
-    # (j, m, k) -> (l, the (a, m, l) space, the (a, m, g) space), each
-    # space None where that operator runs sparse
-    keys: dict
+    keys: dict  # (j, m, k) -> its `_Key`
     # shared block set of a dense key -> its position, a small int
     index: dict
     # dense l -> [lo, hi), the positions of its block sets in l-index order
@@ -365,10 +373,11 @@ class _Plan:
 
 
 def _key_plan(cfg, key):
-    """(l, the (a, m, l) space, the (a, m, g) space) of one key."""
+    """The `_Key` of one key."""
     j, m, k = key
     l = cfg.f(j, m, k)
-    return l, _route(cfg.a, m, l), _route(cfg.a, m, cfg.g(j, m))
+    return _Key(l, _route(cfg.a, m, l), _route(cfg.a, m, cfg.g(j, m)),
+                count_extensions(cfg.a, m, l))
 
 
 @cache
@@ -376,7 +385,7 @@ def _plan(cfg):
     """The plan of cfg's keys; the positions run key by key."""
     keys = {key: _key_plan(cfg, key) for key in cfg.keys()}
     index, spans = {}, {}
-    for l, sp, _ in keys.values():
+    for l, sp, _, _ in keys.values():
         if sp is not None:
             lo = len(index)
             index.update(zip(_block_sets(cfg.a, l), count(lo)))
@@ -395,18 +404,18 @@ def materialize(book):
     frozenset is built; a sparse key builds one per extension.
 
     Returns (partitions, None) or (None, count) when the number of
-    candidate extension tuples exceeds EXTENSION_BUDGET.
+    candidate extension tuples, each family's size times its key's
+    per-member extension count, exceeds EXTENSION_BUDGET.
     """
     cfg = book.cfg
-    total = 0
-    for (j, m, k), fam in book.Y.items():
-        total += len(fam) * count_extensions(cfg.a, m, cfg.f(j, m, k))
+    plan = _plan(cfg).keys
+    keys = [(key, fam, plan.get(key) or _key_plan(cfg, key))
+            for key, fam in book.Y.items()]
+    total = sum(len(fam) * kp.per_member for _, fam, kp in keys)
     if total > EXTENSION_BUDGET:
         return None, total
-    plan = _plan(cfg).keys
     out = set()
-    for key, fam in book.Y.items():
-        l, sp, _ = plan.get(key) or _key_plan(cfg, key)
+    for key, fam, (l, sp, _, _) in keys:
         if sp is None:
             out.update(map(frozenset, up(cfg.a, key[1], l, fam)))
             continue
@@ -505,7 +514,7 @@ def _book_of_slices(by_l, cfg, check=True):
     (a, m, g) are dense."""
     hits, misses = by_l
     Y = {}
-    for (j, m, k), (l, sp, sp_g) in _plan(cfg).keys.items():
+    for (j, m, k), (l, sp, sp_g, _) in _plan(cfg).keys.items():
         y = None
         if sp is None:
             Yk = pullback_Y(cfg.a, m, misses.get(l, ()), l)

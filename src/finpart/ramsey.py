@@ -12,6 +12,13 @@ colorings that tests each witness when its last point is colored and cuts
 symmetric branches (the first point's color, adjacent transpositions of the
 side sets).  Its budget, `max_colorings`, counts search nodes; it also
 refuses, before building anything, grids whose witness masks exceed it.
+
+Grid points are indexed mixed-radix in their per-axis positions (`_axes`):
+point (S_1..S_n) has index sum_i pos_i(S_i) * stride_i, the order of
+`grid_points`.  So a witness's bitmask is the product of one mask per axis,
+each the OR of 2^(pos_i(S) * stride_i) over the j_i-subsets S of T_i, and
+an adjacent transposition moves a point by a multiple of one stride; no
+point is looked up by its nested tuple.
 """
 
 from __future__ import annotations
@@ -94,35 +101,68 @@ class PropertyResult:
     note: str = ""
 
 
-def _witness_masks(sizes, j, r, index):
+def _axes(sizes, j):
+    """Per coordinate i: (pos_i, stride_i), where pos_i maps each
+    j_i-subset of range(N_i) to its position in lexicographic order and
+    stride_i = prod over i' > i of C(N_i', j_i').  A grid point's index in
+    `grid_points` order is mixed-radix in its per-axis positions:
+    sum_i pos_i(point_i) * stride_i."""
+    axes, stride = [], 1
+    for N, jj in reversed(tuple(zip(sizes, j))):
+        pos = {T: p for p, T in enumerate(itertools.combinations(range(N), jj))}
+        axes.append((pos, stride))
+        stride *= len(pos)
+    return axes[::-1]
+
+
+def _witness_masks(sizes, j, r):
     """Per grid point k: the bitmasks of the witness sub-grids whose last
-    point is k, so each witness is tested once, when k gets its color."""
-    ends = [[] for _ in index]
-    for Ts in itertools.product(
-        *(itertools.combinations(range(N), r) for N in sizes)
-    ):
-        mask = 0
-        for pt in subgrid(Ts, j):
-            mask |= 1 << index[pt]
+    point is k, so each witness is tested once, when k gets its color.
+
+    A witness T_1 x ... x T_n is a product of per-axis masks: spread_i(T)
+    ORs the bits pos_i(S) * stride_i over the j_i-subsets S of T (1 when
+    j_i = 0), and the witness's mask is the product of its spreads.  The
+    exponents pos_1 * stride_1 + ... + pos_n * stride_n of the product's
+    terms are distinct grid indices, so no carry occurs and the product is
+    exactly the OR of the witness's points.  Witnesses come in
+    itertools.product order of the r-subsets."""
+    axes = _axes(sizes, j)
+    spreads = [
+        [sum(1 << pos[S] * stride for S in itertools.combinations(T, jj))
+         for T in itertools.combinations(range(N), r)]
+        for N, jj, (pos, stride) in zip(sizes, j, axes)
+    ]
+    ends = [[] for _ in range(prod(len(pos) for pos, _ in axes))]
+    for mask in map(prod, itertools.product(*spreads)):
         ends[mask.bit_length() - 1].append(mask)
     return ends
 
 
-def _transposition_pairs(sizes, points, index):
+def _transposition_pairs(sizes, j):
     """The grid-point permutations induced by adjacent transpositions
     (x, x+1) of each side set, one list per transposition: the pairs
     (i, g(i)) with i < g(i), in increasing i.  Each is an involution, so the
     lex order of a coloring and its image is decided by the first of these
     pairs whose two points differ in color.  The monochromatic-witness
-    property is invariant under them."""
+    property is invariant under them.
+
+    Moving x to x+1 in coordinate i's component S changes only that
+    component's position, so g(i) = i + (pos_i(S') - pos_i(S)) * stride_i
+    (`_axes`)."""
+    axes = _axes(sizes, j)
+    # per coordinate and position: (x, g(i) - i) for each x that can move
+    moves = [
+        [[(x, (pos[tuple(x + 1 if y == x else y for y in S)] - p) * stride)
+          for x in S if x + 1 < N and x + 1 not in S]
+         for S, p in pos.items()]
+        for N, (pos, stride) in zip(sizes, axes)
+    ]
     gens = {}
-    for i, pt in enumerate(points):
-        for coord, comp in enumerate(pt):
-            for x in comp:
-                if x + 1 < sizes[coord] and x + 1 not in comp:
-                    moved = tuple(x + 1 if y == x else y for y in comp)
-                    image = index[pt[:coord] + (moved,) + pt[coord + 1 :]]
-                    gens.setdefault((coord, x), []).append((i, image))
+    positions = itertools.product(*(range(len(pos)) for pos, _ in axes))
+    for i, pt in enumerate(positions):
+        for coord, p in enumerate(pt):
+            for x, step in moves[coord][p]:
+                gens.setdefault((coord, x), []).append((i, i + step))
     return list(gens.values())
 
 
@@ -161,7 +201,12 @@ def _search(P, c, ends, gens, first_colors, budget):
         color[k] = d
         bits = by_color[d] = by_color[d] | 1 << k
         undo[k] = changed = []
-        if any(bits & w == w for w in ends[k]):
+        for w in ends[k]:
+            if bits & w == w:
+                break  # a witness ending at k is monochromatic
+        else:
+            w = None
+        if w is not None:
             searched += 1
             continue
         cut = False
@@ -218,13 +263,11 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
         raise BudgetExceeded(
             f"{W} witnesses on {P} points exceed the budget of {max_colorings}"
         )
-    points = grid_points(sizes, j)
-
     if W == 0:
         return PropertyResult(
             holds=False,
             searched=0,
-            counterexample={pt: 0 for pt in points},
+            counterexample={pt: 0 for pt in grid_points(sizes, j)},
             note=f"no witness sets of size {r} exist",
         )
     if P == 0:
@@ -234,14 +277,13 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
         return PropertyResult(holds=True, searched=0,
                               note="vacuous witness (empty sub-grid)")
 
-    index = {pt: i for i, pt in enumerate(points)}
-    ends = _witness_masks(sizes, j, r, index)
-    gens = _transposition_pairs(sizes, points, index) if prune else []
+    ends = _witness_masks(sizes, j, r)
+    gens = _transposition_pairs(sizes, j) if prune else []
     color, searched, pruned = _search(P, c, ends, gens, 1 if prune else c,
                                       max_colorings)
     if color is None:
         return PropertyResult(True, searched, pruned)
-    cex = dict(zip(points, color))
+    cex = dict(zip(grid_points(sizes, j), color))
     return PropertyResult(False, searched, pruned, cex)
 
 

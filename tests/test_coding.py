@@ -99,6 +99,18 @@ def test_encode_singleton_family(cfg12):
     assert all(len(P) == 1 and len(B) == 3 and 0 in B for P in H for B in P)
 
 
+def test_materialize_budget_counts_every_extension(monkeypatch, cfg12):
+    book = encode({0: frozenset({((0,),), ((1,),), ((2,),)})}, cfg12)
+    total = sum(len(fam) * operators.count_extensions(12, m, cfg12.f(j, m, k))
+                for (j, m, k), fam in book.Y.items())
+    H, _ = materialize(book)
+    assert total >= len(H) > 0  # extensions of different members may meet
+    monkeypatch.setattr(coding, "EXTENSION_BUDGET", total)
+    assert materialize(book) == (H, None)
+    monkeypatch.setattr(coding, "EXTENSION_BUDGET", total - 1)
+    assert materialize(book) == (None, total)
+
+
 def test_extract_and_pullback(cfg12):
     X = {0: frozenset({((0,),)})}
     H, _ = materialize(encode(X, cfg12))

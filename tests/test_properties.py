@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from finpart import coding, maps, operators  # noqa: E402
+from finpart import coding, maps, operators, ramsey  # noqa: E402
 from finpart.core import (  # noqa: E402
     as_subset,
     enum_disjoint_tuples,
@@ -34,7 +34,9 @@ from finpart.ramsey import (  # noqa: E402
     ProductColoring,
     RamseyQuery,
     check_witness,
+    grid_points,
     has_property,
+    subgrid,
 )
 from finpart.symmetry import apply_perm, is_support  # noqa: E402
 
@@ -279,6 +281,59 @@ def test_ramsey_search_matches_oracle(case):
     if want is not None:
         assert pruned.counterexample == full.counterexample == want
     assert pruned.searched <= full.searched
+
+
+@st.composite
+def ramsey_grids(draw):
+    """Grids of 1-3 coordinates with j_i in {0, 1, 2} and j_i <= r <= N_i."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(0, 4))
+    j = tuple(draw(st.integers(0, min(2, r))) for _ in range(n))
+    sizes = tuple(draw(st.integers(r, min(r + 2, 6))) for _ in range(n))
+    return sizes, j, r
+
+
+def oracle_index(sizes, j):
+    return {pt: i for i, pt in enumerate(grid_points(sizes, j))}
+
+
+def oracle_witness_masks(sizes, j, r):
+    """Each witness's mask ORed point by point from `subgrid`, filed under
+    its last point, witnesses in itertools.product order."""
+    index = oracle_index(sizes, j)
+    ends = [[] for _ in index]
+    for Ts in itertools.product(
+        *(itertools.combinations(range(N), r) for N in sizes)
+    ):
+        mask = 0
+        for pt in subgrid(Ts, j):
+            mask |= 1 << index[pt]
+        ends[mask.bit_length() - 1].append(mask)
+    return ends
+
+
+def oracle_transposition_pairs(sizes, j):
+    """Per adjacent transposition (coord, x), in order of first use: the
+    pairs (i, image) with i < image, the image found by moving x to x + 1
+    in the point's coord-th component and looking the point up."""
+    index = oracle_index(sizes, j)
+    gens = {}
+    for pt, i in index.items():
+        for coord, comp in enumerate(pt):
+            for x in comp:
+                if x + 1 < sizes[coord] and x + 1 not in comp:
+                    moved = tuple(x + 1 if y == x else y for y in comp)
+                    image = index[pt[:coord] + (moved,) + pt[coord + 1:]]
+                    gens.setdefault((coord, x), []).append((i, image))
+    return list(gens.values())
+
+
+@example(((), (), 2))  # no coordinates: one point, one witness
+@given(ramsey_grids())
+def test_ramsey_masks_match_oracle(case):
+    sizes, j, r = case
+    assert ramsey._witness_masks(sizes, j, r) == oracle_witness_masks(sizes, j, r)
+    assert ramsey._transposition_pairs(sizes, j) == oracle_transposition_pairs(sizes, j)
 
 
 # ---------------------------------------------------------------------------

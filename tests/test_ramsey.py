@@ -227,3 +227,40 @@ def test_subgrid():
     pts = subgrid([(0, 2), (1, 3)], (1, 1))
     assert ((0,), (1,)) in pts and ((2,), (3,)) in pts
     assert len(pts) == 4
+
+
+# (j, sizes, r) -> (holds, searched, pruned, counterexample colours in
+# grid_points order) of the 2-colour search, recorded before the witness
+# masks were built as products of per-axis masks; the search tree must not
+# change under a faster kernel
+PINNED_TREES = {
+    ((1, 1), (4, 4), 2): (False, 54, 8, (0, 0, 0, 1, 0, 1, 1, 0,
+                                         1, 0, 1, 0, 1, 1, 0, 0)),
+    ((1, 1), (5, 5), 2): (True, 312, 70, None),
+    ((1, 1), (3, 7), 2): (True, 417, 105, None),
+    ((1, 1), (4, 6), 2): (False, 195, 36, (0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 1,
+                                           1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0)),
+    ((2,), (5,), 3): (False, 46, 4, (0, 0, 1, 1, 1, 0, 1, 1, 0, 0)),
+    ((2,), (6,), 3): (True, 120, 22, None),
+}
+
+
+def pinned_id(case):
+    j, sizes, r = case
+    return f"j{''.join(map(str, j))}-{'x'.join(map(str, sizes))}-r{r}"
+
+
+@pytest.mark.parametrize("case", PINNED_TREES, ids=pinned_id)
+def test_search_tree_is_pinned(case):
+    j, sizes, r = case
+    want = PINNED_TREES[case]
+    q = RamseyQuery(j, 2, r)
+    res = has_property(sizes, q)
+    cex = res.counterexample
+    got = None if cex is None else tuple(cex[pt] for pt in grid_points(sizes, j))
+    assert (res.holds, res.searched, res.pruned, got) == want
+    # the budget counts every node: the total suffices, one less does not
+    total = res.searched + res.pruned
+    assert has_property(sizes, q, max_colorings=total) == res
+    with pytest.raises(BudgetExceeded, match="search exceeds"):
+        has_property(sizes, q, max_colorings=total - 1)
