@@ -372,20 +372,15 @@ class _Plan:
     spans: dict
 
 
-def _key_plan(cfg, key):
-    """The `_Key` of one key."""
-    j, m, k = key
-    l = cfg.f(j, m, k)
-    return _Key(l, _route(cfg.a, m, l), _route(cfg.a, m, cfg.g(j, m)),
-                count_extensions(cfg.a, m, l))
-
-
 @cache
 def _plan(cfg):
     """The plan of cfg's keys; the positions run key by key."""
-    keys = {key: _key_plan(cfg, key) for key in cfg.keys()}
-    index, spans = {}, {}
-    for l, sp, _, _ in keys.values():
+    keys, index, spans = {}, {}, {}
+    for j, m, k in cfg.keys():
+        l = cfg.f(j, m, k)
+        sp = _route(cfg.a, m, l)
+        keys[j, m, k] = _Key(l, sp, _route(cfg.a, m, cfg.g(j, m)),
+                             count_extensions(cfg.a, m, l))
         if sp is not None:
             lo = len(index)
             index.update(zip(_block_sets(cfg.a, l), count(lo)))
@@ -406,11 +401,14 @@ def materialize(book):
     Returns (partitions, None) or (None, count) when the number of
     candidate extension tuples, each family's size times its key's
     per-member extension count, exceeds EXTENSION_BUDGET.
+    A book key outside its config's keys raises CodingError.
     """
     cfg = book.cfg
     plan = _plan(cfg).keys
-    keys = [(key, fam, plan.get(key) or _key_plan(cfg, key))
-            for key, fam in book.Y.items()]
+    if not book.Y.keys() <= plan.keys():
+        extra = sorted(book.Y.keys() - plan.keys())
+        raise CodingError(f"book keys {extra} are not keys of its config")
+    keys = [(key, fam, plan[key]) for key, fam in book.Y.items()]
     total = sum(len(fam) * kp.per_member for _, fam, kp in keys)
     if total > EXTENSION_BUDGET:
         return None, total

@@ -177,6 +177,7 @@ def _search(P, c, ends, gens, first_colors, budget):
     color = [-1] * P
     by_color = [0] * c       # per color: bitmask of the points holding it
     front = [0] * len(gens)  # per generator: its first pair not known equal
+    size = [len(pairs) for pairs in gens]  # per generator: its number of pairs
     undo = [()] * P          # per point: (generator, front) pairs to restore
     # per point: the generators with a pair ending there
     waiting = [[] for _ in range(P)]
@@ -211,11 +212,11 @@ def _search(P, c, ends, gens, first_colors, budget):
             continue
         cut = False
         for g in waiting[k]:
-            pairs, f = gens[g], front[g]
-            if f == len(pairs) or pairs[f][1] != k:
+            pairs, f, n = gens[g], front[g], size[g]
+            if f == n or pairs[f][1] != k:
                 continue
             changed.append((g, f))
-            while f < len(pairs) and pairs[f][1] <= k:
+            while f < n and pairs[f][1] <= k:
                 lo, hi = pairs[f]
                 if color[lo] == color[hi]:
                     f += 1
@@ -223,7 +224,7 @@ def _search(P, c, ends, gens, first_colors, budget):
                     # the image is lex-smaller for every completion: cut;
                     # lex-larger for every completion: g is settled
                     cut = color[hi] < color[lo]
-                    f = len(pairs)
+                    f = n
             front[g] = f
             if cut:
                 break

@@ -98,10 +98,7 @@ def _fact00_chunk(a, m, l, masks):
 
     checked = len(masks)
     violations = []
-    bad = _any(v for _, v, _ in laws)
-    while bad:
-        f = (bad & -bad).bit_length() - 1
-        bad &= bad - 1
+    for f in operators.at_bits(range(len(masks)), _any(v for _, v, _ in laws)):
         fam = _plainfam(sorted(operators.mask_to_family(sp, masks[f])))
         violations += [{"law": law, "X": fam, "detail": detail}
                        for law, v, detail in laws if v >> f & 1]
@@ -129,8 +126,9 @@ def _exhaustive_masks(size, cap):
 
 def suite_fact00(a, m, l, mode, samples, seed, jobs):
     """The operator laws over every family (exhaustive, at most 2^24) or a
-    seeded sample of families, and the pair laws over seeded pairs.  The
-    sweep runs in this process, so `jobs` changes nothing."""
+    seeded sample of families, and the pair laws over seeded pairs, every
+    law on the columns of the sliced kernels, a task at a time.  The sweep
+    runs in this process, so `jobs` changes nothing."""
     sp = operators.profile_space(a, m, l)
     size = len(sp.m_tuples)
     report = RunReport(
@@ -152,27 +150,24 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
         violations.extend(v)
         closed += cl
 
-    # pair laws, seeded
+    # seeded pair laws, a task at a time; draws alternate y and x's mask on y
     pairs = max(samples, 1000)
-    for _ in range(pairs):
-        ymask = rng.getrandbits(size)
-        xmask = ymask & rng.getrandbits(size)
-        ux = operators.up_mask(sp, xmask)
-        uy = operators.up_mask(sp, ymask)
-        if ux & ~uy:
-            violations.append({
-                "law": "monotone-up",
-                "X": _plainfam(sorted(operators.mask_to_family(sp, xmask))),
-                "Y": _plainfam(sorted(operators.mask_to_family(sp, ymask))),
-                "detail": "up not monotone",
-            })
-        if operators.down_mask(sp, ux) & ~operators.down_mask(sp, uy):
-            violations.append({
-                "law": "monotone-interior",
-                "X": _plainfam(sorted(operators.mask_to_family(sp, xmask))),
-                "Y": _plainfam(sorted(operators.mask_to_family(sp, ymask))),
-                "detail": "interior not monotone",
-            })
+    del masks  # so the pairs' tasks reuse the sweep's memory, adding no peak
+    for lo in range(0, pairs, _TASK):
+        draws = [rng.getrandbits(size) for _ in range(2 * min(_TASK, pairs - lo))]
+        ys, xs = draws[::2], list(map(and_, draws[::2], draws[1::2]))
+        ones = (1 << len(xs)) - 1
+        ux, uy = (operators.up_sliced(sp, operators.columns(z, size))
+                  for z in (xs, ys))
+        ix, iy = (operators.down_sliced(sp, u, ones) for u in (ux, uy))
+        laws = [("monotone-up", _any(_outside(ux, uy)), "up not monotone"),
+                ("monotone-interior", _any(_outside(ix, iy)),
+                 "interior not monotone")]
+        for f in operators.at_bits(range(len(xs)), _any(v for _, v, _ in laws)):
+            X, Y = (_plainfam(sorted(operators.mask_to_family(sp, z[f])))
+                    for z in (xs, ys))
+            violations += [{"law": law, "X": X, "Y": Y, "detail": detail}
+                           for law, v, detail in laws if v >> f & 1]
 
     report.counters = {
         "families_checked": checked,

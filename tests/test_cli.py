@@ -612,11 +612,15 @@ def test_unread_options_are_gone(capsys, argv):
     assert exc.value.code == 2
 
 
+def _readme_cli_lines():
+    block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```")[1]
+    return [shlex.split(ln, comments=True) for ln in block.splitlines()
+            if ln.startswith("finpart ")]
+
+
 def test_readme_cli_lines_parse():
     # the README's CLI examples stay in step with the per-command parsers
-    block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```")[1]
-    lines = [shlex.split(ln, comments=True) for ln in block.splitlines()
-             if ln.startswith("finpart ")]
+    lines = _readme_cli_lines()
     assert len(lines) > 10
     parser = cli.build_parser()
     for argv in lines:
@@ -626,6 +630,30 @@ def test_readme_cli_lines_parse():
         for action in actions:
             assert any(argv[1] == verb and (action is None or argv[2] == action)
                        for argv in lines), (verb, action)
+
+
+# the canonical digest of each `finpart verify` line of the README
+README_VERIFY_DIGESTS = {
+    "verify fact00 --a 6 --m 1 --l 2 --mode exhaustive": "5238a09577d9340c",
+    "verify nilpotency --a 2 --m 1 --l 3": "d94ac8ceb84c37c7",
+    "verify nilpotency --a 24 --m 1 --l 10 --mode random --samples 3":
+        "f5f15e43f889c780",
+    "verify bijection --a 4 --n 2": "7ee24186ca11ba3f",
+    "verify ramsey": "0a12878e5b49c4ae",
+    "verify coding --config configs/single_slot_a12.json --mode exhaustive":
+        "610a53508d42912c",
+    "verify symmetry": "3bd1f6d3da269ddb",
+}
+
+
+def test_readme_verify_lines_keep_their_digests(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    got = {}
+    for argv in _readme_cli_lines():
+        if argv[1] == "verify":
+            cli.run(argv[1:])
+            got[" ".join(argv[1:])] = json.loads(capsys.readouterr().out)["digest"]
+    assert got == README_VERIFY_DIGESTS
 
 
 @pytest.mark.parametrize("E, verdict", [("0,1", True), ("0", False)])

@@ -99,6 +99,17 @@ def test_encode_singleton_family(cfg12):
     assert all(len(P) == 1 and len(B) == 3 and 0 in B for P in H for B in P)
 
 
+def test_materialize_refuses_a_key_outside_the_config():
+    # the prime signature gives key (1, (0,), 0) the sizes (6,): its 28
+    # extensions would land in H beside the config key's 28, and decode
+    # would drop them without a word
+    cfg = CodingConfig(8, 1, SizeSignature("prime"), ((0, (0,)),))
+    fam = frozenset({((),)})
+    assert len(materialize(CodeBook(cfg, {(0, (0,), 0): fam}))[0]) == 28
+    with pytest.raises(CodingError, match=r"book keys \[\(1, \(0,\), 0\)\]"):
+        materialize(CodeBook(cfg, {(0, (0,), 0): fam, (1, (0,), 0): fam}))
+
+
 def test_materialize_budget_counts_every_extension(monkeypatch, cfg12):
     book = encode({0: frozenset({((0,),), ((1,),), ((2,),)})}, cfg12)
     total = sum(len(fam) * operators.count_extensions(12, m, cfg12.f(j, m, k))

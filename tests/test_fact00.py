@@ -1,6 +1,8 @@
-"""The bit-sliced fact00 sweep against a per-mask, per-law oracle."""
+"""The bit-sliced fact00 sweep and pair laws against a per-mask, per-law
+oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,45 @@ def oracle_chunk(a, m, l, masks):
     return checked, violations, closed
 
 
+def oracle_fact00(a, m, l, mode, samples, seed):
+    """suite_fact00's counters and witnesses, mask by mask: oracle_chunk on
+    the sweep's tasks of 4096 masks, then each seeded pair (y, then the
+    mask ANDed into y for x) through up_mask and down_mask."""
+    sp = operators.profile_space(a, m, l)
+    size = len(sp.m_tuples)
+    rng = random.Random(seed)
+    if mode == "exhaustive":
+        masks = range(1 << size)
+    else:
+        masks = sorted({rng.getrandbits(size) for _ in range(samples)})
+    checked = closed = 0
+    violations = []
+    for lo in range(0, len(masks), 4096):
+        c, v, cl = oracle_chunk(a, m, l, masks[lo:lo + 4096])
+        checked += c
+        violations += v
+        closed += cl
+
+    def fam(mask):
+        return suites._plainfam(sorted(operators.mask_to_family(sp, mask)))
+
+    pairs = max(samples, 1000)
+    for _ in range(pairs):
+        ymask = rng.getrandbits(size)
+        xmask = ymask & rng.getrandbits(size)
+        ux = operators.up_mask(sp, xmask)
+        uy = operators.up_mask(sp, ymask)
+        if ux & ~uy:
+            violations.append({"law": "monotone-up", "X": fam(xmask),
+                               "Y": fam(ymask), "detail": "up not monotone"})
+        if operators.down_mask(sp, ux) & ~operators.down_mask(sp, uy):
+            violations.append({"law": "monotone-interior", "X": fam(xmask),
+                               "Y": fam(ymask), "detail": "interior not monotone"})
+    counters = {"families_checked": checked, "pairs_checked": pairs,
+                "closed_families": closed, "laws": len(suites._LAW_NAMES)}
+    return counters, violations
+
+
 INSTANCES = [(4, (2,), (3,)), (4, (1, 1), (2, 2)), (5, (1,), (3,))]
 
 
@@ -79,6 +120,17 @@ def _flip_bit0(down):
     return lambda sp, g: down(sp, g) ^ 1
 
 
+def _xor_bit0_into_bit1(g):
+    # a bijection of l-side masks, its own inverse and not monotone: up
+    # composed with it and down with its inverse leave interior as it is,
+    # so only the pair law monotone-up sees the fault
+    return g ^ (g & 1) << 1
+
+
+def _xor_col0_into_col1(cols):
+    return [cols[0], cols[1] ^ cols[0], *cols[2:]]
+
+
 # per fault: the per-mask kernel and its plant, then the sliced ones
 FAULTS = {
     "none": (),
@@ -98,11 +150,27 @@ FAULTS = {
         ("up_mask", lambda up: lambda sp, x: up(sp, x) & ~1),
         ("up_sliced", _column(0, lambda col: 0)),
     ),
+    # without down's inverse: interior is not monotone either
+    "up-xors-bit0-into-bit1": (
+        ("up_mask", lambda up: lambda sp, x: _xor_bit0_into_bit1(up(sp, x))),
+        ("up_sliced", lambda up: lambda sp, x: _xor_col0_into_col1(up(sp, x))),
+    ),
+}
+
+# faults that only the pair laws report, so no per-family sweep shows them
+PAIR_FAULTS = {
+    "up-not-monotone": (
+        ("up_mask", lambda up: lambda sp, x: _xor_bit0_into_bit1(up(sp, x))),
+        ("down_mask", lambda down: lambda sp, g: down(sp, _xor_bit0_into_bit1(g))),
+        ("up_sliced", lambda up: lambda sp, x: _xor_col0_into_col1(up(sp, x))),
+        ("down_sliced", lambda down: lambda sp, g, ones: down(
+            sp, _xor_col0_into_col1(g), ones)),
+    ),
 }
 
 
 def _plant(mp, fault):
-    for name, plant in FAULTS[fault]:
+    for name, plant in {**FAULTS, **PAIR_FAULTS}[fault]:
         mp.setattr(operators, name, plant(getattr(operators, name)))
 
 
@@ -115,6 +183,22 @@ def test_chunk_matches_oracle(monkeypatch, a, m, l, fault):
     assert got == oracle_chunk(a, m, l, masks)
     if fault != "none":
         assert got[1], "a planted fault must show up as witnesses"
+
+
+@pytest.mark.parametrize("mode, samples", [("exhaustive", 0), ("random", 4500)])
+@pytest.mark.parametrize("fault", [*FAULTS, *PAIR_FAULTS])
+@pytest.mark.parametrize("a, m, l", INSTANCES)
+def test_suite_matches_oracle(monkeypatch, a, m, l, fault, mode, samples):
+    """The whole suite, pair laws included: 4500 pairs take two tasks."""
+    _plant(monkeypatch, fault)
+    report = suites.suite_fact00(a, m, l, mode, samples, 0, 1)
+    counters, witnesses = oracle_fact00(a, m, l, mode, samples, 0)
+    assert (report.counters, report.witnesses) == (counters, witnesses)
+    assert report.outcome == ("violation" if witnesses else "pass")
+    if fault != "none":
+        assert witnesses, "a planted fault must show up as witnesses"
+    if fault in PAIR_FAULTS:
+        assert {w["law"] for w in witnesses} == {"monotone-up"}
 
 
 def _mask_runs(size):

@@ -269,6 +269,18 @@ def test_nilpotency_holds_small_configs():
     assert rep == CycleReport(start=0, period=2, family=(((0,),),))
 
 
+@pytest.mark.parametrize("l", range(2, 7))
+def test_nilpotency_at_m1_first_passes_at_2l_minus_1(l):
+    """For m = (1,), boundary(X) is X's complement when |X| >= a - l + 1
+    and empty otherwise, so the chain survives step 2 exactly when
+    a <= 2l - 2: a cycle at a = 2l - 2 and a pass at a = 2l - 1."""
+    below = cli.suite_nilpotency(2 * l - 2, (1,), (l,), "exhaustive", 0, 0)
+    at = cli.suite_nilpotency(2 * l - 1, (1,), (l,), "exhaustive", 0, 0)
+    assert below.outcome == "violation"
+    assert below.witnesses[0]["kind"] == "cycle"
+    assert at.outcome == "pass"
+
+
 def test_nilpotency_random_mode_seeded():
     r1 = cli.suite_nilpotency(8, (1, 1), (2, 2), "random", 50, 9)
     r2 = cli.suite_nilpotency(8, (1, 1), (2, 2), "random", 50, 9)
