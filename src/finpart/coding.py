@@ -29,9 +29,9 @@ set's cached hash), reads each dense l's span of positions as a mask,
 and buckets only the misses by block sizes; `decode` then pulls each
 dense key back on masks, hashing no hit again.
 
-An indexed family is checked once, in `encode`: its one pass sorts the
-members into slot families and takes only ints as ground elements, and
-each slot's operators check the members on entry.
+Each member of an indexed family is checked once, in `encode`'s pass: in
+full on a slot whose chain runs sparse and then takes it as checked, and
+on a dense slot for int elements, the chain's index lookup doing the rest.
 
 A sequence coder composes this with the subset-sequence/disjoint-tuple
 bijection to code sets of fixed-arity sequences of finite sets.
@@ -48,14 +48,14 @@ from itertools import count, filterfalse, islice, repeat
 from math import prod
 from typing import NamedTuple
 
-from .core import profile_of
+from .core import check_disjoint_tuple, profile_of
 from .maps import disjoint_to_fin, fin_to_disjoint
 from .operators import (
     EXTENSION_BUDGET,
+    _chain,
     _index_mask,
     _route,
     at_bits,
-    boundary_chain,
     count_extensions,
     down,
     down_mask,
@@ -302,36 +302,38 @@ def encode(X, cfg):
 
     One pass sorts X into its slot families, raising CodingError for a
     member of the wrong arity or whose (j, profile) is not a slot, and
-    ValueError for a ground element that is not an int (bools included);
-    each slot's `boundary_chain` then checks its members on entry
-    (ValueError).
+    checks each member once (ValueError): in full on a slot whose chain
+    runs sparse, which takes it as checked, and on a dense slot for int
+    elements (not bools), the chain's index lookup doing the rest.
 
     Per slot, iterates the boundary operator at the top profile g and
     stores the interior of each iterate, D_k | D_{k+1}.  The chain must
     die within sum(m)+1 steps; otherwise the ground set is too small for
     this family and CodingError is raised.
     """
-    fams = {slot: set() for slot in cfg.slots}
+    fams = {(j, m): (_route(cfg.a, m, cfg.g(j, m)), set()) for j, m in cfg.slots}
     for j, fam in X.items():
         for t in fam:
             if len(t) != cfg.n:
                 raise CodingError(f"member {t!r} does not have arity {cfg.n}")
             m = profile_of(t)
             if (j, m) not in fams:
-                raise CodingError(
-                    f"profile {m} of {t!r} not admissible at slot index {j}"
-                )
-            for c in t:
-                for x in c:
-                    # a dense slot's index lookup would take 1.0 or True as 1
-                    if type(x) is not int:
-                        raise ValueError(f"not a canonical subset: {c!r}")
-            fams[(j, m)].add(t)
+                raise CodingError(f"profile {m} of {t!r} not admissible "
+                                  f"at slot index {j}")
+            sp, members = fams[j, m]
+            if sp is None:
+                check_disjoint_tuple(t, cfg.a)
+            else:
+                for c in t:
+                    for x in c:
+                        # the index lookup would take 1.0 or True as 1
+                        if type(x) is not int:
+                            raise ValueError(f"not a canonical subset: {c!r}")
+            members.add(t)
     book = {}
-    for j, m in cfg.slots:
+    for (j, m), (sp, members) in fams.items():
         K = sum(m)
-        chain = list(islice(
-            boundary_chain(cfg.a, m, cfg.g(j, m), fams[(j, m)]), K + 2))
+        chain = list(islice(_chain(cfg.a, m, cfg.g(j, m), sp, members), K + 2))
         if chain[K + 1]:
             raise CodingError(
                 f"boundary chain for slot ({j}, {m}) does not vanish at step {K + 1}; "

@@ -25,30 +25,35 @@ def as_subset(elems):
     return tuple(sorted(set(elems)))
 
 
-def check_subset(s, a):
-    """Validate a canonical subset of {0..a-1}, a strictly increasing
-    tuple of ints (not bools); raises ValueError."""
-    if any(type(x) is not int for x in s) or list(s) != sorted(set(s)):
-        raise ValueError(f"not a canonical subset: {s!r}")
-    if s and (s[0] < 0 or s[-1] >= a):
-        raise ValueError(f"element out of range [0, {a}): {s!r}")
-
-
-def is_disjoint(components):
-    """True iff the components are pairwise disjoint."""
-    seen = set()
-    for c in components:
-        for x in c:
-            if x in seen:
-                return False
-            seen.add(x)
-    return True
-
-
 def check_disjoint_tuple(t, a, profile=None):
+    """Validate a tuple of pairwise disjoint canonical subsets of {0..a-1}
+    (strictly increasing tuples of ints, not bools; lists pass too) of the
+    size profile, if one is given, in one pass over the elements; a tuple
+    that fails it goes on to the checks that name the fault (ValueError)."""
+    used = 0  # the elements seen so far, as bits
     for c in t:
-        check_subset(c, a)
-    if not is_disjoint(t):
+        if type(c) is not tuple:
+            break
+        prev = -1
+        for x in c:
+            # an int, above the last (so not negative), below a, not yet seen
+            if type(x) is not int or x <= prev or x >= a or used >> x & 1:
+                break
+            used |= 1 << x
+            prev = x
+        else:
+            continue
+        break
+    else:
+        if profile is None or profile_of(t) == tuple(profile):
+            return
+    for c in t:
+        if (not isinstance(c, (tuple, list)) or any(type(x) is not int for x in c)
+                or list(c) != sorted(set(c))):
+            raise ValueError(f"not a canonical subset: {c!r}")
+        if c and (c[0] < 0 or c[-1] >= a):
+            raise ValueError(f"element out of range [0, {a}): {c!r}")
+    if len(set().union(*t)) < sum(map(len, t)):
         raise ValueError(f"components not pairwise disjoint: {t!r}")
     if profile is not None and profile_of(t) != tuple(profile):
         raise ValueError(f"tuple {t!r} does not match profile {tuple(profile)}")
@@ -56,7 +61,7 @@ def check_disjoint_tuple(t, a, profile=None):
 
 def profile_of(t):
     """Size profile (|t_1|, ..., |t_n|) of a disjoint tuple."""
-    return tuple(len(c) for c in t)
+    return tuple(map(len, t))
 
 
 # ---------------------------------------------------------------------------

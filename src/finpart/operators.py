@@ -38,11 +38,11 @@ support elements that an extension cannot avoid
 class lies inside the interior, so it costs per class and per output
 tuple, not per m-tuple.
 
-The dense kernels read per-byte tables that `profile_space` builds once:
-`up_mask` ORs one table entry per byte of its mask.  `down_mask` ORs, per
-byte of the l-side mask, the m-tuples with an extension outside it, and
-keeps the rest; where those tables would take more steps than a quarter
-of the m-tuples, it scans the extension masks instead.
+The dense kernels read per-byte tables that a space builds when first
+read: `up_mask` ORs one table entry per byte of its mask.  `down_mask`
+ORs, per byte of the l-side mask, the m-tuples with an extension outside
+it, and keeps the rest; where those tables would take more steps than a
+quarter of the m-tuples, it scans the extension masks instead.
 
 The bit-sliced kernels (`up_sliced`, `down_sliced`) act on many families
 at once, for the fact00 sweep: each takes one column per tuple, an int
@@ -64,7 +64,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from operator import and_, or_
 
 from .core import (
@@ -106,8 +106,8 @@ def check_profiles(m, l):
 
 # A dense space holds every m- and l-tuple with an index dict over each
 # (`indexed_tuples`, shared by every space with that side), one extension
-# mask per m-tuple (about 300 bytes per tuple in all), and the byte tables
-# of the mask kernels: one table of 256 entries per 8 m-tuples, and per 8
+# mask per m-tuple (about 300 bytes per tuple in all), and, once read, the
+# kernels' byte tables: one table of 256 entries per 8 m-tuples, and per 8
 # l-tuples where down_mask reads tables.  A table takes about 10 kB plus
 # the bits of its entries, which are masks over the other side, so up to
 # 32 entries (about 1.3 kB) per indexed tuple plus 4 bytes per mask bit
@@ -160,12 +160,28 @@ class ProfileSpace:
     ext: list          # per m-tuple: bitmask of its l-extensions
     l_tuples: tuple
     full_m_mask: int   # one bit per m-tuple
-    # per run of 8 m-indices: byte of an m-side mask -> OR of their ext
-    up_bytes: tuple
-    # per run of 8 l-indices: byte of an l-side mask g -> the m-tuples
-    # with an extension among those l-indices outside g; None where
-    # down_mask scans ext instead
-    down_bytes: tuple | None
+
+    @cached_property
+    def up_bytes(self):
+        """Per run of 8 m-indices: byte of an m-side mask -> OR of their ext."""
+        return _byte_tables(self.ext)
+
+    @cached_property
+    def down_bytes(self):
+        """Per run of 8 l-indices: byte of an l-side mask g -> the m-tuples with
+        an extension there outside g; None where down_mask scans ext."""
+        # Table down takes one step per byte of g, the scan one per m-tuple.
+        # Measured, the tables won wherever they take at most a quarter as
+        # many steps, and lost 1.5-7.6x on (25, (2,), (3,)), (12, (1,), (3,))
+        # and (12, (1,), (5,)), where they take 0.96, 2.3 and 8.3 times as many.
+        if 4 * ((len(self.l_tuples) + 7) // 8) > len(self.m_tuples):
+            return None
+        inc = [0] * len(self.l_tuples)  # per l-tuple: the m-tuples it extends
+        for i, e in enumerate(self.ext):
+            for q in at_bits(range(len(self.l_tuples)), e):
+                inc[q] |= 1 << i
+        # indexed by g's byte b itself: 255 - b is the complement of b
+        return tuple(t[::-1] for t in _byte_tables(inc))
 
 
 def _byte_tables(masks):
@@ -200,20 +216,7 @@ def profile_space(a, m, l):
     m_tuples = indexed_tuples(a, m)[0]
     l_tuples = indexed_tuples(a, l)[0]
     ext = [_index_mask(a, l, enum_extensions(a, p, l)) for p in m_tuples]
-    # Table down takes one step per byte of g, the scan one per m-tuple.
-    # Measured, the tables won wherever they take at most a quarter as
-    # many steps, and lost 1.5-7.6x on (25, (2,), (3,)), (12, (1,), (3,))
-    # and (12, (1,), (5,)), where they take 0.96, 2.3 and 8.3 times as many.
-    down_bytes = None
-    if 4 * ((len(l_tuples) + 7) // 8) <= len(m_tuples):
-        inc = [0] * len(l_tuples)  # per l-tuple: the m-tuples it extends
-        for i, e in enumerate(ext):
-            for q in at_bits(range(len(l_tuples)), e):
-                inc[q] |= 1 << i
-        # indexed by g's byte b itself: 255 - b is the complement of b
-        down_bytes = tuple(t[::-1] for t in _byte_tables(inc))
-    return ProfileSpace(a, m, l, m_tuples, ext, l_tuples,
-                        (1 << len(m_tuples)) - 1, _byte_tables(ext), down_bytes)
+    return ProfileSpace(a, m, l, m_tuples, ext, l_tuples, (1 << len(m_tuples)) - 1)
 
 
 def _index_mask(a, profile, X):
@@ -423,12 +426,17 @@ def down(a, m, l, Z):
 
 
 def boundary_chain(a, m, l, X):
-    """Yield X, boundary(X), boundary^2(X), ... without end.  The route is
-    picked and X's members are checked once, on entry; every later level
-    is the chain's own output, so it is not checked again."""
+    """An iterator over X, boundary(X), boundary^2(X), ... without end.  The
+    route is picked and X's members are checked once, on entry; every
+    later level is the chain's own output, so it is not checked again."""
     sp = _route(a, m, l)
+    return _chain(a, m, l, sp, _members(a, X, m) if sp is None else X)
+
+
+def _chain(a, m, l, sp, X):
+    """boundary_chain on route sp, from X checked already if sp is None."""
     if sp is None:
-        X = _members(a, X, m)
+        X = frozenset(X)
         while True:
             yield X
             X = _interior_of_members(a, m, l, X) - X

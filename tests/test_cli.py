@@ -456,7 +456,7 @@ def test_random_nilpotency_refuses_before_listing_tuples(monkeypatch, capsys):
 def test_family_of_non_int_elements_exits_2(monkeypatch, capsys, tmp_path,
                                             family):
     # both slots of two_slot_a28 run sparse, so the member check is
-    # core.check_subset's, which takes ints only
+    # encode's call of core.check_disjoint_tuple, which takes ints only
     path = tmp_path / "family.json"
     path.write_text(json.dumps(family))
     assert_one_line_error(*run_main(monkeypatch, capsys, [

@@ -352,6 +352,18 @@ def test_encode_rejects_bad_members(cfg12):
         encode({0: frozenset({((0,), (1,))})}, cfg12)
 
 
+@pytest.mark.parametrize("name, j, member, message", [
+    ("pair_slot_a24.json", 0, ((0,), (0,)), "components not pairwise disjoint"),
+    ("two_slot_a28.json", 1, ((3, 3),), "not a canonical subset"),
+    ("two_slot_a28.json", 1, ((-1, 3),), "element out of range"),
+    ("two_slot_a28.json", 1, ((3, 28),), "element out of range"),
+], ids=["overlap", "repeat", "negative", "out-of-range"])
+def test_sparse_encode_rejects_bad_members(name, j, member, message):
+    # both configs run sparse, so encode's pass is the only member check
+    with pytest.raises(ValueError, match=message):
+        encode({j: frozenset({member})}, load_config(name))
+
+
 def counting_calls(monkeypatch, names):
     """Count the calls of each (module, name) pair; returns the Counter."""
     calls = Counter()
@@ -367,14 +379,17 @@ def counting_calls(monkeypatch, names):
 
 
 def test_encode_checks_each_member_once(monkeypatch):
-    # both slots of two_slot_a28 run sparse: the slot's boundary_chain
-    # checks each member on entry, and encode's pass profiles it once
+    # both slots of two_slot_a28 run sparse: encode's pass profiles and
+    # fully checks each member once, and the chains take them as checked
     cfg = load_config("two_slot_a28.json")
     X = {0: frozenset({((0,),), ((5,),)}), 1: frozenset({((1, 2),)})}
-    calls = counting_calls(monkeypatch, [(operators, "check_disjoint_tuple"),
+    calls = counting_calls(monkeypatch, [(coding, "check_disjoint_tuple"),
                                          (coding, "profile_of")])
+    in_chain = counting_calls(monkeypatch, [(operators, "check_disjoint_tuple"),
+                                            (operators, "_members")])
     encode(X, cfg)
     assert calls == {"check_disjoint_tuple": 3, "profile_of": 3}
+    assert in_chain == {}
 
 
 def test_dense_encode_checks_members_by_the_index_lookup(monkeypatch, cfg12):

@@ -110,3 +110,11 @@ def test_ns_injection_injective():
         key = ns_injection(P)
         assert key not in seen
         seen[key] = P
+
+
+@pytest.mark.parametrize("component", [frozenset({0, 1}), {0, 1}],
+                         ids=["frozenset", "set"])
+def test_set_component_is_not_a_canonical_subset(component):
+    # a set is refused for what it is, not by a TypeError from indexing it
+    with pytest.raises(ValueError, match="not a canonical subset"):
+        tuple_to_partition(5, (component,))

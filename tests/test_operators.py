@@ -341,11 +341,12 @@ def test_profile_validation():
         boundary_power(4, (1,), (2,), {((9,),)}, 0)
 
 
-@pytest.mark.parametrize("bad", [((1, 0),), ((99,),), ((0, 1),)])
+@pytest.mark.parametrize("bad", [((1, 0),), ((99,),), ((0, 1),),
+                                 (frozenset({0}),)])
 @pytest.mark.parametrize("route", [interior, interior_sparse, nilpotency_index,
                                    up, down])
 def test_member_validation_on_both_routes(route, bad):
-    # non-canonical, out of range, wrong profile
+    # non-canonical, out of range, wrong profile, a set component
     with pytest.raises(ValueError):
         route(6, (1,), (3,), {bad})
 

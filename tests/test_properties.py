@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from finpart import coding, maps, operators, ramsey  # noqa: E402
+from finpart import coding, core, maps, operators, ramsey  # noqa: E402
 from finpart.core import (  # noqa: E402
     as_subset,
     enum_disjoint_tuples,
@@ -714,3 +714,139 @@ def test_subset_action_matches_the_elementwise_oracle(case):
         assert str(got.value) == str(e)
     else:
         assert apply_perm(pi, obj) == want
+
+
+# ---------------------------------------------------------------------------
+# the member check: one fused pass against the three-step definition
+
+def oracle_check_disjoint_tuple(t, a, profile=None):
+    """Each component a strictly increasing tuple (or list) of ints in
+    range(a), then the components pairwise disjoint, then the profile."""
+    for s in t:
+        if any(type(x) is not int for x in s) or list(s) != sorted(set(s)):
+            raise ValueError(f"not a canonical subset: {s!r}")
+        if s and (s[0] < 0 or s[-1] >= a):
+            raise ValueError(f"element out of range [0, {a}): {s!r}")
+    seen = set()
+    for s in t:
+        for x in s:
+            if x in seen:
+                raise ValueError(f"components not pairwise disjoint: {t!r}")
+            seen.add(x)
+    if profile is not None and tuple(len(s) for s in t) != tuple(profile):
+        raise ValueError(f"tuple {t!r} does not match profile {tuple(profile)}")
+
+
+def outcome(check, *args):
+    """None if the check accepts, else the type and message it raises."""
+    try:
+        check(*args)
+    except Exception as e:  # compared, type and message, against the oracle
+        return type(e), str(e)
+    return None
+
+
+FLAWS = ("bool", "float", "negative", "unsorted", "repeat", "out-of-range",
+         "overlap", "list")
+
+
+def flawed(draw, comps, a, flaws):
+    """The components of a disjoint tuple over range(a), each with its
+    drawn flaws applied in order.  A flaw replaces one element, so the
+    sizes stay, and an empty component takes none."""
+    out = []
+    for i, c in enumerate(comps):
+        c = list(c)
+        others = [x for o in comps[:i] + comps[i + 1:] for x in o]
+        for flaw in flaws[i] if c else ():
+            k = draw(st.integers(0, len(c) - 1))
+            if flaw == "bool":
+                c[k] = draw(st.booleans())
+            elif flaw == "float":
+                c[k] = float(c[k])
+            elif flaw == "negative":
+                c[k] = draw(st.integers(-3, -1))
+            elif flaw == "unsorted":
+                c.reverse()
+            elif flaw == "repeat":
+                c[k] = c[k - 1]
+            elif flaw == "out-of-range":
+                c[k] = a + draw(st.integers(0, 2))
+            elif flaw == "overlap" and others:
+                c[k] = draw(st.sampled_from(others))
+        out.append(c if "list" in flaws[i] else tuple(c))
+    return tuple(out)
+
+
+@st.composite
+def disjoint_tuples(draw, a, n):
+    """A disjoint n-tuple over range(a), each element in at most one
+    component."""
+    owner = draw(st.lists(st.integers(0, n), min_size=a, max_size=a))
+    return tuple(tuple(x for x in range(a) if owner[x] == i + 1)
+                 for i in range(n))
+
+
+@st.composite
+def member_checks(draw):
+    """(t, a, profile): a disjoint tuple over range(a) whose components
+    carry none, one or several flaws, and no profile, its own or another."""
+    a = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 3))
+    comps = draw(disjoint_tuples(a, n))
+    flaws = [draw(st.lists(st.sampled_from(FLAWS), max_size=2)) for _ in comps]
+    t = flawed(draw, comps, a, flaws)
+    profile = draw(st.one_of(
+        st.none(), st.just(tuple(map(len, comps))),
+        st.lists(st.integers(0, 3), max_size=4).map(tuple)))
+    return t, a, profile
+
+
+@example((((0, 0),), 5, None))  # a repeated element
+@example((((-1, 0),), 5, None))  # a negative one
+@example((((0, 5),), 5, None))  # the last element out of range
+@example((((0,), (1, 2), (0,)), 5, None))  # an overlap past the first pair
+@example((((0, True),), 5, None))
+@example((([0, 1], (2,)), 5, (2, 1)))
+@example((((0, 1),), 5, (2, 0)))
+@given(member_checks())
+def test_member_check_matches_three_step_oracle(case):
+    t, a, profile = case
+    assert (outcome(core.check_disjoint_tuple, t, a, profile)
+            == outcome(oracle_check_disjoint_tuple, t, a, profile))
+
+
+def tuples_of(a, profile):
+    return sorted(enum_disjoint_tuples(a, profile))
+
+
+SPARSE_CONFIGS = [coding.CodingConfig.from_json(
+    (Path(__file__).resolve().parent.parent / "configs" / name).read_text())
+    for name in ("two_slot_a28.json", "pair_slot_a24.json")]
+
+
+@st.composite
+def families_with_one_bad_member(draw):
+    """(cfg, X, bad, m): a family on a config whose slots all run sparse,
+    holding valid members and `bad`, a member of slot (j, m) with flaws
+    other than list components (which would make it unhashable)."""
+    cfg = draw(st.sampled_from(SPARSE_CONFIGS))
+    X = {j: set(draw(st.lists(st.sampled_from(tuples_of(cfg.a, m)), max_size=3)))
+         for j, m in cfg.slots}
+    j, m = draw(st.sampled_from(cfg.slots))
+    comps = draw(st.sampled_from(tuples_of(cfg.a, m)))
+    flaws = [draw(st.lists(st.sampled_from(FLAWS[:-1]), min_size=1, max_size=2))
+             for _ in comps]
+    bad = flawed(draw, comps, cfg.a, flaws)
+    hypothesis.assume(bad not in X[j])  # (1.0,) equals (1,)
+    X[j].add(bad)
+    return cfg, X, bad, m
+
+
+@settings(max_examples=40)
+@given(families_with_one_bad_member())
+def test_encode_raises_what_the_member_check_raises(case):
+    cfg, X, bad, m = case
+    want = outcome(oracle_check_disjoint_tuple, bad, cfg.a, m)
+    got = outcome(coding.encode, X, cfg)
+    assert got == want
