@@ -17,17 +17,17 @@ frozenset of each partition's non-singleton block set, with singletons
 implicit.  The decoder reads only the blocks of size >= 2 of each element,
 so it accepts full partitions as well.
 
-Every per-key decision is made once per config, in its cached plan
-(`_plan`): each key's block sizes, the dense spaces of its (a, m, l)
-and (a, m, g) operators and its per-member extension count (what
-`materialize`'s budget multiplies), and one position, a small int, per
-block set of a dense key.  On a dense key every l-tuple has one shared block-set
-object, built once per (a, l), and `materialize` returns these objects
-rather than new frozensets.  `slices` marks each element's position in
-a bytearray in one pass over H (a hit compares by identity and reuses the
-set's cached hash), reads each dense l's span of positions as a mask,
-and buckets only the misses by block sizes; `decode` then pulls each
-dense key back on masks, hashing no hit again.
+Every per-slot and per-key decision is made once per config, in its
+cached plans: each slot's g and (a, m, g) space (`_slot_plan`, all that
+`encode` reads), and each key's block sizes, (a, m, l) space, per-member
+extension count (what `materialize`'s budget multiplies) and position, a
+small int, per block set of a dense key (`_plan`).  On a dense key every
+l-tuple has one shared block-set object, built once per (a, l), and
+`materialize` returns these objects rather than new frozensets.  `slices`
+marks each element's position in a bytearray in one pass over H (a hit
+compares by identity and reuses the set's cached hash), reads each dense
+l's span of positions as a mask, and buckets only the misses by block
+sizes; `decode` then pulls each dense key back on masks, hashing no hit again.
 
 Each member of an indexed family is checked once, in `encode`'s pass: in
 full on a slot whose chain runs sparse and then takes it as checked, and
@@ -306,12 +306,12 @@ def encode(X, cfg):
     runs sparse, which takes it as checked, and on a dense slot for int
     elements (not bools), the chain's index lookup doing the rest.
 
-    Per slot, iterates the boundary operator at the top profile g and
-    stores the interior of each iterate, D_k | D_{k+1}.  The chain must
-    die within sum(m)+1 steps; otherwise the ground set is too small for
-    this family and CodingError is raised.
+    Per slot, with g and the route at (a, m, g) from `_slot_plan`, it
+    iterates the boundary at g and stores each iterate's interior,
+    D_k | D_{k+1}.  The chain must die within sum(m)+1 steps; otherwise
+    the ground set is too small for this family and CodingError is raised.
     """
-    fams = {(j, m): (_route(cfg.a, m, cfg.g(j, m)), set()) for j, m in cfg.slots}
+    fams = {s: (g, sp, set()) for s, (g, sp) in _slot_plan(cfg).items()}
     for j, fam in X.items():
         for t in fam:
             if len(t) != cfg.n:
@@ -320,7 +320,7 @@ def encode(X, cfg):
             if (j, m) not in fams:
                 raise CodingError(f"profile {m} of {t!r} not admissible "
                                   f"at slot index {j}")
-            sp, members = fams[j, m]
+            _, sp, members = fams[j, m]
             if sp is None:
                 check_disjoint_tuple(t, cfg.a)
             else:
@@ -331,9 +331,9 @@ def encode(X, cfg):
                             raise ValueError(f"not a canonical subset: {c!r}")
             members.add(t)
     book = {}
-    for (j, m), (sp, members) in fams.items():
+    for (j, m), (g, sp, members) in fams.items():
         K = sum(m)
-        chain = list(islice(_chain(cfg.a, m, cfg.g(j, m), sp, members), K + 2))
+        chain = list(islice(_chain(cfg.a, m, g, sp, members), K + 2))
         if chain[K + 1]:
             raise CodingError(
                 f"boundary chain for slot ({j}, {m}) does not vanish at step {K + 1}; "
@@ -358,8 +358,7 @@ class _Key(NamedTuple):
     """One key's entry in a config's plan."""
 
     l: tuple
-    sp: object    # the (a, m, l) space, None where that operator runs sparse
-    sp_g: object  # the (a, m, g) space, None likewise
+    sp: object  # the (a, m, l) space, None where that operator runs sparse
     per_member: int  # l-extensions of one m-tuple (`count_extensions`)
 
 
@@ -375,14 +374,19 @@ class _Plan:
 
 
 @cache
+def _slot_plan(cfg):
+    """Per slot (j, m) of cfg: g and the (a, m, g) space, None if sparse."""
+    return {s: (g := cfg.g(*s), _route(cfg.a, s[1], g)) for s in cfg.slots}
+
+
+@cache
 def _plan(cfg):
     """The plan of cfg's keys; the positions run key by key."""
     keys, index, spans = {}, {}, {}
     for j, m, k in cfg.keys():
         l = cfg.f(j, m, k)
         sp = _route(cfg.a, m, l)
-        keys[j, m, k] = _Key(l, sp, _route(cfg.a, m, cfg.g(j, m)),
-                             count_extensions(cfg.a, m, l))
+        keys[j, m, k] = _Key(l, sp, count_extensions(cfg.a, m, l))
         if sp is not None:
             lo = len(index)
             index.update(zip(_block_sets(cfg.a, l), count(lo)))
@@ -415,7 +419,7 @@ def materialize(book):
     if total > EXTENSION_BUDGET:
         return None, total
     out = set()
-    for key, fam, (l, sp, _, _) in keys:
+    for key, fam, (l, sp, _) in keys:
         if sp is None:
             out.update(map(frozenset, up(cfg.a, key[1], l, fam)))
             continue
@@ -513,8 +517,8 @@ def _book_of_slices(by_l, cfg, check=True):
     interior-closed at g, by `interior_mask` where both (a, m, l) and
     (a, m, g) are dense."""
     hits, misses = by_l
-    Y = {}
-    for (j, m, k), (l, sp, sp_g, _) in _plan(cfg).keys.items():
+    Y, slots = {}, _slot_plan(cfg)
+    for (j, m, k), (l, sp, _) in _plan(cfg).keys.items():
         y = None
         if sp is None:
             Yk = pullback_Y(cfg.a, m, misses.get(l, ()), l)
@@ -525,8 +529,9 @@ def _book_of_slices(by_l, cfg, check=True):
                 raise CodingError(str(e)) from e
             Yk = frozenset(at_bits(sp.m_tuples, y))
         if check:
+            g, sp_g = slots[j, m]
             if sp_g is None or y is None:
-                closed = interior(cfg.a, m, cfg.g(j, m), Yk) == Yk
+                closed = interior(cfg.a, m, g, Yk) == Yk
             else:
                 closed = interior_mask(sp_g, y) == y
             if not closed:

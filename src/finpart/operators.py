@@ -27,16 +27,15 @@ over the enumeration orders of both profile spaces, when they fit its
 budgets, and otherwise a sparse route that indexes neither side.  Sparse
 up enumerates the extensions of each member, refusing first when there
 are too many; sparse down counts, per m-tuple, the members of Z extending
-it.  The sparse interior first tests the whole family: when the members'
-support leaves at least sum(l) ground elements fresh, each non-member has
-an extension that avoids the family, so the interior is X itself.
-Otherwise it lists the classes of candidates that agree inside the
-support directly, each as its support part per component plus a count of
-fresh elements, and searches once per class, over placements of the
-support elements that an extension cannot avoid
-(`exists_uncovered_extension`).  It lists a class's members only when the
-class lies inside the interior, so it costs per class and per output
-tuple, not per m-tuple.
+it.  The sparse interior lists the classes of candidates that agree
+inside the members' support S directly, each as its support part per
+component plus a count of fresh elements.  It skips a class with sum(k)
+support elements whose deficit sum(l) - a + |S| - sum(k) is at most 0:
+an extension of its p through fresh ground holds no member, p not being
+one.  It searches each other class once, over placements of the support
+elements that an extension cannot avoid (`exists_uncovered_extension`),
+and lists a class's members only when the class lies inside the
+interior, so it costs per class and per output tuple, not per m-tuple.
 
 The dense kernels read per-byte tables that a space builds when first
 read: `up_mask` ORs one table entry per byte of its mask.  `down_mask`
@@ -546,22 +545,18 @@ def interior_sparse(a, m, l, X):
     X itself plus every m-profile tuple p not in X that has no l-extension
     avoiding all members of X (`exists_uncovered_extension`).
 
-    Whole-family test first: when the members' support leaves at least
-    sum(l) ground elements free, the result is X and no candidate is
-    enumerated.  A tuple p not in X can then take all its extra elements
-    from the free ground; a member contained in that extension lies inside
-    p componentwise, hence equals p (same profile), which is impossible.
-
-    Otherwise the candidates are taken by class, those that agree inside
-    the support component by component: a permutation fixing the support
-    pointwise fixes X, so they share a verdict.  The classes are listed
-    directly, as a support part of k_i <= m_i elements per component plus
-    need_i = m_i - k_i fresh elements, skipping those that need more
-    fresh elements than there are.  Each class not in X gets one support
+    The candidates are taken by class, those that agree inside the
+    support S component by component: a permutation fixing S pointwise
+    fixes X, so they share a verdict.  The classes are listed directly,
+    as a support part of k_i <= m_i elements per component plus need_i =
+    m_i - k_i fresh elements.  A class that needs more fresh elements
+    than there are is skipped, and so is one whose deficit D(k) =
+    sum(l) - a + |S| - sum(k) (`exists_uncovered_extension`'s D) is at
+    most 0: a candidate p then extends through fresh ground, and a member
+    inside that extension would be p.  Each other class not in X gets one
     search, on its first fill (the lowest fresh elements), and its members
     are listed only when it lies inside; a member of X is a class of its
-    own.  So the cost grows with the classes and the output, not with the
-    size of O_m(a).
+    own.  So the cost grows with the classes and the output, not with O_m(a).
     """
     m, l = check_profiles(m, l)
     return _interior_of_members(a, m, l, _members(a, X, m))
@@ -570,16 +565,17 @@ def interior_sparse(a, m, l, X):
 def _interior_of_members(a, m, l, X):
     """interior_sparse of a frozenset X whose members are already checked."""
     in_support = {x for t in X for c in t for x in c}
-    if a - len(in_support) >= sum(l):
-        return X
+    floor = sum(l) - a + len(in_support)  # a class's deficit is floor - sum(k)
+    if floor <= 0:
+        return X  # no class has a deficit above 0
     support = sorted(in_support)
     fresh = tuple(x for x in range(a) if x not in in_support)
     searched = [tuple(map(frozenset, t)) for t in X]  # converted once per X
     out = set(X)  # members are always interior points
     for k in itertools.product(*(range(mi + 1) for mi in m)):
         need = [mi - ki for mi, ki in zip(m, k)]
-        if sum(need) > len(fresh):
-            continue
+        if sum(k) >= floor or sum(need) > len(fresh):
+            continue  # outside by its deficit, or without a fill
         # the first fill: the lowest fresh elements, in component order
         ends = itertools.accumulate(need)
         first = [fresh[e - n:e] for n, e in zip(need, ends)]

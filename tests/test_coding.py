@@ -392,6 +392,37 @@ def test_encode_checks_each_member_once(monkeypatch):
     assert in_chain == {}
 
 
+@pytest.mark.parametrize("name", ["single_slot_a12.json", "two_slot_a28.json"])
+def test_encode_reads_its_slot_plan(monkeypatch, name):
+    # after a config's first encode, each slot's g and its route at
+    # (a, m, g), dense on single_slot_a12 and sparse on two_slot_a28, come
+    # from the config's slot plan
+    cfg = load_config(name)
+    X = {0: frozenset({((0,),), ((5,),)})}
+    book = encode(X, cfg)
+    calls = counting_calls(monkeypatch, [(coding, "_route"), (CodingConfig, "g")])
+    assert encode(X, cfg) == book
+    assert calls == {}
+
+
+def test_symbolic_round_trips_build_no_key_plan(monkeypatch):
+    # a round trip through the book reads only the slot plan: no key plan,
+    # so no block set of two_slot_a28's dense (1,) -> (4,) key, and no
+    # profile space, as both configs' slots run sparse
+    for plan in (coding._slot_plan, coding._plan, coding._block_sets):
+        plan.cache_clear()
+    built = counting_calls(monkeypatch, [(operators, "profile_space")])
+    for name, X in [("two_slot_a28.json", {0: frozenset({((3,),)}),
+                                           1: frozenset({((1, 2),)})}),
+                    ("pair_slot_a24.json", {0: frozenset({((0,), (1,)),
+                                                          ((2,), (3,))})})]:
+        assert decode(encode(X, load_config(name))) == X
+    assert coding._slot_plan.cache_info().currsize == 2
+    assert coding._plan.cache_info().currsize == 0
+    assert coding._block_sets.cache_info().currsize == 0
+    assert built == {}
+
+
 def test_dense_encode_checks_members_by_the_index_lookup(monkeypatch, cfg12):
     calls = counting_calls(monkeypatch, [(operators, "check_disjoint_tuple")])
     encode({0: frozenset({((0,),), ((5,),)})}, cfg12)

@@ -172,10 +172,13 @@ def test_interior_sparse_matches_dense():
 
 def test_sparse_interior_searches_once_per_class(monkeypatch):
     # 3 members over a support of s = 6 leave 18 fresh elements, one short
-    # of sum(l).  A class is a support part with k_i <= 1 per component:
-    # (s + 1)^2 - s = 43 of them, 3 of which are the members, so 40
-    # searches; none of the 552 tuples of O_(1,1)(24) is listed, only one
-    # support part per class
+    # of sum(l) = 19, so floor = 19 - 24 + 6 = 1.  A class is a support
+    # part with k_i <= 1 per component, (s + 1)^2 - s = 43 of them, and its
+    # deficit is floor - sum(k): only k = (0, 0), one class, is above 0
+    # and searched; the other 42 are skipped before their parts are
+    # listed, and none of the 552 tuples of O_(1,1)(24) is listed.  A
+    # fourth member ((6,), (1,)) makes s = 7 and floor 2, so k = (0, 0),
+    # (1, 0) and (0, 1) are searched: 1 + 7 + 7 = 15 classes
     searches = []
     listed = Counter()
     search, enum = operators.exists_uncovered_extension, operators.enum_disjoint_tuples
@@ -192,9 +195,13 @@ def test_sparse_interior_searches_once_per_class(monkeypatch):
     monkeypatch.setattr(operators, "exists_uncovered_extension", counted_search)
     monkeypatch.setattr(operators, "enum_disjoint_tuples", counted_enum)
     X = {((0,), (1,)), ((2,), (3,)), ((4,), (5,))}
-    assert interior(24, (1, 1), (9, 10), X) == X
-    assert len(searches) == len(set(searches)) == 7 ** 2 - 6 - len(X) == 40
-    assert sum(listed.values()) == 43 and (24, (1, 1)) not in listed
+    for want in (1, 15):
+        searches.clear()
+        listed.clear()
+        assert interior(24, (1, 1), (9, 10), X) == X
+        assert len(searches) == len(set(searches)) == want
+        assert sum(listed.values()) == want and (24, (1, 1)) not in listed
+        X.add(((6,), (1,)))
 
 
 def test_sparse_interior_lists_a_class_of_fresh_fills():
@@ -309,6 +316,37 @@ def test_uncovered_extension_search_is_bounded(monkeypatch):
     monkeypatch.setattr(operators, "_NODE_BUDGET", 3)
     with pytest.raises(BudgetExceeded, match="node budget"):
         exists_uncovered_extension(9, p, (7,), X)
+
+
+MEMBERS = {
+    "edges": [((min(e, o), max(e, o)),) for e in (2, 4, 6, 8) for o in (3, 5, 7)],
+    "matching": [((2 * i, 2 * i + 1),) for i in range(8)],
+    "sequence": [((i,), (i + 1,)) for i in range(0, 12, 2)],
+    "four": [((0,), (1,)), ((2,), (3,)), ((4,), (5,)), ((6,), (1,))],
+}
+# (members, a, p, l, verdict, nodes expanded): searches whose deficit is
+# above 0, so interior_sparse still runs them; "four" at ((7,), (8,)) is
+# the (0, 0) class of that family at floor 2
+PINNED_SEARCHES = [
+    ("edges", 9, ((0, 1),), (6,), True, 5),
+    ("edges", 9, ((0, 1),), (7,), False, 7),
+    ("matching", 16, ((0, 2),), (8,), True, 7),
+    ("matching", 16, ((0, 2),), (9,), False, 169),
+    ("sequence", 12, ((0,), (2,)), (6, 6), True, 12),
+    ("four", 24, ((7,), (8,)), (9, 10), True, 3),
+]
+
+
+@pytest.mark.parametrize("name, a, p, l, verdict, nodes", PINNED_SEARCHES,
+                         ids=[f"{c[0]}-l{sum(c[3])}" for c in PINNED_SEARCHES])
+def test_uncovered_extension_search_tree_is_pinned(monkeypatch, name, a, p, l,
+                                                   verdict, nodes):
+    # the budget counts every node: the total suffices, one less does not
+    monkeypatch.setattr(operators, "_NODE_BUDGET", nodes)
+    assert exists_uncovered_extension(a, p, l, MEMBERS[name]) is verdict
+    monkeypatch.setattr(operators, "_NODE_BUDGET", nodes - 1)
+    with pytest.raises(BudgetExceeded, match="node budget"):
+        exists_uncovered_extension(a, p, l, MEMBERS[name])
 
 
 def test_budget_guard():

@@ -144,11 +144,12 @@ def near_covering_families(draw):
 
 @st.composite
 def threshold_families(draw):
-    """Families whose support leaves exactly sum(l) or sum(l) - 1 ground
-    elements free: at and just below the point where interior_sparse
-    returns X without testing any candidate."""
+    """Families whose support leaves exactly sum(l) - d ground elements
+    free, d = 0 ... sum(m) + 1: interior_sparse's floor is d, and it
+    searches the classes with fewer than d support elements, from none
+    (the result is X) to every class."""
     a, m, l = draw(instances())
-    free_count = sum(l) - draw(st.integers(0, 1))
+    free_count = sum(l) - draw(st.integers(0, sum(m) + 1))
     taken = a - free_count
     hypothesis.assume(0 <= free_count <= a)
     hypothesis.assume(taken == 0 or 1 <= sum(m) <= taken)
