@@ -34,7 +34,8 @@ full on a slot whose chain runs sparse and then takes it as checked, and
 on a dense slot for int elements, the chain's index lookup doing the rest.
 
 A sequence coder composes this with the subset-sequence/disjoint-tuple
-bijection to code sets of fixed-arity sequences of finite sets.
+bijection: for one n, read off a config of arity 2^n - 1, it codes a set
+of n-sequences of finite sets as slot 0 of an ordinary code book.
 """
 
 from __future__ import annotations
@@ -577,58 +578,32 @@ def decode(source, cfg=None, check=True):
 
 
 # ---------------------------------------------------------------------------
-# sequence coder (sets of fixed-arity sequences of finite subsets)
+# sequence coder (sets of n-sequences of finite subsets, for one n)
 
-@dataclass
-class SeqCode:
-    """Per-arity code books plus the marker for the empty sequence.
-
-    The empty sequence has no tuple image; its presence is recorded as a
-    reserved marker (read as: the code contains the all-singleton
-    partition, whose non-singleton block set is empty, which no real key
-    can produce)."""
-
-    books: dict  # arity -> CodeBook
-    has_empty_seq: bool = False
+def _seq_length(cfg):
+    """The n of a coder of arity 2^n - 1, n >= 1; CodingError otherwise."""
+    if cfg.n < 1 or cfg.n & (cfg.n + 1):
+        raise CodingError(f"arity {cfg.n} is not 2^n - 1 for any n >= 1")
+    return cfg.n.bit_length()
 
 
-def encode_seq_family(W, cfgs):
-    """Code a set of sequences of subsets, grouped by arity.
+def encode_seq_family(W, cfg):
+    """Code a set of n-sequences of subsets, n read off cfg's arity 2^n - 1.
 
-    Each arity-n slice maps through the subset-sequence-to-disjoint-tuple
-    bijection into slot index 0 of the arity-(2^n - 1) coder given by
-    cfgs[n].  Distinct arities use distinct configurations, so the union
-    of the per-arity codes stays injective.
-    """
-    by_arity = {}
-    has_empty = False
+    Each sequence maps through the subset-sequence-to-disjoint-tuple
+    bijection (`maps.fin_to_disjoint`) into slot index 0, and `encode`
+    checks the family as it checks any other.  A sequence whose length is
+    not n, the empty one included, raises CodingError naming it."""
+    n = _seq_length(cfg)
+    fam = set()
     for w in W:
-        w = tuple(tuple(sorted(s)) for s in w)
-        if len(w) == 0:
-            has_empty = True
-            continue
-        by_arity.setdefault(len(w), set()).add(w)
-    books = {}
-    for arity, ws in sorted(by_arity.items()):
-        if arity not in cfgs:
-            raise CodingError(f"no configuration for arity {arity}")
-        cfg = cfgs[arity]
-        if cfg.n != (1 << arity) - 1:
-            raise CodingError(
-                f"arity-{arity} sequences need a coder of arity {(1 << arity) - 1}"
-            )
-        fam = frozenset(fin_to_disjoint(w) for w in ws)
-        books[arity] = encode({0: fam}, cfg)
-    return SeqCode(books=books, has_empty_seq=has_empty)
+        if len(w) != n:
+            raise CodingError(f"sequence {w!r} does not have length {n}")
+        fam.add(fin_to_disjoint(w))
+    return encode({0: fam}, cfg)
 
 
-def decode_seq_family(code):
-    """Invert encode_seq_family."""
-    out = set()
-    if code.has_empty_seq:
-        out.add(())
-    for arity, book in code.books.items():
-        X = decode(book)
-        for q in X.get(0, ()):
-            out.add(disjoint_to_fin(q, arity))
-    return frozenset(out)
+def decode_seq_family(book):
+    """Invert encode_seq_family: the frozenset of n-sequences."""
+    n = _seq_length(book.cfg)
+    return frozenset(disjoint_to_fin(q, n) for q in decode(book).get(0, ()))

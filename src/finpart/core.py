@@ -233,14 +233,17 @@ def canonicalize_partition(a, blocks):
     """Canonical form of a partition of {0..a-1}.
 
     Raises ValueError naming the offending block on overlap, an empty
-    block, an out-of-range element, or incomplete cover.
+    block, a repeated or out-of-range element, or incomplete cover.
     """
     covered = {}
     canon = []
     for b in blocks:
+        b = tuple(b)
         cb = as_subset(b)
         if not cb:
             raise ValueError("empty block")
+        if len(cb) != len(b):
+            raise ValueError(f"block {b!r} repeats an element")
         for x in cb:
             if not 0 <= x < a:
                 raise ValueError(f"element {x} of block {cb!r} out of range [0, {a})")

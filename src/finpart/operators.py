@@ -16,9 +16,11 @@ and a family Z of l-profile tuples pulls back to
 
 boundary is nilpotent with index at most sum(m) + 1 once the ground set is
 large enough; on small ground sets iteration may cycle, which is detected
-and reported rather than looped on.  `boundary_chain` is the one loop over
-boundary: it picks the route and checks X once, then steps on masks or on
-the sparse interior; boundary_power, nilpotency_index and the coder read it.
+and reported rather than looped on.  `_chain` is the one loop over
+boundary, stepping on masks or on the sparse interior.  `boundary_chain`
+picks the route, checks X once and runs it, for boundary_power and
+nilpotency_index; the coder's `encode` runs `_chain` on the route its slot
+plan holds, having checked the members itself.
 
 Families are frozensets of canonical tuples.  Each set-level operator
 (up, interior, boundary, down) chooses its own route, in one place

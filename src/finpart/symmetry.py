@@ -144,9 +144,12 @@ def even_odd_orbits(B, s):
     each.  B is sorted, so the mapping B -> images is odd exactly when
     images is, which `_odd_table` reads off by its index in
     itertools.permutations(B).  Raises BudgetExceeded, before sweeping,
-    when (n+2)! is over _ORBIT_BUDGET."""
+    when (n+2)! is over _ORBIT_BUDGET, and ValueError when B repeats an
+    element."""
+    s, B = tuple(s), tuple(B)
+    if len(set(B)) != len(B):
+        raise ValueError(f"base {B!r} repeats an element")
     B = as_subset(B)
-    s = tuple(s)
     if len(set(s)) != len(s) or not set(s) <= set(B):
         raise ValueError(f"seed {s!r} is not injective over the base {B!r}")
     if len(s) != len(B) - 1:

@@ -568,6 +568,18 @@ def test_symmetry_bad_input_exits_2(monkeypatch, capsys, argv):
     assert_one_line_error(*run_main(monkeypatch, capsys, argv))
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["symmetry", "support", "--a", "4", "--blocks", "0,0"], "block (0, 0)"),
+    (["symmetry", "support", "--a", "4", "--blocks", "1,2,2"], "block (1, 2, 2)"),
+    (["symmetry", "orbits", "--B", "0,0,1,2", "--s", "0,1"], "base (0, 0, 1, 2)"),
+])
+def test_repeated_element_exits_2(monkeypatch, capsys, argv, named):
+    # a repeated element is refused, not merged into a smaller block or base
+    code, err = run_main(monkeypatch, capsys, argv)
+    assert_one_line_error(code, err)
+    assert named in err
+
+
 def test_symmetry_orbits_over_budget_exits_1(monkeypatch, capsys):
     # a base of 9 still answers; 10! permutations are refused unbuilt
     assert factorial(9) <= symmetry._ORBIT_BUDGET < factorial(10)

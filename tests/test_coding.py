@@ -459,50 +459,84 @@ def test_decode_configuration_errors(cfg12):
 # --- sequence coder -------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def seq_cfgs():
-    return {1: load_config("seq_arity1_a12.json"),
-            2: load_config("seq_arity2_a40.json")}
+def seq1():
+    return load_config("seq_arity1_a12.json")
 
 
-def test_seq_single_empty_set(seq_cfgs):
+@pytest.fixture(scope="module")
+def seq2():
+    return load_config("seq_arity2_a40.json")
+
+
+def _seq_failures(cfg, Ws):
+    """The sets of sequences among Ws that do not round-trip."""
+    out = []
+    for W in Ws:
+        try:
+            ok = decode_seq_family(encode_seq_family(W, cfg)) == W
+        except CodingError:
+            ok = False
+        if not ok:
+            out.append(W)
+    return out
+
+
+def test_seq_single_empty_set(seq1):
     W = frozenset({((),)})
-    code = encode_seq_family(W, seq_cfgs)
-    assert code.books[1].Y[(0, (0,), 0)] == {((),)}
-    assert decode_seq_family(code) == W
+    book = encode_seq_family(W, seq1)
+    assert book.Y[(0, (0,), 0)] == {((),)}
+    assert decode_seq_family(book) == W
 
 
-def test_seq_empty_and_marker(seq_cfgs):
-    assert decode_seq_family(encode_seq_family(frozenset(), seq_cfgs)) == \
-        frozenset()
-    W = frozenset({()})
-    code = encode_seq_family(W, seq_cfgs)
-    assert code.has_empty_seq
-    assert decode_seq_family(code) == W
+def test_seq_empty_family_roundtrip(seq1, seq2):
+    for cfg in (seq1, seq2):
+        book = encode_seq_family(frozenset(), cfg)
+        assert isinstance(book, CodeBook) and not any(book.Y.values())
+        assert decode_seq_family(book) == frozenset()
 
 
-def test_seq_mixed_arity_roundtrip(seq_cfgs):
-    rng = random.Random(8)
-    for _ in range(10):
-        W = set()
-        if rng.random() < 0.5:
-            W.add(())
-        for _ in range(rng.randrange(3)):
-            W.add(((rng.randrange(12),),))
-        if rng.random() < 0.5:
-            W.add(((),))
-        for _ in range(rng.randrange(3)):
-            x, y = rng.sample(range(40), 2)
-            W.add(((x,), (y,)))
-        W = frozenset(W)
-        assert decode_seq_family(encode_seq_family(W, seq_cfgs)) == W
+def test_seq_rejects_wrong_length(seq1, seq2):
+    with pytest.raises(CodingError, match=r"sequence \(\) does not have length 1"):
+        encode_seq_family(frozenset({()}), seq1)
+    with pytest.raises(CodingError, match="does not have length 1"):
+        encode_seq_family(frozenset({((0,), (1,))}), seq1)
+    with pytest.raises(CodingError, match="does not have length 2"):
+        encode_seq_family(frozenset({((0,),)}), seq2)
 
 
-def test_seq_distinct_inputs_distinct_codes(seq_cfgs):
-    ca = encode_seq_family(frozenset({((0,), (1,))}), seq_cfgs)
-    cb = encode_seq_family(frozenset({((0,), (2,))}), seq_cfgs)
-    assert ca.books[2].Y != cb.books[2].Y
+def test_seq_rejects_arity_not_two_power_minus_one():
+    with pytest.raises(CodingError, match="arity 2 is not 2"):
+        encode_seq_family(frozenset(), load_config("pair_slot_a24.json"))
 
 
-def test_seq_rejects_unconfigured_arity(seq_cfgs):
-    with pytest.raises(CodingError, match="arity"):
-        encode_seq_family(frozenset({((0,), (1,), (2,))}), seq_cfgs)
+def test_seq_distinct_inputs_distinct_codes(seq2):
+    ca = encode_seq_family(frozenset({((0,), (1,))}), seq2)
+    cb = encode_seq_family(frozenset({((0,), (2,))}), seq2)
+    assert ca.Y != cb.Y
+
+
+# slots (1,) and (0,) of seq_arity1_a12: the 12 singleton sequences and ((),)
+SEQS_N1 = [((x,),) for x in range(12)] + [((),)]
+
+
+def test_seq_n1_exhaustive_sweep(seq1):
+    Ws = [frozenset(itertools.compress(SEQS_N1, (bits >> i & 1 for i in range(13))))
+          for bits in range(1 << 13)]
+    books = set()
+    for W in Ws:
+        book = encode_seq_family(W, seq1)
+        assert decode_seq_family(book) == W
+        books.add(frozenset(book.Y.items()))
+    assert len(books) == 1 << 13  # injective by count
+
+
+def test_seq_planted_faults_are_caught(seq1, seq2, monkeypatch):
+    real = coding.fin_to_disjoint
+    monkeypatch.setattr(coding, "fin_to_disjoint",
+                        lambda s: tuple(c[1:] for c in real(s)))
+    singles = [frozenset({w}) for w in SEQS_N1]
+    assert _seq_failures(seq1, singles) == singles[:12]
+    monkeypatch.setattr(coding, "fin_to_disjoint",
+                        lambda s: (lambda q: (q[1], q[0], *q[2:]))(real(s)))
+    W = frozenset({((0,), (1,))})
+    assert _seq_failures(seq2, [W]) == [W]

@@ -112,6 +112,13 @@ def test_canonicalize_partition_errors():
         canonicalize_partition(1, [(), (0,)])
 
 
+def test_canonicalize_partition_refuses_repeated_element():
+    with pytest.raises(ValueError, match=r"block \(0, 0\) repeats an element"):
+        canonicalize_partition(2, [(0, 0), (1,)])
+    with pytest.raises(ValueError, match=r"block \(1, 2, 2\) repeats"):
+        canonicalize_partition(3, [(0,), [1, 2, 2]])
+
+
 def test_partition_from_ns():
     P = partition_from_ns(5, [(1, 3)])
     assert P == ((0,), (1, 3), (2,), (4,))
