@@ -215,6 +215,8 @@ def _parse_elements(text, a):
     for x in E:
         if not 0 <= x < a:
             raise UsageError(f"--E element {x} out of range [0, {a})")
+        if E.count(x) > 1:
+            raise UsageError(f"--E element {x} is repeated")
     return E
 
 

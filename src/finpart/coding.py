@@ -29,9 +29,9 @@ compares by identity and reuses the set's cached hash), reads each dense
 l's span of positions as a mask, and buckets only the misses by block
 sizes; `decode` then pulls each dense key back on masks, hashing no hit again.
 
-Each member of an indexed family is checked once, in `encode`'s pass: in
-full on a slot whose chain runs sparse and then takes it as checked, and
-on a dense slot for int elements, the chain's index lookup doing the rest.
+Each member of an indexed family is checked once, by
+`core.check_disjoint_tuple`: in `encode`'s pass on a sparse slot, and by
+the chain's index lookup on a dense one.
 
 A sequence coder composes this with the subset-sequence/disjoint-tuple
 bijection: for one n, read off a config of arity 2^n - 1, it codes a set
@@ -303,16 +303,17 @@ def encode(X, cfg):
 
     One pass sorts X into its slot families, raising CodingError for a
     member of the wrong arity or whose (j, profile) is not a slot, and
-    checks each member once (ValueError): in full on a slot whose chain
-    runs sparse, which takes it as checked, and on a dense slot for int
-    elements (not bools), the chain's index lookup doing the rest.
+    checks each member of a slot whose chain runs sparse (ValueError),
+    which the chain takes as checked; a dense slot's chain checks its
+    members by the index lookup, with the same function and messages.
 
     Per slot, with g and the route at (a, m, g) from `_slot_plan`, it
     iterates the boundary at g and stores each iterate's interior,
     D_k | D_{k+1}.  The chain must die within sum(m)+1 steps; otherwise
     the ground set is too small for this family and CodingError is raised.
     """
-    fams = {s: (g, sp, set()) for s, (g, sp) in _slot_plan(cfg).items()}
+    # a list, so that no set merges 1.0 into 1 before the check
+    fams = {s: (g, sp, []) for s, (g, sp) in _slot_plan(cfg).items()}
     for j, fam in X.items():
         for t in fam:
             if len(t) != cfg.n:
@@ -324,13 +325,7 @@ def encode(X, cfg):
             _, sp, members = fams[j, m]
             if sp is None:
                 check_disjoint_tuple(t, cfg.a)
-            else:
-                for c in t:
-                    for x in c:
-                        # the index lookup would take 1.0 or True as 1
-                        if type(x) is not int:
-                            raise ValueError(f"not a canonical subset: {c!r}")
-            members.add(t)
+            members.append(t)
     book = {}
     for (j, m), (g, sp, members) in fams.items():
         K = sum(m)
@@ -446,7 +441,8 @@ class Slices(NamedTuple):
 def slices(H, cfg):
     """Bucket a partition set into slices.
 
-    An element equal to a block set of one of cfg's dense keys is a hit:
+    An element equal to a block set of one of cfg's dense keys is a hit
+    (by equality, so 1.0 for 1 too: an exact match would walk all of H):
     one pass over H marks its position in the config's plan in a
     bytearray, and each dense l's span of positions is read as that l's
     hit mask, bit i selecting l-tuple i.  Any other element (a full

@@ -18,9 +18,9 @@ boundary is nilpotent with index at most sum(m) + 1 once the ground set is
 large enough; on small ground sets iteration may cycle, which is detected
 and reported rather than looped on.  `_chain` is the one loop over
 boundary, stepping on masks or on the sparse interior.  `boundary_chain`
-picks the route, checks X once and runs it, for boundary_power and
-nilpotency_index; the coder's `encode` runs `_chain` on the route its slot
-plan holds, having checked the members itself.
+picks the route, checks X once and runs it, for the boundary functions
+and nilpotency_index; `encode` runs `_chain` on its slot plan's route,
+having checked a sparse slot's members itself.
 
 Families are frozensets of canonical tuples.  Each set-level operator
 (up, interior, boundary, down) chooses its own route, in one place
@@ -215,25 +215,28 @@ def profile_space(a, m, l):
             f"({_TUPLE_BUDGET} tuples, {_BIT_BUDGET} mask bits)"
         )
     m_tuples = indexed_tuples(a, m)[0]
-    l_tuples = indexed_tuples(a, l)[0]
-    ext = [_index_mask(a, l, enum_extensions(a, p, l)) for p in m_tuples]
+    l_tuples, l_index = indexed_tuples(a, l)
+    # unchecked, as enum_extensions yields ints; distinct bits sum to their OR
+    ext = [sum(1 << l_index[q] for q in enum_extensions(a, p, l)) for p in m_tuples]
     return ProfileSpace(a, m, l, m_tuples, ext, l_tuples, (1 << len(m_tuples)) - 1)
 
 
 def _index_mask(a, profile, X):
-    """The mask of X's positions in `indexed_tuples(a, profile)`;
-    ValueError for a member that is not a disjoint `profile` tuple over
-    range(a), which is exactly a member the index does not hold."""
-    index = indexed_tuples(a, profile)[1]
+    """The mask of X's positions in `indexed_tuples(a, profile)`.  A member
+    the index lacks, or holds only by equality (1.0 or True for 1), goes to
+    `check_disjoint_tuple`; the index's own tuples skip the element walk."""
+    tuples, index = indexed_tuples(a, profile)
     mask = 0
     for t in X:
-        try:
-            mask |= 1 << index[t]
-        except KeyError:
-            raise ValueError(
-                f"tuple {t!r} is not a disjoint tuple of profile "
-                f"{tuple(profile)} over range({a})"
-            ) from None
+        i = index.get(t)
+        if i is not None and tuples[i] is not t:
+            for c in t:  # plain loops: twice as fast as all() of a generator
+                for x in c:
+                    if type(x) is not int:
+                        i = None
+        if i is None:
+            check_disjoint_tuple(t, a, profile=profile)  # raises
+        mask |= 1 << i
     return mask
 
 
@@ -362,10 +365,10 @@ def _route(a, m, l):
 
 
 def _members(a, X, profile):
-    X = frozenset(X)
+    X = tuple(X)  # checked as given, before a set merges 1.0 into 1
     for t in X:
         check_disjoint_tuple(t, a, profile=profile)
-    return X
+    return frozenset(X)
 
 
 def up(a, m, l, X):
@@ -397,8 +400,7 @@ def interior(a, m, l, X):
 
 def boundary(a, m, l, X):
     """interior(X) minus X."""
-    X = frozenset(X)
-    return interior(a, m, l, X) - X
+    return boundary_power(a, m, l, X, 1)
 
 
 def down(a, m, l, Z):
@@ -413,13 +415,12 @@ def down(a, m, l, Z):
     sp = _route(a, m, l)
     if sp is not None:
         return mask_to_family(sp, down_mask(sp, _index_mask(a, sp.l, Z)))
-    Z = frozenset(Z)
+    Z = _members(a, Z, l)
     per = count_extensions(a, m, l)
     if per == 0:  # no m-tuple has an l-extension
         return frozenset(enum_disjoint_tuples(a, m))
     hits = Counter()
     for q in Z:
-        check_disjoint_tuple(q, a, profile=l)
         hits.update(itertools.product(
             *(itertools.combinations(c, mi) for c, mi in zip(q, m))
         ))

@@ -468,8 +468,9 @@ def test_family_of_non_int_elements_exits_2(monkeypatch, capsys, tmp_path,
 @pytest.mark.parametrize("element", [1.0, True], ids=["float", "bool"])
 def test_dense_slot_rejects_non_int_elements(monkeypatch, capsys, tmp_path,
                                              element):
-    # single_slot_a12's slot runs dense, where the index lookup alone would
-    # take 1.0 and True as the int 1
+    # single_slot_a12's slot runs dense, where the index lookup holds 1.0
+    # and True only by equality with the int 1, so it sends them on to
+    # core.check_disjoint_tuple, as the sparse route does
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"0": [[[element]]]}))
     assert_one_line_error(*run_main(monkeypatch, capsys, [
@@ -572,6 +573,11 @@ def test_symmetry_bad_input_exits_2(monkeypatch, capsys, argv):
     (["symmetry", "support", "--a", "4", "--blocks", "0,0"], "block (0, 0)"),
     (["symmetry", "support", "--a", "4", "--blocks", "1,2,2"], "block (1, 2, 2)"),
     (["symmetry", "orbits", "--B", "0,0,1,2", "--s", "0,1"], "base (0, 0, 1, 2)"),
+    (["symmetry", "support", "--a", "4", "--blocks", "0,1", "--E", "2,2"],
+     "element 2"),
+    (["symmetry", "chain", "--a", "4", "--n", "1", "--E", "0,0"], "element 0"),
+    (["symmetry", "fiber", "--a", "5", "--n", "1", "--E", "0,0", "--blocks", "1,2"],
+     "element 0"),
 ])
 def test_repeated_element_exits_2(monkeypatch, capsys, argv, named):
     # a repeated element is refused, not merged into a smaller block or base

@@ -237,6 +237,22 @@ def test_decode_rejects_malformed_dense_block(cfg12, bad):
         decode(H | {frozenset({bad})}, cfg12)
 
 
+def test_decode_rejects_a_float_in_a_dense_miss(cfg12):
+    # a full partition is a miss; its 3-block equals (0, 1, 2) in the dense
+    # key (0, (1,), 0) only by equality, so the index lookup refuses it
+    H, _ = materialize(encode({0: frozenset({((0,),)})}, cfg12))
+    with pytest.raises(CodingError, match=r"not a canonical subset: \(0, 1\.0, 2\)"):
+        decode(H | {frozenset({(0, 1.0, 2), (3,)})}, cfg12)
+
+
+def test_materialize_refuses_a_bool_in_a_dense_key(cfg12):
+    book = encode({0: frozenset({((0,),)})}, cfg12)
+    assert coding._plan(cfg12).keys[0, (1,), 0].sp is not None
+    book.Y[0, (1,), 0] = frozenset({((True,),)})
+    with pytest.raises(ValueError, match=r"not a canonical subset: \(True,\)"):
+        materialize(book)
+
+
 def test_sparse_key_config_decodes():
     # at a = 60 both keys, l = (3,) and (5,), run sparse: every element of
     # H is bucketed by block sizes
@@ -427,8 +443,14 @@ def test_dense_encode_checks_members_by_the_index_lookup(monkeypatch, cfg12):
     calls = counting_calls(monkeypatch, [(operators, "check_disjoint_tuple")])
     encode({0: frozenset({((0,),), ((5,),)})}, cfg12)
     assert calls == {}
-    with pytest.raises(ValueError, match="not a disjoint tuple"):
+    with pytest.raises(ValueError, match=r"element out of range \[0, 12\)"):
         encode({0: frozenset({((12,),)})}, cfg12)
+
+
+def test_dense_encode_checks_members_before_merging(cfg12):
+    # ((1.0,),) equals ((1,),): a set of the slot's members would drop it
+    with pytest.raises(ValueError, match=r"not a canonical subset: \(1\.0,\)"):
+        encode({0: [((1,),), ((1.0,),)]}, cfg12)
 
 
 def test_decode_reports_unfaithful_slice(cfg12):

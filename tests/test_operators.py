@@ -380,13 +380,52 @@ def test_profile_validation():
 
 
 @pytest.mark.parametrize("bad", [((1, 0),), ((99,),), ((0, 1),),
-                                 (frozenset({0}),)])
+                                 (frozenset({0}),), ((1.0,),), ((True,),)])
 @pytest.mark.parametrize("route", [interior, interior_sparse, nilpotency_index,
                                    up, down])
 def test_member_validation_on_both_routes(route, bad):
-    # non-canonical, out of range, wrong profile, a set component
+    # non-canonical, out of range, wrong profile, a set component, and a
+    # float and a bool that equal the int 1
     with pytest.raises(ValueError):
         route(6, (1,), (3,), {bad})
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("route", [interior, boundary, nilpotency_index, up])
+def test_members_are_checked_before_a_set_merges_them(monkeypatch, route, dense):
+    # ((1.0,),) equals ((1,),), so freezing the family first would drop it
+    if not dense:
+        monkeypatch.setattr(operators, "fits_dense", lambda a, m, l: False)
+    with pytest.raises(ValueError, match=r"not a canonical subset: \(1\.0,\)"):
+        route(6, (1,), (3,), [((1,),), ((1.0,),)])
+
+
+def test_sparse_down_checks_z_without_extensions():
+    # no 4-set of range(32) has a 33-set extension, yet Z is still checked
+    assert not operators.fits_dense(32, (4,), (33,))
+    with pytest.raises(ValueError, match=r"element out of range \[0, 32\)"):
+        down(32, (4,), (33,), [((99,),)])
+
+
+def test_space_build_runs_no_member_check(monkeypatch):
+    # the extension masks are written straight from the index: a build
+    # walks no element of the tuples enum_extensions yields
+    for fn in (operators.profile_space, operators.indexed_tuples,
+               operators.fits_dense):
+        fn.cache_clear()
+    calls = Counter()
+    for name in ("_index_mask", "check_disjoint_tuple"):
+        fn = getattr(operators, name)
+
+        def wrapped(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(operators, name, wrapped)
+    sp = profile_space(8, (1, 1), (2, 2))
+    assert calls == {}
+    assert sp.ext[0] == operators._index_mask(8, (2, 2), enum_extensions(
+        8, sp.m_tuples[0], (2, 2)))
 
 
 @pytest.mark.parametrize("dense", [True, False])

@@ -817,6 +817,28 @@ def test_member_check_matches_three_step_oracle(case):
             == outcome(oracle_check_disjoint_tuple, t, a, profile))
 
 
+@example((((True,),), 6, (1,)))
+@example((((0, 1.0),), 6, None))
+@example((((9,),), 6, (1,)))
+@given(member_checks())
+def test_both_routes_check_members_as_the_oracle_does(case):
+    """up and interior on a member of X, and down on a member of Z, raise
+    the oracle's exception, type and message, on the dense route and on
+    the sparse one, and neither raises where the oracle accepts."""
+    t, a, profile = case
+    # a list component makes a member unhashable, so no family holds it
+    hypothesis.assume(all(type(c) is tuple for c in t))
+    p = tuple(map(len, t)) if profile is None else profile
+    want = outcome(oracle_check_disjoint_tuple, t, a, p)
+    wider = tuple(x + 1 for x in p)
+    for op, m, l in [(up, p, wider), (interior, p, wider),
+                     (down, tuple(x // 2 for x in p), p)]:
+        dense = outcome(op, a, m, l, [t])
+        with mock.patch.object(operators, "fits_dense", lambda a, m, l: False):
+            sparse = outcome(op, a, m, l, [t])
+        assert dense == sparse == want
+
+
 def tuples_of(a, profile):
     return sorted(enum_disjoint_tuples(a, profile))
 
