@@ -46,10 +46,10 @@ it, and keeps the rest; where those tables would take more steps than a
 quarter of the m-tuples, it scans the extension masks instead.
 
 The bit-sliced kernels (`up_sliced`, `down_sliced`) act on many families
-at once, for the fact00 sweep: each takes one column per tuple, an int
-whose bit f says whether family f holds that tuple (`columns` transposes
-masks into them), and ORs or ANDs columns along the incidence of the two
-profile spaces.
+at once, for the fact00 and nilpotency sweeps: each takes one column per
+tuple, an int whose bit f says whether family f holds that tuple
+(`columns` transposes masks into them), and ORs or ANDs columns along the
+incidence of the two profile spaces.
 
 This module owns the family-mask format: bit i of a mask selects tuple i
 of `indexed_tuples(a, profile)`, which lists and indexes the profile's
@@ -228,7 +228,11 @@ def _index_mask(a, profile, X):
     tuples, index = indexed_tuples(a, profile)
     mask = 0
     for t in X:
-        i = index.get(t)
+        try:
+            i = index.get(t)
+        except TypeError:  # a list component, which the check lets pass
+            check_disjoint_tuple(t, a, profile=profile)
+            i = index[tuple(map(tuple, t))]
         if i is not None and tuples[i] is not t:
             for c in t:  # plain loops: twice as fast as all() of a generator
                 for x in c:
@@ -368,7 +372,7 @@ def _members(a, X, profile):
     X = tuple(X)  # checked as given, before a set merges 1.0 into 1
     for t in X:
         check_disjoint_tuple(t, a, profile=profile)
-    return frozenset(X)
+    return frozenset(tuple(map(tuple, t)) for t in X)  # lists read as tuples
 
 
 def up(a, m, l, X):

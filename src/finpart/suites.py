@@ -184,6 +184,12 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
 # other verification suites
 
 def suite_nilpotency(a, m, l, mode, samples, seed):
+    """Boundary nilpotency, index at most sum(m) + 1, over every family or
+    seeded samples, a task of masks at a time, up to the first failure.
+    Only the families `alive` keeps go through `nilpotency_index`: all of
+    them off the dense route, and on it those whose level boundary^k(X) is
+    non-empty at every k = 0 ... bound, ANDed per level on columns: a level
+    can empty and fill again, as the empty family's does when sum(l) > a."""
     report = RunReport(
         command="verify nilpotency",
         config={"a": a, "m": m, "l": l, "mode": mode, "samples": samples,
@@ -192,35 +198,36 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
     m, l = operators.check_profiles(m, l)
     size = core.count_disjoint_tuples(a, m)
     bound = sum(m) + 1
-    if mode == "exhaustive":
-        masks = _exhaustive_masks(size, 24)
-        total = len(masks)
-    else:
-        rng = random.Random(seed)
-        total = samples
-        masks = (rng.getrandbits(size) for _ in range(samples))
+    rng = random.Random(seed)
+    total = len(_exhaustive_masks(size, 24)) if mode == "exhaustive" else samples
     m_tuples = operators.indexed_tuples(a, m)[0]
-    checked = 0
-    for mask in masks:
-        checked += 1
-        X = frozenset(operators.at_bits(m_tuples, mask))
-        idx = operators.nilpotency_index(a, m, l, X)
-        if isinstance(idx, operators.CycleReport):
-            report.outcome = VIOLATION
-            report.witnesses = [{
-                "kind": "cycle",
-                "start": idx.start,
-                "period": idx.period,
-                "family": _plainfam(idx.family),
-                "X": _plainfam(sorted(X)),
-            }]
+    sp = operators._route(a, m, l)
+    checked = total
+    for lo in range(0, total, _TASK):
+        n = min(_TASK, total - lo)
+        # exhaustive tasks are ranges, so `columns` reads their truth tables
+        task = (range(lo, lo + n) if mode == "exhaustive"
+                else [rng.getrandbits(size) for _ in range(n)])
+        alive = ones = (1 << n) - 1
+        d = operators.columns(task, size) if sp else ()
+        for _ in range(bound + 1 if sp else 0):
+            alive &= _any(d)
+            d = list(_outside(operators.interior_sliced(sp, d, ones), d))
+        for f in operators.at_bits(range(n), alive):
+            X = frozenset(operators.at_bits(m_tuples, task[f]))
+            idx = operators.nilpotency_index(a, m, l, X)
+            if isinstance(idx, operators.CycleReport):
+                w = {"kind": "cycle", "start": idx.start, "period": idx.period,
+                     "family": _plainfam(idx.family)}
+            elif idx > bound:
+                w = {"kind": "index-over-bound", "index": idx, "bound": bound}
+            else:
+                continue
+            report.witnesses = [{**w, "X": _plainfam(sorted(X))}]
             break
-        if idx > bound:
+        if report.witnesses:
             report.outcome = VIOLATION
-            report.witnesses = [{
-                "kind": "index-over-bound", "index": idx, "bound": bound,
-                "X": _plainfam(sorted(X)),
-            }]
+            checked = lo + f + 1
             break
     report.counters = {"families_checked": checked, "total": total,
                        "bound": bound}
@@ -353,38 +360,28 @@ def suite_coding(cfg, mode, samples, seed):
         for j, m, k in cfg.keys()
     ) <= operators.EXTENSION_BUDGET
 
-    def roundtrip(X):
-        # from the partition set when it fits the budget, else the book
-        book = coding.encode(X, cfg)
-        H = coding.materialize(book)[0] if use_partitions else None
-        got = coding.decode(book) if H is None else coding.decode(H, cfg)
-        return coding.normalize_indexed(got) == coding.normalize_indexed(X)
-
-    checked = 0
     if mode == "exhaustive":
         if len(cfg.slots) != 1:
             raise UsageError("exhaustive mode needs a single-slot config")
         j, m = cfg.slots[0]
         tuples = operators.indexed_tuples(cfg.a, m)[0]
-        for mask in _exhaustive_masks(len(tuples), 14):
-            fam = frozenset(operators.at_bits(tuples, mask))
-            X = {j: fam} if fam else {}
-            checked += 1
-            if not roundtrip(X):
-                report.outcome = VIOLATION
-                report.witnesses.append({"X": {str(j): _plainfam(sorted(fam))}})
-                break
+        # the empty family too, kept under its slot: it encodes as {} does
+        families = ({j: frozenset(operators.at_bits(tuples, mask))}
+                    for mask in _exhaustive_masks(len(tuples), 14))
     else:
         rng = random.Random(seed)
-        for _ in range(samples):
-            X = sample_indexed_family(cfg, rng)
-            checked += 1
-            if not roundtrip(X):
-                report.outcome = VIOLATION
-                report.witnesses.append({
-                    "X": {str(j): _plainfam(sorted(f)) for j, f in X.items()}
-                })
-                break
+        families = (sample_indexed_family(cfg, rng) for _ in range(samples))
+    checked = 0
+    for checked, X in enumerate(families, 1):
+        # from the partition set when it fits the budget, else the book
+        book = coding.encode(X, cfg)
+        H = coding.materialize(book)[0] if use_partitions else None
+        got = coding.decode(book) if H is None else coding.decode(H, cfg)
+        if coding.normalize_indexed(got) != coding.normalize_indexed(X):
+            report.outcome = VIOLATION
+            report.witnesses.append(
+                {"X": {str(j): _plainfam(sorted(f)) for j, f in X.items()}})
+            break
     report.counters = {"round_trips": checked,
                        "via_partitions": use_partitions}
     return report

@@ -3,6 +3,7 @@ oracle."""
 
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -285,3 +286,37 @@ def test_report_under_a_fault_does_not_depend_on_jobs(monkeypatch, mode):
     parallel = suites.suite_fact00(6, (2,), (3,), mode, 3000, 0, 2)
     assert serial.outcome == "violation"
     assert serial.canonical_json() == parallel.canonical_json()
+
+
+@pytest.mark.parametrize("a, l, closed", [(8, 2, 248), (10, 3, 969),
+                                          (12, 5, 3303), (14, 7, 9909)])
+def test_closed_families_at_m1_follow_the_closed_form(a, l, closed):
+    """At m = (1,) a point p outside X is interior exactly when every l-set
+    through p meets X, that is when a - |X| - 1 < l - 1; so X is closed
+    exactly when |X| <= a - l or X is every point."""
+    assert closed == sum(comb(a, i) for i in range(a - l + 1)) + 1
+    rep = suites.suite_fact00(a, (1,), (l,), "exhaustive", 0, 0, 1)
+    assert rep.counters["closed_families"] == closed
+
+
+def closed_graphs(a):
+    """The edge sets X of the complete graph on a points with every edge
+    outside X in a triangle outside X, counted by brute force: the closed
+    families at m = (2,), l = (3,), where an edge outside X is interior
+    exactly when each triangle through it has an edge in X."""
+    edges = list(itertools.combinations(range(a), 2))
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    # per edge, the other two edges of each triangle through it
+    rest = [[bit[min(u, w), max(u, w)] | bit[min(v, w), max(v, w)]
+             for w in range(a) if w not in (u, v)] for u, v in edges]
+    return sum(
+        all(X >> i & 1 or any(not r & X for r in rest[i])
+            for i in range(len(edges)))
+        for X in range(1 << len(edges)))
+
+
+@pytest.mark.parametrize("a, closed", [(2, 1), (3, 2), (4, 12), (5, 187),
+                                       (6, 6115)])
+def test_closed_families_at_m2_l3_count_closed_graphs(a, closed):
+    rep = suites.suite_fact00(a, (2,), (3,), "exhaustive", 0, 0, 1)
+    assert rep.counters["closed_families"] == closed_graphs(a) == closed

@@ -296,6 +296,66 @@ def test_nilpotency_random_mode_seeded():
     assert r1.counters == {"families_checked": 50, "total": 50, "bound": 3}
 
 
+# suite_nilpotency's digests, as a loop running nilpotency_index on every
+# family gives them: cycles at masks 1, 1 and 12, an index of 4 at mask 893,
+# a pass, a seeded pass and a seeded cycle
+NILPOTENCY_DIGESTS = {
+    (2, (1,), (3,), "exhaustive", 0, 0): "85aaca4a174a76d6",
+    (3, (2,), (4,), "exhaustive", 0, 0): "199b0e3d445daff0",
+    (4, (2,), (3,), "exhaustive", 0, 0): "bf206250c738cecf",
+    (5, (1, 1), (2, 2), "exhaustive", 0, 0): "015e121d94832199",
+    (6, (2,), (3,), "exhaustive", 0, 0): "970b846f3792e0c1",
+    (6, (1,), (2,), "random", 100, 5): "c7d2e2614ef11416",
+    (7, (2,), (4,), "random", 500, 3): "2d939e618ac4dc2b",
+}
+
+
+@pytest.mark.parametrize("args", NILPOTENCY_DIGESTS)
+def test_nilpotency_sweep_keeps_its_digests(args):
+    assert operators.fits_dense(*args[:3])
+    rep = cli.suite_nilpotency(*args)
+    assert rep.canonical()["digest"] == NILPOTENCY_DIGESTS[args]
+
+
+# (6, (2,), (3,)) takes 11 s sparse, so its digest alone stands for the
+# per-family loop there
+@pytest.mark.parametrize("args", [args for args in NILPOTENCY_DIGESTS
+                                  if args[:3] != (6, (2,), (3,))])
+def test_nilpotency_sweep_is_the_same_on_both_routes(monkeypatch, args):
+    """The dense sweep, on columns, reports what the per-family loop of
+    the sparse route reports, byte for byte."""
+    dense = cli.suite_nilpotency(*args)
+    monkeypatch.setattr(operators, "fits_dense", lambda a, m, l: False)
+    assert cli.suite_nilpotency(*args).canonical_json() == dense.canonical_json()
+
+
+@pytest.mark.parametrize("args, calls", [
+    ((6, (2,), (3,), "exhaustive", 0, 0), 0),
+    ((8, (1, 1), (2, 2), "random", 1000, 0), 0),
+    ((3, (2,), (4,), "exhaustive", 0, 0), 1),  # the empty family passes
+    ((5, (1, 1), (2, 2), "exhaustive", 0, 0), 1),
+    ((7, (2,), (4,), "random", 500, 3), 1),
+])
+def test_dense_nilpotency_sweep_names_only_the_failure(monkeypatch, args, calls):
+    """On the dense route nilpotency_index runs only on a family whose
+    levels 0 ... bound are all non-empty: never on a passing instance, and
+    once, on the witness, on a failing one."""
+    seen = []
+    real = operators.nilpotency_index
+    monkeypatch.setattr(operators, "nilpotency_index",
+                        lambda *a: seen.append(a) or real(*a))
+    rep = cli.suite_nilpotency(*args)
+    assert len(seen) == calls
+    assert rep.outcome == ("violation" if calls else "pass")
+
+
+def test_exhaustive_nilpotency_reaches_2_to_the_21():
+    rep = cli.suite_nilpotency(7, (2,), (3,), "exhaustive", 0, 0)
+    assert rep.outcome == "pass"
+    assert rep.counters == {"families_checked": 2_097_152, "total": 2_097_152,
+                            "bound": 3}
+
+
 def test_boundary_iteration_off_the_dense_route():
     # O_(10,)(28) is far over the dense budget; the two members leave 24
     # ground elements free, so the interior is X and the boundary is empty
