@@ -442,7 +442,10 @@ def boundary_chain(a, m, l, X):
 def _chain(a, m, l, sp, X):
     """boundary_chain on route sp, from X checked already if sp is None."""
     if sp is None:
-        X = frozenset(X)
+        try:
+            X = frozenset(X)
+        except TypeError:  # list components, read as tuples
+            X = frozenset(tuple(map(tuple, t)) for t in X)
         while True:
             yield X
             X = _interior_of_members(a, m, l, X) - X

@@ -394,6 +394,19 @@ def counting_calls(monkeypatch, names):
     return calls
 
 
+@pytest.mark.parametrize("name", sorted(DENSE_SPACES))
+def test_encode_reads_list_components_as_tuples(name):
+    # dense slots read members through the index, sparse ones through the
+    # chain's set of members: both give the book of the tuple members
+    cfg = load_config(name)
+    X = {j: list(itertools.islice(enum_disjoint_tuples(cfg.a, m), 2))
+         for j, m in cfg.slots}
+    as_lists = {j: [tuple(map(list, t)) for t in fam] for j, fam in X.items()}
+    assert encode(as_lists, cfg) == encode(X, cfg)
+    assert encode({j: [list(t) for t in fam] for j, fam in as_lists.items()},
+                  cfg) == encode(X, cfg)
+
+
 def test_encode_checks_each_member_once(monkeypatch):
     # both slots of two_slot_a28 run sparse: encode's pass profiles and
     # fully checks each member once, and the chains take them as checked

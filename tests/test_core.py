@@ -10,6 +10,7 @@ from finpart.core import (
     count_disjoint_tuples,
     enum_B_n,
     enum_disjoint_tuples,
+    enum_extensions,
     enum_O_n,
     enum_set_partitions,
     ns_blocks,
@@ -19,6 +20,12 @@ from finpart.core import (
 
 def test_enum_disjoint_tuples_count_and_order():
     got = list(enum_disjoint_tuples(4, (1, 2)))
+    assert got == [
+        ((0,), (1, 2)), ((0,), (1, 3)), ((0,), (2, 3)),
+        ((1,), (0, 2)), ((1,), (0, 3)), ((1,), (2, 3)),
+        ((2,), (0, 1)), ((2,), (0, 3)), ((2,), (1, 3)),
+        ((3,), (0, 1)), ((3,), (0, 2)), ((3,), (1, 2)),
+    ]
     assert len(got) == 12
     assert len(set(got)) == 12
     for t in got:
@@ -38,6 +45,25 @@ def test_count_disjoint_tuples_matches_enumeration():
             for m in itertools.product(range(4), repeat=n):
                 got = sum(1 for _ in enum_disjoint_tuples(a, m))
                 assert got == count_disjoint_tuples(a, m), (a, m)
+
+
+def test_enum_O_n_order():
+    # assignment vectors (0,0), (0,1), (0,2), (1,0), ..., (2,2)
+    assert list(enum_O_n(2, 2)) == [
+        ((), ()), ((1,), ()), ((), (1,)),
+        ((0,), ()), ((0, 1), ()), ((0,), (1,)),
+        ((), (0,)), ((1,), (0,)), ((), (0, 1)),
+    ]
+
+
+def test_enumerators_refuse_bad_sizes_on_the_call():
+    # they return iterators, and check their sizes before any is drawn
+    with pytest.raises(ValueError, match="non-negative"):
+        enum_extensions(3, ((),), (-1,))
+    with pytest.raises(ValueError, match="non-negative"):
+        enum_disjoint_tuples(3, (1, -1))
+    with pytest.raises(ValueError, match="non-negative"):
+        enum_O_n(3, -1)
 
 
 def test_enum_O_n_counts():

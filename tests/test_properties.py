@@ -849,18 +849,20 @@ SPARSE_CONFIGS = [coding.CodingConfig.from_json(
 @st.composite
 def families_with_one_bad_member(draw):
     """(cfg, X, bad, m): a family on a config whose slots all run sparse,
-    holding valid members and `bad`, a member of slot (j, m) with flaws
-    other than list components (which would make it unhashable)."""
+    holding valid members and `bad`, a member of slot (j, m) with flaws.
+    Slot members sit in lists, as list components are unhashable; `bad`
+    with list components and no other flaw is a valid member."""
     cfg = draw(st.sampled_from(SPARSE_CONFIGS))
-    X = {j: set(draw(st.lists(st.sampled_from(tuples_of(cfg.a, m)), max_size=3)))
+    X = {j: draw(st.lists(st.sampled_from(tuples_of(cfg.a, m)), max_size=3,
+                          unique=True))
          for j, m in cfg.slots}
     j, m = draw(st.sampled_from(cfg.slots))
     comps = draw(st.sampled_from(tuples_of(cfg.a, m)))
-    flaws = [draw(st.lists(st.sampled_from(FLAWS[:-1]), min_size=1, max_size=2))
+    flaws = [draw(st.lists(st.sampled_from(FLAWS), min_size=1, max_size=2))
              for _ in comps]
     bad = flawed(draw, comps, cfg.a, flaws)
     hypothesis.assume(bad not in X[j])  # (1.0,) equals (1,)
-    X[j].add(bad)
+    X[j].append(bad)
     return cfg, X, bad, m
 
 
@@ -871,3 +873,56 @@ def test_encode_raises_what_the_member_check_raises(case):
     want = outcome(oracle_check_disjoint_tuple, bad, cfg.a, m)
     got = outcome(coding.encode, X, cfg)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# enumeration orders against the definitions
+
+def oracle_extensions(a, p, l):
+    """Every l-profile tuple of pairwise disjoint subsets of range(a) that
+    contains p componentwise, sorted by the concatenation of the elements
+    each component adds to p's."""
+    found = [q for q in itertools.product(*(itertools.combinations(range(a), k)
+                                            for k in l))
+             if len(support(q)) == sum(l) and extends(p, q)]
+    return sorted(found, key=lambda q: tuple(
+        x for c, d in zip(p, q) for x in d if x not in c))
+
+
+def oracle_O_n(a, n):
+    """The n-tuples of disjoint subsets of range(a), one per assignment
+    vector in product order: 0 puts an element in no component, i in the
+    i-th."""
+    out = []
+    for assign in itertools.product(range(n + 1), repeat=a):
+        comps = [[] for _ in range(n)]
+        for x, c in enumerate(assign):
+            if c:
+                comps[c - 1].append(x)
+        out.append(tuple(tuple(c) for c in comps))
+    return out
+
+
+@st.composite
+def extension_instances(draw):
+    """(a, p, l): a disjoint tuple p over range(a) and a profile l, most
+    often at or above p's sizes, sometimes below one (no extensions)."""
+    a = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 3))
+    p = draw(disjoint_tuples(a, n))
+    l = tuple(max(0, len(c) + draw(st.integers(-1, 2))) for c in p)
+    hypothesis.assume(prod(comb(a, k) for k in l) <= 20_000)
+    return a, p, l
+
+
+@example((5, ((3,), (1,)), (1, 2)))  # the last base above an added element
+@example((4, ((), ()), (1, 2)))
+@given(extension_instances())
+def test_enum_extensions_matches_the_sorted_definition(case):
+    a, p, l = case
+    assert list(core.enum_extensions(a, p, l)) == oracle_extensions(a, p, l)
+
+
+@given(st.integers(0, 7), st.integers(0, 3))
+def test_enum_O_n_matches_the_assignment_vector_loop(a, n):
+    assert list(core.enum_O_n(a, n)) == oracle_O_n(a, n)
