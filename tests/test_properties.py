@@ -1,7 +1,8 @@
 """Property tests: both operator routes, the coder's pullback and the
 Ramsey search against naive oracles written from the definitions, the
-package's maps against relabellings of the ground set, and the subset
-action against its elementwise definition."""
+package's maps against relabellings of the ground set, the subset
+action against its elementwise definition, and the enumeration orders of
+disjoint tuples and O_n against their definitions."""
 
 import itertools
 from math import comb, prod
