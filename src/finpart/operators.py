@@ -34,10 +34,11 @@ inside the members' support S directly, each as its support part per
 component plus a count of fresh elements.  It skips a class with sum(k)
 support elements whose deficit sum(l) - a + |S| - sum(k) is at most 0:
 an extension of its p through fresh ground holds no member, p not being
-one.  It searches each other class once, over placements of the support
-elements that an extension cannot avoid (`exists_uncovered_extension`),
-and lists a class's members only when the class lies inside the
-interior, so it costs per class and per output tuple, not per m-tuple.
+one.  It searches each other class once, placing the support elements
+that an extension cannot avoid (`exists_uncovered_extension`, on ints
+with bit i*a + x per element x of component i, testing at a placement
+only the members holding its bit), and lists a class's members only when
+it lies inside, so it costs per class and output tuple, not per m-tuple.
 
 The dense kernels read per-byte tables that a space builds when first
 read: `up_mask` ORs one table entry per byte of its mask.  `down_mask`
@@ -490,11 +491,10 @@ def nilpotency_index(a, m, l, X):
 # ---------------------------------------------------------------------------
 # sparse interior test (no l-side materialization)
 
-def exists_uncovered_extension(a, p, l, members, support=None):
+def exists_uncovered_extension(a, p, l, members):
     """True iff some l-extension of p avoids every member of `members`
-    (i.e. no member is componentwise contained in it); members share p's
-    profile.  A caller that searches one family for many p may convert it
-    once: members as tuples of frozensets, and their `support` as a set.
+    (i.e. no member is componentwise contained in it); members are checked
+    disjoint tuples over range(a) with p's profile.
 
     Lemma: let S be the members' support, U the elements of p and need_i =
     l_i - |p_i|.  Elements outside S complete no member, so an extension
@@ -506,48 +506,48 @@ def exists_uncovered_extension(a, p, l, members, support=None):
     D <= 0 asks only that no member lie inside p.  Without extensions (a
     need_i < 0, or sum(l) > a, where D > |S - U|) the answer is False.
 
-    Depth-first placement over S - U, backtracking once a member is
-    covered; raises BudgetExceeded past _NODE_BUDGET nodes.
+    Members and the trace (p with the placement so far) are ints, bit
+    i*a + x for element x of component i.  Once the root has found no
+    member (the empty one too) inside p, placing x into component i can
+    only cover the holders of bit i*a + x: only they are tested, by
+    t & ~trace == 0.  Depth-first placement over S - U, backtracking once
+    a member is covered; raises BudgetExceeded past _NODE_BUDGET nodes.
     """
     need = [li - len(c) for li, c in zip(l, p)]
     if min(need, default=0) < 0:
         return False
-    if support is None:
-        members = [tuple(map(frozenset, t)) for t in members]
-        support = set().union(*(c for t in members for c in t))
-    trace = [set(c) for c in p]
-    used = set().union(*trace)
-    D = sum(need) - (a - len(support | used))
+    trace = sum(1 << i * a + x for i, c in enumerate(p) for x in c)
+    holders = {}  # bit i*a + x -> the members holding x in component i
+    for member in members:
+        bits = [i * a + x for i, c in enumerate(member) for x in c]
+        t = sum(1 << b for b in bits)
+        if t & ~trace == 0:
+            return False  # a member inside p
+        for b in bits:
+            holders.setdefault(b, []).append(t)
+    used = {x for c in p for x in c}
+    free = sorted({b % a for b in holders} - used)
+    D = sum(need) - (a - len(used) - len(free))
+    nodes = itertools.count(1)
 
-    def covered():
-        return any(all(c <= q for c, q in zip(t, trace)) for t in members)
-
-    if D <= 0:
-        return not covered()
-    free = sorted(support - used)
-    nodes = 0
-
-    # The root is not tested: a member inside p fails every child's test.
-    def rec(start, left):
-        nonlocal nodes
-        nodes += 1
-        if nodes > _NODE_BUDGET:
+    def rec(start, left, trace):
+        if next(nodes) > _NODE_BUDGET:
             raise BudgetExceeded("uncovered-extension search exceeded its node budget")
         if not left:
             return True
         for pos in range(start, len(free) - left + 1):
-            for i, q in enumerate(trace):
-                if need[i]:
-                    q.add(free[pos])
+            for i, n in enumerate(need):
+                b = i * a + free[pos]
+                q = trace | 1 << b
+                if n and not any(t & ~q == 0 for t in holders.get(b, ())):
                     need[i] -= 1
-                    ok = not covered() and rec(pos + 1, left - 1)
+                    ok = rec(pos + 1, left - 1, q)
                     need[i] += 1
-                    q.discard(free[pos])
                     if ok:
                         return True
         return False
 
-    return rec(0, D)
+    return D <= 0 or rec(0, D, trace)
 
 
 def interior_sparse(a, m, l, X):
@@ -564,9 +564,11 @@ def interior_sparse(a, m, l, X):
     sum(l) - a + |S| - sum(k) (`exists_uncovered_extension`'s D) is at
     most 0: a candidate p then extends through fresh ground, and a member
     inside that extension would be p.  Each other class not in X gets one
-    search, on its first fill (the lowest fresh elements), and its members
-    are listed only when it lies inside; a member of X is a class of its
-    own.  So the cost grows with the classes and the output, not with O_m(a).
+    search, on its first fill (the lowest fresh elements); placing x into
+    component i there tests only the members t holding bit i*a + x, by
+    t & ~trace == 0.  Its members are listed only when it lies inside; a
+    member of X is a class of its own.  So the cost grows with the classes
+    and the output, not with O_m(a).
     """
     m, l = check_profiles(m, l)
     return _interior_of_members(a, m, l, _members(a, X, m))
@@ -580,7 +582,6 @@ def _interior_of_members(a, m, l, X):
         return X  # no class has a deficit above 0
     support = sorted(in_support)
     fresh = tuple(x for x in range(a) if x not in in_support)
-    searched = [tuple(map(frozenset, t)) for t in X]  # converted once per X
     out = set(X)  # members are always interior points
     for k in itertools.product(*(range(mi + 1) for mi in m)):
         need = [mi - ki for mi, ki in zip(m, k)]
@@ -593,7 +594,7 @@ def _interior_of_members(a, m, l, X):
             if part in X:
                 continue  # a member is a class of its own, with no fill
             p = tuple(tuple(sorted(s + f)) for s, f in zip(part, first))
-            if not exists_uncovered_extension(a, p, l, searched, in_support):
+            if not exists_uncovered_extension(a, p, l, X):
                 # inside: every fill of the class is an interior point
                 out.update(tuple(tuple(sorted(s + f)) for s, f in zip(part, fill))
                            for fill in _disjoint_over(fresh, need))

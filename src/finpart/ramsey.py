@@ -49,10 +49,7 @@ class RamseyQuery:
 def grid_points(sizes, j):
     """The product grid, as a list of points; each point is a tuple of one
     j_i-subset (of range(size_i)) per coordinate.  Lexicographic order."""
-    axes = [
-        list(itertools.combinations(range(N), jj)) for N, jj in zip(sizes, j)
-    ]
-    return [tuple(pt) for pt in itertools.product(*axes)]
+    return subgrid([range(N) for N in sizes], j)
 
 
 @dataclass

@@ -383,10 +383,13 @@ MEMBERS = {
     "matching": [((2 * i, 2 * i + 1),) for i in range(8)],
     "sequence": [((i,), (i + 1,)) for i in range(0, 12, 2)],
     "four": [((0,), (1,)), ((2,), (3,)), ((4,), (5,)), ((6,), (1,))],
+    "cycle": [(tuple(sorted((2 + i, 2 + (i + 1) % 24))),) for i in range(24)],
 }
 # (members, a, p, l, verdict, nodes expanded): searches whose deficit is
 # above 0, so interior_sparse still runs them; "four" at ((7,), (8,)) is
-# the (0, 0) class of that family at floor 2
+# the (0, 0) class of that family at floor 2; "cycle" is near-covering
+# (only 0 and 1 lie outside its support) and asks for 13 of the cycle's
+# 24 elements with no edge among them, one more than it has
 PINNED_SEARCHES = [
     ("edges", 9, ((0, 1),), (6,), True, 5),
     ("edges", 9, ((0, 1),), (7,), False, 7),
@@ -394,6 +397,7 @@ PINNED_SEARCHES = [
     ("matching", 16, ((0, 2),), (9,), False, 169),
     ("sequence", 12, ((0,), (2,)), (6, 6), True, 12),
     ("four", 24, ((7,), (8,)), (9, 10), True, 3),
+    ("cycle", 26, ((0, 1),), (15,), False, 4096),
 ]
 
 

@@ -66,6 +66,12 @@ def oracle_interior(a, m, l, X):
     return oracle_down(a, m, l, oracle_up(a, m, l, X))
 
 
+def oracle_uncovered(a, p, l, X):
+    """Some l-extension of p extends no member of X."""
+    return any(not any(extends(x, q) for x in X)
+               for q in enum_disjoint_tuples(a, l) if extends(p, q))
+
+
 def oracle_boundary_chain(a, m, l, X, steps):
     """X, boundary(X), boundary^2(X), ...: at least steps + 1 families, and
     on until one is empty or repeats an earlier one."""
@@ -190,10 +196,32 @@ def test_mask_format_round_trips(case):
 def test_interior_routes_match_oracle_near_covering(case):
     a, m, l, X = case
     for p in enum_disjoint_tuples(a, m):
-        expect = any(not any(extends(x, q) for x in X)
-                     for q in enum_disjoint_tuples(a, l) if extends(p, q))
-        assert exists_uncovered_extension(a, p, l, X) == expect
+        assert exists_uncovered_extension(a, p, l, X) == oracle_uncovered(a, p, l, X)
     check_routes_agree(a, m, l, X)
+
+
+@given(families())
+@example((2, (0, 0), (1, 1), frozenset({((), ())})))  # a member with no elements
+@example((4, (1,), (2,), frozenset({((0,),)})))  # D <= 0 at every p
+def test_uncovered_extension_search_matches_oracle(case):
+    # with a node budget of 0 a call answers iff it expands no node: p has
+    # no extension, a member lies inside p, or D <= 0 (extensions through
+    # fresh ground); otherwise it raises
+    a, m, l, X = case
+    S = set().union(*map(support, X))
+    for p in enum_disjoint_tuples(a, m):
+        expect = oracle_uncovered(a, p, l, X)
+        assert exists_uncovered_extension(a, p, l, X) == expect
+        need = [li - len(c) for li, c in zip(l, p)]
+        D = sum(need) - (a - len(S | support(p)))
+        searched = min(need, default=0) >= 0 and D > 0 and not any(
+            extends(x, p) for x in X)
+        with mock.patch.object(operators, "_NODE_BUDGET", 0):
+            if searched:
+                with pytest.raises(operators.BudgetExceeded):
+                    exists_uncovered_extension(a, p, l, X)
+            else:
+                assert exists_uncovered_extension(a, p, l, X) == expect
 
 
 @given(threshold_families())
