@@ -30,8 +30,8 @@ l's span of positions as a mask, and buckets only the misses by block
 sizes; `decode` then pulls each dense key back on masks, hashing no hit again.
 
 Each member of an indexed family is checked once, by
-`core.check_disjoint_tuple`: in `encode`'s pass on a sparse slot, and by
-the chain's index lookup on a dense one.
+`core.check_disjoint_tuple`, and read through its return: in `encode`'s
+pass on a sparse slot, and by the chain's index lookup on a dense one.
 
 A sequence coder composes this with the subset-sequence/disjoint-tuple
 bijection: for one n, read off a config of arity 2^n - 1, it codes a set
@@ -324,7 +324,7 @@ def encode(X, cfg):
                                   f"at slot index {j}")
             _, sp, members = fams[j, m]
             if sp is None:
-                check_disjoint_tuple(t, cfg.a)
+                t = check_disjoint_tuple(t, cfg.a)
             members.append(t)
     book = {}
     for (j, m), (g, sp, members) in fams.items():

@@ -27,9 +27,11 @@ def as_subset(elems):
 
 def check_disjoint_tuple(t, a, profile=None):
     """Validate a tuple of pairwise disjoint canonical subsets of {0..a-1}
-    (strictly increasing tuples of ints, not bools; lists pass too) of the
-    size profile, if one is given, in one pass over the elements; a tuple
-    that fails it goes on to the checks that name the fault (ValueError)."""
+    (strictly increasing tuples of ints, not bools) of the size profile, if
+    one is given, in one pass over the elements; a tuple that fails it goes
+    on to the checks that name the fault (ValueError).  Returns the member
+    as a tuple of tuples (`t` itself when it is one), the form in which
+    every operator and coder route reads it, so lists read as tuples."""
     used = 0  # the elements seen so far, as bits
     for c in t:
         if type(c) is not tuple:
@@ -46,7 +48,7 @@ def check_disjoint_tuple(t, a, profile=None):
         break
     else:
         if profile is None or profile_of(t) == tuple(profile):
-            return
+            return t if type(t) is tuple else tuple(t)
     for c in t:
         if (not isinstance(c, (tuple, list)) or any(type(x) is not int for x in c)
                 or list(c) != sorted(set(c))):
@@ -57,6 +59,7 @@ def check_disjoint_tuple(t, a, profile=None):
         raise ValueError(f"components not pairwise disjoint: {t!r}")
     if profile is not None and profile_of(t) != tuple(profile):
         raise ValueError(f"tuple {t!r} does not match profile {tuple(profile)}")
+    return tuple(map(tuple, t))
 
 
 def profile_of(t):

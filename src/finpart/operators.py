@@ -22,7 +22,8 @@ picks the route, checks X once and runs it, for the boundary functions
 and nilpotency_index; `encode` runs `_chain` on its slot plan's route,
 having checked a sparse slot's members itself.
 
-Families are frozensets of canonical tuples.  Each set-level operator
+Families are frozensets of canonical tuples, and every route reads a
+given member as `check_disjoint_tuple` returns it.  Each set-level operator
 (up, interior, boundary, down) chooses its own route, in one place
 (`_route`), from closed-form counts alone (`fits_dense`): dense bitmasks
 over the enumeration orders of both profile spaces, when they fit its
@@ -224,23 +225,23 @@ def profile_space(a, m, l):
 
 def _index_mask(a, profile, X):
     """The mask of X's positions in `indexed_tuples(a, profile)`.  A member
-    the index lacks, or holds only by equality (1.0 or True for 1), goes to
-    `check_disjoint_tuple`; the index's own tuples skip the element walk."""
+    the index lacks, cannot hash, or holds only by equality (1.0 or True
+    for 1) is looked up by `check_disjoint_tuple`'s return; the index's own
+    tuples skip the element walk."""
     tuples, index = indexed_tuples(a, profile)
     mask = 0
     for t in X:
         try:
             i = index.get(t)
-        except TypeError:  # a list component, which the check lets pass
-            check_disjoint_tuple(t, a, profile=profile)
-            i = index[tuple(map(tuple, t))]
+        except TypeError:  # a list, or list components
+            i = None
         if i is not None and tuples[i] is not t:
             for c in t:  # plain loops: twice as fast as all() of a generator
                 for x in c:
                     if type(x) is not int:
                         i = None
         if i is None:
-            check_disjoint_tuple(t, a, profile=profile)  # raises
+            i = index[check_disjoint_tuple(t, a, profile=profile)]
         mask |= 1 << i
     return mask
 
@@ -370,10 +371,7 @@ def _route(a, m, l):
 
 
 def _members(a, X, profile):
-    X = tuple(X)  # checked as given, before a set merges 1.0 into 1
-    for t in X:
-        check_disjoint_tuple(t, a, profile=profile)
-    return frozenset(tuple(map(tuple, t)) for t in X)  # lists read as tuples
+    return frozenset(check_disjoint_tuple(t, a, profile=profile) for t in X)
 
 
 def up(a, m, l, X):
@@ -443,10 +441,7 @@ def boundary_chain(a, m, l, X):
 def _chain(a, m, l, sp, X):
     """boundary_chain on route sp, from X checked already if sp is None."""
     if sp is None:
-        try:
-            X = frozenset(X)
-        except TypeError:  # list components, read as tuples
-            X = frozenset(tuple(map(tuple, t)) for t in X)
+        X = frozenset(X)
         while True:
             yield X
             X = _interior_of_members(a, m, l, X) - X

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import shlex
@@ -187,6 +188,22 @@ def test_ramsey_check_readme_line(capsys):
     ])
     assert code == 0
     assert json.loads(out)["holds"] is True
+
+
+def test_ramsey_check_counterexample_replays(capsys):
+    # 4x4 is 2-colourable without a monochromatic rectangle: the printed
+    # colouring, read back, has no monochromatic 2x2 sub-grid
+    code, out = run_cli(capsys, [
+        "ramsey", "check", "--j", "1", "--j", "1", "--c", "2", "--r", "2",
+        "--sizes", "4", "--sizes", "4",
+    ])
+    doc = json.loads(out)
+    assert code == 0 and doc["holds"] is False
+    col = ramsey.ProductColoring((4, 4), (1, 1), {
+        ast.literal_eval(pt): d for pt, d in doc["counterexample"]})
+    pairs = list(itertools.combinations(range(4), 2))
+    assert not any(ramsey.check_witness(col, [S, T], d, r=2)
+                   for S in pairs for T in pairs for d in range(2))
 
 
 def test_ramsey_bound(capsys):
@@ -495,14 +512,24 @@ def test_code_demo_rejects_family_before_printing(monkeypatch, capsys,
     assert_one_line_error(code, err)
 
 
-@pytest.mark.parametrize("change", [
-    {"a": 12.5},
-    {"n": True},
-    {"slots": [[0.5, [1]]]},
-    {"slots": [[True, [1]]]},
-    {"slots": [[0, [1.0]]]},
-], ids=["a", "n", "slot-float", "slot-bool", "profile-entry"])
-def test_config_of_non_ints_exits_2(monkeypatch, capsys, tmp_path, change):
+@pytest.mark.parametrize("change,message", [
+    ({"a": 12.5}, "is not an int"),
+    ({"n": True}, "is not an int"),
+    ({"slots": [[0.5, [1]]]}, "is not an int"),
+    ({"slots": [[True, [1]]]}, "is not an int"),
+    ({"slots": [[0, [1.0]]]}, "is not an int"),
+    ({"slots": []}, "compact signature needs a slot table"),
+    ({"signature": "prime", "slots": []}, "at least one slot required"),
+    ({"slots": [[0, [1]], [0, [1]]]}, "duplicate slots"),
+    ({"slots": [[-1, [1]]]}, "negative slot index"),
+    ({"slots": [[0, [1, 1]]]}, "invalid for arity"),
+    ({"slots": [[0, [-1]]]}, "invalid for arity"),
+    ({"signature": "foo"}, "unknown signature kind"),
+], ids=["a", "n", "slot-float", "slot-bool", "profile-entry", "compact-no-slots",
+        "prime-no-slots", "duplicate-slots", "negative-slot", "profile-arity",
+        "profile-negative", "signature-kind"])
+def test_config_of_non_ints_exits_2(monkeypatch, capsys, tmp_path, change,
+                                    message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**json.loads(Path(CONFIG).read_text()),
                                 **change}))
@@ -510,7 +537,20 @@ def test_config_of_non_ints_exits_2(monkeypatch, capsys, tmp_path, change):
         "code", "demo", "--config", str(path),
     ])
     assert_one_line_error(code, err)
-    assert "bad config" in err and "is not an int" in err
+    assert "bad config" in err and message in err
+
+
+def test_decode_of_a_book_under_another_config_exits_2(monkeypatch, capsys,
+                                                       tmp_path):
+    book = tmp_path / "book.json"
+    cfg = coding.CodingConfig.from_json(Path(CONFIG).read_text())
+    book.write_text(coding.encode({0: {((1,),)}}, cfg).to_json())
+    code, err = run_main(monkeypatch, capsys, [
+        "code", "decode", "--config", str(CONFIGS / "two_slot_a28.json"),
+        "--book", str(book),
+    ])
+    assert_one_line_error(code, err)
+    assert "book does not match the given config" in err
 
 
 def test_bijection_refuses_before_listing_subsets(monkeypatch, capsys):

@@ -255,7 +255,8 @@ def test_materialize_refuses_a_bool_in_a_dense_key(cfg12):
 
 def test_sparse_key_config_decodes():
     # at a = 60 both keys, l = (3,) and (5,), run sparse: every element of
-    # H is bucketed by block sizes
+    # H is bucketed by block sizes, in a second pass, which an iterator
+    # over H gets too
     cfg = compact_config(60, 1, [(0, (1,))])
     assert not fits_dense(60, (1,), (3,)) and not fits_dense(60, (1,), (5,))
     X = {0: frozenset({((0,),), ((1,),)})}
@@ -263,7 +264,7 @@ def test_sparse_key_config_decodes():
     assert len(H) == 2 * 1711 - 58
     assert extract_slice(H, cfg, 0, (1,), 0) == frozenset(
         q for q in enum_disjoint_tuples(60, (3,)) if {0, 1} & set(q[0]))
-    assert decode(H, cfg) == X
+    assert decode(H, cfg) == decode(iter(H), cfg) == X
 
 
 def test_book_json_roundtrip(cfg12):
@@ -396,15 +397,16 @@ def counting_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("name", sorted(DENSE_SPACES))
 def test_encode_reads_list_components_as_tuples(name):
-    # dense slots read members through the index, sparse ones through the
-    # chain's set of members: both give the book of the tuple members
+    # dense slots look members up by the member check's return, sparse ones
+    # keep that return: list components, a list of them and a list of
+    # tuples all give the book of the tuple members
     cfg = load_config(name)
     X = {j: list(itertools.islice(enum_disjoint_tuples(cfg.a, m), 2))
          for j, m in cfg.slots}
-    as_lists = {j: [tuple(map(list, t)) for t in fam] for j, fam in X.items()}
-    assert encode(as_lists, cfg) == encode(X, cfg)
-    assert encode({j: [list(t) for t in fam] for j, fam in as_lists.items()},
-                  cfg) == encode(X, cfg)
+    for form in (lambda t: tuple(map(list, t)), lambda t: list(map(list, t)),
+                 list):
+        assert (encode({j: list(map(form, fam)) for j, fam in X.items()}, cfg)
+                == encode(X, cfg))
 
 
 def test_encode_checks_each_member_once(monkeypatch):

@@ -21,43 +21,11 @@ from finpart.operators import (
     profile_space,
     up,
 )
-
-
-# --- independent oracles, straight from the definitions -------------------
-
-def tuple_extends(p, q):
-    """True iff p_i is a subset of q_i for every component."""
-    if len(p) != len(q):
-        raise ValueError("arity mismatch")
-    return all(set(x) <= set(y) for x, y in zip(p, q))
-
-
-def oracle_up(a, m, l, X):
-    return frozenset(
-        q
-        for q in enum_disjoint_tuples(a, l)
-        if any(tuple_extends(p, q) for p in X)
-    )
-
-
-def oracle_interior(a, m, l, X):
-    g = oracle_up(a, m, l, X)
-    return frozenset(
-        p
-        for p in enum_disjoint_tuples(a, m)
-        if all(q in g for q in enum_extensions(a, p, l))
-    )
+from oracles import extends, oracle_interior, oracle_up
 
 
 def random_family(rng, tuples, density=0.4):
     return frozenset(t for t in tuples if rng.random() < density)
-
-
-def test_tuple_order_ops():
-    assert tuple_extends(((0,),), ((0, 1),))
-    assert not tuple_extends(((2,),), ((0, 1),))
-    with pytest.raises(ValueError, match="arity"):
-        tuple_extends(((0,),), ((0,), ()))
 
 
 def test_enum_extensions_count():
@@ -65,7 +33,7 @@ def test_enum_extensions_count():
         for p in enum_disjoint_tuples(a, m):
             exts = list(enum_extensions(a, p, l))
             assert len(exts) == count_extensions(a, m, l)
-            assert all(tuple_extends(p, q) for q in exts)
+            assert all(extends(p, q) for q in exts)
     # the first component already uses up the ground set
     assert count_extensions(1, (0, 0), (2, 0)) == 0
 

@@ -40,30 +40,7 @@ from finpart.ramsey import (  # noqa: E402
     subgrid,
 )
 from finpart.symmetry import apply_perm, is_support  # noqa: E402
-
-
-def extends(p, q):
-    return all(set(x) <= set(y) for x, y in zip(p, q))
-
-
-def oracle_up(a, m, l, X):
-    """l-tuples extending some member of X."""
-    return frozenset(q for q in enum_disjoint_tuples(a, l)
-                     if any(extends(x, q) for x in X))
-
-
-def oracle_down(a, m, l, Z):
-    """m-tuples all of whose l-extensions lie in Z."""
-    l_tuples = list(enum_disjoint_tuples(a, l))
-    return frozenset(
-        p for p in enum_disjoint_tuples(a, m)
-        if all(q in Z for q in l_tuples if extends(p, q))
-    )
-
-
-def oracle_interior(a, m, l, X):
-    """m-tuples all of whose l-extensions extend some member of X."""
-    return oracle_down(a, m, l, oracle_up(a, m, l, X))
+from oracles import extends, oracle_down, oracle_interior, oracle_up  # noqa: E402
 
 
 def oracle_uncovered(a, p, l, X):
@@ -819,13 +796,16 @@ def disjoint_tuples(draw, a, n):
 
 @st.composite
 def member_checks(draw):
-    """(t, a, profile): a disjoint tuple over range(a) whose components
-    carry none, one or several flaws, and no profile, its own or another."""
+    """(t, a, profile): a disjoint tuple over range(a), or a list, whose
+    components carry none, one or several flaws, and no profile, its own
+    or another."""
     a = draw(st.integers(1, 8))
     n = draw(st.integers(0, 3))
     comps = draw(disjoint_tuples(a, n))
     flaws = [draw(st.lists(st.sampled_from(FLAWS), max_size=2)) for _ in comps]
     t = flawed(draw, comps, a, flaws)
+    if draw(st.booleans()):
+        t = list(t)
     profile = draw(st.one_of(
         st.none(), st.just(tuple(map(len, comps))),
         st.lists(st.integers(0, 3), max_size=4).map(tuple)))
@@ -839,11 +819,20 @@ def member_checks(draw):
 @example((((0, True),), 5, None))
 @example((([0, 1], (2,)), 5, (2, 1)))
 @example((((0, 1),), 5, (2, 0)))
+@example(([(1,)], 5, None))  # a list member, returned as a tuple
 @given(member_checks())
 def test_member_check_matches_three_step_oracle(case):
+    """The check raises what the oracle raises, and where the oracle
+    accepts it returns the member as a tuple of tuples, t itself if it is
+    one."""
     t, a, profile = case
-    assert (outcome(core.check_disjoint_tuple, t, a, profile)
-            == outcome(oracle_check_disjoint_tuple, t, a, profile))
+    want = outcome(oracle_check_disjoint_tuple, t, a, profile)
+    assert outcome(core.check_disjoint_tuple, t, a, profile) == want
+    if want is None:
+        got = core.check_disjoint_tuple(t, a, profile)
+        assert got == tuple(map(tuple, t))
+        if type(t) is tuple and all(type(c) is tuple for c in t):
+            assert got is t
 
 
 @example((((True,),), 6, (1,)))

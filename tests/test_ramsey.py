@@ -74,6 +74,9 @@ def test_pigeonhole_exact():
             q = RamseyQuery((1,), c, r)
             expect = c * (r - 1) + 1
             assert search_min_N(q, cap=expect + 1).value == expect, (c, r)
+    # a cap below the answer: no value, and the counterexample at the cap
+    res = search_min_N(RamseyQuery((1,), 2, 3), cap=3)
+    assert res.value is None and res.counterexample_N == 3
 
 
 def test_prune_agrees_with_no_prune():
@@ -143,6 +146,10 @@ def test_small_witness_regimes():
     # empty grid with witnesses: vacuous
     res = has_property((2,), RamseyQuery((3,), 2, 2))
     assert res.holds
+    # r < j: a witness's sub-grid has no points, so it holds unsearched
+    res = has_property((5,), RamseyQuery((3,), 2, 2))
+    assert res.holds and res.searched == 0
+    assert res.note == "vacuous witness (empty sub-grid)"
 
 
 def test_budget_guard():
@@ -177,6 +184,7 @@ def test_upper_bound_values():
     assert upper_bound_R(RamseyQuery((2,), 2, 3)) == 6
     assert upper_bound_R(RamseyQuery((1,), 3, 4)) == 10
     assert upper_bound_R(RamseyQuery((1, 1), 2, 2)) >= 3
+    assert upper_bound_R(RamseyQuery((), 2, 3)) == 3
 
 
 def test_single_colour_bound_is_a_side_that_holds():

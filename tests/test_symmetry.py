@@ -249,6 +249,8 @@ def test_find_fixing_transposition_examples():
     # components out of order: the class with the least element comes first
     assert find_fixing_transposition(((2, 3), (0, 1)), (0, 1, 2, 3), 4) == \
         transposition(4, 0, 1)
+    # |B| = arity + 1 and each class holds one point of B: no pair
+    assert find_fixing_transposition(((0,), (1,)), (0, 1, 2), 3) is None
 
 
 def test_find_fixing_transposition_total():
