@@ -29,9 +29,11 @@ def check_disjoint_tuple(t, a, profile=None):
     """Validate a tuple of pairwise disjoint canonical subsets of {0..a-1}
     (strictly increasing tuples of ints, not bools) of the size profile, if
     one is given, in one pass over the elements; a tuple that fails it goes
-    on to the checks that name the fault (ValueError).  Returns the member
-    as a tuple of tuples (`t` itself when it is one), the form in which
-    every operator and coder route reads it, so lists read as tuples."""
+    on to the checks that name the fault (ValueError).  A member must be a
+    tuple or a list: a set has no component order to read.  Returns the
+    member as a tuple of tuples (`t` itself when it is one), the form in
+    which every operator and coder route reads it, so lists read as
+    tuples."""
     used = 0  # the elements seen so far, as bits
     for c in t:
         if type(c) is not tuple:
@@ -48,7 +50,12 @@ def check_disjoint_tuple(t, a, profile=None):
         break
     else:
         if profile is None or profile_of(t) == tuple(profile):
-            return t if type(t) is tuple else tuple(t)
+            if type(t) is tuple:
+                return t
+            if type(t) is list:
+                return tuple(t)
+    if not isinstance(t, (tuple, list)):
+        raise ValueError(f"not a tuple of components: {t!r}")
     for c in t:
         if (not isinstance(c, (tuple, list)) or any(type(x) is not int for x in c)
                 or list(c) != sorted(set(c))):

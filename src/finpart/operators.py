@@ -65,6 +65,8 @@ suites' `counts` tables and symmetry sweep.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -292,30 +294,77 @@ def boundary_mask(sp, xmask):
 # A sweep over many families at once transposes their masks into columns
 # (`columns`): column i is an int whose bit f says whether family f holds
 # tuple i, so one OR or AND of two columns acts on every family of the
-# sweep.  Masks are transposed in tiles of at most TILE by TILE bits.  Per
-# bit i < 12, bit f of _TRUTH[i] is bit i of f, for the masks 0 .. TILE - 1:
-# runs of 2^i zeros, then 2^i ones.
-TILE = 1 << 12
-_TRUTH = [((1 << (1 << i)) - 1 << (1 << i)) * ((1 << TILE) - 1)
-          // ((1 << (2 << i)) - 1) for i in range(12)]
+# sweep.  The sweeps run the kernels on tiles of `tile_width(sp)` masks: at
+# 4,096 masks the Python dispatch per tile costs more than the big-int work
+# it drives, so a tile widens, up to TILE masks, while the |T_m| + |T_l|
+# columns of one tile take at most _SLICE_BUDGET bits (384 kB); a sweep
+# holds a few such sets of columns at a time.  Past that, measured, wider
+# tiles stopped paying: exhaustive fact00 at (7, (2,), (3,)), 56 columns,
+# took 75 ms in tiles of 2^15 masks and 107 ms in tiles of 2^16.  Per bit
+# i, bit f of _TRUTH[i] is bit i of f, for the masks 0 .. 2^len(_TRUTH) -
+# 1: runs of 2^i zeros, then 2^i ones.  They are grown by doubling when a
+# wider aligned run first asks for them, to at most 16 tables of TILE bits.
+TILE = 1 << 16
+_SLICE_BUDGET = 3 << 20
+_TRUTH = []
+
+
+def tile_width(sp):
+    """The masks per kernel tile of a sweep over the space sp: the largest
+    power of two up to TILE whose columns on both sides fit _SLICE_BUDGET
+    bits, and never below 4,096."""
+    w = TILE
+    while w > 4096 and (len(sp.m_tuples) + len(sp.l_tuples)) * w > _SLICE_BUDGET:
+        w >>= 1
+    return w
+
+
+def _truth(bits):
+    """_TRUTH over at least 2^bits masks: the table of bit i over 2w masks
+    is its table over w masks twice over, and bit log2(w) is w zeros then
+    w ones."""
+    while len(_TRUTH) < bits:
+        w = 1 << len(_TRUTH)
+        _TRUTH[:] = [t | t << w for t in _TRUTH] + [(1 << w) - 1 << w]
+    return _TRUTH
+
+
+# Per bit b of a byte, the digit ("0" or "1") of that bit of each byte value.
+_DIGITS = [bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8)]
+# An array type code per item size, for packing masks of up to 8 bytes.
+_PACK = {array(c).itemsize: c for c in "QLIHB"}
 
 
 def columns(masks, size):
     """Transpose the masks of `size` bits: per tuple i < size, the column
     whose bit f is bit i of masks[f].  A run of at most TILE masks from a
-    multiple of TILE reads its low bits off _TRUTH, and its high bits are
-    the same for every family; other masks go through bit strings."""
-    ones = (1 << len(masks)) - 1
-    if (isinstance(masks, range) and masks.step == 1
-            and masks.start % TILE == 0 and len(masks) <= TILE):
-        return [_TRUTH[i] & ones if i < 12 else -(masks.start >> i & 1) & ones
+    multiple of the next power of two reads its low bits off _TRUTH, and
+    its high bits are the same for every family.  Other masks are packed
+    little-endian at one byte width and the bytes reversed, so the last
+    family comes first; per byte j, a strided slice holds byte j of every
+    family, and each bit's column is that slice's digits, parsed once."""
+    n = len(masks)
+    bits = (n - 1).bit_length()
+    ones = (1 << n) - 1
+    if (isinstance(masks, range) and masks.step == 1 and n <= TILE
+            and masks.start % (1 << bits) == 0):
+        truth = _truth(bits)
+        return [truth[i] & ones if i < bits else -(masks.start >> i & 1) & ones
                 for i in range(size)]
+    width = (size + 7) // 8
+    if width <= 8:
+        stride = min(s for s in _PACK if s >= width)
+        packed = array(_PACK[stride], masks)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        data = packed.tobytes()[::-1]
+    else:
+        stride = width
+        data = b"".join(x.to_bytes(width, "little") for x in masks)[::-1]
     cols = []
-    for lo in range(0, size, TILE):
-        top = 1 << min(TILE, size - lo)
-        # the last family first, so each column's first digit is its top bit
-        rows = [bin(x >> lo & top - 1 | top)[3:] for x in reversed(masks)]
-        cols += [int("".join(c), 2) for c in zip(*rows)][::-1]
+    for j in range(width):
+        run = data[stride - 1 - j::stride]
+        cols += [int(run.translate(_DIGITS[b]), 2) for b in range(min(8, size - 8 * j))]
     return cols
 
 

@@ -31,11 +31,12 @@ _LAW_NAMES = (
 )
 
 
-# A sweep is cut into tasks of _TASK masks, from the masks alone, and each
-# task stops after 21 violations, so where the cuts fall fixes the report.
-# A task is one tile of the transpose, so an exhaustive task's columns
-# are truth tables.
-_TASK = operators.TILE
+# A sweep's report is cut into windows of _WINDOW masks, from the masks
+# alone, and each window stops after 21 violations, so where the cuts fall
+# fixes the report.  The kernels run on wider tiles (`operators.tile_width`,
+# a multiple of _WINDOW), which are scanned window by window; an exhaustive
+# tile is an aligned range, so its columns are truth tables.
+_WINDOW = 4096
 
 
 def _any(cols):
@@ -43,13 +44,13 @@ def _any(cols):
 
 
 def _fact00_chunk(a, m, l, masks):
-    """The per-family laws over one task of masks, bit-sliced: each law is
-    a violation vector over the task's families, computed from columns
-    (`operators.columns`) by the sliced kernels.  Returns the families checked, the
-    violations and the number of interior-closed families, as a loop over
-    the masks would: the violating families lowest first, each family's
-    witnesses in law order, stopping after the family that takes the
-    count past 20."""
+    """The per-family laws over one tile of masks, bit-sliced: each law is
+    a violation vector over the tile's families, computed from columns
+    (`operators.columns`) by the sliced kernels.  Returns the families
+    checked, the violations and the number of interior-closed families, as
+    a loop over each window of _WINDOW masks would: the violating families
+    lowest first, each family's witnesses in law order, stopping after the
+    family that takes the window's count past 20."""
     sp = operators.profile_space(a, m, l)
     sub = [
         operators.profile_space(a, m, lp)
@@ -96,16 +97,22 @@ def _fact00_chunk(a, m, l, masks):
                      "level set != interior minus next level"))
         d = list(_outside(di, d))
 
-    checked = len(masks)
+    bad = _any(v for _, v, _ in laws)
+    kept = 0  # the families checked: each window's, up to its 21st violation
     violations = []
-    for f in operators.at_bits(range(len(masks)), _any(v for _, v, _ in laws)):
-        fam = _plainfam(sorted(operators.mask_to_family(sp, masks[f])))
-        violations += [{"law": law, "X": fam, "detail": detail}
-                       for law, v, detail in laws if v >> f & 1]
-        if len(violations) > 20:
-            checked = f + 1
-            break
-    return checked, violations, (closed & (1 << checked) - 1).bit_count()
+    for lo in range(0, len(masks), _WINDOW):
+        hi = min(lo + _WINDOW, len(masks))
+        found = []
+        for f in operators.at_bits(range(lo, hi), bad >> lo & (1 << hi - lo) - 1):
+            fam = _plainfam(sorted(operators.mask_to_family(sp, masks[f])))
+            found += [{"law": law, "X": fam, "detail": detail}
+                      for law, v, detail in laws if v >> f & 1]
+            if len(found) > 20:
+                hi = f + 1
+                break
+        violations += found
+        kept |= (1 << hi) - (1 << lo)
+    return kept.bit_count(), violations, (closed & kept).bit_count()
 
 
 def _outside(p, q):
@@ -127,10 +134,11 @@ def _exhaustive_masks(size, cap):
 def suite_fact00(a, m, l, mode, samples, seed, jobs):
     """The operator laws over every family (exhaustive, at most 2^24) or a
     seeded sample of families, and the pair laws over seeded pairs, every
-    law on the columns of the sliced kernels, a task at a time.  The sweep
+    law on the columns of the sliced kernels, a tile at a time.  The sweep
     runs in this process, so `jobs` changes nothing."""
     sp = operators.profile_space(a, m, l)
     size = len(sp.m_tuples)
+    width = operators.tile_width(sp)
     report = RunReport(
         command="verify fact00",
         config={"a": a, "m": m, "l": l, "mode": mode, "samples": samples,
@@ -144,17 +152,17 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
     checked = 0
     violations = []
     closed = 0
-    for lo in range(0, len(masks), _TASK):
-        c, v, cl = _fact00_chunk(a, m, l, masks[lo:lo + _TASK])
+    for lo in range(0, len(masks), width):
+        c, v, cl = _fact00_chunk(a, m, l, masks[lo:lo + width])
         checked += c
         violations.extend(v)
         closed += cl
 
-    # seeded pair laws, a task at a time; draws alternate y and x's mask on y
+    # seeded pair laws, a tile at a time; draws alternate y and x's mask on y
     pairs = max(samples, 1000)
-    del masks  # so the pairs' tasks reuse the sweep's memory, adding no peak
-    for lo in range(0, pairs, _TASK):
-        draws = [rng.getrandbits(size) for _ in range(2 * min(_TASK, pairs - lo))]
+    del masks  # so the pairs' tiles reuse the sweep's memory, adding no peak
+    for lo in range(0, pairs, width):
+        draws = [rng.getrandbits(size) for _ in range(2 * min(width, pairs - lo))]
         ys, xs = draws[::2], list(map(and_, draws[::2], draws[1::2]))
         ones = (1 << len(xs)) - 1
         ux, uy = (operators.up_sliced(sp, operators.columns(z, size))
@@ -185,7 +193,7 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
 
 def suite_nilpotency(a, m, l, mode, samples, seed):
     """Boundary nilpotency, index at most sum(m) + 1, over every family or
-    seeded samples, a task of masks at a time, up to the first failure.
+    seeded samples, a tile of masks at a time, up to the first failure.
     Only the families `alive` keeps go through `nilpotency_index`: all of
     them off the dense route, and on it those whose level boundary^k(X) is
     non-empty at every k = 0 ... bound, ANDed per level on columns: a level
@@ -202,19 +210,20 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
     total = len(_exhaustive_masks(size, 24)) if mode == "exhaustive" else samples
     m_tuples = operators.indexed_tuples(a, m)[0]
     sp = operators._route(a, m, l)
+    width = operators.tile_width(sp) if sp else _WINDOW
     checked = total
-    for lo in range(0, total, _TASK):
-        n = min(_TASK, total - lo)
-        # exhaustive tasks are ranges, so `columns` reads their truth tables
-        task = (range(lo, lo + n) if mode == "exhaustive"
+    for lo in range(0, total, width):
+        n = min(width, total - lo)
+        # exhaustive tiles are ranges, so `columns` reads their truth tables
+        tile = (range(lo, lo + n) if mode == "exhaustive"
                 else [rng.getrandbits(size) for _ in range(n)])
         alive = ones = (1 << n) - 1
-        d = operators.columns(task, size) if sp else ()
+        d = operators.columns(tile, size) if sp else ()
         for _ in range(bound + 1 if sp else 0):
             alive &= _any(d)
             d = list(_outside(operators.interior_sliced(sp, d, ones), d))
         for f in operators.at_bits(range(n), alive):
-            X = frozenset(operators.at_bits(m_tuples, task[f]))
+            X = frozenset(operators.at_bits(m_tuples, tile[f]))
             idx = operators.nilpotency_index(a, m, l, X)
             if isinstance(idx, operators.CycleReport):
                 w = {"kind": "cycle", "start": idx.start, "period": idx.period,

@@ -482,6 +482,19 @@ def test_family_of_non_int_elements_exits_2(monkeypatch, capsys, tmp_path,
     ]))
 
 
+@pytest.mark.parametrize("config", ["single_slot_a12.json", "two_slot_a28.json"],
+                         ids=["dense", "sparse"])
+@pytest.mark.parametrize("member", [{"0": [1]}, "0", 5],
+                         ids=["object", "string", "number"])
+def test_family_member_not_a_list_exits_2(monkeypatch, capsys, tmp_path,
+                                          config, member):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"0": [member]}))
+    assert_one_line_error(*run_main(monkeypatch, capsys, [
+        "code", "encode", "--config", str(CONFIGS / config), "--family", str(path),
+    ]))
+
+
 @pytest.mark.parametrize("element", [1.0, True], ids=["float", "bool"])
 def test_dense_slot_rejects_non_int_elements(monkeypatch, capsys, tmp_path,
                                              element):

@@ -6,7 +6,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finpart import operators, suites
@@ -229,13 +229,38 @@ def test_sliced_chunk_matches_oracle_on_any_masks(fault, task):
         assert suites._fact00_chunk(*task) == oracle_chunk(*task)
 
 
+@st.composite
+def _sized_masks(draw):
+    size = draw(st.integers(0, 9000))
+    return size, draw(_mask_runs(size) if size < 60 else st.lists(
+        st.integers(0, (1 << size) - 1), min_size=1, max_size=5))
+
+
+def _every_byte(size, n):
+    """n masks of `size` bits whose bytes differ from family to family and
+    from byte to byte, so a column read off the wrong byte shows."""
+    return [sum((37 * f + 11 * j + 1) % 256 << 8 * j for j in range(size // 8 + 1))
+            & (1 << size) - 1 for f in range(n)]
+
+
+# masks of a whole number of bytes, one bit past it, and past the 8 bytes
+# that pack into one array item, in runs of a length that is no multiple
+# of 8
+@example((8, _every_byte(8, 3)))
+@example((9, _every_byte(9, 5)))
+@example((16, _every_byte(16, 7)))
+@example((17, _every_byte(17, 9)))
+@example((32, _every_byte(32, 11)))
+@example((33, _every_byte(33, 13)))
+@example((64, _every_byte(64, 15)))
+@example((65, _every_byte(65, 17)))
+@example((17, range(3, 4100)))
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data(), size=st.integers(0, 9000))
-def test_columns_are_the_transpose(data, size):
+@given(_sized_masks())
+def test_columns_are_the_transpose(case):
     """Per bit i, bit f of column i is bit i of masks[f], past one tile of
     4096 bits too."""
-    masks = data.draw(_mask_runs(size) if size < 60 else st.lists(
-        st.integers(0, (1 << size) - 1), min_size=1, max_size=5))
+    size, masks = case
     assert operators.columns(masks, size) == [
         sum((x >> i & 1) << f for f, x in enumerate(masks)) for i in range(size)]
 
@@ -288,12 +313,37 @@ def test_report_under_a_fault_does_not_depend_on_jobs(monkeypatch, mode):
     assert serial.canonical_json() == parallel.canonical_json()
 
 
+@pytest.mark.parametrize("run", [
+    lambda: suites.suite_fact00(6, (2,), (3,), "exhaustive", 0, 0, 1),
+    lambda: suites.suite_fact00(6, (2,), (3,), "random", 9000, 0, 1),
+    lambda: suites.suite_nilpotency(7, (2,), (4,), "exhaustive", 0, 0),
+], ids=["fact00-exhaustive", "fact00-random", "nilpotency"])
+@pytest.mark.parametrize("fault", [False, True], ids=["none", "down-empty"])
+def test_report_does_not_depend_on_the_kernel_width(monkeypatch, run, fault):
+    """The report is cut into windows of 4096 masks whatever the kernels'
+    tile: each instance's default tile holds several windows (the sample
+    draws 7,889 distinct masks and 9,000 pairs), each window stops
+    after its own 21 violations, and (7, (2,), (4,)) first fails at family
+    6,643, in the second window."""
+    assert operators.tile_width(operators.profile_space(6, (2,), (3,))) > 8192
+    assert operators.tile_width(operators.profile_space(7, (2,), (4,))) > 8192
+    if fault:
+        monkeypatch.setattr(operators, "down_mask", lambda sp, g: 0)
+        monkeypatch.setattr(operators, "down_sliced",
+                            lambda sp, g, ones: [0] * len(sp.m_tuples))
+    wide = run()
+    monkeypatch.setattr(operators, "tile_width", lambda sp: 4096)
+    assert run().canonical_json() == wide.canonical_json()
+
+
 @pytest.mark.parametrize("a, l, closed", [(8, 2, 248), (10, 3, 969),
-                                          (12, 5, 3303), (14, 7, 9909)])
+                                          (12, 5, 3303), (14, 7, 9909),
+                                          (20, 2, 2**20 - 20)])
 def test_closed_families_at_m1_follow_the_closed_form(a, l, closed):
     """At m = (1,) a point p outside X is interior exactly when every l-set
     through p meets X, that is when a - |X| - 1 < l - 1; so X is closed
-    exactly when |X| <= a - l or X is every point."""
+    exactly when |X| <= a - l or X is every point.  At a = 20 the sweep
+    runs over 2^20 families, in many kernel tiles and 256 windows."""
     assert closed == sum(comb(a, i) for i in range(a - l + 1)) + 1
     rep = suites.suite_fact00(a, (1,), (l,), "exhaustive", 0, 0, 1)
     assert rep.counters["closed_families"] == closed

@@ -5,6 +5,7 @@ action against its elementwise definition, and the enumeration orders of
 disjoint tuples and O_n against their definitions."""
 
 import itertools
+import random
 from math import comb, prod
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from finpart import coding, core, maps, operators, ramsey  # noqa: E402
+from finpart import coding, core, maps, operators, ramsey, suites  # noqa: E402
 from finpart.core import (  # noqa: E402
     as_subset,
     enum_disjoint_tuples,
@@ -242,6 +243,32 @@ def test_operators_match_oracle_on_both_routes(case, data):
     check_operators(a, m, l, X, Z)
     with mock.patch.object(operators, "fits_dense", lambda a, m, l: False):
         check_operators(a, m, l, X, Z)
+
+
+@settings(max_examples=6)
+@given(st.sampled_from([(3, (2,), (4,)), (5, (1, 1), (2, 2)), (6, (2,), (4,)),
+                        (7, (2,), (4,))]),
+       st.integers(4097, 5000), st.integers(0, 2**32), st.booleans())
+def test_sliced_nilpotency_sends_the_families_alive_at_every_level(
+        instance, samples, seed, narrow):
+    """Over a seeded run of more than 4096 masks, in the default tiles or
+    in tiles of 4096, the families that the sliced sweep hands to
+    nilpotency_index are those whose levels boundary^k(X), k = 0 ...
+    sum(m) + 1, are all non-empty, computed family by family.  The
+    recording stand-in answers 0, so the sweep never stops at a failure."""
+    a, m, l = instance
+    seen = []
+    width = (lambda sp: 4096) if narrow else operators.tile_width
+    with mock.patch.object(operators, "nilpotency_index",
+                           lambda a, m, l, X: seen.append(X) or 0), \
+            mock.patch.object(operators, "tile_width", width):
+        suites.suite_nilpotency(a, m, l, "random", samples, seed)
+    tuples = operators.indexed_tuples(a, m)[0]
+    rng = random.Random(seed)
+    families = [frozenset(operators.at_bits(tuples, rng.getrandbits(len(tuples))))
+                for _ in range(samples)]
+    assert seen == [X for X in families if all(
+        boundary_power(a, m, l, X, k) for k in range(sum(m) + 2))]
 
 
 def oracle_counterexample(sizes, query):
@@ -727,8 +754,11 @@ def test_subset_action_matches_the_elementwise_oracle(case):
 # the member check: one fused pass against the three-step definition
 
 def oracle_check_disjoint_tuple(t, a, profile=None):
-    """Each component a strictly increasing tuple (or list) of ints in
-    range(a), then the components pairwise disjoint, then the profile."""
+    """A tuple or list, each component a strictly increasing tuple (or
+    list) of ints in range(a), then the components pairwise disjoint, then
+    the profile."""
+    if not isinstance(t, (tuple, list)):
+        raise ValueError(f"not a tuple of components: {t!r}")
     for s in t:
         if any(type(x) is not int for x in s) or list(s) != sorted(set(s)):
             raise ValueError(f"not a canonical subset: {s!r}")
@@ -838,6 +868,10 @@ def test_member_check_matches_three_step_oracle(case):
 @example((((True,),), 6, (1,)))
 @example((((0, 1.0),), 6, None))
 @example((((9,),), 6, (1,)))
+# sets, whose iteration order is not the order of their components
+@example((frozenset({(1,), (2, 3)}), 6, (2, 1)))
+@example(({(1,), (2, 3)}, 6, (1, 2)))
+@example((frozenset({(0,)}), 6, None))
 @given(member_checks())
 def test_both_routes_check_members_as_the_oracle_does(case):
     """up and interior on a member of X, and down on a member of Z, raise
@@ -884,6 +918,8 @@ def families_with_one_bad_member(draw):
     return cfg, X, bad, m
 
 
+@example((SPARSE_CONFIGS[1], {0: [frozenset({(1,), (2,)})]},
+          frozenset({(1,), (2,)}), (1, 1)))
 @settings(max_examples=40)
 @given(families_with_one_bad_member())
 def test_encode_raises_what_the_member_check_raises(case):
