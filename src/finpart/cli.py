@@ -52,13 +52,15 @@ def _load_config(path):
     return _load_json(path, "config", coding.CodingConfig.from_json)
 
 
-def _load_family(path):
+def _load_family(path, a):
     """{j: frozenset of tuples} from the JSON file, without empty families;
-    `coding.encode` checks the members."""
-    return _load_json(path, "family", lambda text: coding.normalize_indexed({
-        int(j): {tuple(tuple(c) for c in t) for t in fam}
-        for j, fam in json.loads(text).items()
-    }))
+    each member goes to `core.check_disjoint_tuple` as written, before a
+    set could hash it or merge 1.0 into 1."""
+    fams = _load_json(path, "family", lambda text: {
+        int(j): list(fam) for j, fam in json.loads(text).items()})
+    return coding.normalize_indexed({
+        j: {core.check_disjoint_tuple(t, a) for t in fam}
+        for j, fam in fams.items()})
 
 
 def demo_coding(cfg, X=None):
@@ -132,9 +134,8 @@ def _ramsey_check(args):
     doc = {"holds": res.holds, "searched": res.searched,
            "pruned": res.pruned, "note": res.note}
     if res.counterexample is not None:
-        doc["counterexample"] = sorted(
-            (str(k), v) for k, v in res.counterexample.items()
-        )
+        doc["counterexample"] = [[[list(c) for c in pt], d] for pt, d
+                                 in sorted(res.counterexample.items())]
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -166,7 +167,7 @@ def _ramsey_bound(args):
 
 def _code_encode(args):
     cfg = _load_config(args.config)
-    print(coding.encode(_load_family(args.family), cfg).to_json())
+    print(coding.encode(_load_family(args.family, cfg.a), cfg).to_json())
     return 0
 
 
@@ -193,7 +194,7 @@ def _code_decode(args):
 
 def _code_demo(args):
     cfg = _load_config(args.config)
-    X = _load_family(args.family) if args.family else None
+    X = _load_family(args.family, cfg.a) if args.family else None
     return 0 if demo_coding(cfg, X) else 1
 
 
@@ -273,7 +274,6 @@ _OPTIONS = {
     "mode": {"choices": ("exhaustive", "random"), "default": "exhaustive"},
     "samples": {"type": int, "default": 1000},
     "seed": {"type": int, "default": 0},
-    "jobs": {"type": int, "default": 1},
     "config": {},
     "family": {},
     "book": {},
@@ -300,7 +300,7 @@ _OPTIONS = {
 
 # Least value of each count option, checked wherever a command reads it.
 _MINIMUM = {"a": 0, "n": 0, "samples": 0, "a-max": 0, "n-max": 0,
-            "max-colorings": 0, "jobs": 1}
+            "max-colorings": 0}
 
 _SWEEP = ("a", "m", "l", "mode", "samples", "seed")
 _QUERY = ("j!", "c!", "r!")
@@ -309,8 +309,8 @@ _QUERY = ("j!", "c!", "r!")
 # counts, the one verb without actions, has the single action None.
 _COMMANDS = {
     "verify": ("run a property suite", {
-        "fact00": (_SWEEP + ("jobs",), partial(_verify, lambda o: suite_fact00(
-            o.a, *_profiles(o), o.mode, o.samples, o.seed, o.jobs))),
+        "fact00": (_SWEEP, partial(_verify, lambda o: suite_fact00(
+            o.a, *_profiles(o), o.mode, o.samples, o.seed, 1))),
         "nilpotency": (_SWEEP, partial(_verify, lambda o: suite_nilpotency(
             o.a, *_profiles(o), o.mode, o.samples, o.seed))),
         "bijection": (("a", "n"), partial(

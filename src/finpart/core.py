@@ -34,8 +34,12 @@ def check_disjoint_tuple(t, a, profile=None):
     member as a tuple of tuples (`t` itself when it is one), the form in
     which every operator and coder route reads it, so lists read as
     tuples."""
+    try:
+        comps = iter(t)
+    except TypeError:  # a number, say: no components at all
+        raise ValueError(f"not a tuple of components: {t!r}") from None
     used = 0  # the elements seen so far, as bits
-    for c in t:
+    for c in comps:
         if type(c) is not tuple:
             break
         prev = -1

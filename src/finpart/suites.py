@@ -31,26 +31,18 @@ _LAW_NAMES = (
 )
 
 
-# A sweep's report is cut into windows of _WINDOW masks, from the masks
-# alone, and each window stops after 21 violations, so where the cuts fall
-# fixes the report.  The kernels run on wider tiles (`operators.tile_width`,
-# a multiple of _WINDOW), which are scanned window by window; an exhaustive
-# tile is an aligned range, so its columns are truth tables.
-_WINDOW = 4096
-
-
 def _any(cols):
     return reduce(or_, cols, 0)
 
 
-def _fact00_chunk(a, m, l, masks):
+def _fact00_chunk(a, m, l, masks, room=21):
     """The per-family laws over one tile of masks, bit-sliced: each law is
     a violation vector over the tile's families, computed from columns
     (`operators.columns`) by the sliced kernels.  Returns the families
-    checked, the violations and the number of interior-closed families, as
-    a loop over each window of _WINDOW masks would: the violating families
-    lowest first, each family's witnesses in law order, stopping after the
-    family that takes the window's count past 20."""
+    checked, the violations and the number of interior-closed families
+    among the checked ones, as a mask-by-mask loop would: the violating
+    families lowest first, each family's witnesses in law order, stopping
+    after the family that brings the list to `room` witnesses."""
     sp = operators.profile_space(a, m, l)
     sub = [
         operators.profile_space(a, m, lp)
@@ -97,22 +89,16 @@ def _fact00_chunk(a, m, l, masks):
                      "level set != interior minus next level"))
         d = list(_outside(di, d))
 
-    bad = _any(v for _, v, _ in laws)
-    kept = 0  # the families checked: each window's, up to its 21st violation
+    checked = len(masks)
     violations = []
-    for lo in range(0, len(masks), _WINDOW):
-        hi = min(lo + _WINDOW, len(masks))
-        found = []
-        for f in operators.at_bits(range(lo, hi), bad >> lo & (1 << hi - lo) - 1):
-            fam = _plainfam(sorted(operators.mask_to_family(sp, masks[f])))
-            found += [{"law": law, "X": fam, "detail": detail}
-                      for law, v, detail in laws if v >> f & 1]
-            if len(found) > 20:
-                hi = f + 1
-                break
-        violations += found
-        kept |= (1 << hi) - (1 << lo)
-    return kept.bit_count(), violations, (closed & kept).bit_count()
+    for f in operators.at_bits(range(checked), _any(v for _, v, _ in laws)):
+        fam = _plainfam(sorted(operators.mask_to_family(sp, masks[f])))
+        violations += [{"law": law, "X": fam, "detail": detail}
+                       for law, v, detail in laws if v >> f & 1]
+        if len(violations) >= room:
+            checked = f + 1
+            break
+    return checked, violations, (closed & (1 << checked) - 1).bit_count()
 
 
 def _outside(p, q):
@@ -134,8 +120,9 @@ def _exhaustive_masks(size, cap):
 def suite_fact00(a, m, l, mode, samples, seed, jobs):
     """The operator laws over every family (exhaustive, at most 2^24) or a
     seeded sample of families, and the pair laws over seeded pairs, every
-    law on the columns of the sliced kernels, a tile at a time.  The sweep
-    runs in this process, so `jobs` changes nothing."""
+    law on the columns of the sliced kernels, a tile at a time, up to the
+    family or pair (families first) that takes the report past 20 witnesses.
+    `jobs` is unread: perfbench's workloads still pass it by position."""
     sp = operators.profile_space(a, m, l)
     size = len(sp.m_tuples)
     width = operators.tile_width(sp)
@@ -149,33 +136,40 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
         masks = _exhaustive_masks(size, 24)
     else:
         masks = sorted({rng.getrandbits(size) for _ in range(samples)})
-    checked = 0
+    checked = closed = 0
     violations = []
-    closed = 0
     for lo in range(0, len(masks), width):
-        c, v, cl = _fact00_chunk(a, m, l, masks[lo:lo + width])
+        c, v, cl = _fact00_chunk(a, m, l, masks[lo:lo + width],
+                                 21 - len(violations))
         checked += c
-        violations.extend(v)
+        violations += v
         closed += cl
+        if len(violations) > 20:
+            break
 
     # seeded pair laws, a tile at a time; draws alternate y and x's mask on y
-    pairs = max(samples, 1000)
+    pairs, total = 0, max(samples, 1000)
     del masks  # so the pairs' tiles reuse the sweep's memory, adding no peak
-    for lo in range(0, pairs, width):
-        draws = [rng.getrandbits(size) for _ in range(2 * min(width, pairs - lo))]
+    while pairs < total and len(violations) <= 20:
+        n = min(width, total - pairs)
+        draws = [rng.getrandbits(size) for _ in range(2 * n)]
         ys, xs = draws[::2], list(map(and_, draws[::2], draws[1::2]))
-        ones = (1 << len(xs)) - 1
+        ones = (1 << n) - 1
         ux, uy = (operators.up_sliced(sp, operators.columns(z, size))
                   for z in (xs, ys))
         ix, iy = (operators.down_sliced(sp, u, ones) for u in (ux, uy))
         laws = [("monotone-up", _any(_outside(ux, uy)), "up not monotone"),
                 ("monotone-interior", _any(_outside(ix, iy)),
                  "interior not monotone")]
-        for f in operators.at_bits(range(len(xs)), _any(v for _, v, _ in laws)):
+        for f in operators.at_bits(range(n), _any(v for _, v, _ in laws)):
             X, Y = (_plainfam(sorted(operators.mask_to_family(sp, z[f])))
                     for z in (xs, ys))
             violations += [{"law": law, "X": X, "Y": Y, "detail": detail}
                            for law, v, detail in laws if v >> f & 1]
+            if len(violations) > 20:
+                n = f + 1
+                break
+        pairs += n
 
     report.counters = {
         "families_checked": checked,
@@ -210,7 +204,8 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
     total = len(_exhaustive_masks(size, 24)) if mode == "exhaustive" else samples
     m_tuples = operators.indexed_tuples(a, m)[0]
     sp = operators._route(a, m, l)
-    width = operators.tile_width(sp) if sp else _WINDOW
+    # off the dense route no kernel reads columns: draw one family at a time
+    width = operators.tile_width(sp) if sp else 1
     checked = total
     for lo in range(0, total, width):
         n = min(width, total - lo)

@@ -1,4 +1,3 @@
-import ast
 import itertools
 import json
 import shlex
@@ -199,8 +198,11 @@ def test_ramsey_check_counterexample_replays(capsys):
     ])
     doc = json.loads(out)
     assert code == 0 and doc["holds"] is False
+    # plain JSON: each point a list of int lists, sorted by point
+    points = [pt for pt, _ in doc["counterexample"]]
+    assert points == sorted(points) and len(points) == 16
     col = ramsey.ProductColoring((4, 4), (1, 1), {
-        ast.literal_eval(pt): d for pt, d in doc["counterexample"]})
+        tuple(map(tuple, pt)): d for pt, d in doc["counterexample"]})
     pairs = list(itertools.combinations(range(4), 2))
     assert not any(ramsey.check_witness(col, [S, T], d, r=2)
                    for S in pairs for T in pairs for d in range(2))
@@ -488,11 +490,14 @@ def test_family_of_non_int_elements_exits_2(monkeypatch, capsys, tmp_path,
                          ids=["object", "string", "number"])
 def test_family_member_not_a_list_exits_2(monkeypatch, capsys, tmp_path,
                                           config, member):
+    # the member reaches the member check as written, on either route
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"0": [member]}))
-    assert_one_line_error(*run_main(monkeypatch, capsys, [
+    code, err = run_main(monkeypatch, capsys, [
         "code", "encode", "--config", str(CONFIGS / config), "--family", str(path),
-    ]))
+    ])
+    assert_one_line_error(code, err)
+    assert err == f"error: not a tuple of components: {member!r}\n"
 
 
 @pytest.mark.parametrize("element", [1.0, True], ids=["float", "bool"])
@@ -602,8 +607,6 @@ def test_ramsey_negative_cap_exits_2(monkeypatch, capsys):
     ["verify", "nilpotency", "--mode", "random", "--samples", "-3"],
     ["counts", "--a-max", "-1"],
     ["counts", "--space", "tuples", "--n-max", "-3"],
-    ["verify", "fact00", "--jobs", "-2"],
-    ["verify", "fact00", "--jobs", "0"],
     ["ramsey", "check", "--j", "2", "--c", "2", "--r", "3", "--sizes", "5",
      "--max-colorings", "-5"],
     ["symmetry", "orbits", "--n", "-1"],
@@ -676,6 +679,7 @@ def test_code_roundtrip_negative_samples_exits_2(monkeypatch, capsys):
      "--no-prune"],
     ["ramsey", "search", "--j", "1", "--c", "2", "--r", "2", "--cap", "3",
      "--no-prune"],
+    ["verify", "fact00", "--jobs", "2"],
 ])
 def test_unread_options_are_gone(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -825,14 +829,6 @@ def test_report_determinism(capsys):
     _, out1 = run_cli(capsys, args)
     _, out2 = run_cli(capsys, args)
     assert strip_time(out1) == strip_time(out2)
-
-
-def test_parallel_matches_serial(capsys):
-    base = ["verify", "fact00", "--a", "6", "--m", "1", "--l", "3",
-            "--mode", "exhaustive"]
-    _, serial = run_cli(capsys, base + ["--jobs", "1"])
-    _, parallel = run_cli(capsys, base + ["--jobs", "2"])
-    assert strip_time(serial) == strip_time(parallel)
 
 
 def test_report_exit_codes():

@@ -62,8 +62,9 @@ def oracle_chunk(a, m, l, masks):
 
 def oracle_fact00(a, m, l, mode, samples, seed):
     """suite_fact00's counters and witnesses, mask by mask: oracle_chunk on
-    the sweep's tasks of 4096 masks, then each seeded pair (y, then the
-    mask ANDed into y for x) through up_mask and down_mask."""
+    the whole sweep, then each seeded pair (y, then the mask ANDed into y
+    for x) through up_mask and down_mask, both stopping after the family
+    or pair that takes the count past 20."""
     sp = operators.profile_space(a, m, l)
     size = len(sp.m_tuples)
     rng = random.Random(seed)
@@ -71,19 +72,14 @@ def oracle_fact00(a, m, l, mode, samples, seed):
         masks = range(1 << size)
     else:
         masks = sorted({rng.getrandbits(size) for _ in range(samples)})
-    checked = closed = 0
-    violations = []
-    for lo in range(0, len(masks), 4096):
-        c, v, cl = oracle_chunk(a, m, l, masks[lo:lo + 4096])
-        checked += c
-        violations += v
-        closed += cl
+    checked, violations, closed = oracle_chunk(a, m, l, masks)
 
     def fam(mask):
         return suites._plainfam(sorted(operators.mask_to_family(sp, mask)))
 
-    pairs = max(samples, 1000)
-    for _ in range(pairs):
+    pairs = 0
+    while pairs < max(samples, 1000) and len(violations) <= 20:
+        pairs += 1
         ymask = rng.getrandbits(size)
         xmask = ymask & rng.getrandbits(size)
         ux = operators.up_mask(sp, xmask)
@@ -190,7 +186,7 @@ def test_chunk_matches_oracle(monkeypatch, a, m, l, fault):
 @pytest.mark.parametrize("fault", [*FAULTS, *PAIR_FAULTS])
 @pytest.mark.parametrize("a, m, l", INSTANCES)
 def test_suite_matches_oracle(monkeypatch, a, m, l, fault, mode, samples):
-    """The whole suite, pair laws included: 4500 pairs take two tasks."""
+    """The whole suite, pair laws included, at 4500 samples and pairs."""
     _plant(monkeypatch, fault)
     report = suites.suite_fact00(a, m, l, mode, samples, 0, 1)
     counters, witnesses = oracle_fact00(a, m, l, mode, samples, 0)
@@ -200,6 +196,20 @@ def test_suite_matches_oracle(monkeypatch, a, m, l, fault, mode, samples):
         assert witnesses, "a planted fault must show up as witnesses"
     if fault in PAIR_FAULTS:
         assert {w["law"] for w in witnesses} == {"monotone-up"}
+
+
+@pytest.mark.parametrize("fault", [*FAULTS, *PAIR_FAULTS])
+def test_suite_matches_oracle_in_narrow_tiles(monkeypatch, fault):
+    """In tiles of 8 masks and 8 pairs the count of witnesses carries
+    from tile to tile, so the report still ends where the mask-by-mask
+    oracle's does."""
+    _plant(monkeypatch, fault)
+    monkeypatch.setattr(operators, "tile_width", lambda sp: 8)
+    for (a, m, l), (mode, samples) in itertools.product(
+            INSTANCES, [("exhaustive", 0), ("random", 4500)]):
+        report = suites.suite_fact00(a, m, l, mode, samples, 0, 1)
+        counters, witnesses = oracle_fact00(a, m, l, mode, samples, 0)
+        assert (report.counters, report.witnesses) == (counters, witnesses)
 
 
 def _mask_runs(size):
@@ -222,8 +232,8 @@ def _tasks(draw):
 @given(fault=st.sampled_from(list(FAULTS)), task=_tasks())
 def test_sliced_chunk_matches_oracle_on_any_masks(fault, task):
     """Sorted mask lists, and runs that need not start at a multiple of
-    4096, take the bit-string transpose; under a fault the stop after 21
-    violations falls anywhere in the task."""
+    4096, take the byte-level transpose; under a fault the stop after 21
+    violations falls anywhere in the run."""
     with pytest.MonkeyPatch.context() as mp:
         _plant(mp, fault)
         assert suites._fact00_chunk(*task) == oracle_chunk(*task)
@@ -291,18 +301,18 @@ def test_dropped_incidence_shows_witnesses(monkeypatch, a, m, l, side):
 
 def test_first_and_last_tasks_at_a7_match_oracle():
     """(7, (2,), (3,)) has 2^21 families, over the old cap of 2^20: its
-    first and last two tasks of 4096, cut as the sweep cuts them."""
+    first and last two runs of 4096 masks."""
     a, m, l = 7, (2,), (3,)
     masks = suites._exhaustive_masks(len(operators.profile_space(a, m, l).m_tuples), 24)
     for lo in (0, 4096, len(masks) - 8192, len(masks) - 4096):
-        task = masks[lo:lo + 4096]
-        assert suites._fact00_chunk(a, m, l, task) == oracle_chunk(a, m, l, task)
+        run = masks[lo:lo + 4096]
+        assert suites._fact00_chunk(a, m, l, run) == oracle_chunk(a, m, l, run)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
 def test_report_under_a_fault_does_not_depend_on_jobs(monkeypatch, mode):
-    """Each task stops after 21 violations; tasks are cut from the masks
-    alone, so the witnesses (and the digest) are the same at any --jobs."""
+    """`jobs` is kept for callers that pass it by position and read by
+    nothing, so the witnesses (and the digest) are the same at any jobs."""
     # a down operator that keeps nothing breaks the laws on most families
     monkeypatch.setattr(operators, "down_mask", lambda sp, g: 0)
     monkeypatch.setattr(operators, "down_sliced",
@@ -320,11 +330,11 @@ def test_report_under_a_fault_does_not_depend_on_jobs(monkeypatch, mode):
 ], ids=["fact00-exhaustive", "fact00-random", "nilpotency"])
 @pytest.mark.parametrize("fault", [False, True], ids=["none", "down-empty"])
 def test_report_does_not_depend_on_the_kernel_width(monkeypatch, run, fault):
-    """The report is cut into windows of 4096 masks whatever the kernels'
-    tile: each instance's default tile holds several windows (the sample
-    draws 7,889 distinct masks and 9,000 pairs), each window stops
-    after its own 21 violations, and (7, (2,), (4,)) first fails at family
-    6,643, in the second window."""
+    """The report ends after the family or pair that takes it past 20
+    witnesses, wherever the kernels' tiles fall: each instance's default
+    tile is wider than 8192 masks, here against tiles of 4096 (the sample
+    draws 7,889 distinct masks and 9,000 pairs), and (7, (2,), (4,)) first
+    fails at family 6,643, in the second tile of 4096."""
     assert operators.tile_width(operators.profile_space(6, (2,), (3,))) > 8192
     assert operators.tile_width(operators.profile_space(7, (2,), (4,))) > 8192
     if fault:
@@ -336,6 +346,24 @@ def test_report_does_not_depend_on_the_kernel_width(monkeypatch, run, fault):
     assert run().canonical_json() == wide.canonical_json()
 
 
+def test_faulted_cap_run_stops_in_its_first_tile(monkeypatch):
+    """Under a down operator that keeps nothing, nearly every one of the
+    2^24 families at (24, (1,), (2,)) breaks a law: the report ends with
+    the family that takes it past 20 witnesses, within the first tile,
+    and no pair is checked."""
+    monkeypatch.setattr(operators, "down_sliced",
+                        lambda sp, g, ones: [0] * len(sp.m_tuples))
+    rep = suites.suite_fact00(24, (1,), (2,), "exhaustive", 0, 0, 1)
+    last = rep.witnesses[-1]["X"]
+    before = [w for w in rep.witnesses if w["X"] != last]
+    assert rep.outcome == "violation"
+    assert len(before) <= 20 < len(rep.witnesses)
+    assert rep.counters["families_checked"] <= operators.tile_width(
+        operators.profile_space(24, (1,), (2,)))
+    assert rep.counters["pairs_checked"] == 0
+    assert len(rep.canonical_json()) < 64_000
+
+
 @pytest.mark.parametrize("a, l, closed", [(8, 2, 248), (10, 3, 969),
                                           (12, 5, 3303), (14, 7, 9909),
                                           (20, 2, 2**20 - 20)])
@@ -343,7 +371,7 @@ def test_closed_families_at_m1_follow_the_closed_form(a, l, closed):
     """At m = (1,) a point p outside X is interior exactly when every l-set
     through p meets X, that is when a - |X| - 1 < l - 1; so X is closed
     exactly when |X| <= a - l or X is every point.  At a = 20 the sweep
-    runs over 2^20 families, in many kernel tiles and 256 windows."""
+    runs over 2^20 families, in 128 kernel tiles."""
     assert closed == sum(comb(a, i) for i in range(a - l + 1)) + 1
     rep = suites.suite_fact00(a, (1,), (l,), "exhaustive", 0, 0, 1)
     assert rep.counters["closed_families"] == closed

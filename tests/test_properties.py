@@ -850,6 +850,7 @@ def member_checks(draw):
 @example((([0, 1], (2,)), 5, (2, 1)))
 @example((((0, 1),), 5, (2, 0)))
 @example(([(1,)], 5, None))  # a list member, returned as a tuple
+@example((5, 5, None))  # a number, which has no components to iterate
 @given(member_checks())
 def test_member_check_matches_three_step_oracle(case):
     """The check raises what the oracle raises, and where the oracle
