@@ -607,6 +607,8 @@ def test_ramsey_negative_cap_exits_2(monkeypatch, capsys):
     ["verify", "nilpotency", "--mode", "random", "--samples", "-3"],
     ["counts", "--a-max", "-1"],
     ["counts", "--space", "tuples", "--n-max", "-3"],
+    ["verify", "fact00", "--a", "-1"],
+    ["verify", "fact00", "--mode", "random", "--samples", "-3"],
     ["ramsey", "check", "--j", "2", "--c", "2", "--r", "3", "--sizes", "5",
      "--max-colorings", "-5"],
     ["symmetry", "orbits", "--n", "-1"],
