@@ -54,10 +54,14 @@ def _load_config(path):
 
 def _load_family(path, a):
     """{j: frozenset of tuples} from the JSON file, without empty families;
-    each member goes to `core.check_disjoint_tuple` as written, before a
-    set could hash it or merge 1.0 into 1."""
+    each slot must hold a list of members, and each member goes to
+    `core.check_disjoint_tuple` as written, before a set could hash it or
+    merge 1.0 into 1."""
     fams = _load_json(path, "family", lambda text: {
-        int(j): list(fam) for j, fam in json.loads(text).items()})
+        int(j): fam for j, fam in json.loads(text).items()})
+    for j, fam in fams.items():
+        if not isinstance(fam, list):
+            raise UsageError(f"bad family {path}: slot {j} is not a list of members")
     return coding.normalize_indexed({
         j: {core.check_disjoint_tuple(t, a) for t in fam}
         for j, fam in fams.items()})

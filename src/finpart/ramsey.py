@@ -12,6 +12,12 @@ colorings that tests each witness when its last point is colored and cuts
 symmetric branches (the first point's color, adjacent transpositions of the
 side sets).  Its budget, `max_colorings`, counts search nodes; it also
 refuses, before building anything, grids whose witness masks exceed it.
+With pruning on, a counting bound answers some grids before any of that:
+where one color can hold at most U points with no monochromatic witness
+(`_class_bound`: r - 1 points for j = (1,), a Kovari--Sos--Turan bound for
+j = (1, 1)) and c * U < P for P grid points, every coloring has a witness,
+so the property holds with 0 nodes and a note giving c, U and P.  This
+also answers grids such as 60 x 60 whose masks the budget would refuse.
 
 Grid points are indexed mixed-radix in their per-axis positions (`_axes`):
 point (S_1..S_n) has index sum_i pos_i(S_i) * stride_i, the order of
@@ -235,6 +241,41 @@ def _search(P, c, ends, gens, first_colors, budget):
     return None, searched, pruned
 
 
+def _most_points(m, n, r):
+    """The largest E such that E points spread as evenly as possible over
+    n columns of m rows give sum over columns y of C(d_y, r) at most
+    (r - 1) * C(m, r), where d_y is the number of points in column y."""
+    cap = (r - 1) * comb(m, r)
+    lo, hi = 0, m * n  # E = lo fits, E = hi + 1 does not
+    while lo < hi:
+        E = (lo + hi + 1) // 2
+        q, s = divmod(E, n)
+        if s * comb(q + 1, r) + (n - s) * comb(q, r) <= cap:
+            lo = E
+        else:
+            hi = E - 1
+    return lo
+
+
+def _class_bound(sizes, j, r):
+    """U, an upper bound on the points one color can hold with no
+    monochromatic r-witness; None where no bound is coded.
+
+    j = (1,): U = r - 1, exact, since any r points are a witness.
+    j = (1, 1) on an m x n grid: in a witness-free class each r-set of
+    rows lies inside at most r - 1 columns, so the column degrees d_y
+    satisfy sum_y C(d_y, r) <= (r - 1) * C(m, r) (Kovari, Sos and Turan).
+    C(., r) is convex, so even degrees give the least sum for a total;
+    U is the largest total whose even sum fits, taken over both
+    orientations."""
+    if j == (1,):
+        return r - 1
+    if j == (1, 1):
+        m, n = sizes
+        return min(_most_points(m, n, r), _most_points(n, m, r))
+    return None
+
+
 def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
     """Exhaustively decide whether every c-coloring of the grid admits a
     monochromatic r-witness.  Exact: a depth-first search over partial
@@ -242,6 +283,14 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
     made `max_colorings` nodes.  Grids whose witness masks alone (one word
     per 64 points each, plus one per point) exceed the budget are refused
     before anything is built.
+
+    With `prune`, a grid that has witnesses, points and r >= every j_i is
+    first tested by counting: if c colors of at most U points each
+    (`_class_bound`) cannot cover its P points, the property holds with 0
+    searched, 0 pruned and a note stating c, U and P.  This test runs
+    before the budget refusal, so it answers some grids the budget used to
+    refuse, and builds no mask; it is coded for j = (1,) and j = (1, 1).
+    Without `prune` the search is the plain unpruned oracle.
 
     With `prune`, two symmetry rules cut the search, both sound together
     because point 0 is the most significant position of the lex order: the
@@ -257,6 +306,13 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
         raise ValueError("side sizes must be non-negative")
     P = prod(comb(N, jj) for N, jj in zip(sizes, j))
     W = prod(comb(N, r) for N in sizes)
+    if prune and W and P and all(r >= jj for jj in j):
+        U = _class_bound(sizes, j, r)
+        if U is not None and c * U < P:
+            return PropertyResult(
+                holds=True, searched=0,
+                note=f"counting: {c} colors of at most {U} points each "
+                     f"cover fewer than {P} points")
     if P + W * -(-P // 64) > max_colorings:
         raise BudgetExceeded(
             f"{W} witnesses on {P} points exceed the budget of {max_colorings}"

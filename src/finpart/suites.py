@@ -9,9 +9,9 @@ import itertools
 import json
 import random
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from math import factorial
-from operator import and_, invert, or_, xor
+from operator import and_, countOf, invert, is_not, or_, xor
 
 from . import coding, core, maps, operators, ramsey, symmetry
 from .operators import BudgetExceeded
@@ -488,6 +488,12 @@ _SPACES = {
 }
 
 
+# Counts an iterator's items at C level in O(1) memory: each item is
+# dropped before the next is made, so an enumerator that reuses its result
+# tuple still can (a generator's loop variable would hold it).
+_not_none = partial(is_not, None)
+
+
 def emit_counts(space, a_max, n_max):
     if space not in _SPACES:
         raise UsageError(f"unknown space {space!r}")
@@ -502,6 +508,6 @@ def emit_counts(space, a_max, n_max):
                 rows.append((a, label, count, "", "infeasible"))
                 continue
             left -= count
-            got = sum(1 for _ in enum(a, key))
+            got = countOf(map(_not_none, enum(a, key)), True)
             rows.append((a, label, count, got, count == got))
     return rows

@@ -500,6 +500,19 @@ def test_family_member_not_a_list_exits_2(monkeypatch, capsys, tmp_path,
     assert err == f"error: not a tuple of components: {member!r}\n"
 
 
+@pytest.mark.parametrize("slot", [{"a": [[1]]}, "ab"], ids=["object", "string"])
+def test_family_slot_not_a_list_exits_2(monkeypatch, capsys, tmp_path, slot):
+    # the slot is refused as a whole; none of its keys or characters is
+    # read as a member
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"0": slot}))
+    code, err = run_main(monkeypatch, capsys, [
+        "code", "encode", "--config", CONFIG, "--family", str(path),
+    ])
+    assert_one_line_error(code, err)
+    assert err == f"error: bad family {path}: slot 0 is not a list of members\n"
+
+
 @pytest.mark.parametrize("element", [1.0, True], ids=["float", "bool"])
 def test_dense_slot_rejects_non_int_elements(monkeypatch, capsys, tmp_path,
                                              element):

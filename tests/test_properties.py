@@ -303,6 +303,10 @@ def ramsey_instances(draw):
     return sizes, RamseyQuery(j, c, r)
 
 
+# answered by the counting bound before any search: pigeonhole at 5 = 2 * 2 + 1,
+# and one colour on 2 x 3 holds at most 4 points without a 2 x 2 rectangle
+@example(((5,), RamseyQuery((1,), 2, 3)))
+@example(((2, 3), RamseyQuery((1, 1), 1, 2)))
 @given(ramsey_instances())
 def test_ramsey_search_matches_oracle(case):
     sizes, query = case

@@ -80,12 +80,21 @@ def test_pigeonhole_exact():
 
 
 def test_prune_agrees_with_no_prune():
-    for N in (3, 4, 5):
-        for q in (RamseyQuery((2,), 2, 3), RamseyQuery((1,), 3, 2)):
-            a = has_property((N,), q, prune=True)
-            b = has_property((N,), q, prune=False)
-            assert a.holds == b.holds, (N, q)
-            assert a.searched <= b.searched
+    cases = [((2,), (N,), 2, 3) for N in (3, 4, 5)]
+    # grids where the counting bound may answer first: (1,1) up to 5x5 and
+    # the rectangle reach grids with up to 2 colours, pigeonhole up to N = 10
+    grids = [(m, n) for m in range(1, 6) for n in range(1, 6)]
+    grids += [(3, 7), (4, 6), (6, 4)]
+    cases += [((1, 1), sizes, c, r) for sizes in grids for c in (1, 2)
+              for r in range(1, min(sizes) + 1)]
+    cases += [((1,), (N,), c, r) for N in range(1, 11) for c in (1, 2, 3)
+              for r in range(1, 5)]
+    for j, sizes, c, r in cases:
+        q = RamseyQuery(j, c, r)
+        a = has_property(sizes, q, prune=True)
+        b = has_property(sizes, q, prune=False)
+        assert a.holds == b.holds, (j, sizes, c, r)
+        assert a.searched <= b.searched
 
 
 def test_product_grid_small():
@@ -240,7 +249,8 @@ def test_subgrid():
 # (j, sizes, r) -> (holds, searched, pruned, counterexample colours in
 # grid_points order) of the 2-colour search, recorded before the witness
 # masks were built as products of per-axis masks; the search tree must not
-# change under a faster kernel
+# change under a faster kernel.  The (5,5) and (3,7) rows are answered by
+# counting before any search, so their trees are pinned on _search itself.
 PINNED_TREES = {
     ((1, 1), (4, 4), 2): (False, 54, 8, (0, 0, 0, 1, 0, 1, 1, 0,
                                          1, 0, 1, 0, 1, 1, 0, 0)),
@@ -252,23 +262,96 @@ PINNED_TREES = {
     ((2,), (6,), 3): (True, 120, 22, None),
 }
 
+# (j, sizes, c, r) -> U: grids the counting bound answers at the root, where
+# c * U is below the number of points
+ROOT_DECISIONS = {
+    ((1, 1), (5, 5), 2, 2): 12,
+    ((1, 1), (3, 7), 2, 2): 10,
+    ((1, 1), (7, 3), 2, 2): 10,
+    ((1, 1), (11, 11), 3, 2): 40,
+    ((1, 1), (60, 60), 2, 2): 491,
+    ((1,), (10,), 3, 4): 3,
+}
+
 
 def pinned_id(case):
-    j, sizes, r = case
+    j, sizes, r = case[0], case[1], case[-1]
     return f"j{''.join(map(str, j))}-{'x'.join(map(str, sizes))}-r{r}"
+
+
+def root_id(case):
+    return f"{pinned_id(case)}-c{case[2]}"
 
 
 @pytest.mark.parametrize("case", PINNED_TREES, ids=pinned_id)
 def test_search_tree_is_pinned(case):
     j, sizes, r = case
     want = PINNED_TREES[case]
+    P = len(grid_points(sizes, j))
+    ends = ramsey._witness_masks(sizes, j, r)
+    gens = ramsey._transposition_pairs(sizes, j)
+    color, searched, pruned = ramsey._search(P, 2, ends, gens, 1, 10**6)
+    got = None if color is None else tuple(color)
+    assert (color is None, searched, pruned, got) == want
+    # the budget counts every node: the total suffices, one less does not
+    total = searched + pruned
+    assert ramsey._search(P, 2, ends, gens, 1, total)[1:] == (searched, pruned)
+    with pytest.raises(BudgetExceeded, match="search exceeds"):
+        ramsey._search(P, 2, ends, gens, 1, total - 1)
     q = RamseyQuery(j, 2, r)
     res = has_property(sizes, q)
+    if (j, sizes, 2, r) in ROOT_DECISIONS:
+        assert (res.holds, res.searched, res.pruned) == (True, 0, 0)
+        return
     cex = res.counterexample
     got = None if cex is None else tuple(cex[pt] for pt in grid_points(sizes, j))
     assert (res.holds, res.searched, res.pruned, got) == want
-    # the budget counts every node: the total suffices, one less does not
-    total = res.searched + res.pruned
     assert has_property(sizes, q, max_colorings=total) == res
     with pytest.raises(BudgetExceeded, match="search exceeds"):
         has_property(sizes, q, max_colorings=total - 1)
+
+
+@pytest.mark.parametrize("case", ROOT_DECISIONS, ids=root_id)
+def test_counting_decides_at_the_root(case):
+    j, sizes, c, r = case
+    U = ROOT_DECISIONS[case]
+    assert ramsey._class_bound(sizes, j, r) == U
+    P = len(grid_points(sizes, j))
+    res = has_property(sizes, RamseyQuery(j, c, r))
+    assert (res.holds, res.searched, res.pruned) == (True, 0, 0)
+    assert res.note == (f"counting: {c} colors of at most {U} points each "
+                        f"cover fewer than {P} points")
+    # decided before the mask budget and before any mask is built
+    assert has_property(sizes, RamseyQuery(j, c, r), max_colorings=0) == res
+
+
+def test_counting_answers_a_grid_the_budget_refuses_unpruned():
+    q = RamseyQuery((1, 1), 2, 2)
+    assert has_property((60, 60), q).holds
+    with pytest.raises(BudgetExceeded, match="witnesses"):
+        has_property((60, 60), q, prune=False)
+
+
+def largest_witness_free(m, n, r):
+    """Most points of the m x n grid (point (x, y) at bit x * n + y) with no
+    r x r combinatorial sub-grid inside them, by trying every point set."""
+    witnesses = [
+        sum(1 << x * n + y for x in T1 for y in T2)
+        for T1 in itertools.combinations(range(m), r)
+        for T2 in itertools.combinations(range(n), r)
+    ]
+    return max(bin(s).count("1") for s in range(1 << m * n)
+               if not any(s & w == w for w in witnesses))
+
+
+def test_class_bound_is_sound():
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            for r in (1, 2, 3):
+                U = ramsey._class_bound((m, n), (1, 1), r)
+                assert U >= largest_witness_free(m, n, r), (m, n, r, U)
+    for N in range(1, 8):
+        for r in (1, 2, 3):
+            # any r points of one colour are a witness
+            assert ramsey._class_bound((N,), (1,), r) >= min(r - 1, N)
+    assert ramsey._class_bound((5,), (2,), 3) is None
