@@ -117,12 +117,19 @@ def _exhaustive_masks(size, cap):
     return range(1 << size)
 
 
+# The seeded pairs come in blocks of this many, drawn column by column.
+# Fixed rather than tile_width(sp), so the kernel width cannot move the
+# pair stream; it is tile_width's floor.
+_PAIR_BLOCK = 4096
+
+
 def suite_fact00(a, m, l, mode, samples, seed, jobs):
     """The operator laws over every family (exhaustive, at most 2^24) or a
-    seeded sample of families, and the pair laws over seeded pairs, every
-    law on the columns of the sliced kernels, a tile at a time, up to the
-    family or pair (families first) that takes the report past 20 witnesses.
-    `jobs` is unread: perfbench's workloads still pass it by position."""
+    seeded sample of families, a tile at a time, and the pair laws over
+    seeded pairs X within Y, in blocks of _PAIR_BLOCK pairs drawn straight
+    into the kernels' columns, up to the family or pair (families first)
+    that takes the report past 20 witnesses.  `jobs` is unread:
+    perfbench's workloads still pass it by position."""
     sp = operators.profile_space(a, m, l)
     size = len(sp.m_tuples)
     width = operators.tile_width(sp)
@@ -147,23 +154,25 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
         if len(violations) > 20:
             break
 
-    # seeded pair laws, a tile at a time; draws alternate y and x's mask on y
+    # seeded pair laws, a block of n pairs at a time: per m-tuple in index
+    # order a y-column of n bits, then per m-tuple an x-column ANDed into
+    # its y-column, so Y is uniform and X is Y meet a uniform mask; pair f
+    # is bit f of every column
     pairs, total = 0, max(samples, 1000)
-    del masks  # so the pairs' tiles reuse the sweep's memory, adding no peak
+    del masks  # so the pairs' blocks reuse the sweep's memory, adding no peak
     while pairs < total and len(violations) <= 20:
-        n = min(width, total - pairs)
-        draws = [rng.getrandbits(size) for _ in range(2 * n)]
-        ys, xs = draws[::2], list(map(and_, draws[::2], draws[1::2]))
+        n = min(_PAIR_BLOCK, total - pairs)
+        ys = [rng.getrandbits(n) for _ in range(size)]
+        xs = [y & rng.getrandbits(n) for y in ys]
         ones = (1 << n) - 1
-        ux, uy = (operators.up_sliced(sp, operators.columns(z, size))
-                  for z in (xs, ys))
+        ux, uy = (operators.up_sliced(sp, z) for z in (xs, ys))
         ix, iy = (operators.down_sliced(sp, u, ones) for u in (ux, uy))
         laws = [("monotone-up", _any(_outside(ux, uy)), "up not monotone"),
                 ("monotone-interior", _any(_outside(ix, iy)),
                  "interior not monotone")]
         for f in operators.at_bits(range(n), _any(v for _, v, _ in laws)):
-            X, Y = (_plainfam(sorted(operators.mask_to_family(sp, z[f])))
-                    for z in (xs, ys))
+            X, Y = (_plainfam(sorted(
+                t for t, c in zip(sp.m_tuples, z) if c >> f & 1)) for z in (xs, ys))
             violations += [{"law": law, "X": X, "Y": Y, "detail": detail}
                            for law, v, detail in laws if v >> f & 1]
             if len(violations) > 20:

@@ -176,14 +176,19 @@ def find_fixing_transposition(p, B, a):
     element, then the elements outside p.
 
     With |B| = arity + 2 there are at most arity + 1 classes on B, so a
-    pair always exists by pigeonhole."""
-    B = as_subset(B)
-    outside = set(B).difference(*p)
-    for cls in [*sorted(filter(None, p), key=min), outside]:
-        hits = [x for x in B if x in cls]
-        if len(hits) >= 2:
-            return transposition(a, hits[0], hits[1])
-    return None
+    pair always exists by pigeonhole.  One pass over B: each element's
+    class rank comes from one dict, and the pair kept is the first two hits
+    of the lowest rank that has two."""
+    comps = sorted(filter(None, p), key=min)
+    rank = {x: r for r, c in enumerate(comps) for x in c}
+    first, best = {}, None
+    for x in as_subset(B):
+        r = rank.get(x, len(comps))
+        if r not in first:
+            first[r] = x
+        elif best is None or r < best[0]:
+            best = r, first[r], x
+    return None if best is None else transposition(a, *best[1:])
 
 
 # ---------------------------------------------------------------------------

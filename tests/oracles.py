@@ -1,7 +1,8 @@
-"""Operator oracles written from the definitions, shared by the operator
-and property tests.  They list l-tuples with `enum_disjoint_tuples` and
-test extension by set inclusion, so they never read `enum_extensions`,
-from which every dense space builds its extension masks."""
+"""Oracles written from the definitions, shared by the operator, symmetry
+and property tests.  The operator oracles list l-tuples with
+`enum_disjoint_tuples` and test extension by set inclusion, so they never
+read `enum_extensions`, from which every dense space builds its extension
+masks."""
 
 from finpart.core import enum_disjoint_tuples
 
@@ -28,3 +29,16 @@ def oracle_down(a, m, l, Z):
 def oracle_interior(a, m, l, X):
     """m-tuples all of whose l-extensions extend some member of X."""
     return oracle_down(a, m, l, oracle_up(a, m, l, X))
+
+
+def oracle_fixing_transposition(p, B):
+    """The two least elements of B in the first class that holds two of
+    them, the classes tried in order: the non-empty components of p by
+    least element, then the elements outside every component; None when
+    no class holds two."""
+    comps = sorted((set(c) for c in p if c), key=min)
+    for cls in comps + [set(B).difference(*comps)]:
+        hits = sorted(set(B) & cls)
+        if len(hits) >= 2:
+            return hits[0], hits[1]
+    return None

@@ -4,6 +4,7 @@ oracle."""
 import itertools
 import random
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,9 +63,12 @@ def oracle_chunk(a, m, l, masks):
 
 def oracle_fact00(a, m, l, mode, samples, seed):
     """suite_fact00's counters and witnesses, mask by mask: oracle_chunk on
-    the whole sweep, then each seeded pair (y, then the mask ANDed into y
-    for x) through up_mask and down_mask, both stopping after the family
-    or pair that takes the count past 20."""
+    the whole sweep, then the seeded pairs, drawn as the suite draws them
+    (per block of suites._PAIR_BLOCK pairs, a y-column per m-tuple, then
+    per m-tuple an x-column ANDed into its y-column), each pair's masks
+    rebuilt bit by bit from the columns and checked through up_mask and
+    down_mask, both stopping after the family or pair that takes the count
+    past 20."""
     sp = operators.profile_space(a, m, l)
     size = len(sp.m_tuples)
     rng = random.Random(seed)
@@ -77,19 +81,28 @@ def oracle_fact00(a, m, l, mode, samples, seed):
     def fam(mask):
         return suites._plainfam(sorted(operators.mask_to_family(sp, mask)))
 
-    pairs = 0
-    while pairs < max(samples, 1000) and len(violations) <= 20:
-        pairs += 1
-        ymask = rng.getrandbits(size)
-        xmask = ymask & rng.getrandbits(size)
-        ux = operators.up_mask(sp, xmask)
-        uy = operators.up_mask(sp, ymask)
-        if ux & ~uy:
-            violations.append({"law": "monotone-up", "X": fam(xmask),
-                               "Y": fam(ymask), "detail": "up not monotone"})
-        if operators.down_mask(sp, ux) & ~operators.down_mask(sp, uy):
-            violations.append({"law": "monotone-interior", "X": fam(xmask),
-                               "Y": fam(ymask), "detail": "interior not monotone"})
+    def row(cols, f):
+        return sum((c >> f & 1) << i for i, c in enumerate(cols))
+
+    pairs, total = 0, max(samples, 1000)
+    while pairs < total and len(violations) <= 20:
+        n = min(suites._PAIR_BLOCK, total - pairs)
+        ycols = [rng.getrandbits(n) for _ in range(size)]
+        xcols = [y & rng.getrandbits(n) for y in ycols]
+        for f in range(n):
+            if len(violations) > 20:
+                break
+            pairs += 1
+            xmask, ymask = row(xcols, f), row(ycols, f)
+            ux = operators.up_mask(sp, xmask)
+            uy = operators.up_mask(sp, ymask)
+            if ux & ~uy:
+                violations.append({"law": "monotone-up", "X": fam(xmask),
+                                   "Y": fam(ymask), "detail": "up not monotone"})
+            if operators.down_mask(sp, ux) & ~operators.down_mask(sp, uy):
+                violations.append({"law": "monotone-interior", "X": fam(xmask),
+                                   "Y": fam(ymask),
+                                   "detail": "interior not monotone"})
     counters = {"families_checked": checked, "pairs_checked": pairs,
                 "closed_families": closed, "laws": len(suites._LAW_NAMES)}
     return counters, violations
@@ -200,16 +213,47 @@ def test_suite_matches_oracle(monkeypatch, a, m, l, fault, mode, samples):
 
 @pytest.mark.parametrize("fault", [*FAULTS, *PAIR_FAULTS])
 def test_suite_matches_oracle_in_narrow_tiles(monkeypatch, fault):
-    """In tiles of 8 masks and 8 pairs the count of witnesses carries
-    from tile to tile, so the report still ends where the mask-by-mask
-    oracle's does."""
+    """In tiles of 8 masks and blocks of 8 pairs the count of witnesses
+    carries from tile to tile and from block to block, so the report still
+    ends where the mask-by-mask oracle's does."""
     _plant(monkeypatch, fault)
     monkeypatch.setattr(operators, "tile_width", lambda sp: 8)
+    monkeypatch.setattr(suites, "_PAIR_BLOCK", 8)
     for (a, m, l), (mode, samples) in itertools.product(
             INSTANCES, [("exhaustive", 0), ("random", 4500)]):
         report = suites.suite_fact00(a, m, l, mode, samples, 0, 1)
         counters, witnesses = oracle_fact00(a, m, l, mode, samples, 0)
         assert (report.counters, report.witnesses) == (counters, witnesses)
+
+
+class _CountingRandom(random.Random):
+    """random.Random that records the width of each getrandbits call."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+def test_pairs_are_drawn_a_column_per_tuple(monkeypatch):
+    """(6, (2,), (3,)) has 15 m-tuples, and its exhaustive sweep draws
+    nothing: its 1,000 pairs, one block short of _PAIR_BLOCK, take one
+    draw of 1,000 bits per y-column and one per x-column, 30 in all, so
+    per-pair draws, or a short block drawn at full width, show here."""
+    rngs = []
+
+    def counting(seed):
+        rngs.append(_CountingRandom(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr(suites, "random", SimpleNamespace(Random=counting))
+    report = suites.suite_fact00(6, (2,), (3,), "exhaustive", 0, 0, 1)
+    assert report.outcome == "pass"
+    assert report.counters["pairs_checked"] == 1000 < suites._PAIR_BLOCK
+    assert [r.widths for r in rngs] == [[1000] * 30]
 
 
 def _mask_runs(size):

@@ -1,8 +1,9 @@
 """Property tests: both operator routes, the coder's pullback and the
 Ramsey search against naive oracles written from the definitions, the
 package's maps against relabellings of the ground set, the subset
-action against its elementwise definition, and the enumeration orders of
-disjoint tuples and O_n against their definitions."""
+action against its elementwise definition, the fixing transposition
+against its class order, and the enumeration orders of disjoint tuples
+and O_n against their definitions."""
 
 import itertools
 import random
@@ -40,8 +41,19 @@ from finpart.ramsey import (  # noqa: E402
     has_property,
     subgrid,
 )
-from finpart.symmetry import apply_perm, is_support  # noqa: E402
-from oracles import extends, oracle_down, oracle_interior, oracle_up  # noqa: E402
+from finpart.symmetry import (  # noqa: E402
+    apply_perm,
+    find_fixing_transposition,
+    is_support,
+    transposition,
+)
+from oracles import (  # noqa: E402
+    extends,
+    oracle_down,
+    oracle_fixing_transposition,
+    oracle_interior,
+    oracle_up,
+)
 
 
 def oracle_uncovered(a, p, l, X):
@@ -752,6 +764,33 @@ def test_subset_action_matches_the_elementwise_oracle(case):
         assert str(got.value) == str(e)
     else:
         assert apply_perm(pi, obj) == want
+
+
+@st.composite
+def tuples_and_bases(draw):
+    """(p, B, a): a tuple of disjoint subsets of range(a), empty ones too,
+    its components in any order, and a base B drawn from range(a) in any
+    order, some elements repeated."""
+    a = draw(st.integers(0, 9))
+    arity = draw(st.integers(0, 4))
+    owner = draw(st.lists(st.integers(-1, arity - 1), min_size=a, max_size=a))
+    p = tuple(as_subset(x for x in range(a) if owner[x] == i)
+              for i in range(arity))
+    B = draw(st.lists(st.integers(0, a - 1), max_size=a + 2)) if a else []
+    return p, tuple(B), a
+
+
+# the outside class holds two points of B, but so does the component
+# before it, which wins
+@example((((0, 1),), (3, 2, 1, 0), 4))
+@example((((2, 3), (0, 1)), (0, 1, 2, 3), 4))
+@example((((0,), (1,)), (0, 1, 2), 3))
+@given(tuples_and_bases())
+def test_fixing_transposition_matches_the_class_order_oracle(case):
+    p, B, a = case
+    pair = oracle_fixing_transposition(p, B)
+    want = None if pair is None else transposition(a, *pair)
+    assert find_fixing_transposition(p, B, a) == want
 
 
 # ---------------------------------------------------------------------------
