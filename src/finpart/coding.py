@@ -206,6 +206,12 @@ class CodingConfig:
                 raise CodingError(f"negative slot index {j}")
             if len(m) != self.n or any(x < 0 for x in m):
                 raise CodingError(f"profile {m} invalid for arity {self.n}")
+        # to_json writes only the signature's kind, and from_json rebuilds
+        # a compact table from the slots
+        table = tuple(self.signature.slot_table)
+        if self.signature.kind == "compact" and table != tuple(self.slots):
+            raise CodingError(
+                f"compact slot table {table} is not the slots {self.slots}")
         object.__setattr__(self, "_sizes",
                            validate_signature(self.signature, self.slots))
         for j, m in self.slots:

@@ -1,7 +1,8 @@
 """Machine-readable run reports for the CLI verification suites.
 
-A report captures the command, its effective configuration, the outcome,
-counters, and any violation witnesses.  Serialization is deterministic
+A report captures the command, its effective configuration, counters,
+and any violation witnesses; its outcome is `violation` exactly when it
+lists a witness, and `pass` otherwise.  Serialization is deterministic
 (sorted keys, canonical witness order); wall time is carried separately so
 that two runs of the same seeded command produce byte-identical canonical
 documents.
@@ -36,10 +37,13 @@ def _plain(obj):
 class RunReport:
     command: str
     config: dict
-    outcome: str = PASS
     counters: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
     wall_time_s: float = 0.0
+
+    @property
+    def outcome(self):
+        return VIOLATION if self.witnesses else PASS
 
     def canonical(self):
         """The deterministic part of the report (no wall time)."""

@@ -15,7 +15,7 @@ from operator import and_, countOf, invert, is_not, or_, xor
 
 from . import coding, core, maps, operators, ramsey, symmetry
 from .operators import BudgetExceeded
-from .report import PASS, VIOLATION, RunReport, UsageError
+from .report import RunReport, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +130,10 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
     into the kernels' columns, up to the family or pair (families first)
     that takes the report past 20 witnesses.  `jobs` is unread:
     perfbench's workloads still pass it by position."""
+    m, l = operators.check_profiles(m, l)
     sp = operators.profile_space(a, m, l)
     size = len(sp.m_tuples)
     width = operators.tile_width(sp)
-    report = RunReport(
-        command="verify fact00",
-        config={"a": a, "m": m, "l": l, "mode": mode, "samples": samples,
-                "seed": seed},
-    )
     rng = random.Random(seed)
     if mode == "exhaustive":
         masks = _exhaustive_masks(size, 24)
@@ -180,15 +176,13 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
                 break
         pairs += n
 
-    report.counters = {
-        "families_checked": checked,
-        "pairs_checked": pairs,
-        "closed_families": closed,
-        "laws": len(_LAW_NAMES),
-    }
-    report.witnesses = violations
-    report.outcome = VIOLATION if violations else PASS
-    return report
+    return RunReport(
+        "verify fact00",
+        dict(a=a, m=m, l=l, mode=mode, samples=samples, seed=seed),
+        {"families_checked": checked, "pairs_checked": pairs,
+         "closed_families": closed, "laws": len(_LAW_NAMES)},
+        violations,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +195,6 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
     them off the dense route, and on it those whose level boundary^k(X) is
     non-empty at every k = 0 ... bound, ANDed per level on columns: a level
     can empty and fill again, as the empty family's does when sum(l) > a."""
-    report = RunReport(
-        command="verify nilpotency",
-        config={"a": a, "m": m, "l": l, "mode": mode, "samples": samples,
-                "seed": seed},
-    )
     m, l = operators.check_profiles(m, l)
     size = core.count_disjoint_tuples(a, m)
     bound = sum(m) + 1
@@ -215,7 +204,7 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
     sp = operators._route(a, m, l)
     # off the dense route no kernel reads columns: draw one family at a time
     width = operators.tile_width(sp) if sp else 1
-    checked = total
+    checked, witnesses = total, []
     for lo in range(0, total, width):
         n = min(width, total - lo)
         # exhaustive tiles are ranges, so `columns` reads their truth tables
@@ -236,21 +225,22 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
                 w = {"kind": "index-over-bound", "index": idx, "bound": bound}
             else:
                 continue
-            report.witnesses = [{**w, "X": _plainfam(sorted(X))}]
-            break
-        if report.witnesses:
-            report.outcome = VIOLATION
+            witnesses.append({**w, "X": _plainfam(sorted(X))})
             checked = lo + f + 1
             break
-    report.counters = {"families_checked": checked, "total": total,
-                       "bound": bound}
-    return report
+        if witnesses:
+            break
+    return RunReport(
+        "verify nilpotency",
+        dict(a=a, m=m, l=l, mode=mode, samples=samples, seed=seed),
+        {"families_checked": checked, "total": total, "bound": bound},
+        witnesses,
+    )
 
 
 def suite_bijection(a, n):
     if a * n > 20:
         raise BudgetExceeded(f"2^{a * n} sequences is over the exhaustive budget")
-    report = RunReport(command="verify bijection", config={"a": a, "n": n})
     subsets = list(
         itertools.chain.from_iterable(
             itertools.combinations(range(a), k) for k in range(a + 1)
@@ -259,34 +249,28 @@ def suite_bijection(a, n):
     # Every sequence before the first failure round-trips, so their images
     # are distinct and need not be kept: the failing sequence s's image q
     # repeats an earlier one only if that one is back = disjoint_to_fin(q).
-    checked = repeat = 0
+    checked, repeat, witnesses = 0, 0, []
     for s in itertools.product(subsets, repeat=n):
         q = maps.fin_to_disjoint(s)
         checked += 1
         back = maps.disjoint_to_fin(q, n)
         if back != s:
-            report.outcome = VIOLATION
-            report.witnesses.append({"sequence": _plainfam([s])})
+            witnesses.append({"sequence": _plainfam([s])})
             position = {c: i for i, c in enumerate(subsets)}
             repeat = (len(back) == n and all(c in position for c in back)
                       and [position[c] for c in back] < [position[c] for c in s]
                       and maps.fin_to_disjoint(back) == q)
             break
     distinct = checked - repeat
-    expected = (2 ** a) ** n
-    report.counters = {
-        "round_trips": checked,
-        "distinct_images": distinct,
-        "count_identity": expected == (2 ** n) ** a == distinct,
-    }
-    if not report.counters["count_identity"]:
-        report.outcome = VIOLATION
-    return report
+    return RunReport(
+        "verify bijection", {"a": a, "n": n},
+        {"round_trips": checked, "distinct_images": distinct,
+         "count_identity": (2 ** a) ** n == (2 ** n) ** a == distinct},
+        witnesses,
+    )
 
 
 def suite_ramsey(max_colorings):
-    report = RunReport(command="verify ramsey",
-                       config={"max_colorings": max_colorings})
     witnesses = []
     q = ramsey.RamseyQuery((2,), 2, 3)
     tri = ramsey.search_min_N(q, cap=7, max_colorings=max_colorings)
@@ -328,14 +312,12 @@ def suite_ramsey(max_colorings):
         if not res.holds:
             witnesses.append({"query": f"(j={j},c={c},r={r})", "bound": ub,
                               "holds": False})
-    report.counters = {
-        "min_N_triangle": tri.value,
-        "pigeonhole": pigeonhole,
-        "bounds_validated": bound_checked,
-    }
-    report.witnesses = witnesses
-    report.outcome = VIOLATION if witnesses else PASS
-    return report
+    return RunReport(
+        "verify ramsey", {"max_colorings": max_colorings},
+        {"min_N_triangle": tri.value, "pigeonhole": pigeonhole,
+         "bounds_validated": bound_checked},
+        witnesses,
+    )
 
 
 # Slots with at most _UNIFORM_MAX_TUPLES m-profile tuples are sampled as
@@ -361,11 +343,6 @@ def sample_indexed_family(cfg, rng):
 
 
 def suite_coding(cfg, mode, samples, seed):
-    report = RunReport(
-        command="verify coding",
-        config={"config": json.loads(cfg.to_json()), "mode": mode,
-                "samples": samples, "seed": seed},
-    )
     # through partitions when materialize fits its budget on any family
     use_partitions = sum(
         core.count_disjoint_tuples(cfg.a, m)
@@ -384,20 +361,23 @@ def suite_coding(cfg, mode, samples, seed):
     else:
         rng = random.Random(seed)
         families = (sample_indexed_family(cfg, rng) for _ in range(samples))
-    checked = 0
+    checked, witnesses = 0, []
     for checked, X in enumerate(families, 1):
         # from the partition set when it fits the budget, else the book
         book = coding.encode(X, cfg)
         H = coding.materialize(book)[0] if use_partitions else None
         got = coding.decode(book) if H is None else coding.decode(H, cfg)
         if coding.normalize_indexed(got) != coding.normalize_indexed(X):
-            report.outcome = VIOLATION
-            report.witnesses.append(
+            witnesses.append(
                 {"X": {str(j): _plainfam(sorted(f)) for j, f in X.items()}})
             break
-    report.counters = {"round_trips": checked,
-                       "via_partitions": use_partitions}
-    return report
+    return RunReport(
+        "verify coding",
+        {"config": json.loads(cfg.to_json()), "mode": mode,
+         "samples": samples, "seed": seed},
+        {"round_trips": checked, "via_partitions": use_partitions},
+        witnesses,
+    )
 
 
 # The suite's fixed size, reported in its config: the largest ground set
@@ -407,8 +387,6 @@ _SYMMETRY_N_MAX = 3
 
 
 def suite_symmetry():
-    report = RunReport(command="verify symmetry",
-                       config={"a_max": _SYMMETRY_A_MAX, "n_max": _SYMMETRY_N_MAX})
     witnesses = []
 
     orbit_checked = 0
@@ -457,14 +435,12 @@ def suite_symmetry():
                     witnesses += [{"kind": "projection-law", "E": list(E)}
                                   for _ in range(q_size * p_size)]
 
-    report.counters = {
-        "orbit_pairs": orbit_checked,
-        "transpositions": trans_checked,
-        "fiber_partitions": fiber_checked,
-    }
-    report.witnesses = witnesses
-    report.outcome = VIOLATION if witnesses else PASS
-    return report
+    return RunReport(
+        "verify symmetry", {"a_max": _SYMMETRY_A_MAX, "n_max": _SYMMETRY_N_MAX},
+        {"orbit_pairs": orbit_checked, "transpositions": trans_checked,
+         "fiber_partitions": fiber_checked},
+        witnesses,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -64,3 +64,15 @@ def test_benchmark_calls_bind_to_the_package_signatures():
                      call.func.attr)
         inspect.signature(fn).bind(*call.args,
                                    **{kw.arg: None for kw in call.keywords})
+
+
+def test_benchmark_report_attributes_exist_on_a_suite_report():
+    """perfbench/workloads.py checks each suite's report through the
+    attributes it reads off its `rep` name."""
+    read = {node.attr for node in _workload_nodes()
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "rep"}
+    assert read
+    rep = importlib.import_module("finpart.suites").suite_bijection(2, 2)
+    missing = sorted(attr for attr in read if not hasattr(rep, attr))
+    assert not missing, missing

@@ -419,6 +419,19 @@ def test_suite_coding_exhaustive():
                          "exhaustive", 0, 0)
 
 
+def test_suite_coding_reports_a_lossy_round_trip(monkeypatch):
+    # decode drops each slot's least member: the first non-empty family,
+    # mask 1 of the sweep, fails and ends it
+    real = coding.decode
+    monkeypatch.setattr(coding, "decode", lambda *args: {
+        j: f - {min(f)} for j, f in real(*args).items()})
+    rep = cli.suite_coding(coding.compact_config(9, 1, [(0, (1,))]),
+                           "exhaustive", 0, 0)
+    assert (rep.outcome, rep.exit_code) == ("violation", 1)
+    assert rep.witnesses == [{"X": {"0": [[[0]]]}}]
+    assert rep.counters == {"round_trips": 2, "via_partitions": True}
+
+
 def test_decode_error_exits_2(monkeypatch, capsys, tmp_path):
     family = tmp_path / "family.json"
     family.write_text(json.dumps({"0": [[[0]]]}))
@@ -848,6 +861,9 @@ def test_report_determinism(capsys):
 
 def test_report_exit_codes():
     rep = RunReport(command="x", config={})
-    assert rep.exit_code == 0
-    rep.outcome = "violation"
-    assert rep.exit_code == 1
+    assert (rep.outcome, rep.exit_code) == ("pass", 0)
+    rep.witnesses.append({"kind": "planted"})
+    assert (rep.outcome, rep.exit_code) == ("violation", 1)
+    assert rep.canonical()["outcome"] == "violation"
+    with pytest.raises(AttributeError):
+        rep.outcome = "pass"

@@ -78,6 +78,17 @@ def test_config_rejects_small_ground():
         compact_config(4, 1, [(0, (5,))])
 
 
+def test_config_rejects_a_compact_table_that_is_not_its_slots():
+    # to_json writes only the kind, so the reloaded table would be the
+    # slots: (0, (1,), 0) would get (3,) there and (10,) here
+    sig = SizeSignature("compact", ((0, (2,)), (0, (1,))))
+    with pytest.raises(CodingError, match=r"table \(\(0, \(2,\)\), \(0, \(1,\)\)\)"
+                       r" is not the slots \(\(0, \(1,\)\),\)"):
+        CodingConfig(12, 1, sig, ((0, (1,)),))
+    cfg = compact_config(12, 1, [(0, (1,))])
+    assert CodingConfig.from_json(cfg.to_json()) == cfg
+
+
 def test_config_json_roundtrip(cfg12):
     again = CodingConfig.from_json(cfg12.to_json())
     assert again == cfg12

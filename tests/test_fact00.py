@@ -442,3 +442,14 @@ def closed_graphs(a):
 def test_closed_families_at_m2_l3_count_closed_graphs(a, closed):
     rep = suites.suite_fact00(a, (2,), (3,), "exhaustive", 0, 0, 1)
     assert rep.counters["closed_families"] == closed_graphs(a) == closed
+
+
+def test_list_profiles_report_as_tuples_do():
+    as_lists = suites.suite_fact00(6, [1], [3], "exhaustive", 1000, 0, 1)
+    as_tuples = suites.suite_fact00(6, (1,), (3,), "exhaustive", 1000, 0, 1)
+    assert as_lists.canonical_json() == as_tuples.canonical_json()
+
+
+def test_profile_arity_mismatch_is_refused():
+    with pytest.raises(ValueError, match="profile arity mismatch"):
+        suites.suite_fact00(6, [1], [2, 2], "exhaustive", 1000, 0, 1)

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import time
 
 import pytest
 
-from finpart import ramsey
+from finpart import ramsey, suites
 from finpart.operators import BudgetExceeded
 from finpart.ramsey import (
     ProductColoring,
@@ -355,3 +356,86 @@ def test_class_bound_is_sound():
             # any r points of one colour are a witness
             assert ramsey._class_bound((N,), (1,), r) >= min(r - 1, N)
     assert ramsey._class_bound((5,), (2,), 3) is None
+
+
+# Planted faults in what `verify ramsey` checks: each must surface as a
+# witness, with the counters still counting what was checked.
+PASSING_PIGEONHOLE = {f"c={c},r={r}": c * (r - 1) + 1
+                      for c in (1, 2, 3) for r in (1, 2, 3, 4)}
+
+
+def _planted_search(monkeypatch, target, fault):
+    real = ramsey.search_min_N
+
+    def planted(query, cap, max_colorings):
+        res = real(query, cap, max_colorings=max_colorings)
+        return fault(res) if query == target else res
+
+    monkeypatch.setattr(ramsey, "search_min_N", planted)
+
+
+@pytest.mark.parametrize("fault, value", [
+    (lambda res: dataclasses.replace(res, value=5), 5),
+    # every point of the certificate in one colour holds a triangle
+    (lambda res: dataclasses.replace(
+        res, counterexample=dict.fromkeys(res.counterexample, 0)), 6),
+], ids=["value", "certificate"])
+def test_suite_ramsey_reports_a_wrong_triangle_number(monkeypatch, fault,
+                                                      value):
+    _planted_search(monkeypatch, RamseyQuery((2,), 2, 3), fault)
+    rep = suites.suite_ramsey(10 ** 6)
+    assert (rep.outcome, rep.exit_code) == ("violation", 1)
+    assert rep.witnesses == [{"query": "(j=2,c=2,r=3)", "value": value,
+                              "certificate_valid": False}]
+    assert rep.counters == {"min_N_triangle": value,
+                            "pigeonhole": PASSING_PIGEONHOLE,
+                            "bounds_validated": 8}
+
+
+def test_suite_ramsey_reports_a_wrong_pigeonhole_number(monkeypatch):
+    _planted_search(monkeypatch, RamseyQuery((1,), 2, 3),
+                    lambda res: dataclasses.replace(res, value=4))
+    rep = suites.suite_ramsey(10 ** 6)
+    assert (rep.outcome, rep.exit_code) == ("violation", 1)
+    assert rep.witnesses == [{"query": "(j=1,c=2,r=3)", "value": 4,
+                              "expected": 5}]
+    assert rep.counters == {"min_N_triangle": 6,
+                            "pigeonhole": {**PASSING_PIGEONHOLE, "c=2,r=3": 4},
+                            "bounds_validated": 8}
+
+
+def _planted_property(monkeypatch, target, fault):
+    # (j=3, c=2, r=3) is checked only at its bound, not by search_min_N
+    real = ramsey.has_property
+
+    def planted(sizes, query, max_colorings):
+        if query == target:
+            return fault(sizes)
+        return real(sizes, query, max_colorings=max_colorings)
+
+    monkeypatch.setattr(ramsey, "has_property", planted)
+
+
+def test_suite_ramsey_reports_a_bound_that_fails(monkeypatch):
+    q = RamseyQuery((3,), 2, 3)
+    _planted_property(monkeypatch, q,
+                      lambda sizes: ramsey.PropertyResult(False, 1))
+    rep = suites.suite_ramsey(10 ** 6)
+    assert (rep.outcome, rep.exit_code) == ("violation", 1)
+    assert rep.witnesses == [{"query": "(j=3,c=2,r=3)",
+                              "bound": upper_bound_R(q), "holds": False}]
+    assert rep.counters == {"min_N_triangle": 6,
+                            "pigeonhole": PASSING_PIGEONHOLE,
+                            "bounds_validated": 8}
+
+
+def test_suite_ramsey_skips_a_refused_bound(monkeypatch):
+    def refused(sizes):
+        raise BudgetExceeded("planted")
+
+    _planted_property(monkeypatch, RamseyQuery((3,), 2, 3), refused)
+    rep = suites.suite_ramsey(10 ** 6)
+    assert (rep.outcome, rep.exit_code, rep.witnesses) == ("pass", 0, [])
+    assert rep.counters == {"min_N_triangle": 6,
+                            "pigeonhole": PASSING_PIGEONHOLE,
+                            "bounds_validated": 7}

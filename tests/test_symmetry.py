@@ -223,11 +223,13 @@ def test_parity_table_matches_parity():
 
 def test_flipped_parity_entry_is_an_orbit_witness(monkeypatch):
     # the identity goes to the odd side: over the base of 4 points every
-    # seed's orbits come out uneven, and no other check fails
-    table = symmetry._odd_table
+    # seed's orbits come out uneven, and no other check fails.  The true
+    # tables are read first: the cached table for 5 is built from the one
+    # for 4, and must not be built from the flipped one
+    table = {k: symmetry._odd_table(k) for k in range(6)}
 
     def flipped(k):
-        t = table(k)
+        t = table[k]
         return bytes([t[0] ^ 1]) + t[1:] if k == 4 else t
 
     monkeypatch.setattr(symmetry, "_odd_table", flipped)
@@ -237,6 +239,41 @@ def test_flipped_parity_entry_is_an_orbit_witness(monkeypatch):
         {"kind": "orbit", "B": [0, 1, 2, 3], "s": list(s)}
         for s in itertools.permutations(range(4), 3)
     ]
+
+
+# `verify symmetry`'s counters, derived from closed forms in
+# tests/test_cli.py::test_verify_symmetry
+SYMMETRY_COUNTERS = {"orbit_pairs": 152, "transpositions": 2466,
+                     "fiber_partitions": 416}
+
+
+def test_transposition_that_moves_p_is_a_witness(monkeypatch):
+    real = symmetry.find_fixing_transposition
+
+    def planted(p, B, a):
+        # swaps 0, p's only component, with 1, outside it
+        if (p, B, a) == (((0,),), (0, 1, 2), 3):
+            return transposition(3, 0, 1)
+        return real(p, B, a)
+
+    monkeypatch.setattr(symmetry, "find_fixing_transposition", planted)
+    report = suites.suite_symmetry()
+    assert (report.outcome, report.exit_code) == (VIOLATION, 1)
+    assert report.witnesses == [
+        {"kind": "transposition", "p": [[[0]]], "B": [0, 1, 2]}]
+    assert report.counters == SYMMETRY_COUNTERS
+
+
+def test_fiber_over_its_bound_is_a_witness(monkeypatch):
+    # with E empty each partition is its own fiber, of size 1 > 0
+    real = symmetry.fiber_bound
+    monkeypatch.setattr(symmetry, "fiber_bound",
+                        lambda n, E: 0 if not E else real(n, E))
+    report = suites.suite_symmetry()
+    assert (report.outcome, report.exit_code) == (VIOLATION, 1)
+    assert report.witnesses == \
+        [{"kind": "fiber", "E": [], "size": 1}] * len(list(enum_B_n(5, 1)))
+    assert report.counters == SYMMETRY_COUNTERS
 
 
 def test_find_fixing_transposition_examples():
