@@ -5,11 +5,13 @@ An indexed family maps slot indices j to families of arity-n disjoint
 tuples.  Per slot (j, m-profile) and derivative level k, the encoder
 stores Y_k = interior_g(boundary_g^(k)(X)) in a code book; the partitions
 carrying the code are the blocks of the l-extensions of the Y_k, where
-l = sizes(j, m, k) is an injective size signature.  Because each l-tuple
-has strictly increasing component sizes, a partition's non-singleton block
-sizes identify its key and the component order, so the code book — and
-from it the original family, via an alternating-difference formula — can
-be recovered from the bare partition set.
+l = f(j, m, k) comes from a size signature read over the config's own
+slots and is injective on the config's keys; `CodingConfig.f` answers
+those keys only.  Because each l-tuple has strictly increasing component
+sizes, a partition's non-singleton block sizes identify its key and the
+component order, so the code book — and from it the original family, via
+an alternating-difference formula — can be recovered from the bare
+partition set.
 
 A partition of a fixed ground set is determined by its non-singleton
 blocks (`maps.ns_injection`), so the partition set H is carried as the
@@ -91,37 +93,27 @@ def _primes(count):
 
 @dataclass(frozen=True)
 class SizeSignature:
-    """Maps (j, m-profile, k) to a tuple of block sizes l.
+    """Maps (j, m-profile, k) to a tuple of block sizes l, over a config's
+    ordered slots ((j, m), ...), which the config passes in.
 
     kind "prime": l_i = 2^i * 3^j * 5^{m_1} * ... * q^{m_n} * q'^k with
     consecutive primes; universal and injective, but the sizes explode.
+    It ignores the slots.
 
-    kind "compact": l_i = B + i + (n+1)*(slot*(K+1) + k) over an explicit
-    ordered slot table, with B = 1 + the largest profile component and
-    K = the largest profile sum; keeps the extension spaces enumerable.
+    kind "compact": l_i = B + i + (n+1)*(slot*(K+1) + k), where slot is
+    the position of (j, m) in the slots, B = 1 + the largest profile
+    component and K = the largest profile sum over them; keeps the
+    extension spaces enumerable.
     """
 
     kind: str
-    slot_table: tuple = ()  # ordered ((j, m), ...); required for "compact"
 
     def __post_init__(self):
         if self.kind not in ("prime", "compact"):
             raise CodingError(f"unknown signature kind {self.kind!r}")
-        if self.kind == "compact" and not self.slot_table:
-            raise CodingError("compact signature needs a slot table")
 
-    @property
-    def base(self):
-        return 1 + max(
-            (max(m, default=0) for _, m in self.slot_table), default=0
-        )
-
-    @property
-    def k_cap(self):
-        return max((sum(m) for _, m in self.slot_table), default=0)
-
-    def sizes(self, j, m, k):
-        """Block sizes l for key (j, m, k); validates the key."""
+    def sizes(self, j, m, k, slots=()):
+        """Block sizes l for key (j, m, k) over the slots; validates the key."""
         m = tuple(m)
         n = len(m)
         if not 0 <= k <= sum(m):
@@ -133,21 +125,23 @@ class SizeSignature:
             ) * ps[n + 2] ** k
             return tuple(ps[0] ** i * core for i in range(1, n + 1))
         try:
-            slot = self.slot_table.index((j, m))
+            slot = slots.index((j, m))
         except ValueError:
             raise CodingError(f"slot ({j}, {m}) not in the signature table")
-        off = (n + 1) * (slot * (self.k_cap + 1) + k)
-        return tuple(self.base + i + off for i in range(1, n + 1))
+        base = 1 + max(max(p, default=0) for _, p in slots)
+        k_cap = max(sum(p) for _, p in slots)
+        off = (n + 1) * (slot * (k_cap + 1) + k)
+        return tuple(base + i + off for i in range(1, n + 1))
 
 
-def block_sizes(sig, j, m, k, n):
-    """Signature lookup plus a full contract check at this key:
+def block_sizes(sig, j, m, k, n, slots=()):
+    """Signature lookup over the slots plus a full contract check at this key:
     l_i >= max(m_i, 2); strictly increasing in i; componentwise
     non-decreasing in k; key-injective over the neighboring keys."""
     m = tuple(m)
     if len(m) != n:
         raise CodingError(f"profile {m} does not have arity {n}")
-    l = sig.sizes(j, m, k)
+    l = sig.sizes(j, m, k, slots)
     for i, (mi, li) in enumerate(zip(m, l)):
         if li < max(mi, 2):
             raise CodingError(
@@ -156,7 +150,7 @@ def block_sizes(sig, j, m, k, n):
     if any(l[i] >= l[i + 1] for i in range(n - 1)):
         raise CodingError(f"sizes {l} not strictly increasing for key ({j}, {m}, {k})")
     if k > 0:
-        prev = sig.sizes(j, m, k - 1)
+        prev = sig.sizes(j, m, k - 1, slots)
         if any(x > y for x, y in zip(prev, l)):
             raise CodingError(f"sizes decrease in k at key ({j}, {m}, {k})")
     return l
@@ -170,7 +164,7 @@ def validate_signature(sig, slots):
     for j, m in slots:
         n = len(m)
         for k in range(sum(m) + 1):
-            l = block_sizes(sig, j, m, k, n)
+            l = block_sizes(sig, j, m, k, n, slots)
             if l in seen and seen[l] != (j, m, k):
                 raise CodingError(
                     f"signature collision: keys {seen[l]} and ({j}, {m}, {k}) both map to {l}"
@@ -189,11 +183,13 @@ class CodingConfig:
     a: int
     n: int
     signature: SizeSignature
-    slots: tuple  # ordered ((j, m), ...)
+    slots: tuple  # ordered ((j, m), ...), stored as tuples
     # (j, m, k) -> sizes over the slots' keys, checked once on construction
     _sizes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "slots",
+                           tuple((j, tuple(m)) for j, m in self.slots))
         for v in (self.a, self.n, *(x for j, m in self.slots for x in (j, *m))):
             if type(v) is not int:
                 raise CodingError(f"config value {v!r} is not an int")
@@ -206,12 +202,6 @@ class CodingConfig:
                 raise CodingError(f"negative slot index {j}")
             if len(m) != self.n or any(x < 0 for x in m):
                 raise CodingError(f"profile {m} invalid for arity {self.n}")
-        # to_json writes only the signature's kind, and from_json rebuilds
-        # a compact table from the slots
-        table = tuple(self.signature.slot_table)
-        if self.signature.kind == "compact" and table != tuple(self.slots):
-            raise CodingError(
-                f"compact slot table {table} is not the slots {self.slots}")
         object.__setattr__(self, "_sizes",
                            validate_signature(self.signature, self.slots))
         for j, m in self.slots:
@@ -222,10 +212,11 @@ class CodingConfig:
                 )
 
     def f(self, j, m, k):
-        # keys outside the table still go through block_sizes and its errors
-        m = tuple(m)
-        l = self._sizes.get((j, m, k))
-        return l if l is not None else block_sizes(self.signature, j, m, k, self.n)
+        """The block sizes of (j, m, k), which must be one of the keys."""
+        try:
+            return self._sizes[j, tuple(m), k]
+        except KeyError:
+            raise CodingError(f"({j}, {tuple(m)}, {k}) is not a key of this config") from None
 
     def g(self, j, m):
         m = tuple(m)
@@ -250,17 +241,12 @@ class CodingConfig:
     @classmethod
     def from_json(cls, text):
         d = json.loads(text)
-        slots = tuple((j, tuple(m)) for j, m in d["slots"])
-        sig = SizeSignature(
-            d["signature"],
-            slot_table=slots if d["signature"] == "compact" else (),
-        )
-        return cls(a=d["a"], n=d["n"], signature=sig, slots=slots)
+        return cls(a=d["a"], n=d["n"], signature=SizeSignature(d["signature"]),
+                   slots=d["slots"])
 
 
 def compact_config(a, n, slots):
-    slots = tuple((j, tuple(m)) for j, m in slots)
-    return CodingConfig(a, n, SizeSignature("compact", slots), slots)
+    return CodingConfig(a, n, SizeSignature("compact"), slots)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def enum_B_n(a, n):
         yield from rec(i + 1, ns, single + 1)
         blocks.pop()
 
-    yield from rec(0, 0, 0)
+    return rec(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from finpart import cli, coding, core, operators, ramsey, suites, symmetry
-from finpart.report import RunReport
+from finpart.report import RunReport, UsageError
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -266,6 +266,11 @@ def test_counts_tuples_makes_only_profiles_that_fit():
                 m for n in range(1, n_max + 1)
                 for m in itertools.product(range(4), repeat=n) if sum(m) <= a
             ]
+
+
+def test_counts_refuses_an_unknown_space():
+    with pytest.raises(UsageError, match="unknown space 'foo'"):
+        suites.emit_counts("foo", 2, 2)
 
 
 def test_code_demo(capsys):
@@ -562,7 +567,7 @@ def test_code_demo_rejects_family_before_printing(monkeypatch, capsys,
     ({"slots": [[0.5, [1]]]}, "is not an int"),
     ({"slots": [[True, [1]]]}, "is not an int"),
     ({"slots": [[0, [1.0]]]}, "is not an int"),
-    ({"slots": []}, "compact signature needs a slot table"),
+    ({"slots": []}, "at least one slot required"),
     ({"signature": "prime", "slots": []}, "at least one slot required"),
     ({"slots": [[0, [1]], [0, [1]]]}, "duplicate slots"),
     ({"slots": [[-1, [1]]]}, "negative slot index"),
@@ -668,6 +673,14 @@ def test_repeated_element_exits_2(monkeypatch, capsys, argv, named):
     code, err = run_main(monkeypatch, capsys, argv)
     assert_one_line_error(code, err)
     assert named in err
+
+
+def test_symmetry_fiber_over_budget_exits_1(monkeypatch, capsys):
+    # |B_1(21)| = 2^21 - 22 is just over the sweep budget
+    code, err = run_main(monkeypatch, capsys, ["symmetry", "fiber", "--a", "21",
+                                               "--n", "1"])
+    assert code == 1
+    assert err == "infeasible: |B_1(21)| exceeds the sweep budget\n"
 
 
 def test_symmetry_orbits_over_budget_exits_1(monkeypatch, capsys):
@@ -862,8 +875,10 @@ def test_report_determinism(capsys):
 def test_report_exit_codes():
     rep = RunReport(command="x", config={})
     assert (rep.outcome, rep.exit_code) == ("pass", 0)
-    rep.witnesses.append({"kind": "planted"})
+    rep.witnesses.append({"kind": "planted", "X": {(2,), (0, 1)}})
     assert (rep.outcome, rep.exit_code) == ("violation", 1)
     assert rep.canonical()["outcome"] == "violation"
+    # a set serializes as a list in sorted order
+    assert rep.canonical()["witnesses"] == [{"X": [[0, 1], [2]], "kind": "planted"}]
     with pytest.raises(AttributeError):
         rep.outcome = "pass"

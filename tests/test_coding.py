@@ -63,6 +63,11 @@ def test_compact_signature_values(cfg12):
     assert cfg12.f(0, (1,), 0) == (3,)
     assert cfg12.f(0, (1,), 1) == (5,)
     assert cfg12.g(0, (1,)) == (5,)
+    # the config answers its own keys only
+    with pytest.raises(CodingError, match=r"\(0, \(1,\), 2\) is not a key"):
+        cfg12.f(0, (1,), 2)
+    with pytest.raises(CodingError, match=r"\(1, \(1,\), 0\) is not a key"):
+        cfg12.f(1, (1,), 0)
 
 
 def test_block_sizes_contract_errors():
@@ -71,6 +76,9 @@ def test_block_sizes_contract_errors():
         block_sizes(sig, 0, (1,), 2, 1)
     with pytest.raises(CodingError, match="arity"):
         block_sizes(sig, 0, (1,), 0, 2)
+    # the compact rule reads the slots it is given
+    with pytest.raises(CodingError, match="not in the signature table"):
+        block_sizes(SizeSignature("compact"), 0, (1,), 0, 1)
 
 
 def test_config_rejects_small_ground():
@@ -78,20 +86,33 @@ def test_config_rejects_small_ground():
         compact_config(4, 1, [(0, (5,))])
 
 
-def test_config_rejects_a_compact_table_that_is_not_its_slots():
-    # to_json writes only the kind, so the reloaded table would be the
-    # slots: (0, (1,), 0) would get (3,) there and (10,) here
-    sig = SizeSignature("compact", ((0, (2,)), (0, (1,))))
-    with pytest.raises(CodingError, match=r"table \(\(0, \(2,\)\), \(0, \(1,\)\)\)"
-                       r" is not the slots \(\(0, \(1,\)\),\)"):
-        CodingConfig(12, 1, sig, ((0, (1,)),))
-    cfg = compact_config(12, 1, [(0, (1,))])
-    assert CodingConfig.from_json(cfg.to_json()) == cfg
+def test_signature_holds_no_slots_of_its_own():
+    # a signature's one field is its kind, the one thing to_json writes,
+    # so every config reloads equal
+    with pytest.raises(TypeError):
+        SizeSignature("prime", ((5, (3,)),))
+    for cfg in [CodingConfig(100, 1, SizeSignature("prime"), ((0, (1,)),)),
+                compact_config(12, 1, [(0, (1,))])]:
+        assert CodingConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("slots", [[(0, (1,))], ((0, [1]),)], ids=["list", "list-profile"])
+def test_config_stores_its_slots_as_tuples(slots):
+    cfg = CodingConfig(12, 1, SizeSignature("compact"), slots)
+    assert cfg == compact_config(12, 1, [(0, (1,))])
+    X = {0: frozenset({((0,),), ((3,),)})}
+    book = encode(X, cfg)
+    assert decode(book) == decode(materialize(book)[0], cfg) == X
 
 
 def test_config_json_roundtrip(cfg12):
     again = CodingConfig.from_json(cfg12.to_json())
     assert again == cfg12
+    # each shipped config is the compact config of its slots, written as is
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = load_config(path.name)
+        assert cfg == compact_config(cfg.a, cfg.n, cfg.slots), path.name
+        assert cfg.to_json() + "\n" == path.read_text(), path.name
 
 
 # --- encode / materialize / decode on the 12-element config ---------------
@@ -336,9 +357,9 @@ def test_indexed_tuples_are_sorted_on_every_shipped_profile():
 def test_config_checks_each_key_once(monkeypatch):
     calls = Counter()
 
-    def counting(sig, j, m, k, n):
+    def counting(sig, j, m, k, n, slots):
         calls[j, m, k] += 1
-        return block_sizes(sig, j, m, k, n)
+        return block_sizes(sig, j, m, k, n, slots)
 
     monkeypatch.setattr(coding, "block_sizes", counting)
     cfg = load_config("seq_arity1_a12.json")

@@ -64,6 +64,8 @@ def test_enumerators_refuse_bad_sizes_on_the_call():
         enum_disjoint_tuples(3, (1, -1))
     with pytest.raises(ValueError, match="non-negative"):
         enum_O_n(3, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        enum_B_n(3, -1)
 
 
 def test_enum_O_n_counts():
@@ -108,6 +110,9 @@ def test_assoc_stirling_values():
     assert assoc_stirling(3, 2) == 0
     assert assoc_stirling(0, 0) == 1
     assert assoc_stirling(2, 1) == 1
+    for j, n in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            assoc_stirling(j, n)
 
 
 def test_assoc_stirling_against_enumeration():
@@ -125,6 +130,9 @@ def test_count_B_n_matches_enumeration():
     for a in range(8):
         for n in range(4):
             assert count_B_n(a, n) == sum(1 for _ in enum_B_n(a, n)), (a, n)
+    for a, n in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            count_B_n(a, n)
 
 
 def test_canonicalize_partition_errors():

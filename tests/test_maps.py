@@ -25,6 +25,10 @@ def test_fin_to_disjoint_example():
     q = fin_to_disjoint(((0, 1), (1, 2)))
     assert q == ((0,), (2,), (1,))
     assert disjoint_to_fin(q, 2) == ((0, 1), (1, 2))
+    with pytest.raises(ValueError, match="at least one subset"):
+        fin_to_disjoint(())
+    with pytest.raises(ValueError, match="expected 7 components for n=3, got 3"):
+        disjoint_to_fin(q, 3)
 
 
 def test_bijection_exhaustive_small():

@@ -203,6 +203,8 @@ def test_exists_uncovered_extension_agrees_with_enumeration():
         for p in tuples[:10]:
             expect = any(q not in g for q in enum_extensions(a, p, l))
             assert exists_uncovered_extension(a, p, l, X) == expect
+    # a component already larger than its size has no extension at all
+    assert not exists_uncovered_extension(6, ((0, 1, 2),), (2,), [])
 
 
 def test_boundary_power_and_nilpotency_example():
@@ -409,6 +411,8 @@ def test_profile_validation():
         nilpotency_index(4, (2,), (1,), frozenset())
     with pytest.raises(ValueError):
         boundary_power(4, (1,), (2,), {((9,),)}, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        interior(4, (-1,), (1,), frozenset())
 
 
 @pytest.mark.parametrize("bad", [((1, 0),), ((99,),), ((0, 1),),

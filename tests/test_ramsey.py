@@ -34,6 +34,19 @@ def test_check_witness():
         check_witness(col, [(0, 1)], 0, r=3)
     with pytest.raises(ValueError, match="side"):
         check_witness(col, [(0, 9, 2)], 0)
+    with pytest.raises(ValueError, match="number of witness sets"):
+        check_witness(col, [(0, 1, 2), (0,)], 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RamseyQuery((1,), 0, 2), "at least one color"),
+    (lambda: RamseyQuery((1,), 2, -1), "non-negative"),
+    (lambda: RamseyQuery((-1,), 2, 2), "non-negative"),
+    (lambda: has_property((5, 5), RamseyQuery((2,), 2, 3)), "sizes/arity mismatch"),
+], ids=["no-colors", "negative-r", "negative-j", "sizes-arity"])
+def test_bad_query_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_coloring_must_be_total():

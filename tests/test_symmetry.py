@@ -8,6 +8,7 @@ import pytest
 from finpart import suites, symmetry
 from finpart.core import canonicalize_partition, enum_B_n, ns_blocks
 from finpart.maps import fin_to_disjoint, disjoint_to_fin
+from finpart.operators import BudgetExceeded
 from finpart.report import VIOLATION
 from finpart.symmetry import (
     apply_perm,
@@ -76,6 +77,8 @@ def test_apply_perm_examples():
     for obj in (-1, (-1, 0), 3):
         with pytest.raises(ValueError, match="out of range"):
             apply_perm((1, 2, 0), obj)
+    with pytest.raises(ValueError, match=r"not a permutation of range\(2\)"):
+        apply_perm((0, 0), (1,))
 
 
 def test_action_laws():
@@ -393,6 +396,9 @@ def test_chain_length_bound():
         for E in [(), (0,)]:
             L = longest_strict_chain(allB, E)
             assert 1 <= L <= chain_bound(n, E), (a, n, E)
+    # 4083 classes give over 16 million ordered pairs: refused unbuilt
+    with pytest.raises(BudgetExceeded, match="chain digraph"):
+        longest_strict_chain(enum_B_n(12, 1), ())
 
 
 def test_longest_strict_chain_matches_brute_force():
