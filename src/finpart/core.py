@@ -202,30 +202,41 @@ def enum_B_n(a, n):
     n non-singleton blocks: their count never falls, and each unplaced
     element can join at most one singleton while the rest pair up.  Every
     node visited has a completion, so the cost is proportional to |B_n(a)|.
+
+    Returns an iterator; a negative n raises ValueError on the call.  The
+    blocks so far are a tuple of tuples handed down the traversal, and
+    the levels are joined by chain.from_iterable.  At the last element the
+    completions are built directly from the current blocks, as one list,
+    so no Python frame runs per partition.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    blocks = []
+    last = a - 1
 
-    def rec(i, ns, single):
+    def rec(i, blocks, ns, single):
         # ns non-singleton and `single` singleton blocks hold range(i)
         left = a - i
         grow = min(single, left)
         if ns > n or ns + grow + (left - grow) // 2 < n:
-            return
-        if i == a:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            was_single = len(b) == 1
-            b.append(i)
-            yield from rec(i + 1, ns + was_single, single - was_single)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, ns, single + 1)
-        blocks.pop()
+            return ()
+        if i == a:  # only when a == 0
+            return (blocks,)
+        if i == last:
+            out = [blocks[:j] + (b + (i,),) + blocks[j + 1:]
+                   for j, b in enumerate(blocks) if ns + (len(b) == 1) == n]
+            if ns == n:
+                out.append(blocks + ((i,),))
+            return out
+        return itertools.chain.from_iterable(children(i, blocks, ns, single))
 
-    return rec(0, 0, 0)
+    def children(i, blocks, ns, single):
+        for j, b in enumerate(blocks):
+            was_single = len(b) == 1
+            yield rec(i + 1, blocks[:j] + (b + (i,),) + blocks[j + 1:],
+                      ns + was_single, single - was_single)
+        yield rec(i + 1, blocks + ((i,),), ns, single + 1)
+
+    return iter(rec(0, (), 0, 0))
 
 
 # ---------------------------------------------------------------------------

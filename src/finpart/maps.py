@@ -9,7 +9,6 @@ onto partitions with 2^n - 1 non-singleton blocks.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
 from operator import itemgetter
 
 from .core import as_subset, check_disjoint_tuple, ns_blocks, partition_from_ns
@@ -47,19 +46,24 @@ def fin_to_disjoint(s):
     """Encode a sequence of n subsets as a (2^n - 1)-tuple of pairwise
     disjoint subsets: component i holds the elements lying in exactly the
     sets indexed by the one-bits of i.  One pass: each element of the
-    union goes to the component indexed by its membership signature, in
-    sorted order, so every component comes out sorted."""
+    union goes to the group of its membership signature, in sorted order,
+    so every group comes out sorted; only the signatures that occur get a
+    group, and every other component is empty."""
     n = len(s)
     if n < 1:
         raise ValueError("need at least one subset")
     sig = {}
     for k, x in enumerate(s):
+        bit = 1 << k
         for e in x:
-            sig[e] = sig.get(e, 0) | 1 << k
-    comps = [[] for _ in range((1 << n) - 1)]
+            sig[e] = sig.get(e, 0) | bit
+    groups = {}
     for e in sorted(sig):
-        comps[sig[e] - 1].append(e)
-    return tuple(map(tuple, comps))
+        groups.setdefault(sig[e], []).append(e)
+    comps = [()] * ((1 << n) - 1)
+    for i, group in groups.items():
+        comps[i - 1] = tuple(group)
+    return tuple(comps)
 
 
 @cache
@@ -80,7 +84,7 @@ def disjoint_to_fin(q, n):
     components whose index has the corresponding bit set."""
     if len(q) != (1 << n) - 1:
         raise ValueError(f"expected {(1 << n) - 1} components for n={n}, got {len(q)}")
-    return tuple([as_subset(chain.from_iterable(get(q)))
+    return tuple([tuple(sorted(set().union(*get(q))))
                   for get in _bit_getters(n)])
 
 

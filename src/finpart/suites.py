@@ -405,14 +405,20 @@ def suite_symmetry():
             if not ok:
                 witnesses.append({"kind": "orbit", "B": list(B), "s": list(s)})
 
+    # apply_perm is pure, so each distinct transposition found for p is
+    # applied to p once (finding none fails); every (p, B) still gets its
+    # own verdict
     trans_checked = 0
     for n in (1, 2):
         for a in range(n + 2, _SYMMETRY_A_MAX + 1):
             for p in core.enum_disjoint_tuples(a, (1,) * n):
+                fixes = {None: False}
                 for B in itertools.combinations(range(a), n + 2):
                     trans_checked += 1
                     t = symmetry.find_fixing_transposition(p, B, a)
-                    if t is None or symmetry.apply_perm(t, p) != p:
+                    if t not in fixes:
+                        fixes[t] = symmetry.apply_perm(t, p) == p
+                    if not fixes[t]:
                         witnesses.append({"kind": "transposition",
                                           "p": _plainfam([p]), "B": list(B)})
 

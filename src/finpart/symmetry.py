@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import compress, repeat
 from math import factorial
-from operator import itemgetter
+from operator import countOf
 
 from .core import as_subset, count_B_n, enum_B_n, ns_blocks
 from .operators import BudgetExceeded
@@ -24,8 +24,10 @@ from .operators import BudgetExceeded
 # permutations
 
 def check_perm(pi):
+    """pi as a tuple, if it is an image table of ints (bools and floats
+    that equal ints are refused) holding each of range(len(pi)) once."""
     a = len(pi)
-    if sorted(pi) != list(range(a)):
+    if countOf(map(type, pi), int) != a or sorted(pi) != list(range(a)):
         raise ValueError(f"not a permutation of range({a}): {pi!r}")
     return tuple(pi)
 
@@ -71,14 +73,14 @@ def _act(pi, obj):
             raise ValueError(f"element {obj} out of range [0, {len(pi)})")
         return pi[obj]
     if isinstance(obj, tuple):
-        if all(isinstance(x, int) for x in obj):
+        if all(map(isinstance, obj, repeat(int))):
             if obj and (min(obj) < 0 or max(obj) >= len(pi)):
                 # the per-element path names the first bad element
                 return as_subset(_act(pi, x) for x in obj)
             return tuple(sorted({pi[x] for x in obj}))
-        return tuple(_act(pi, x) for x in obj)
+        return tuple([_act(pi, x) for x in obj])
     if isinstance(obj, (set, frozenset)):
-        return frozenset(_act(pi, x) for x in obj)
+        return frozenset([_act(pi, x) for x in obj])
     if isinstance(obj, dict):
         return {_act(pi, k): _act(pi, v) for k, v in obj.items()}
     raise TypeError(f"no action defined on {type(obj).__name__}")
@@ -109,7 +111,7 @@ class OrbitPair:
 
 
 # Most permutations of the base even_odd_orbits sweeps.  Both orbits are
-# held in memory: a base of 9 (9! = 362,880) takes ~0.3 s and ~78 MB peak
+# held in memory: a base of 9 (9! = 362,880) takes ~0.12 s and ~81 MB peak
 # RSS (2 cores, Python 3.11.7).
 _ORBIT_BUDGET = 400_000
 
@@ -141,11 +143,16 @@ def even_odd_orbits(B, s):
     Every permutation of the base moves the seed somewhere, and the seed's
     stabilizer is trivial (only one base point is off the seed), so the
     two orbits are disjoint, cover everything, and have (n+2)!/2 members
-    each.  B is sorted, so the mapping B -> images is odd exactly when
-    images is, which `_odd_table` reads off by its index in
-    itertools.permutations(B).  Raises BudgetExceeded, before sweeping,
-    when (n+2)! is over _ORBIT_BUDGET, and ValueError when B repeats an
-    element."""
+    each.  B is sorted, so the mapping B -> images has the parity of
+    images, which `_odd_table` reads off by its index in
+    itertools.permutations(B).  Let sigma be the seed's positions in B,
+    then the one position off the seed.  The seed's image is the first n+1
+    points of images read at sigma, a table whose parity is that of images
+    plus that of sigma.  So each orbit is the (n+1)-prefixes of the tables
+    of one parity, and itertools.permutations(B, n+1) lists those prefixes
+    in the order of the full tables, where `_odd_table` picks them.
+    Raises BudgetExceeded, before sweeping, when (n+2)! is over
+    _ORBIT_BUDGET, and ValueError when B repeats an element."""
     s, B = tuple(s), tuple(B)
     if len(set(B)) != len(B):
         raise ValueError(f"base {B!r} repeats an element")
@@ -160,12 +167,13 @@ def even_odd_orbits(B, s):
         raise BudgetExceeded(f"{len(B)}! base permutations exceed {_ORBIT_BUDGET}")
     odd = _odd_table(len(B))
     even = odd.translate(_FLIP)
-    # the seed's image under B -> images, its points read by position in B
-    pos = [B.index(x) for x in s]
-    image = (itemgetter(*pos) if len(pos) > 1
-             else lambda images: tuple([images[i] for i in pos]))
-    xi = frozenset(map(image, compress(itertools.permutations(B), even)))
-    theta = frozenset(map(image, compress(itertools.permutations(B), odd)))
+    sigma = [B.index(x) for x in s]
+    sigma.append(sum(range(len(B))) - sum(sigma))
+    if parity(sigma) == "odd":
+        even, odd = odd, even
+    prefixes = list(itertools.permutations(B, len(s)))
+    xi = frozenset(compress(prefixes, even))
+    theta = frozenset(compress(prefixes, odd))
     return OrbitPair(xi, theta, B, s)
 
 
@@ -180,10 +188,11 @@ def find_fixing_transposition(p, B, a):
     class rank comes from one dict, and the pair kept is the first two hits
     of the lowest rank that has two."""
     comps = sorted(filter(None, p), key=min)
+    outside = len(comps)
     rank = {x: r for r, c in enumerate(comps) for x in c}
     first, best = {}, None
-    for x in as_subset(B):
-        r = rank.get(x, len(comps))
+    for x in sorted(set(B)):
+        r = rank.get(x, outside)
         if r not in first:
             first[r] = x
         elif best is None or r < best[0]:
@@ -208,10 +217,10 @@ def restrict_outside(P, E):
 def projection_preceq(QE, PE):
     """True iff every block of the deleted projection QE is a union of
     blocks of the deleted projection PE."""
-    return all(
-        {x for pb in PE if q.issuperset(pb) for x in pb} == q
-        for q in map(set, QE)
-    )
+    for q in map(set, QE):
+        if set().union(*filter(q.issuperset, PE)) != q:
+            return False
+    return True
 
 
 def preceq(Q, P, E):

@@ -105,6 +105,19 @@ def test_parity():
     assert parity(from_cycles(3, [(0, 1, 2)])) == "even"
 
 
+@pytest.mark.parametrize("pi", [(1.0, 0), (True, False), (0, True),
+                                (0.0,), (1, 0, 2.0)])
+def test_a_table_entry_that_is_not_an_int_is_refused(pi):
+    # 1.0 and True equal 1, so such a table sorts like a permutation;
+    # read as one, it would put floats or bools into the images
+    message = rf"not a permutation of range\({len(pi)}\)"
+    for obj in (0, ((0,),), frozenset({(0,)}), {0: ()}):
+        with pytest.raises(ValueError, match=message):
+            apply_perm(pi, obj)
+    with pytest.raises(ValueError, match=message):
+        parity(pi)
+
+
 def test_parity_homomorphism():
     rng = random.Random(1)
     for _ in range(50):
@@ -265,6 +278,34 @@ def test_transposition_that_moves_p_is_a_witness(monkeypatch):
     assert report.witnesses == [
         {"kind": "transposition", "p": [[[0]]], "B": [0, 1, 2]}]
     assert report.counters == SYMMETRY_COUNTERS
+
+
+def test_each_transposition_is_applied_once_per_tuple(monkeypatch):
+    # over a = 4, p = ((0,),) gets the transposition (1 2) from two bases,
+    # (0, 1, 2) and (1, 2, 3); a fault planted for that transposition and
+    # that tuple alone gives one witness per base, and the sweep applies
+    # each distinct transposition once per tuple: 882 calls for 2,466 pairs
+    real = symmetry.apply_perm
+    calls = []
+
+    def planted(pi, obj):
+        calls.append((pi, obj))
+        if (pi, obj) == (transposition(4, 1, 2), ((0,),)):
+            return ((3,),)
+        return real(pi, obj)
+
+    assert [find_fixing_transposition(((0,),), B, 4)
+            for B in itertools.combinations(range(4), 3)] == [
+        transposition(4, 1, 2), transposition(4, 1, 3),
+        transposition(4, 2, 3), transposition(4, 1, 2)]
+    monkeypatch.setattr(symmetry, "apply_perm", planted)
+    report = suites.suite_symmetry()
+    assert (report.outcome, report.exit_code) == (VIOLATION, 1)
+    assert report.witnesses == [
+        {"kind": "transposition", "p": [[[0]]], "B": [0, 1, 2]},
+        {"kind": "transposition", "p": [[[0]]], "B": [1, 2, 3]}]
+    assert report.counters == SYMMETRY_COUNTERS
+    assert len(calls) == len(set(calls)) == 882
 
 
 def test_fiber_over_its_bound_is_a_witness(monkeypatch):
