@@ -19,6 +19,13 @@ j = (1, 1)) and c * U < P for P grid points, every coloring has a witness,
 so the property holds with 0 nodes and a note giving c, U and P.  This
 also answers grids such as 60 x 60 whose masks the budget would refuse.
 
+`search_min_N` finds the least side size.  The property is monotone in N
+(a coloring with no monochromatic witness restricts to every smaller
+grid), so where the counting test decides some least N*, one
+counterexample at N* - 1 settles the answer and is the evidence of its
+minimality; the search sweeps up from N = 0 only where that probe holds,
+the budget refuses it, or no bound is coded.
+
 Grid points are indexed mixed-radix in their per-axis positions (`_axes`):
 point (S_1..S_n) has index sum_i pos_i(S_i) * stride_i, the order of
 `grid_points`.  So a witness's bitmask is the product of one mask per axis,
@@ -123,18 +130,19 @@ def _witness_masks(sizes, j, r):
     point is k, so each witness is tested once, when k gets its color.
 
     A witness T_1 x ... x T_n is a product of per-axis masks: spread_i(T)
-    ORs the bits pos_i(S) * stride_i over the j_i-subsets S of T (1 when
-    j_i = 0), and the witness's mask is the product of its spreads.  The
-    exponents pos_1 * stride_1 + ... + pos_n * stride_n of the product's
-    terms are distinct grid indices, so no carry occurs and the product is
-    exactly the OR of the witness's points.  Witnesses come in
+    sums the distinct bits 2^(pos_i(S) * stride_i), read from a table per
+    position, over the j_i-subsets S of T (1 when j_i = 0), and the
+    witness's mask is the product of its spreads.  The exponents
+    pos_1 * stride_1 + ... + pos_n * stride_n of the product's terms are
+    distinct grid indices, so no carry occurs and the product is exactly
+    the OR of the witness's points.  Witnesses come in
     itertools.product order of the r-subsets."""
     axes = _axes(sizes, j)
-    spreads = [
-        [sum(1 << pos[S] * stride for S in itertools.combinations(T, jj))
-         for T in itertools.combinations(range(N), r)]
-        for N, jj, (pos, stride) in zip(sizes, j, axes)
-    ]
+    spreads = []
+    for N, jj, (pos, stride) in zip(sizes, j, axes):
+        bit = {S: 1 << p * stride for S, p in pos.items()}.__getitem__
+        spreads.append([sum(map(bit, itertools.combinations(T, jj)))
+                        for T in itertools.combinations(range(N), r)])
     ends = [[] for _ in range(prod(len(pos) for pos, _ in axes))]
     for mask in map(prod, itertools.product(*spreads)):
         ends[mask.bit_length() - 1].append(mask)
@@ -276,6 +284,26 @@ def _class_bound(sizes, j, r):
     return None
 
 
+def _grid_size(sizes, j, r):
+    """(P, W, words): the grid's points, its witnesses, and the words their
+    masks take, one per 64 points for each witness plus one per point."""
+    P = prod(comb(N, jj) for N, jj in zip(sizes, j))
+    W = prod(comb(N, r) for N in sizes)
+    return P, W, P + W * -(-P // 64)
+
+
+def _counting(sizes, j, c, r):
+    """The counting test, which builds no mask: (U, P) when the grid has
+    witnesses, points and r >= every j_i, and c colors of at most U points
+    each (`_class_bound`) cannot cover its P points; else None."""
+    P, W, _ = _grid_size(sizes, j, r)
+    if W and P and all(r >= jj for jj in j):
+        U = _class_bound(sizes, j, r)
+        if U is not None and c * U < P:
+            return U, P
+    return None
+
+
 def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
     """Exhaustively decide whether every c-coloring of the grid admits a
     monochromatic r-witness.  Exact: a depth-first search over partial
@@ -304,16 +332,15 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
         raise ValueError("sizes/arity mismatch")
     if any(N < 0 for N in sizes):
         raise ValueError("side sizes must be non-negative")
-    P = prod(comb(N, jj) for N, jj in zip(sizes, j))
-    W = prod(comb(N, r) for N in sizes)
-    if prune and W and P and all(r >= jj for jj in j):
-        U = _class_bound(sizes, j, r)
-        if U is not None and c * U < P:
-            return PropertyResult(
-                holds=True, searched=0,
-                note=f"counting: {c} colors of at most {U} points each "
-                     f"cover fewer than {P} points")
-    if P + W * -(-P // 64) > max_colorings:
+    counted = prune and _counting(sizes, j, c, r)
+    if counted:
+        U, P = counted
+        return PropertyResult(
+            holds=True, searched=0,
+            note=f"counting: {c} colors of at most {U} points each "
+                 f"cover fewer than {P} points")
+    P, W, words = _grid_size(sizes, j, r)
+    if words > max_colorings:
         raise BudgetExceeded(
             f"{W} witnesses on {P} points exceed the budget of {max_colorings}"
         )
@@ -347,30 +374,70 @@ class SearchResult:
     cap: int = 0
     counterexample: dict = None  # certificate at value - 1, when available
     counterexample_N: int = None
-    searched_total: int = 0    # search nodes over all N, as in PropertyResult
+    searched_total: int = 0    # nodes of the searches that ran, as in PropertyResult
     pruned_total: int = 0
 
 
 def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
     """Least N <= cap such that the property holds on sides of size N.
 
-    Exact (exhaustive per N); the certificate for N-1 is kept so a caller
-    can replay why the returned value is minimal."""
+    Exact.  The property is monotone in N: a coloring with no
+    monochromatic witness restricts to one on every smaller grid, so a
+    counterexample at N - 1 shows that every N' < N fails too.  Hence the
+    search checks the top first: where the counting test of `has_property`
+    decides some least N* <= cap + 1, one search at N* - 1 settles the
+    answer when it finds a counterexample (the value is N*, or None when
+    N* > cap).  Where that probe holds (the bound was loose) or the budget
+    refuses it, and where no bound is coded, the sizes below are searched
+    upward from 0 as before; a refused probe is raised again once all of
+    them fail.
+
+    The counterexample at value - 1 (at the cap when the value is None) is
+    kept so a caller can replay why the value is minimal.  The totals count
+    the nodes of the searches that ran."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
+    j, c, r = query.j, query.c, query.r
+    # N*, the least N <= cap + 1 the counting test decides; _class_bound is
+    # coded per j, whatever the sizes, so a j without one skips the scan.
+    # The sweep stops at an undecided N whose masks the budget refuses, and
+    # masks grow with N, so a probe above it would be refused: stop there.
+    top = None
+    if _class_bound((0,) * len(j), j, r) is not None:
+        for N in range(1, cap + 2):
+            if _counting((N,) * len(j), j, c, r):
+                top = N
+                break
+            if _grid_size((N,) * len(j), j, r)[2] > max_colorings:
+                break
+    stop = cap + 1  # the sweep's end
+    probe = refused = None
+    if top is not None:
+        stop = top - 1
+        try:
+            probe = has_property((stop,) * len(j), query,
+                                 max_colorings=max_colorings)
+        except BudgetExceeded as exc:
+            refused = exc
+        if probe and not probe.holds:
+            return SearchResult(top if top <= cap else None, cap,
+                                probe.counterexample, stop,
+                                probe.searched, probe.pruned)
     last_cex = None
     last_cex_N = None
-    searched = pruned = 0
-    for N in range(cap + 1):
-        res = has_property((N,) * len(query.j), query,
-                           max_colorings=max_colorings)
+    searched, pruned = (probe.searched, probe.pruned) if probe else (0, 0)
+    for N in range(stop):
+        res = has_property((N,) * len(j), query, max_colorings=max_colorings)
         searched += res.searched
         pruned += res.pruned
         if res.holds:
             return SearchResult(N, cap, last_cex, last_cex_N, searched, pruned)
         last_cex = res.counterexample
         last_cex_N = N
-    return SearchResult(None, cap, last_cex, last_cex_N, searched, pruned)
+    if refused:
+        raise refused
+    value = stop if probe else None
+    return SearchResult(value, cap, last_cex, last_cex_N, searched, pruned)
 
 
 # ---------------------------------------------------------------------------

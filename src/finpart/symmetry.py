@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress, repeat
 from math import factorial
 from operator import countOf
@@ -59,22 +59,27 @@ def parity(pi):
 # structural action
 
 def apply_perm(pi, obj):
-    """Relabel an object, by its type alone: an int maps to its image; a
-    tuple of ints is a subset, re-sorted; any other tuple (a disjoint
-    tuple, a sequence of subsets) is acted on componentwise, in order; a
-    set or frozenset elementwise; a dict as a function graph (keys and
-    values).  Pass a partition as the frozenset of its blocks."""
+    """Relabel an object, by its type alone: an int maps to its image (a
+    bool is refused, as a float is); a tuple of ints is a subset,
+    re-sorted; any other tuple (a disjoint tuple, a sequence of subsets) is
+    acted on componentwise, in order; a set or frozenset elementwise; a
+    dict as a function graph (keys and values).  Pass a partition as the
+    frozenset of its blocks."""
     return _act(check_perm(pi), obj)
 
 
 def _act(pi, obj):
     if isinstance(obj, int):
+        if isinstance(obj, bool):
+            # True would index the table as 1
+            raise TypeError("no action defined on bool")
         if not 0 <= obj < len(pi):
             raise ValueError(f"element {obj} out of range [0, {len(pi)})")
         return pi[obj]
     if isinstance(obj, tuple):
         if all(map(isinstance, obj, repeat(int))):
-            if obj and (min(obj) < 0 or max(obj) >= len(pi)):
+            if obj and (min(obj) < 0 or max(obj) >= len(pi)
+                        or any(map(isinstance, obj, repeat(bool)))):
                 # the per-element path names the first bad element
                 return as_subset(_act(pi, x) for x in obj)
             return tuple(sorted({pi[x] for x in obj}))
@@ -177,6 +182,15 @@ def even_odd_orbits(B, s):
     return OrbitPair(xi, theta, B, s)
 
 
+@lru_cache(maxsize=1)
+def _class_ranks(p):
+    """Each element's class rank under the tuple p, the non-empty
+    components ordered by least element, and the rank of the elements
+    outside p."""
+    comps = sorted(filter(None, p), key=min)
+    return {x: r for r, c in enumerate(comps) for x in c}, len(comps)
+
+
 def find_fixing_transposition(p, B, a):
     """A transposition of two base elements equivalent under the tuple's
     induced classes (same component, or both outside every component).
@@ -186,10 +200,12 @@ def find_fixing_transposition(p, B, a):
     With |B| = arity + 2 there are at most arity + 1 classes on B, so a
     pair always exists by pigeonhole.  One pass over B: each element's
     class rank comes from one dict, and the pair kept is the first two hits
-    of the lowest rank that has two."""
-    comps = sorted(filter(None, p), key=min)
-    outside = len(comps)
-    rank = {x: r for r, c in enumerate(comps) for x in c}
+    of the lowest rank that has two.  The ranks are kept for the last p,
+    since a sweep asks about one p over many bases."""
+    try:
+        rank, outside = _class_ranks(p)
+    except TypeError:  # an unhashable p, such as a list of lists
+        rank, outside = _class_ranks.__wrapped__(p)
     first, best = {}, None
     for x in sorted(set(B)):
         r = rank.get(x, outside)

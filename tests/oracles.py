@@ -1,10 +1,11 @@
-"""Oracles written from the definitions, shared by the operator, symmetry
-and property tests.  The operator oracles list l-tuples with
+"""Oracles written from the definitions, shared by the operator, symmetry,
+Ramsey and property tests.  The operator oracles list l-tuples with
 `enum_disjoint_tuples` and test extension by set inclusion, so they never
 read `enum_extensions`, from which every dense space builds its extension
 masks."""
 
 from finpart.core import enum_disjoint_tuples
+from finpart.ramsey import SearchResult, has_property
 
 
 def extends(p, q):
@@ -42,3 +43,19 @@ def oracle_fixing_transposition(p, B):
         if len(hits) >= 2:
             return hits[0], hits[1]
     return None
+
+
+def oracle_search_min_N(query, cap, max_colorings):
+    """The least N <= cap at which the property holds, by the unpruned
+    search at N = 0, 1, ..., cap in turn, so no counting bound is read;
+    the counterexample kept is the last one found."""
+    out = SearchResult(cap=cap)
+    for N in range(cap + 1):
+        res = has_property((N,) * len(query.j), query,
+                           max_colorings=max_colorings, prune=False)
+        out.searched_total += res.searched
+        if res.holds:
+            out.value = N
+            return out
+        out.counterexample, out.counterexample_N = res.counterexample, N
+    return out

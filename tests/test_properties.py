@@ -731,9 +731,11 @@ def test_bfin_map_matches_definition(case):
 
 
 def oracle_subset_action(pi, obj):
-    """A tuple of ints as a subset, relabelled element by element; an
-    element outside the table is refused, a bool indexes it as 0 or 1."""
+    """A tuple of ints as a subset, relabelled element by element; the
+    first element that is a bool or lies outside the table is refused."""
     for x in obj:
+        if isinstance(x, bool):
+            raise TypeError("no action defined on bool")
         if not 0 <= x < len(pi):
             raise ValueError(f"element {x} out of range [0, {len(pi)})")
     return as_subset(pi[x] for x in obj)
@@ -751,16 +753,18 @@ def perms_and_int_tuples(draw):
 
 @example(((1, 2, 0), (-1, 0)))
 @example(((1, 2, 0), (0, 3, -1)))
+# a bool is refused, in range or not, before a later bad element
 @example(((1, 0), (True, False, 1)))
 @example(((0,), (True,)))
+@example(((1, 0), (0, False, 5)))
 @example(((), ()))
 @given(perms_and_int_tuples())
 def test_subset_action_matches_the_elementwise_oracle(case):
     pi, obj = case
     try:
         want = oracle_subset_action(pi, obj)
-    except ValueError as e:
-        with pytest.raises(ValueError) as got:
+    except (ValueError, TypeError) as e:
+        with pytest.raises(type(e)) as got:
             apply_perm(pi, obj)
         assert str(got.value) == str(e)
     else:
@@ -769,8 +773,8 @@ def test_subset_action_matches_the_elementwise_oracle(case):
 
 def oracle_action(pi, obj):
     """The structural action from its definition, one element at a time:
-    the table is a permutation of ints, an int is an index into it, a
-    tuple of ints a subset, any other tuple componentwise, a set
+    the table is a permutation of ints, an int is an index into it (a bool
+    is refused), a tuple of ints a subset, any other tuple componentwise, a set
     elementwise and a dict as its keys and values."""
     if (not all(type(x) is int for x in pi)
             or sorted(pi) != list(range(len(pi)))):
@@ -835,7 +839,9 @@ def perms_and_nested_objects(draw):
 @example(((1, 0), ((0, 1), frozenset({(1,), (0, 2)}))))
 @example(((1.0, 0), 0))
 @example(((True, False), ((0,),)))
+# a bool element deep inside is refused
 @example(((1, 0), {(0,): (1, (0,)), 1: frozenset({(True,)})}))
+@example(((1, 0), False))
 @example(((0, 1), (0, (1, 0), [0])))
 @settings(max_examples=100)
 @given(perms_and_nested_objects())

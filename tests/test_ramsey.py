@@ -7,6 +7,7 @@ import pytest
 from finpart import ramsey, suites
 from finpart.operators import BudgetExceeded
 from finpart.ramsey import (
+    DEFAULT_MAX_COLORINGS,
     ProductColoring,
     RamseyQuery,
     check_witness,
@@ -16,6 +17,7 @@ from finpart.ramsey import (
     subgrid,
     upper_bound_R,
 )
+from oracles import oracle_search_min_N
 
 
 def test_grid_points():
@@ -80,6 +82,14 @@ def test_counterexample_replays():
         for T in itertools.combinations(range(5), 3)
         for d in range(2)
     )
+
+
+def no_witness_1d(N, c, r, colors):
+    """Replay a colouring of range(N): no r points share a colour."""
+    col = ProductColoring((N,), (1,), colors)
+    return not any(check_witness(col, [T], d)
+                   for T in itertools.combinations(range(N), r)
+                   for d in range(c))
 
 
 def test_pigeonhole_exact():
@@ -154,6 +164,132 @@ def test_rectangle_reach():
         res = has_property(sizes, q)
         assert not res.holds, sizes
         assert no_rectangle(*sizes, res.counterexample)
+
+
+# j = (1,) and (1, 1) have a counting bound, so search_min_N probes just
+# below it; j = (2,) has none and sweeps up from N = 0
+SEARCHES = [((1,), c, r, cap) for c in (1, 2, 3) for r in (1, 2, 3, 4)
+            for cap in range(9)]
+SEARCHES += [(j, c, r, cap) for j in ((1, 1), (2,)) for c in (1, 2, 3)
+             for r in (1, 2, 3, 4) for cap in range(6)]
+
+
+def search_fields(res):
+    return res.value, res.cap, res.counterexample, res.counterexample_N
+
+
+def assert_search_matches_oracle():
+    for j, c, r, cap in SEARCHES:
+        q = RamseyQuery(j, c, r)
+        got = search_min_N(q, cap)
+        want = oracle_search_min_N(q, cap, DEFAULT_MAX_COLORINGS)
+        assert search_fields(got) == search_fields(want), (j, c, r, cap)
+        assert got.searched_total <= want.searched_total, (j, c, r, cap)
+
+
+def test_search_min_N_matches_the_upward_sweep():
+    assert_search_matches_oracle()
+
+
+def loosen_class_bound(monkeypatch, slack):
+    real = ramsey._class_bound
+
+    def loose(sizes, j, r):
+        U = real(sizes, j, r)
+        return None if U is None else U + slack
+
+    monkeypatch.setattr(ramsey, "_class_bound", loose)
+
+
+def test_search_min_N_falls_back_below_a_loose_bound(monkeypatch):
+    # one more point per colour decides pigeonhole only at c * r + 1, so
+    # the probe at c * r holds and the sizes below it are searched
+    loosen_class_bound(monkeypatch, 1)
+    res = search_min_N(RamseyQuery((1,), 2, 3), cap=8)
+    assert (res.value, res.counterexample_N) == (5, 4)
+    # the probe at 6 is counted with the sweep up to 5
+    assert res.searched_total == sum(
+        has_property((N,), RamseyQuery((1,), 2, 3)).searched
+        for N in (3, 4, 5, 6))
+    assert_search_matches_oracle()
+
+
+def count_property_calls(monkeypatch):
+    real = ramsey.has_property
+    calls = []
+
+    def counted(sizes, query, max_colorings):
+        calls.append(sizes)
+        return real(sizes, query, max_colorings=max_colorings)
+
+    monkeypatch.setattr(ramsey, "has_property", counted)
+    return calls
+
+
+def test_search_min_N_settles_with_one_search_below_the_bound(monkeypatch):
+    calls = count_property_calls(monkeypatch)
+    # pigeonhole: 3 colours of 3 points each cover 9 points, not 10
+    res = search_min_N(RamseyQuery((1,), 3, 4), cap=11)
+    assert (res.value, res.counterexample_N, calls) == (10, 9, [(9,)])
+    assert no_witness_1d(9, 3, 4, res.counterexample)
+    calls.clear()
+    # rectangles: 2 colours of at most 12 points each cover fewer than 25
+    res = search_min_N(RamseyQuery((1, 1), 2, 2), cap=5)
+    assert (res.value, res.counterexample_N, calls) == (5, 4, [(4, 4)])
+    assert (res.searched_total, res.pruned_total) == (54, 8)
+    calls.clear()
+    # no bound coded for j = (2,): every N from 0 up to R(3,3) = 6
+    assert search_min_N(RamseyQuery((2,), 2, 3), cap=7).value == 6
+    assert calls == [(N,) for N in range(7)]
+
+
+def test_search_min_N_certifies_a_cap_below_the_answer(monkeypatch):
+    calls = count_property_calls(monkeypatch)
+    # counting decides 5 = cap + 1, so one search at the cap settles it
+    res = search_min_N(RamseyQuery((1,), 2, 3), cap=4)
+    assert (res.value, res.cap, res.counterexample_N, calls) == \
+        (None, 4, 4, [(4,)])
+    assert no_witness_1d(4, 2, 3, res.counterexample)
+    assert search_fields(res) == search_fields(
+        oracle_search_min_N(RamseyQuery((1,), 2, 3), 4, 10 ** 6))
+
+
+def test_a_refused_probe_is_raised_once_the_sizes_below_fail():
+    # the probe at 4 x 4 takes 62 nodes; 3 x 3 and below take at most 18
+    q = RamseyQuery((1, 1), 2, 2)
+    assert search_min_N(q, cap=5, max_colorings=62).value == 5
+    with pytest.raises(BudgetExceeded, match="budget of 61 nodes"):
+        search_min_N(q, cap=5, max_colorings=61)
+
+
+def test_a_refused_probe_falls_back_below_a_loose_bound(monkeypatch):
+    # with one point of slack the probe is at 6 points, whose 26 mask words
+    # a budget of 20 refuses; 5 points need 15 words and 14 nodes
+    loosen_class_bound(monkeypatch, 1)
+    q = RamseyQuery((1,), 2, 3)
+    with pytest.raises(BudgetExceeded, match="witnesses"):
+        has_property((6,), q, max_colorings=20)
+    res = search_min_N(q, cap=8, max_colorings=20)
+    assert search_fields(res) == search_fields(
+        oracle_search_min_N(q, 8, 10 ** 6))
+    assert res.value == 5
+
+
+def test_the_scan_for_the_bound_stops_where_the_budget_refuses(monkeypatch):
+    # counting decides (j=(1,1), c=3, r=8) only at N = 45,983, but the
+    # masks of 13 x 13 are over the default budget, so the scan stops there
+    # and the sweep raises at 13, as it did before any scan
+    real = ramsey._counting
+    scanned = []
+
+    def counted(sizes, j, c, r):
+        scanned.append(sizes[0])
+        return real(sizes, j, c, r)
+
+    monkeypatch.setattr(ramsey, "_counting", counted)
+    with pytest.raises(BudgetExceeded, match="1656369 witnesses on 169"):
+        search_min_N(RamseyQuery((1, 1), 3, 8), cap=10 ** 5)
+    assert max(scanned) == 13
 
 
 def test_deep_grid():

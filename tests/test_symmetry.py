@@ -332,6 +332,9 @@ def test_find_fixing_transposition_examples():
         transposition(4, 0, 1)
     # |B| = arity + 1 and each class holds one point of B: no pair
     assert find_fixing_transposition(((0,), (1,)), (0, 1, 2), 3) is None
+    # lists are read as tuples are, though they cannot key the kept ranks
+    assert find_fixing_transposition([[2, 3], [0, 1]], [0, 1, 2, 3], 4) == \
+        transposition(4, 0, 1)
 
 
 def test_find_fixing_transposition_total():
