@@ -25,7 +25,8 @@ cached plans: each slot's g and (a, m, g) space (`_slot_plan`, all that
 extension count (what `materialize`'s budget multiplies) and position, a
 small int, per block set of a dense key (`_plan`).  On a dense key every
 l-tuple has one shared block-set object, built once per (a, l), and
-`materialize` returns these objects rather than new frozensets.  `slices`
+`materialize` returns these objects rather than new frozensets, building H
+in one pass: every key's elements stream into one frozenset.  `slices`
 marks each element's position in a bytearray in one pass over H (a hit
 compares by identity and reuses the set's cached hash), reads each dense
 l's span of positions as a mask, and buckets only the misses by block
@@ -47,7 +48,7 @@ from collections import defaultdict
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import count, filterfalse, islice, repeat
+from itertools import chain, count, filterfalse, islice, repeat
 from math import prod
 from typing import NamedTuple
 
@@ -306,18 +307,19 @@ def encode(X, cfg):
     """
     # a list, so that no set merges 1.0 into 1 before the check
     fams = {s: (g, sp, []) for s, (g, sp) in _slot_plan(cfg).items()}
+    a, n = cfg.a, cfg.n
     for j, fam in X.items():
         for t in fam:
-            if len(t) != cfg.n:
-                raise CodingError(f"member {t!r} does not have arity {cfg.n}")
+            if len(t) != n:
+                raise CodingError(f"member {t!r} does not have arity {n}")
             m = profile_of(t)
-            if (j, m) not in fams:
+            slot = fams.get((j, m))
+            if slot is None:
                 raise CodingError(f"profile {m} of {t!r} not admissible "
                                   f"at slot index {j}")
-            _, sp, members = fams[j, m]
-            if sp is None:
-                t = check_disjoint_tuple(t, cfg.a)
-            members.append(t)
+            if slot[1] is None:
+                t = check_disjoint_tuple(t, a)
+            slot[2].append(t)
     book = {}
     for (j, m), (g, sp, members) in fams.items():
         K = sum(m)
@@ -388,9 +390,11 @@ def materialize(book):
     frozenset of its non-singleton blocks (every l_i >= 2, so these are
     the components of the l-extension; the singletons are implicit).
 
-    On a dense key the elements are the shared block sets of the l-side
-    (`_block_sets`) at the set bits of the family's up mask, so no new
-    frozenset is built; a sparse key builds one per extension.
+    H is built in one pass: every key's elements stream into one
+    frozenset, with no intermediate set to copy.  On a dense key they are
+    the shared block sets of the l-side (`_block_sets`) at the set bits of
+    the family's up mask, so no new frozenset is built; a sparse key
+    builds one per extension.
 
     Returns (partitions, None) or (None, count) when the number of
     candidate extension tuples, each family's size times its key's
@@ -406,14 +410,11 @@ def materialize(book):
     total = sum(len(fam) * kp.per_member for _, fam, kp in keys)
     if total > EXTENSION_BUDGET:
         return None, total
-    out = set()
-    for key, fam, (l, sp, _) in keys:
-        if sp is None:
-            out.update(map(frozenset, up(cfg.a, key[1], l, fam)))
-            continue
-        g = up_mask(sp, _index_mask(cfg.a, sp.m, fam))
-        out.update(at_bits(_block_sets(cfg.a, l), g))
-    return frozenset(out), None
+    a = cfg.a
+    return frozenset(chain.from_iterable(
+        map(frozenset, up(a, key[1], l, fam)) if sp is None
+        else at_bits(_block_sets(a, l), up_mask(sp, _index_mask(a, sp.m, fam)))
+        for key, fam, (l, sp, _) in keys)), None
 
 
 # bytes of a bytearray of 0s and 1s -> the digits of a bit string
@@ -504,7 +505,9 @@ def _book_of_slices(by_l, cfg, check=True):
     `down_mask`, and Y_k is built once from the result.  A sparse key
     pulls its misses back by `pullback_Y`.  With check, Y_k must be
     interior-closed at g, by `interior_mask` where both (a, m, l) and
-    (a, m, g) are dense."""
+    (a, m, g) are dense.  The check covers the keys below each slot's top
+    k = sum(m) only: there l = g, and a pullback at g is interior-closed
+    at g whatever the slice (see the loop)."""
     hits, misses = by_l
     Y, slots = {}, _slot_plan(cfg)
     for (j, m, k), (l, sp, _) in _plan(cfg).keys.items():
@@ -517,7 +520,10 @@ def _book_of_slices(by_l, cfg, check=True):
             except ValueError as e:
                 raise CodingError(str(e)) from e
             Yk = frozenset(at_bits(sp.m_tuples, y))
-        if check:
+        # At the top key l = g and interior(down(Z)) = down(Z) for every Z:
+        # up(down(Z)) is inside Z, so down(up(down(Z))) is inside down(Z),
+        # and each p in down(Z) has all its extensions in up(down(Z)).
+        if check and k < sum(m):
             g, sp_g = slots[j, m]
             if sp_g is None or y is None:
                 closed = interior(cfg.a, m, g, Yk) == Yk
@@ -542,8 +548,9 @@ def decode(source, cfg=None, check=True):
     Y_0 \\ (Y_1 \\ (... \\ Y_K)) rebuilds the slot family, and slot families
     with the same index are unioned.
 
-    With check=True every Y obtained by pullback is verified to be
-    interior-closed at the slot's top profile; failure raises DecodeError
+    With check=True every Y obtained by pullback below its slot's top key
+    is verified to be interior-closed at the slot's top profile (at the
+    top key the pullback is closed by construction); failure raises DecodeError
     naming the slice (it means the configuration is too small to be
     faithful for this input).
     """

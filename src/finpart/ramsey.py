@@ -24,7 +24,9 @@ also answers grids such as 60 x 60 whose masks the budget would refuse.
 grid), so where the counting test decides some least N*, one
 counterexample at N* - 1 settles the answer and is the evidence of its
 minimality; the search sweeps up from N = 0 only where that probe holds,
-the budget refuses it, or no bound is coded.
+its masks are over the budget, or no bound is coded.  A probe the node
+limit refuses is raised at once, and one that holds leaves the searches
+below it only the nodes it did not spend.
 
 Grid points are indexed mixed-radix in their per-axis positions (`_axes`):
 point (S_1..S_n) has index sum_i pos_i(S_i) * stride_i, the order of
@@ -304,7 +306,8 @@ def _counting(sizes, j, c, r):
     return None
 
 
-def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
+def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True,
+                 *, _nodes=None):
     """Exhaustively decide whether every c-coloring of the grid admits a
     monochromatic r-witness.  Exact: a depth-first search over partial
     colorings, which raises BudgetExceeded rather than guessing once it has
@@ -325,7 +328,10 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
     first point takes color 0, and a partial coloring is cut when its image
     under an adjacent transposition of a side set is lex-smaller for every
     completion.  The lex-least counterexample survives both, so pruning
-    returns the same counterexample as the unpruned search."""
+    returns the same counterexample as the unpruned search.
+
+    `_nodes`, for `search_min_N` only, lowers the node limit below
+    `max_colorings`; the mask refusal still compares with `max_colorings`."""
     sizes = tuple(sizes)
     j, c, r = query.j, query.c, query.r
     if len(sizes) != len(j):
@@ -361,7 +367,7 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True):
     ends = _witness_masks(sizes, j, r)
     gens = _transposition_pairs(sizes, j) if prune else []
     color, searched, pruned = _search(P, c, ends, gens, 1 if prune else c,
-                                      max_colorings)
+                                      max_colorings if _nodes is None else _nodes)
     if color is None:
         return PropertyResult(True, searched, pruned)
     cex = dict(zip(grid_points(sizes, j), color))
@@ -387,10 +393,17 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
     search checks the top first: where the counting test of `has_property`
     decides some least N* <= cap + 1, one search at N* - 1 settles the
     answer when it finds a counterexample (the value is N*, or None when
-    N* > cap).  Where that probe holds (the bound was loose) or the budget
-    refuses it, and where no bound is coded, the sizes below are searched
-    upward from 0 as before; a refused probe is raised again once all of
-    them fail.
+    N* > cap).  Where that probe holds (the bound was loose) or its masks
+    are over the budget, and where no bound is coded, the sizes below are
+    searched upward from 0 as before; a probe refused for its masks is
+    raised again once all of them fail.
+
+    The probe and the sweep below it share one node budget: a probe the
+    node limit refuses has spent all `max_colorings` nodes and is raised
+    at once, and one that holds leaves each search below it the nodes it
+    did not spend.  A probe refused for its masks spent no node and leaves
+    the whole budget.  The mask refusal compares with `max_colorings`
+    throughout.
 
     The counterexample at value - 1 (at the cap when the value is None) is
     kept so a caller can replay why the value is minimal.  The totals count
@@ -418,6 +431,8 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
             probe = has_property((stop,) * len(j), query,
                                  max_colorings=max_colorings)
         except BudgetExceeded as exc:
+            if _grid_size((stop,) * len(j), j, r)[2] <= max_colorings:
+                raise  # the node limit refused it: no node is left
             refused = exc
         if probe and not probe.holds:
             return SearchResult(top if top <= cap else None, cap,
@@ -426,8 +441,10 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
     last_cex = None
     last_cex_N = None
     searched, pruned = (probe.searched, probe.pruned) if probe else (0, 0)
+    nodes = max_colorings - searched - pruned  # what the probe left
     for N in range(stop):
-        res = has_property((N,) * len(j), query, max_colorings=max_colorings)
+        res = has_property((N,) * len(j), query, max_colorings=max_colorings,
+                           _nodes=nodes)
         searched += res.searched
         pruned += res.pruned
         if res.holds:

@@ -244,6 +244,56 @@ def test_dense_keys_share_block_sets(cfg12):
     assert all(id(P) in shared for P in H1)
 
 
+def block_sets_of_ups(book):
+    """Each key's up, each l-tuple as the frozenset of its components."""
+    a = book.cfg.a
+    return frozenset(frozenset(q) for (j, m, k), fam in book.Y.items()
+                     for q in operators.up(a, m, book.cfg.f(j, m, k), fam))
+
+
+def test_materialize_hands_out_each_dense_keys_block_sets(cfg12):
+    # both keys of single_slot_a12 are dense: H is the union of their ups,
+    # and every element is the shared object of `_block_sets`
+    book = CodeBook(cfg12, {(0, (1,), 0): frozenset({((0,),), ((3,),)}),
+                            (0, (1,), 1): frozenset({((5,),)})})
+    H, over = materialize(book)
+    assert over is None
+    assert H == block_sets_of_ups(book)
+    shared = {}
+    for (j, m, k), fam in book.Y.items():
+        l = cfg12.f(j, m, k)
+        blocks = dict(zip(indexed_tuples(12, l)[0], coding._block_sets(12, l)))
+        shared.update((id(blocks[q]), q) for q in operators.up(12, m, l, fam))
+    assert {id(P) for P in H} == shared.keys()
+
+
+def test_materialize_unions_a_dense_and_a_sparse_key():
+    # on two_slot_a28, key (0, (1,), 0) is dense and (0, (1,), 1) sparse
+    cfg = load_config("two_slot_a28.json")
+    plan = coding._plan(cfg).keys
+    assert plan[0, (1,), 0].sp is not None and plan[0, (1,), 1].sp is None
+    book = CodeBook(cfg, {(0, (1,), 0): frozenset({((0,),)}),
+                          (0, (1,), 1): frozenset({((1,),)})})
+    H, over = materialize(book)
+    assert over is None
+    assert H == block_sets_of_ups(book)
+    assert len(H) == 2925 + 80730
+
+
+def test_materialize_refuses_before_building_anything(monkeypatch, cfg12):
+    book = encode({0: frozenset({((0,),), ((1,),)})}, cfg12)
+    total = sum(len(fam) * operators.count_extensions(12, m, cfg12.f(j, m, k))
+                for (j, m, k), fam in book.Y.items())
+
+    def built(*args):
+        raise AssertionError("materialize built part of H over its budget")
+
+    monkeypatch.setattr(coding, "EXTENSION_BUDGET", total - 1)
+    for name in ("up", "up_mask", "_index_mask", "at_bits", "_block_sets"):
+        monkeypatch.setattr(coding, name, built)
+    assert materialize(book) == (None, total)
+
+
 def test_decode_of_equal_fresh_block_sets(cfg12):
     # equal but not identical elements take the same path as shared ones
     X = {0: frozenset({((0,),), ((4,),), ((7,),)})}

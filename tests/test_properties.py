@@ -231,6 +231,20 @@ def test_pullback_inverts_up_on_closed_families(case):
         assert coding.pullback_Y(a, m, Z, l) == Y
 
 
+@given(families(), st.data())
+def test_a_pullback_is_interior_closed_at_its_own_profile(case, data):
+    """interior(down(Z)) == down(Z) at l = g for every family Z of
+    l-tuples, by the oracles and on both routes: why `decode` does not
+    check a slot's top key, where the pullback is at g itself."""
+    a, m, l, _ = case
+    Z = subfamily(data.draw, list(enum_disjoint_tuples(a, l)))
+    Y = oracle_down(a, m, l, Z)
+    assert oracle_interior(a, m, l, Y) == Y
+    assert down(a, m, l, Z) == Y and interior(a, m, l, Y) == Y
+    with mock.patch.object(operators, "fits_dense", lambda a, m, l: False):
+        assert down(a, m, l, Z) == Y and interior(a, m, l, Y) == Y
+
+
 def check_operators(a, m, l, X, Z):
     want = oracle_interior(a, m, l, X)
     assert up(a, m, l, X) == oracle_up(a, m, l, X)

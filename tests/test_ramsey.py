@@ -218,9 +218,9 @@ def count_property_calls(monkeypatch):
     real = ramsey.has_property
     calls = []
 
-    def counted(sizes, query, max_colorings):
+    def counted(sizes, query, max_colorings, **private):
         calls.append(sizes)
-        return real(sizes, query, max_colorings=max_colorings)
+        return real(sizes, query, max_colorings=max_colorings, **private)
 
     monkeypatch.setattr(ramsey, "has_property", counted)
     return calls
@@ -273,6 +273,49 @@ def test_a_refused_probe_falls_back_below_a_loose_bound(monkeypatch):
     assert search_fields(res) == search_fields(
         oracle_search_min_N(q, 8, 10 ** 6))
     assert res.value == 5
+
+
+def count_search_nodes(monkeypatch):
+    """Wrap ramsey._search; returns the list of (points, node limit, nodes
+    spent) of its calls, a refused call having spent its whole limit."""
+    real = ramsey._search
+    log = []
+
+    def counted(P, c, ends, gens, first_colors, budget):
+        try:
+            res = real(P, c, ends, gens, first_colors, budget)
+        except BudgetExceeded:
+            log.append((P, budget, budget))
+            raise
+        log.append((P, budget, res[1] + res[2]))
+        return res
+
+    monkeypatch.setattr(ramsey, "_search", counted)
+    return log
+
+
+def test_a_probe_refused_by_its_node_limit_spends_the_budget_once(monkeypatch):
+    # the probe at 4 x 4 needs 62 nodes; refused at 61, it is raised at
+    # once instead of the sweep searching 2 x 2 and 3 x 3 first
+    log = count_search_nodes(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="budget of 61 nodes"):
+        search_min_N(RamseyQuery((1, 1), 2, 2), cap=5, max_colorings=61)
+    assert log == [(16, 61, 61)]
+
+
+def test_a_probe_that_holds_leaves_its_unspent_nodes(monkeypatch):
+    # with one point of slack the probe is at 6 points and holds after 14
+    # nodes; each search below it gets what the probe left, and the one at
+    # 5 points, which needs 14 nodes, is refused with 12 left
+    loosen_class_bound(monkeypatch, 1)
+    log = count_search_nodes(monkeypatch)
+    q = RamseyQuery((1,), 2, 3)
+    assert search_min_N(q, cap=8, max_colorings=28).value == 5
+    assert log == [(6, 28, 14), (3, 14, 5), (4, 14, 7), (5, 14, 14)]
+    log.clear()
+    with pytest.raises(BudgetExceeded, match="budget of 12 nodes"):
+        search_min_N(q, cap=8, max_colorings=26)
+    assert log == [(6, 26, 14), (3, 12, 5), (4, 12, 7), (5, 12, 12)]
 
 
 def test_the_scan_for_the_bound_stops_where_the_budget_refuses(monkeypatch):
@@ -557,10 +600,10 @@ def _planted_property(monkeypatch, target, fault):
     # (j=3, c=2, r=3) is checked only at its bound, not by search_min_N
     real = ramsey.has_property
 
-    def planted(sizes, query, max_colorings):
+    def planted(sizes, query, max_colorings, **private):
         if query == target:
             return fault(sizes)
-        return real(sizes, query, max_colorings=max_colorings)
+        return real(sizes, query, max_colorings=max_colorings, **private)
 
     monkeypatch.setattr(ramsey, "has_property", planted)
 
