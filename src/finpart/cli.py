@@ -39,8 +39,9 @@ from .suites import (
 
 def _load_json(path, what, parse):
     """parse() of the text of the file at path.  An unreadable file or
-    malformed content is a usage error; JSON of the wrong shape shows up
-    as TypeError or AttributeError in the parsers."""
+    malformed content, a key given twice included, is a usage error; JSON
+    of the wrong shape shows up as TypeError or AttributeError in the
+    parsers."""
     try:
         with open(path) as f:
             return parse(f.read())
@@ -57,8 +58,8 @@ def _load_family(path, a):
     each slot must hold a list of members, and each member goes to
     `core.check_disjoint_tuple` as written, before a set could hash it or
     merge 1.0 into 1."""
-    fams = _load_json(path, "family", lambda text: {
-        int(j): fam for j, fam in json.loads(text).items()})
+    fams = _load_json(path, "family", lambda text: coding.keyed(
+        coding.load_json(text).items(), int, "slot"))
     for j, fam in fams.items():
         if not isinstance(fam, list):
             raise UsageError(f"bad family {path}: slot {j} is not a list of members")

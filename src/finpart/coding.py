@@ -241,9 +241,28 @@ class CodingConfig:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
+        d = load_json(text)
         return cls(a=d["a"], n=d["n"], signature=SizeSignature(d["signature"]),
                    slots=d["slots"])
+
+
+def load_json(text):
+    """json.loads(text), refusing an object that gives a key twice, of
+    which json.loads would keep only the last value."""
+    return json.loads(text, object_pairs_hook=keyed)
+
+
+def keyed(pairs, parse=str, what="key"):
+    """The dict of (parse(k), v) over the pairs (k, v); raises CodingError
+    where two keys parse to one, rather than drop a value."""
+    out, given = {}, {}
+    for k, v in pairs:
+        p = parse(k)
+        if p in out:
+            also = "" if given[p] == k else f" (as {given[p]!r} and {k!r})"
+            raise CodingError(f"{what} {p!r} given twice{also}")
+        out[p], given[p] = v, k
+    return out
 
 
 def compact_config(a, n, slots):
@@ -279,16 +298,17 @@ class CodeBook:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
+        d = load_json(text)
         cfg = CodingConfig.from_json(json.dumps(d["config"]))
-        Y = {}
-        for key, fams in d["book"].items():
-            j, m, k = key.split("|")
-            m = tuple(int(x) for x in m.split(",")) if m else ()
-            Y[(int(j), m, int(k))] = frozenset(
-                tuple(tuple(c) for c in t) for t in fams
-            )
-        return cls(cfg, Y)
+        Y = keyed(d["book"].items(), _book_key, "book key")
+        return cls(cfg, {key: frozenset(tuple(tuple(c) for c in t) for t in fams)
+                         for key, fams in Y.items()})
+
+
+def _book_key(text):
+    """The key (j, m, k) that `CodeBook.to_json` writes as "j|m|k"."""
+    j, m, k = text.split("|")
+    return int(j), tuple(int(x) for x in m.split(",")) if m else (), int(k)
 
 
 def encode(X, cfg):

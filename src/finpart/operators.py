@@ -41,11 +41,10 @@ with bit i*a + x per element x of component i, testing at a placement
 only the members holding its bit), and lists a class's members only when
 it lies inside, so it costs per class and output tuple, not per m-tuple.
 
-The dense kernels read per-byte tables that a space builds when first
-read: `up_mask` ORs one table entry per byte of its mask.  `down_mask`
-ORs, per byte of the l-side mask, the m-tuples with an extension outside
-it, and keeps the rest; where those tables would take more steps than a
-quarter of the m-tuples, it scans the extension masks instead.
+The dense kernels read the extension masks: `up_mask` ORs one per-byte
+table entry per byte of its mask, from tables a space builds when first
+read, and `down_mask` scans the extension masks, keeping the m-tuples
+whose extensions all lie in its l-side mask.
 
 The bit-sliced kernels (`up_sliced`, `down_sliced`) act on many families
 at once, for the fact00 and nilpotency sweeps: each takes one column per
@@ -111,14 +110,13 @@ def check_profiles(m, l):
 
 # A dense space holds every m- and l-tuple with an index dict over each
 # (`indexed_tuples`, shared by every space with that side), one extension
-# mask per m-tuple (about 300 bytes per tuple in all), and, once read, the
-# kernels' byte tables: one table of 256 entries per 8 m-tuples, and per 8
-# l-tuples where down_mask reads tables.  A table takes about 10 kB plus
-# the bits of its entries, which are masks over the other side, so up to
-# 32 entries (about 1.3 kB) per indexed tuple plus 4 bytes per mask bit
-# for each side's tables: 21 MB for (16, (8,), (15,)), at the edge of the
-# tuple budget, measured with tracemalloc.  The bit budget also bounds the
-# build, which sets at most one bit per l-tuple in each mask.  The coder
+# mask per m-tuple (about 300 bytes per tuple in all), and, once read,
+# up_mask's byte tables: one table of 256 entries per 8 m-tuples.  A table
+# takes about 10 kB plus the bits of its entries, which are l-side masks,
+# so up to 32 entries (about 1.3 kB) per m-tuple plus 4 bytes per mask
+# bit: 20 MB for (16, (8,), (15,)), at the edge of the tuple budget,
+# measured with tracemalloc.  The bit budget also bounds the build, which
+# sets at most one bit per l-tuple in each mask.  The coder
 # adds, per dense l-tuple it reads, one shared block set and its position
 # in the config's plan: about 290 bytes, so 9.5 MB for (256, (0,), (2,)),
 # at the edge of the tuple budget, also measured with tracemalloc.
@@ -164,45 +162,22 @@ class ProfileSpace:
     m_tuples: tuple
     ext: list          # per m-tuple: bitmask of its l-extensions
     l_tuples: tuple
-    full_m_mask: int   # one bit per m-tuple
 
     @cached_property
     def up_bytes(self):
-        """Per run of 8 m-indices: byte of an m-side mask -> OR of their ext."""
-        return _byte_tables(self.ext)
-
-    @cached_property
-    def down_bytes(self):
-        """Per run of 8 l-indices: byte of an l-side mask g -> the m-tuples with
-        an extension there outside g; None where down_mask scans ext."""
-        # Table down takes one step per byte of g, the scan one per m-tuple.
-        # Measured, the tables won wherever they take at most a quarter as
-        # many steps, and lost 1.5-7.6x on (25, (2,), (3,)), (12, (1,), (3,))
-        # and (12, (1,), (5,)), where they take 0.96, 2.3 and 8.3 times as many.
-        if 4 * ((len(self.l_tuples) + 7) // 8) > len(self.m_tuples):
-            return None
-        inc = [0] * len(self.l_tuples)  # per l-tuple: the m-tuples it extends
-        for i, e in enumerate(self.ext):
-            for q in at_bits(range(len(self.l_tuples)), e):
-                inc[q] |= 1 << i
-        # indexed by g's byte b itself: 255 - b is the complement of b
-        return tuple(t[::-1] for t in _byte_tables(inc))
-
-
-def _byte_tables(masks):
-    """Per run of 8 masks, the 256 ORs of its subsets: entry b ORs the
-    masks at the set bits of b, built from the entry with b's lowest bit
-    cleared.  The last run is padded with empty masks, so bits past the
-    end select nothing."""
-    tables = []
-    for lo in range(0, len(masks), 8):
-        run = masks[lo:lo + 8]
-        run += [0] * (8 - len(run))
-        t = [0] * 256
-        for b in range(1, 256):
-            t[b] = t[b & b - 1] | run[(b & -b).bit_length() - 1]
-        tables.append(tuple(t))
-    return tuple(tables)
+        """Per run of 8 m-indices, the 256 ORs of their ext: entry b of a
+        run's table ORs the ext at the set bits of b, built from the entry
+        with b's lowest bit cleared.  The last run is padded with empty
+        masks, so bits past the end select nothing."""
+        tables = []
+        for lo in range(0, len(self.ext), 8):
+            run = self.ext[lo:lo + 8]
+            run += [0] * (8 - len(run))
+            t = [0] * 256
+            for b in range(1, 256):
+                t[b] = t[b & b - 1] | run[(b & -b).bit_length() - 1]
+            tables.append(tuple(t))
+        return tuple(tables)
 
 
 @cache
@@ -222,7 +197,7 @@ def profile_space(a, m, l):
     l_tuples, l_index = indexed_tuples(a, l)
     # unchecked, as enum_extensions yields ints; distinct bits sum to their OR
     ext = [sum(1 << l_index[q] for q in enum_extensions(a, p, l)) for p in m_tuples]
-    return ProfileSpace(a, m, l, m_tuples, ext, l_tuples, (1 << len(m_tuples)) - 1)
+    return ProfileSpace(a, m, l, m_tuples, ext, l_tuples)
 
 
 def _index_mask(a, profile, X):
@@ -264,20 +239,13 @@ def up_mask(sp, xmask):
 
 def down_mask(sp, g):
     """The m-tuples all of whose l-extensions lie in the l-side mask g:
-    those that no table entry for g's bytes rules out, or, without
-    tables, those whose ext lies within g.  Either way an m-tuple without
-    extensions is kept."""
-    if sp.down_bytes is None:
-        r = 0
-        for i, e in enumerate(sp.ext):
-            if e & g == e:
-                r |= 1 << i
-        return r
-    out = 0
-    for t in sp.down_bytes:
-        out |= t[g & 255]
-        g >>= 8
-    return sp.full_m_mask & ~out
+    those whose ext lies within g, so an m-tuple without extensions is
+    kept."""
+    r = 0
+    for i, e in enumerate(sp.ext):
+        if e & g == e:
+            r |= 1 << i
+    return r
 
 
 def interior_mask(sp, xmask):
@@ -285,7 +253,7 @@ def interior_mask(sp, xmask):
 
 
 def boundary_mask(sp, xmask):
-    return interior_mask(sp, xmask) & ~xmask & sp.full_m_mask
+    return interior_mask(sp, xmask) & ~xmask
 
 
 # ---------------------------------------------------------------------------

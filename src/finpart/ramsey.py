@@ -23,10 +23,9 @@ also answers grids such as 60 x 60 whose masks the budget would refuse.
 (a coloring with no monochromatic witness restricts to every smaller
 grid), so where the counting test decides some least N*, one
 counterexample at N* - 1 settles the answer and is the evidence of its
-minimality; the search sweeps up from N = 0 only where that probe holds,
-its masks are over the budget, or no bound is coded.  A probe the node
-limit refuses is raised at once, and one that holds leaves the searches
-below it only the nodes it did not spend.
+minimality; the search sweeps up from N = 0 only where that probe holds
+or no bound is coded.  A refused probe is raised at once, and one that
+holds leaves the searches below it only the nodes it did not spend.
 
 Grid points are indexed mixed-radix in their per-axis positions (`_axes`):
 point (S_1..S_n) has index sum_i pos_i(S_i) * stride_i, the order of
@@ -393,17 +392,15 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
     search checks the top first: where the counting test of `has_property`
     decides some least N* <= cap + 1, one search at N* - 1 settles the
     answer when it finds a counterexample (the value is N*, or None when
-    N* > cap).  Where that probe holds (the bound was loose) or its masks
-    are over the budget, and where no bound is coded, the sizes below are
-    searched upward from 0 as before; a probe refused for its masks is
-    raised again once all of them fail.
+    N* > cap).  Where that probe holds (the bound was loose), and where no
+    bound is coded, the sizes below are searched upward from 0 as before.
 
-    The probe and the sweep below it share one node budget: a probe the
-    node limit refuses has spent all `max_colorings` nodes and is raised
-    at once, and one that holds leaves each search below it the nodes it
-    did not spend.  A probe refused for its masks spent no node and leaves
-    the whole budget.  The mask refusal compares with `max_colorings`
-    throughout.
+    The probe and the sweep below it share one node budget: a refused
+    probe is raised at once, and one that holds leaves each search below
+    it the nodes it did not spend.  The mask refusal compares with
+    `max_colorings` throughout; it refuses the probe only when
+    `max_colorings` is negative, as the scan for N* passes every size from
+    1 to N* - 1 inside the mask budget, and the masks at 0 take no word.
 
     The counterexample at value - 1 (at the cap when the value is None) is
     kept so a caller can replay why the value is minimal.  The totals count
@@ -424,17 +421,12 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
             if _grid_size((N,) * len(j), j, r)[2] > max_colorings:
                 break
     stop = cap + 1  # the sweep's end
-    probe = refused = None
+    probe = None
     if top is not None:
         stop = top - 1
-        try:
-            probe = has_property((stop,) * len(j), query,
-                                 max_colorings=max_colorings)
-        except BudgetExceeded as exc:
-            if _grid_size((stop,) * len(j), j, r)[2] <= max_colorings:
-                raise  # the node limit refused it: no node is left
-            refused = exc
-        if probe and not probe.holds:
+        probe = has_property((stop,) * len(j), query,
+                             max_colorings=max_colorings)
+        if not probe.holds:
             return SearchResult(top if top <= cap else None, cap,
                                 probe.counterexample, stop,
                                 probe.searched, probe.pruned)
@@ -451,8 +443,6 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
             return SearchResult(N, cap, last_cex, last_cex_N, searched, pruned)
         last_cex = res.counterexample
         last_cex_N = N
-    if refused:
-        raise refused
     value = stop if probe else None
     return SearchResult(value, cap, last_cex, last_cex_N, searched, pruned)
 

@@ -383,6 +383,37 @@ def test_decode_rejects_book_no_family_encodes_to(monkeypatch, capsys,
     assert "not the code of any family" in err
 
 
+BOOK_CONFIG = json.dumps(json.loads(Path(CONFIG).read_text()))
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("family", '{"0": [[[0]]], "0": [[[1]]]}', "key '0' given twice"),
+    ("family", '{"0": [[[0]]], " +0": [[[1]]]}',
+     "slot 0 given twice (as '0' and ' +0')"),
+    ("book", '{"config": %s, "book": {"0|1|0": [[[0]]], "0|1|1": [], '
+             '"0|1|0": [[[1]]]}}' % BOOK_CONFIG, "key '0|1|0' given twice"),
+    ("book", '{"config": %s, "book": {"0|1|0": [[[0]]], "0|1|1": [], '
+             '"0|01|0": [[[1]]]}}' % BOOK_CONFIG,
+     "book key (0, (1,), 0) given twice (as '0|1|0' and '0|01|0')"),
+    ("config", '{"a": 12, "n": 1, "signature": "compact", "slots": [[0, [1]]], '
+               '"a": 13}', "key 'a' given twice"),
+], ids=["family-repeated", "family-same-slot", "book-repeated", "book-same-key",
+        "config-repeated"])
+def test_a_key_given_twice_exits_2(monkeypatch, capsys, tmp_path, kind, text,
+                                   message):
+    # json.loads keeps a repeated key's last value, and int() reads " +0" as
+    # 0: either way a value would be dropped without a word
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    code, err = run_main(monkeypatch, capsys, {
+        "family": ["code", "encode", "--config", CONFIG, "--family", str(path)],
+        "book": ["code", "decode", "--config", CONFIG, "--book", str(path)],
+        "config": ["code", "demo", "--config", str(path)],
+    }[kind])
+    assert_one_line_error(code, err)
+    assert err == f"error: bad {kind} {path}: CodingError: {message}\n"
+
+
 def test_decode_accepts_encoded_book(capsys, tmp_path):
     family = tmp_path / "family.json"
     family.write_text(json.dumps({"0": [[[0]], [[5]]]}))

@@ -153,7 +153,8 @@ FAULTS = {
         ("down_sliced", _column(0, lambda col, ones: col ^ ones)),
     ),
     "down-drops-top": (
-        ("down_mask", lambda down: lambda sp, g: down(sp, g) & sp.full_m_mask >> 1),
+        ("down_mask", lambda down: lambda sp, g:
+            down(sp, g) & ((1 << len(sp.m_tuples)) - 1) >> 1),
         ("down_sliced", _column(-1, lambda col, ones: 0)),
     ),
     "up-drops-bit0": (

@@ -69,26 +69,24 @@ def test_operators_match_oracle():
             assert boundary(a, m, l, X) == oracle_interior(a, m, l, X) - X
 
 
-# (a, m, l, whether down_mask reads byte tables rather than scanning ext)
 KERNEL_SPACES = [
-    (6, (2,), (3,), True),        # 15 m-tuples, 20 l-tuples
-    (5, (1, 1), (2, 2), True),    # 20, 30
-    (8, (3,), (4,), True),        # 56 m-tuples: whole runs of 8; 70 l-tuples
-    (12, (1,), (5,), False),      # 12, 792
-    (6, (1,), (3,), False),       # 6, 20
-    (3, (1,), (4,), True),        # sum(l) > a: no l-tuples, all vacuous
-    (2, (3,), (3,), True),        # no m-tuples at all
+    (6, (2,), (3,)),        # 15 m-tuples, 20 l-tuples
+    (5, (1, 1), (2, 2)),    # 20, 30
+    (8, (3,), (4,)),        # 56 m-tuples: whole runs of 8; 70 l-tuples
+    (12, (1,), (5,)),       # 12, 792
+    (6, (1,), (3,)),        # 6, 20
+    (3, (1,), (4,)),        # sum(l) > a: no l-tuples, all vacuous
+    (2, (3,), (3,)),        # no m-tuples at all
 ]
 
 
-@pytest.mark.parametrize("a, m, l, tables", KERNEL_SPACES)
-def test_mask_kernels_match_a_scan_over_ext(a, m, l, tables):
+@pytest.mark.parametrize("a, m, l", KERNEL_SPACES)
+def test_mask_kernels_match_a_scan_over_ext(a, m, l):
     """up_mask and down_mask against the definitions read off ext: up ORs
     the extension masks of the members, down keeps the m-tuples whose
     extensions all lie in g.  Every mask where there are at most 2^8,
     seeded ones otherwise, plus the empty and the full mask."""
     sp = profile_space(a, m, l)
-    assert (sp.down_bytes is not None) == tables
     M, L = len(sp.m_tuples), len(sp.l_tuples)
     rng = random.Random(3)
 
@@ -125,7 +123,7 @@ def test_dense_space_memory_stays_within_the_budget_figure():
     finally:
         tracemalloc.stop()
     M, L = len(sp.m_tuples), len(sp.l_tuples)
-    assert sp.down_bytes is None and len(sp.up_bytes) == 2
+    assert len(sp.up_bytes) == 2
     assert peak <= 300 * (M + L) + 10_000 * 2 + 4 * M * L
 
 

@@ -263,8 +263,9 @@ def test_a_refused_probe_is_raised_once_the_sizes_below_fail():
 
 
 def test_a_refused_probe_falls_back_below_a_loose_bound(monkeypatch):
-    # with one point of slack the probe is at 6 points, whose 26 mask words
-    # a budget of 20 refuses; 5 points need 15 words and 14 nodes
+    # with one point of slack counting decides only 7 points, and the scan
+    # for it stops at 6, whose 26 mask words a budget of 20 refuses: no probe
+    # is made, and the sweep up from 0 holds at 5, with 15 words and 14 nodes
     loosen_class_bound(monkeypatch, 1)
     q = RamseyQuery((1,), 2, 3)
     with pytest.raises(BudgetExceeded, match="witnesses"):
@@ -273,6 +274,61 @@ def test_a_refused_probe_falls_back_below_a_loose_bound(monkeypatch):
     assert search_fields(res) == search_fields(
         oracle_search_min_N(q, 8, 10 ** 6))
     assert res.value == 5
+
+
+def counting_top(j, c, r, cap, max_colorings):
+    """N*, where search_min_N probes just below: the least N <= cap + 1
+    that counting decides, where every N from 1 below it fits the mask
+    budget; None otherwise."""
+    for N in range(1, cap + 2):
+        if ramsey._counting((N,) * len(j), j, c, r):
+            return N
+        if ramsey._grid_size((N,) * len(j), j, r)[2] > max_colorings:
+            return None
+    return None
+
+
+def test_the_probe_is_never_refused_for_its_masks(monkeypatch):
+    # the scan for N* passes 1 .. N* - 1 inside the mask budget, and the
+    # masks at 0 take no word, so a search's first call, the probe at N* - 1
+    # or else the sweep's at 0, fits them at every budget from 0; the sweep
+    # stays below N* - 1.  A search agrees with the oracle or is refused.
+    calls = []  # per has_property call: its sizes, and whether masks refused it
+    real = ramsey.has_property
+
+    def logged(sizes, query, max_colorings, **private):
+        calls.append([sizes, False])
+        try:
+            return real(sizes, query, max_colorings=max_colorings, **private)
+        except BudgetExceeded as exc:
+            calls[-1][1] = "witnesses on" in str(exc)
+            raise
+
+    monkeypatch.setattr(ramsey, "has_property", logged)
+    probes = masks_refused = 0
+    for j, c, r, cap in SEARCHES:
+        q = RamseyQuery(j, c, r)
+        want = None
+        for max_colorings in (0, 1, 2, 5, 20, 61, 62):
+            case = (j, c, r, cap, max_colorings)
+            calls.clear()
+            try:
+                got = search_min_N(q, cap, max_colorings)
+            except BudgetExceeded:
+                pass
+            else:
+                want = want or oracle_search_min_N(q, cap, DEFAULT_MAX_COLORINGS)
+                assert search_fields(got) == search_fields(want), case
+            (first, refused), *rest = calls
+            assert not refused, case
+            top = counting_top(j, c, r, cap, max_colorings)
+            if top is not None:
+                probes += 1
+                assert first == (top - 1,) * len(j), case
+                assert all(sizes[0] < top - 1 for sizes, _ in rest), case
+            masks_refused += sum(refused for _, refused in rest)
+    # both sides of the claim are exercised: probes made, masks refused
+    assert probes and masks_refused
 
 
 def count_search_nodes(monkeypatch):
