@@ -80,12 +80,20 @@ def _bit_getters(n):
 
 
 def disjoint_to_fin(q, n):
-    """Inverse of fin_to_disjoint: rebuild the n subsets by unioning the
-    components whose index has the corresponding bit set."""
+    """Inverse of fin_to_disjoint: rebuild the n subsets by joining the
+    components whose index has the corresponding bit set.
+
+    q is a sequence of 2^n - 1 tuples of ints, as fin_to_disjoint returns;
+    a component of another type, such as a list, raises TypeError.  Raises
+    ValueError when two components share an element (or one repeats an
+    element), so each subset is its disjoint components' concatenation,
+    sorted, with no set built per subset."""
     if len(q) != (1 << n) - 1:
         raise ValueError(f"expected {(1 << n) - 1} components for n={n}, got {len(q)}")
-    return tuple([tuple(sorted(set().union(*get(q))))
-                  for get in _bit_getters(n)])
+    flat = sum(q, ())
+    if len(set(flat)) != len(flat):
+        raise ValueError(f"components of {q!r} overlap")
+    return tuple([tuple(sorted(sum(get(q), ()))) for get in _bit_getters(n)])
 
 
 def bfin_map(a, sets):

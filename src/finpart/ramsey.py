@@ -312,7 +312,7 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True,
     colorings, which raises BudgetExceeded rather than guessing once it has
     made `max_colorings` nodes.  Grids whose witness masks alone (one word
     per 64 points each, plus one per point) exceed the budget are refused
-    before anything is built.
+    before anything is built; a negative budget raises ValueError.
 
     With `prune`, a grid that has witnesses, points and r >= every j_i is
     first tested by counting: if c colors of at most U points each
@@ -337,6 +337,8 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True,
         raise ValueError("sizes/arity mismatch")
     if any(N < 0 for N in sizes):
         raise ValueError("side sizes must be non-negative")
+    if max_colorings < 0:
+        raise ValueError("max_colorings must be non-negative")
     counted = prune and _counting(sizes, j, c, r)
     if counted:
         U, P = counted
@@ -398,15 +400,18 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
     The probe and the sweep below it share one node budget: a refused
     probe is raised at once, and one that holds leaves each search below
     it the nodes it did not spend.  The mask refusal compares with
-    `max_colorings` throughout; it refuses the probe only when
-    `max_colorings` is negative, as the scan for N* passes every size from
-    1 to N* - 1 inside the mask budget, and the masks at 0 take no word.
+    `max_colorings` throughout; it never refuses the probe, as the scan
+    for N* passes every size from 1 to N* - 1 inside the mask budget, and
+    the masks at 0 take no word.  A negative `max_colorings` raises
+    ValueError, as it does in `has_property`.
 
     The counterexample at value - 1 (at the cap when the value is None) is
     kept so a caller can replay why the value is minimal.  The totals count
     the nodes of the searches that ran."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
+    if max_colorings < 0:
+        raise ValueError("max_colorings must be non-negative")
     j, c, r = query.j, query.c, query.r
     # N*, the least N <= cap + 1 the counting test decides; _class_bound is
     # coded per j, whatever the sizes, so a j without one skips the scan.

@@ -249,11 +249,16 @@ def suite_bijection(a, n):
     # Every sequence before the first failure round-trips, so their images
     # are distinct and need not be kept: the failing sequence s's image q
     # repeats an earlier one only if that one is back = disjoint_to_fin(q).
+    # An image that disjoint_to_fin refuses fails the round trip and repeats
+    # none of the earlier images, which all came back.
     checked, repeat, witnesses = 0, 0, []
     for s in itertools.product(subsets, repeat=n):
         q = maps.fin_to_disjoint(s)
         checked += 1
-        back = maps.disjoint_to_fin(q, n)
+        try:
+            back = maps.disjoint_to_fin(q, n)
+        except ValueError:
+            back = ()
         if back != s:
             witnesses.append({"sequence": _plainfam([s])})
             position = {c: i for i, c in enumerate(subsets)}
@@ -394,31 +399,40 @@ def suite_symmetry():
         B = tuple(range(n + 2))
         half = factorial(n + 2) // 2
         sequences = set(itertools.permutations(B, n + 1))
+        # each distinct (xi, theta) is judged once, and each seed must lie
+        # in its own even orbit
+        verdicts = {}
         for s in itertools.permutations(B, n + 1):
             op = symmetry.even_odd_orbits(B, s)
             orbit_checked += 1
-            ok = (
-                not (op.xi & op.theta)
-                and len(op.xi) == len(op.theta) == half
-                and op.xi | op.theta == sequences
-            )
-            if not ok:
+            pair = op.xi, op.theta
+            if pair not in verdicts:
+                verdicts[pair] = (
+                    not (op.xi & op.theta)
+                    and len(op.xi) == len(op.theta) == half
+                    and op.xi | op.theta == sequences
+                )
+            if not (verdicts[pair] and s in op.xi):
                 witnesses.append({"kind": "orbit", "B": list(B), "s": list(s)})
 
     # apply_perm is pure, so each distinct transposition found for p is
-    # applied to p once (finding none fails); every (p, B) still gets its
-    # own verdict
+    # applied to p once, and its moved points listed once (finding none
+    # fails); every (p, B) still gets its own verdict: t fixes p and moves
+    # exactly two points, both in B
     trans_checked = 0
     for n in (1, 2):
         for a in range(n + 2, _SYMMETRY_A_MAX + 1):
             for p in core.enum_disjoint_tuples(a, (1,) * n):
-                fixes = {None: False}
+                fixes = {None: (False, ())}
                 for B in itertools.combinations(range(a), n + 2):
                     trans_checked += 1
                     t = symmetry.find_fixing_transposition(p, B, a)
                     if t not in fixes:
-                        fixes[t] = symmetry.apply_perm(t, p) == p
-                    if not fixes[t]:
+                        moved = [x for x, y in enumerate(t) if x != y]
+                        fixes[t] = (symmetry.apply_perm(t, p) == p
+                                    and len(moved) == 2, moved)
+                    fixed, moved = fixes[t]
+                    if not (fixed and moved[0] in B and moved[1] in B):
                         witnesses.append({"kind": "transposition",
                                           "p": _plainfam([p]), "B": list(B)})
 
@@ -432,14 +446,17 @@ def suite_symmetry():
         for size in fibers.values():
             if size > symmetry.fiber_bound(1, E):
                 witnesses.append({"kind": "fiber", "E": list(E), "size": size})
-        # one test per pair of distinct projections, one witness per pair
-        # of partitions in their fibers
-        for QE, q_size in fibers.items():
-            for PE, p_size in fibers.items():
-                if (len(QE) == len(PE) and QE != PE
-                        and symmetry.projection_preceq(QE, PE)):
-                    witnesses += [{"kind": "projection-law", "E": list(E)}
-                                  for _ in range(q_size * p_size)]
+        # one test per pair of distinct projections with as many blocks,
+        # one witness per pair of partitions in their fibers
+        by_blocks = {}
+        for QE, size in fibers.items():
+            by_blocks.setdefault(len(QE), []).append((QE, size))
+        for same in by_blocks.values():
+            for QE, q_size in same:
+                for PE, p_size in same:
+                    if QE != PE and symmetry.projection_preceq(QE, PE):
+                        witnesses += [{"kind": "projection-law", "E": list(E)}
+                                      for _ in range(q_size * p_size)]
 
     return RunReport(
         "verify symmetry", {"a_max": _SYMMETRY_A_MAX, "n_max": _SYMMETRY_N_MAX},

@@ -10,6 +10,7 @@ blocks, so the result never depends on a guess about the object's shape.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import compress, repeat
@@ -117,8 +118,15 @@ class OrbitPair:
 
 # Most permutations of the base even_odd_orbits sweeps.  Both orbits are
 # held in memory: a base of 9 (9! = 362,880) takes ~0.12 s and ~81 MB peak
-# RSS (2 cores, Python 3.11.7).
+# RSS (2 cores, Python 3.11.7).  _PREFIX_SETS holds them only weakly: they
+# are freed when the caller drops the pair.
 _ORBIT_BUDGET = 400_000
+
+# Per sorted base B, its two orbits: (B, 0) the (|B|-1)-prefixes of the
+# even permutations of B, (B, 1) those of the odd ones.  Weak values: a
+# base's sets go with the last caller holding them (an OrbitPair, a
+# sweep's verdicts).
+_PREFIX_SETS = weakref.WeakValueDictionary()
 
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
@@ -156,6 +164,9 @@ def even_odd_orbits(B, s):
     plus that of sigma.  So each orbit is the (n+1)-prefixes of the tables
     of one parity, and itertools.permutations(B, n+1) lists those prefixes
     in the order of the full tables, where `_odd_table` picks them.
+    Both orbits depend on B alone, and are built once per base while some
+    caller holds them (`_PREFIX_SETS`); each seed pays for its validation
+    and the parity of its sigma, which picks which orbit is xi.
     Raises BudgetExceeded, before sweeping, when (n+2)! is over
     _ORBIT_BUDGET, and ValueError when B repeats an element."""
     s, B = tuple(s), tuple(B)
@@ -170,16 +181,18 @@ def even_odd_orbits(B, s):
         )
     if factorial(len(B)) > _ORBIT_BUDGET:
         raise BudgetExceeded(f"{len(B)}! base permutations exceed {_ORBIT_BUDGET}")
-    odd = _odd_table(len(B))
-    even = odd.translate(_FLIP)
+    even, odd = _PREFIX_SETS.get((B, 0)), _PREFIX_SETS.get((B, 1))
+    if even is None or odd is None:
+        table = _odd_table(len(B))
+        prefixes = list(itertools.permutations(B, len(s)))
+        even = _PREFIX_SETS[B, 0] = frozenset(
+            compress(prefixes, table.translate(_FLIP)))
+        odd = _PREFIX_SETS[B, 1] = frozenset(compress(prefixes, table))
     sigma = [B.index(x) for x in s]
     sigma.append(sum(range(len(B))) - sum(sigma))
     if parity(sigma) == "odd":
         even, odd = odd, even
-    prefixes = list(itertools.permutations(B, len(s)))
-    xi = frozenset(compress(prefixes, even))
-    theta = frozenset(compress(prefixes, odd))
-    return OrbitPair(xi, theta, B, s)
+    return OrbitPair(even, odd, B, s)
 
 
 @lru_cache(maxsize=1)

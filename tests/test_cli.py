@@ -57,7 +57,10 @@ def test_bijection_counts_a_failing_image_as_a_set_would(monkeypatch, fault,
     for s in seqs:
         q = suites.maps.fin_to_disjoint(s)
         images.add(q)
-        if suites.maps.disjoint_to_fin(q, n) != s:
+        try:
+            if suites.maps.disjoint_to_fin(q, n) != s:
+                break
+        except ValueError:  # refused as overlapping: a failed round trip
             break
     report = suites.suite_bijection(a, n)
     assert report.outcome == "violation"

@@ -31,6 +31,17 @@ def test_fin_to_disjoint_example():
         disjoint_to_fin(q, 3)
 
 
+def test_disjoint_to_fin_refuses_overlapping_components():
+    with pytest.raises(ValueError, match="overlap"):
+        disjoint_to_fin(((0,), (0,), ()), 2)
+    with pytest.raises(ValueError, match="overlap"):
+        disjoint_to_fin(((0, 0), (), ()), 2)
+    # q may be any sequence, but its components must be tuples
+    assert disjoint_to_fin([(0,), (2,), (1,)], 2) == ((0, 1), (1, 2))
+    with pytest.raises(TypeError):
+        disjoint_to_fin(((0,), [2], (1,)), 2)
+
+
 def test_bijection_exhaustive_small():
     for n in (1, 2):
         seen = set()

@@ -415,6 +415,18 @@ def test_budget_guard():
         has_property((6,), RamseyQuery((2,), 2, 3), max_colorings=10)
 
 
+@pytest.mark.parametrize("call", [
+    # (5,) is decided by counting, so the budget is checked before that
+    lambda: has_property((5,), RamseyQuery((1,), 2, 3), max_colorings=-1),
+    lambda: has_property((6,), RamseyQuery((2,), 2, 3), max_colorings=-1),
+    lambda: search_min_N(RamseyQuery((1,), 2, 3), cap=8, max_colorings=-1),
+    lambda: search_min_N(RamseyQuery((2,), 2, 3), cap=3, max_colorings=-1),
+], ids=["property-counted", "property", "search-bounded", "search"])
+def test_negative_budget_is_refused_as_bad_input(call):
+    with pytest.raises(ValueError, match="max_colorings must be non-negative"):
+        call()
+
+
 def test_hopeless_grid_refused_before_building():
     # 34,220 witness masks against a budget of 10,000: refused at once
     t0 = time.monotonic()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import weakref
 from functools import cache
 from math import factorial
 
@@ -218,6 +219,16 @@ def test_orbits_match_the_parity_definition(base):
             assert (op.xi, op.theta) == oracle_orbits(B, s), (B, s)
 
 
+def test_a_bases_orbits_are_shared_while_held_and_then_freed():
+    # sigma of (1, 0, 2) over 4 points is odd: the same two sets, swapped
+    first = even_odd_orbits((0, 1, 2, 3), (0, 1, 2))
+    second = even_odd_orbits((0, 1, 2, 3), (1, 0, 2))
+    assert second.xi is first.theta and second.theta is first.xi
+    held = weakref.ref(first.xi)
+    del first, second
+    assert held() is None
+
+
 def test_even_odd_orbits_validation():
     with pytest.raises(ValueError, match="injective"):
         even_odd_orbits((0, 1, 2), (0, 0))
@@ -257,6 +268,21 @@ def test_flipped_parity_entry_is_an_orbit_witness(monkeypatch):
     ]
 
 
+def test_swapped_orbits_are_an_orbit_witness_per_seed(monkeypatch):
+    # sigma's parity read inverted gives every seed its odd orbit as xi;
+    # the pair is still disjoint, even and covering, but s is not in xi
+    real = symmetry.parity
+    monkeypatch.setattr(symmetry, "parity",
+                        lambda pi: "odd" if real(pi) == "even" else "even")
+    report = suites.suite_symmetry()
+    assert (report.outcome, report.exit_code) == (VIOLATION, 1)
+    assert report.witnesses == [
+        {"kind": "orbit", "B": list(range(n + 2)), "s": list(s)}
+        for n in range(4) for s in itertools.permutations(range(n + 2), n + 1)
+    ]
+    assert report.counters == SYMMETRY_COUNTERS
+
+
 # `verify symmetry`'s counters, derived from closed forms in
 # tests/test_cli.py::test_verify_symmetry
 SYMMETRY_COUNTERS = {"orbit_pairs": 152, "transpositions": 2466,
@@ -273,6 +299,27 @@ def test_transposition_that_moves_p_is_a_witness(monkeypatch):
         return real(p, B, a)
 
     monkeypatch.setattr(symmetry, "find_fixing_transposition", planted)
+    report = suites.suite_symmetry()
+    assert (report.outcome, report.exit_code) == (VIOLATION, 1)
+    assert report.witnesses == [
+        {"kind": "transposition", "p": [[[0]]], "B": [0, 1, 2]}]
+    assert report.counters == SYMMETRY_COUNTERS
+
+
+@pytest.mark.parametrize("a, planted", [
+    (3, transposition(3, 2, 2)),  # the identity: it moves no point
+    (4, transposition(4, 1, 3)),  # fixes p, but 3 is outside B
+], ids=["identity", "outside-B"])
+def test_transposition_that_is_not_one_on_B_is_a_witness(monkeypatch, a,
+                                                         planted):
+    real = symmetry.find_fixing_transposition
+
+    def planted_find(p, B, aa):
+        if (p, B, aa) == (((0,),), (0, 1, 2), a):
+            return planted
+        return real(p, B, aa)
+
+    monkeypatch.setattr(symmetry, "find_fixing_transposition", planted_find)
     report = suites.suite_symmetry()
     assert (report.outcome, report.exit_code) == (VIOLATION, 1)
     assert report.witnesses == [
