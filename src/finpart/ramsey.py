@@ -1,6 +1,6 @@
 """Polarized Ramsey engine: exhaustive verification over product grids of
-k-subsets, exact minimal side sizes by search, and constructive (validated,
-not optimal) upper bounds.
+k-subsets, exact minimal side sizes by search, and proven (not optimal)
+upper bounds.
 
 A query (j_1..j_n, c, r) asks: how large must the side sets S_1..S_n be so
 that every c-coloring of [S_1]^{j_1} x ... x [S_n]^{j_n} admits subsets
@@ -12,20 +12,25 @@ colorings that tests each witness when its last point is colored and cuts
 symmetric branches (the first point's color, adjacent transpositions of the
 side sets).  Its budget, `max_colorings`, counts search nodes; it also
 refuses, before building anything, grids whose witness masks exceed it.
-With pruning on, a counting bound answers some grids before any of that:
-where one color can hold at most U points with no monochromatic witness
-(`_class_bound`: r - 1 points for j = (1,), a Kovari--Sos--Turan bound for
-j = (1, 1)) and c * U < P for P grid points, every coloring has a witness,
-so the property holds with 0 nodes and a note giving c, U and P.  This
-also answers grids such as 60 x 60 whose masks the budget would refuse.
+With pruning on, two proven bounds answer some grids before any of that
+(`_proven`).  The counting bound: where one color can hold at most U
+points with no monochromatic witness (`_class_bound`: r - 1 points for
+j = (1,), a Kovari--Sos--Turan bound for j = (1, 1)) and c * U < P for P
+grid points, every coloring has a witness.  The side bound: every side is
+at least `upper_bound_R`.  Either way the property holds with 0 nodes and
+a note naming the bound.  This also answers grids such as 60 x 60 whose
+masks the budget would refuse.  Since these bounds decide verdicts, each
+must be a proof, not a guess checked on a few grids: `upper_bound_R`
+only combines classical theorems (pigeonhole, the graph recurrence, the
+Erdos--Rado step-up, and one coordinate peeled off at a time).
 
 `search_min_N` finds the least side size.  The property is monotone in N
 (a coloring with no monochromatic witness restricts to every smaller
-grid), so where the counting test decides some least N*, one
-counterexample at N* - 1 settles the answer and is the evidence of its
-minimality; the search sweeps up from N = 0 only where that probe holds
-or no bound is coded.  A refused probe is raised at once, and one that
-holds leaves the searches below it only the nodes it did not spend.
+grid), so where a proven bound decides some least N*, one counterexample
+at N* - 1 settles the answer and is the evidence of its minimality; the
+search sweeps up from N = 0 only where that probe holds or no bound
+decides a size up to the cap.  A refused probe is raised at once, and one
+that holds leaves the searches below it only the nodes it did not spend.
 
 Grid points are indexed mixed-radix in their per-axis positions (`_axes`):
 point (S_1..S_n) has index sum_i pos_i(S_i) * stride_i, the order of
@@ -40,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from math import comb, log2, prod
+from math import comb, inf, log2, prod
 
 from .operators import BudgetExceeded
 
@@ -293,15 +298,34 @@ def _grid_size(sizes, j, r):
     return P, W, P + W * -(-P // 64)
 
 
-def _counting(sizes, j, c, r):
-    """The counting test, which builds no mask: (U, P) when the grid has
-    witnesses, points and r >= every j_i, and c colors of at most U points
-    each (`_class_bound`) cannot cover its P points; else None."""
+@cache
+def _upper_bound(query):
+    """upper_bound_R(query), or inf where its work budget refuses it: a
+    refused bound decides no grid.  Kept per query, refusals included, so
+    the probe and each search of a sweep pay for the bound once."""
+    try:
+        return upper_bound_R(query)
+    except BudgetExceeded:
+        return inf
+
+
+def _proven(sizes, query):
+    """The note of a proven bound that decides the grid, which builds no
+    mask; None where neither does.  Both need a grid with witnesses,
+    points and r >= every j_i.  The counting test: c colors of at most U
+    points each (`_class_bound`) cannot cover its P points.  The side
+    bound: every side is at least upper_bound_R(query) (`_upper_bound`)."""
+    j, c, r = query.j, query.c, query.r
     P, W, _ = _grid_size(sizes, j, r)
-    if W and P and all(r >= jj for jj in j):
-        U = _class_bound(sizes, j, r)
-        if U is not None and c * U < P:
-            return U, P
+    if not (W and P and all(r >= jj for jj in j)):
+        return None
+    U = _class_bound(sizes, j, r)
+    if U is not None and c * U < P:
+        return (f"counting: {c} colors of at most {U} points each "
+                f"cover fewer than {P} points")
+    bound = _upper_bound(query)
+    if all(N >= bound for N in sizes):
+        return f"bound: every side is at least upper_bound_R = {bound}"
     return None
 
 
@@ -315,12 +339,14 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True,
     before anything is built; a negative budget raises ValueError.
 
     With `prune`, a grid that has witnesses, points and r >= every j_i is
-    first tested by counting: if c colors of at most U points each
-    (`_class_bound`) cannot cover its P points, the property holds with 0
-    searched, 0 pruned and a note stating c, U and P.  This test runs
-    before the budget refusal, so it answers some grids the budget used to
-    refuse, and builds no mask; it is coded for j = (1,) and j = (1, 1).
-    Without `prune` the search is the plain unpruned oracle.
+    first tested against the proven bounds (`_proven`): if c colors of at
+    most U points each (`_class_bound`, coded for j = (1,) and (1, 1))
+    cannot cover its P points, or every side is at least upper_bound_R,
+    the property holds with 0 searched, 0 pruned and a note naming the
+    bound.  These tests run before the budget refusal, so they answer some
+    grids the budget used to refuse, and build no mask.  Without `prune`
+    no bound is read: the search is the plain unpruned oracle, the one
+    that checks the bounds.
 
     With `prune`, two symmetry rules cut the search, both sound together
     because point 0 is the most significant position of the lex order: the
@@ -339,13 +365,9 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True,
         raise ValueError("side sizes must be non-negative")
     if max_colorings < 0:
         raise ValueError("max_colorings must be non-negative")
-    counted = prune and _counting(sizes, j, c, r)
-    if counted:
-        U, P = counted
-        return PropertyResult(
-            holds=True, searched=0,
-            note=f"counting: {c} colors of at most {U} points each "
-                 f"cover fewer than {P} points")
+    note = prune and _proven(sizes, query)
+    if note:
+        return PropertyResult(holds=True, searched=0, note=note)
     P, W, words = _grid_size(sizes, j, r)
     if words > max_colorings:
         raise BudgetExceeded(
@@ -391,19 +413,25 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
     Exact.  The property is monotone in N: a coloring with no
     monochromatic witness restricts to one on every smaller grid, so a
     counterexample at N - 1 shows that every N' < N fails too.  Hence the
-    search checks the top first: where the counting test of `has_property`
-    decides some least N* <= cap + 1, one search at N* - 1 settles the
-    answer when it finds a counterexample (the value is N*, or None when
-    N* > cap).  Where that probe holds (the bound was loose), and where no
-    bound is coded, the sizes below are searched upward from 0 as before.
+    search checks the top first: where a proven bound of `has_property`
+    (`_proven`: counting, or every side at least upper_bound_R) decides
+    some least N* <= cap + 1, one search at N* - 1 settles the answer when
+    it finds a counterexample (the value is N*, or None when N* > cap).
+    upper_bound_R is kept per query (`_upper_bound`), so the scan, the
+    probe and the sweep compute it once between them.
+    Where that probe holds (the bound was loose), and where no bound
+    decides a size up to cap + 1, the sizes below are searched upward from
+    0 as before.
 
     The probe and the sweep below it share one node budget: a refused
     probe is raised at once, and one that holds leaves each search below
-    it the nodes it did not spend.  The mask refusal compares with
-    `max_colorings` throughout; it never refuses the probe, as the scan
-    for N* passes every size from 1 to N* - 1 inside the mask budget, and
-    the masks at 0 take no word.  A negative `max_colorings` raises
-    ValueError, as it does in `has_property`.
+    it the nodes it did not spend.  So a bound above the true value never
+    becomes the value: the probe just below it holds, or is refused.  The
+    mask refusal compares with `max_colorings` throughout; it never
+    refuses the probe, as the scan for N* passes every size from 1 to
+    N* - 1 inside the mask budget, and the masks at 0 take no word.  A
+    negative `max_colorings` raises ValueError, as it does in
+    `has_property`.
 
     The counterexample at value - 1 (at the cap when the value is None) is
     kept so a caller can replay why the value is minimal.  The totals count
@@ -412,15 +440,15 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
         raise ValueError("cap must be non-negative")
     if max_colorings < 0:
         raise ValueError("max_colorings must be non-negative")
-    j, c, r = query.j, query.c, query.r
-    # N*, the least N <= cap + 1 the counting test decides; _class_bound is
-    # coded per j, whatever the sizes, so a j without one skips the scan.
+    j, r = query.j, query.r
+    # N*, the least N <= cap + 1 a proven bound decides; neither bound
+    # applies where r < some j_i, whatever the sizes, so that skips the scan.
     # The sweep stops at an undecided N whose masks the budget refuses, and
     # masks grow with N, so a probe above it would be refused: stop there.
     top = None
-    if _class_bound((0,) * len(j), j, r) is not None:
+    if all(r >= jj for jj in j):
         for N in range(1, cap + 2):
-            if _counting((N,) * len(j), j, c, r):
+            if _proven((N,) * len(j), query):
                 top = N
                 break
             if _grid_size((N,) * len(j), j, r)[2] > max_colorings:
@@ -453,9 +481,9 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
 
 
 # ---------------------------------------------------------------------------
-# constructive upper bounds (sufficient, monotone; never claimed optimal)
+# proven upper bounds (sufficient, monotone; never claimed optimal)
 
-# Most work the constructive bounds may do, refused with BudgetExceeded
+# Most work the upper bounds may do, refused with BudgetExceeded
 # before it starts: steps of the graph recurrence (target vectors times
 # colors), and bits of a power c ** e.
 _GRAPH_WORK = 1_000_000
@@ -512,8 +540,12 @@ def _single_coordinate_bound(j, c, r):
 
 
 def upper_bound_R(query):
-    """A side size guaranteed sufficient for the query.
+    """A side size proven sufficient for the query; `has_property` reads
+    it as a verdict, so each step is a theorem, never a guess.
 
+    One coordinate: r when r <= j, j = 0 or c = 1; pigeonhole for j = 1;
+    the graph recurrence for j = 2, stepped up by Erdos--Rado,
+    R_k(t) <= k - 1 + c ** C(R_(k-1)(t - 1), k - 1), for larger j.
     Coordinates are peeled off one at a time: once sides for the first
     n-1 coordinates are fixed, the last coordinate is colored by the full
     color pattern over the remaining sub-grid, which costs c**K colors for

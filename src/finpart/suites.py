@@ -310,7 +310,9 @@ def suite_ramsey(max_colorings):
         qq = ramsey.RamseyQuery((j,), c, r)
         ub = ramsey.upper_bound_R(qq)
         try:
-            res = ramsey.has_property((ub,), qq, max_colorings=max_colorings)
+            # unpruned, since the pruned search reads the bound it would check
+            res = ramsey.has_property((ub,), qq, max_colorings=max_colorings,
+                                      prune=False)
         except BudgetExceeded:
             continue
         bound_checked += 1

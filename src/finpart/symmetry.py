@@ -214,7 +214,8 @@ def find_fixing_transposition(p, B, a):
     pair always exists by pigeonhole.  One pass over B: each element's
     class rank comes from one dict, and the pair kept is the first two hits
     of the lowest rank that has two.  The ranks are kept for the last p,
-    since a sweep asks about one p over many bases."""
+    since a sweep asks about one p over many bases, and the transposition
+    for each (a, x, y), since it asks for few distinct ones."""
     try:
         rank, outside = _class_ranks(p)
     except TypeError:  # an unhashable p, such as a list of lists
@@ -226,7 +227,14 @@ def find_fixing_transposition(p, B, a):
             first[r] = x
         elif best is None or r < best[0]:
             best = r, first[r], x
-    return None if best is None else transposition(a, *best[1:])
+    return None if best is None else _fixing_transposition(a, *best[1:])
+
+
+# transposition(a, x, y), kept for `find_fixing_transposition` alone, which
+# asks for few distinct ones over a sweep.  Keyed by type as well as value,
+# so a float or bool never reads an int's entry: it reaches `transposition`,
+# which treats it as it always has.
+_fixing_transposition = lru_cache(maxsize=1024, typed=True)(transposition)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_pigeonhole_exact():
     assert res.value is None and res.counterexample_N == 3
 
 
-def test_prune_agrees_with_no_prune():
+def assert_prune_agrees():
     cases = [((2,), (N,), 2, 3) for N in (3, 4, 5)]
     # grids where the counting bound may answer first: (1,1) up to 5x5 and
     # the rectangle reach grids with up to 2 colours, pigeonhole up to N = 10
@@ -113,12 +113,63 @@ def test_prune_agrees_with_no_prune():
               for r in range(1, min(sizes) + 1)]
     cases += [((1,), (N,), c, r) for N in range(1, 11) for c in (1, 2, 3)
               for r in range(1, 5)]
+    # grids where every side is at least upper_bound_R
+    cases += [((2,), (N,), 2, 3) for N in (6, 7)]
+    cases += [((1, 2), sizes, 2, 2) for sizes in ((3, 3), (3, 4), (4, 3))]
+    cases += [((2,), (3,), 3, 2), ((3,), (4,), 2, 3)]
     for j, sizes, c, r in cases:
         q = RamseyQuery(j, c, r)
         a = has_property(sizes, q, prune=True)
         b = has_property(sizes, q, prune=False)
         assert a.holds == b.holds, (j, sizes, c, r)
         assert a.searched <= b.searched
+
+
+def test_prune_agrees_with_no_prune():
+    assert_prune_agrees()
+
+
+@pytest.fixture
+def low_graph_bound(monkeypatch):
+    """_graph_bound one too low: upper_bound_R((2,), 2, 3) becomes 5,
+    where the pentagon is a counterexample.  The single-coordinate bounds
+    and the bounds per query are cached, so the caches are cleared on both
+    sides of the plant."""
+    def clear():
+        ramsey._single_coordinate_bound.cache_clear()
+        ramsey._upper_bound.cache_clear()
+
+    real = ramsey._graph_bound
+    clear()
+    monkeypatch.setattr(ramsey, "_graph_bound", lambda c, r: real(c, r) - 1)
+    assert upper_bound_R(RamseyQuery((2,), 2, 3)) == 5
+    yield
+    clear()
+
+
+def test_prune_agreement_catches_a_low_bound(low_graph_bound):
+    with pytest.raises(AssertionError, match=r"\(\(2,\), \(5,\), 2, 3\)"):
+        assert_prune_agrees()
+
+
+def test_suite_ramsey_catches_a_low_bound(low_graph_bound):
+    # the bound fails the unpruned search at K5, and the probe below it
+    # finds a counterexample at K4, so the triangle number reads 5
+    rep = suites.suite_ramsey(10 ** 6)
+    assert (rep.outcome, rep.exit_code) == ("violation", 1)
+    assert rep.witnesses == [
+        {"query": "(j=2,c=2,r=3)", "value": 5, "certificate_valid": False},
+        {"query": "(j=2,c=2,r=3)", "bound": 5, "holds": False},
+    ]
+
+
+def test_a_loose_bound_never_becomes_the_value():
+    # upper_bound_R = 20 for R(4,4), which is 18: K19 has no
+    # counterexample, so the probe there is refused, not settled at 20
+    q = RamseyQuery((2,), 2, 4)
+    assert upper_bound_R(q) == 20
+    with pytest.raises(BudgetExceeded, match="budget of 20000 nodes"):
+        search_min_N(q, cap=20, max_colorings=20_000)
 
 
 def test_product_grid_small():
@@ -166,8 +217,8 @@ def test_rectangle_reach():
         assert no_rectangle(*sizes, res.counterexample)
 
 
-# j = (1,) and (1, 1) have a counting bound, so search_min_N probes just
-# below it; j = (2,) has none and sweeps up from N = 0
+# search_min_N probes just below the least size a proven bound decides:
+# counting for j = (1,) and (1, 1), upper_bound_R for every j
 SEARCHES = [((1,), c, r, cap) for c in (1, 2, 3) for r in (1, 2, 3, 4)
             for cap in range(9)]
 SEARCHES += [(j, c, r, cap) for j in ((1, 1), (2,)) for c in (1, 2, 3)
@@ -191,20 +242,24 @@ def test_search_min_N_matches_the_upward_sweep():
     assert_search_matches_oracle()
 
 
-def loosen_class_bound(monkeypatch, slack):
-    real = ramsey._class_bound
+def loosen_proven(monkeypatch, slack):
+    """Make the proven bounds decide a grid only where they decide it with
+    `slack` points per colour fewer on every side: a sound bound, but a
+    loose one.  For j = (1,) this is counting with U + slack points per
+    colour, and upper_bound_R + c * slack."""
+    real = ramsey._proven
 
-    def loose(sizes, j, r):
-        U = real(sizes, j, r)
-        return None if U is None else U + slack
+    def loose(sizes, query):
+        less = slack * query.c
+        return real(tuple(max(N - less, 0) for N in sizes), query)
 
-    monkeypatch.setattr(ramsey, "_class_bound", loose)
+    monkeypatch.setattr(ramsey, "_proven", loose)
 
 
 def test_search_min_N_falls_back_below_a_loose_bound(monkeypatch):
     # one more point per colour decides pigeonhole only at c * r + 1, so
     # the probe at c * r holds and the sizes below it are searched
-    loosen_class_bound(monkeypatch, 1)
+    loosen_proven(monkeypatch, 1)
     res = search_min_N(RamseyQuery((1,), 2, 3), cap=8)
     assert (res.value, res.counterexample_N) == (5, 4)
     # the probe at 6 is counted with the sweep up to 5
@@ -238,9 +293,10 @@ def test_search_min_N_settles_with_one_search_below_the_bound(monkeypatch):
     assert (res.value, res.counterexample_N, calls) == (5, 4, [(4, 4)])
     assert (res.searched_total, res.pruned_total) == (54, 8)
     calls.clear()
-    # no bound coded for j = (2,): every N from 0 up to R(3,3) = 6
-    assert search_min_N(RamseyQuery((2,), 2, 3), cap=7).value == 6
-    assert calls == [(N,) for N in range(7)]
+    # triangles: upper_bound_R = 6 = R(3,3), and the pentagon at K5
+    res = search_min_N(RamseyQuery((2,), 2, 3), cap=7)
+    assert (res.value, res.counterexample_N, calls) == (6, 5, [(5,)])
+    assert (res.searched_total, res.pruned_total) == (46, 4)
 
 
 def test_search_min_N_certifies_a_cap_below_the_answer(monkeypatch):
@@ -254,7 +310,7 @@ def test_search_min_N_certifies_a_cap_below_the_answer(monkeypatch):
         oracle_search_min_N(RamseyQuery((1,), 2, 3), 4, 10 ** 6))
 
 
-def test_a_refused_probe_is_raised_once_the_sizes_below_fail():
+def test_a_probe_refused_by_its_node_limit_is_raised():
     # the probe at 4 x 4 takes 62 nodes; 3 x 3 and below take at most 18
     q = RamseyQuery((1, 1), 2, 2)
     assert search_min_N(q, cap=5, max_colorings=62).value == 5
@@ -262,11 +318,12 @@ def test_a_refused_probe_is_raised_once_the_sizes_below_fail():
         search_min_N(q, cap=5, max_colorings=61)
 
 
-def test_a_refused_probe_falls_back_below_a_loose_bound(monkeypatch):
-    # with one point of slack counting decides only 7 points, and the scan
-    # for it stops at 6, whose 26 mask words a budget of 20 refuses: no probe
-    # is made, and the sweep up from 0 holds at 5, with 15 words and 14 nodes
-    loosen_class_bound(monkeypatch, 1)
+def test_no_probe_above_a_size_the_mask_budget_refuses(monkeypatch):
+    # with one point of slack per colour the bounds decide only 7 points,
+    # and the scan for it stops at 6, whose 26 mask words a budget of 20
+    # refuses: no probe is made, and the sweep up from 0 holds at 5, with
+    # 15 words and 14 nodes
+    loosen_proven(monkeypatch, 1)
     q = RamseyQuery((1,), 2, 3)
     with pytest.raises(BudgetExceeded, match="witnesses"):
         has_property((6,), q, max_colorings=20)
@@ -276,12 +333,12 @@ def test_a_refused_probe_falls_back_below_a_loose_bound(monkeypatch):
     assert res.value == 5
 
 
-def counting_top(j, c, r, cap, max_colorings):
+def proven_top(j, c, r, cap, max_colorings):
     """N*, where search_min_N probes just below: the least N <= cap + 1
-    that counting decides, where every N from 1 below it fits the mask
-    budget; None otherwise."""
+    that a proven bound decides, where every N from 1 below it fits the
+    mask budget; None otherwise."""
     for N in range(1, cap + 2):
-        if ramsey._counting((N,) * len(j), j, c, r):
+        if ramsey._proven((N,) * len(j), RamseyQuery(j, c, r)):
             return N
         if ramsey._grid_size((N,) * len(j), j, r)[2] > max_colorings:
             return None
@@ -321,7 +378,7 @@ def test_the_probe_is_never_refused_for_its_masks(monkeypatch):
                 assert search_fields(got) == search_fields(want), case
             (first, refused), *rest = calls
             assert not refused, case
-            top = counting_top(j, c, r, cap, max_colorings)
+            top = proven_top(j, c, r, cap, max_colorings)
             if top is not None:
                 probes += 1
                 assert first == (top - 1,) * len(j), case
@@ -360,10 +417,10 @@ def test_a_probe_refused_by_its_node_limit_spends_the_budget_once(monkeypatch):
 
 
 def test_a_probe_that_holds_leaves_its_unspent_nodes(monkeypatch):
-    # with one point of slack the probe is at 6 points and holds after 14
-    # nodes; each search below it gets what the probe left, and the one at
-    # 5 points, which needs 14 nodes, is refused with 12 left
-    loosen_class_bound(monkeypatch, 1)
+    # with one point of slack per colour the probe is at 6 points and holds
+    # after 14 nodes; each search below it gets what the probe left, and the
+    # one at 5 points, which needs 14 nodes, is refused with 12 left
+    loosen_proven(monkeypatch, 1)
     log = count_search_nodes(monkeypatch)
     q = RamseyQuery((1,), 2, 3)
     assert search_min_N(q, cap=8, max_colorings=28).value == 5
@@ -374,25 +431,55 @@ def test_a_probe_that_holds_leaves_its_unspent_nodes(monkeypatch):
     assert log == [(6, 26, 14), (3, 12, 5), (4, 12, 7), (5, 12, 12)]
 
 
+def test_the_bound_is_computed_once_per_query(monkeypatch):
+    # the scan and every search of the sweep read one bound per query; a
+    # refused bound is kept too (as deciding nothing), so a second search
+    # on its 3,654-point grid does not pay for it again
+    real = ramsey.upper_bound_R
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    sweep, refused = RamseyQuery((1, 1), 2, 2), RamseyQuery((3,), 5, 29)
+    ramsey._upper_bound.cache_clear()
+    monkeypatch.setattr(ramsey, "upper_bound_R", counted)
+    monkeypatch.setattr(ramsey, "_GRAPH_WORK", 100)
+    try:
+        assert search_min_N(sweep, cap=5).value == 5
+        for _ in range(2):
+            assert not has_property((29,), refused).note
+    finally:
+        ramsey._upper_bound.cache_clear()
+    # upper_bound_R peels (1, 1) through (1,), so that is called once too
+    assert calls == [sweep, RamseyQuery((1,), 2, 2), refused]
+
+
 def test_the_scan_for_the_bound_stops_where_the_budget_refuses(monkeypatch):
     # counting decides (j=(1,1), c=3, r=8) only at N = 45,983, but the
     # masks of 13 x 13 are over the default budget, so the scan stops there
     # and the sweep raises at 13, as it did before any scan
-    real = ramsey._counting
+    real = ramsey._proven
     scanned = []
 
-    def counted(sizes, j, c, r):
+    def counted(sizes, query):
         scanned.append(sizes[0])
-        return real(sizes, j, c, r)
+        return real(sizes, query)
 
-    monkeypatch.setattr(ramsey, "_counting", counted)
+    monkeypatch.setattr(ramsey, "_proven", counted)
     with pytest.raises(BudgetExceeded, match="1656369 witnesses on 169"):
         search_min_N(RamseyQuery((1, 1), 3, 8), cap=10 ** 5)
     assert max(scanned) == 13
 
 
 def test_deep_grid():
-    # 1770 points, deeper than the interpreter's recursion limit; R(3,3) = 6
+    # 1770 points, deeper than the interpreter's recursion limit; R(3,3) = 6.
+    # upper_bound_R = 6 answers has_property at the root, so the search
+    # runs on its own
+    ends = ramsey._witness_masks((60,), (2,), 3)
+    gens = ramsey._transposition_pairs((60,), (2,))
+    assert ramsey._search(1770, 2, ends, gens, 1, DEFAULT_MAX_COLORINGS)[0] is None
     assert has_property((60,), RamseyQuery((2,), 2, 3)).holds
 
 
@@ -411,8 +498,9 @@ def test_small_witness_regimes():
 
 
 def test_budget_guard():
+    # K5 is below upper_bound_R = 6, so it is searched
     with pytest.raises(BudgetExceeded):
-        has_property((6,), RamseyQuery((2,), 2, 3), max_colorings=10)
+        has_property((5,), RamseyQuery((2,), 2, 3), max_colorings=10)
 
 
 @pytest.mark.parametrize("call", [
@@ -429,9 +517,11 @@ def test_negative_budget_is_refused_as_bad_input(call):
 
 def test_hopeless_grid_refused_before_building():
     # 34,220 witness masks against a budget of 10,000: refused at once
+    # (unpruned, since upper_bound_R = 6 decides K60 with pruning)
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded, match="witnesses"):
-        has_property((60,), RamseyQuery((2,), 2, 3), max_colorings=10_000)
+        has_property((60,), RamseyQuery((2,), 2, 3), max_colorings=10_000,
+                     prune=False)
     assert time.monotonic() - t0 < 5
 
 
@@ -442,7 +532,7 @@ def test_upper_bounds_sufficient():
         q = RamseyQuery((j,), c, r)
         ub = upper_bound_R(q)
         try:
-            res = has_property((ub,), q)
+            res = has_property((ub,), q, prune=False)
         except BudgetExceeded:
             continue
         checked += 1
@@ -464,7 +554,7 @@ def test_single_colour_bound_is_a_side_that_holds():
         for r in range(8):
             q = RamseyQuery((j,), 1, r)
             ub = upper_bound_R(q)
-            assert has_property((ub,), q).holds, (j, r, ub)
+            assert has_property((ub,), q, prune=False).holds, (j, r, ub)
 
 
 def recurrence_oracle(rvec):
@@ -511,7 +601,8 @@ def test_subgrid():
 # grid_points order) of the 2-colour search, recorded before the witness
 # masks were built as products of per-axis masks; the search tree must not
 # change under a faster kernel.  The (5,5) and (3,7) rows are answered by
-# counting before any search, so their trees are pinned on _search itself.
+# counting before any search, and the (6,) row by upper_bound_R = 6, so
+# their trees are pinned on _search itself.
 PINNED_TREES = {
     ((1, 1), (4, 4), 2): (False, 54, 8, (0, 0, 0, 1, 0, 1, 1, 0,
                                          1, 0, 1, 0, 1, 1, 0, 0)),
@@ -532,6 +623,16 @@ ROOT_DECISIONS = {
     ((1, 1), (11, 11), 3, 2): 40,
     ((1, 1), (60, 60), 2, 2): 491,
     ((1,), (10,), 3, 4): 3,
+}
+
+
+# (j, sizes, c, r) -> upper_bound_R: grids no counting bound answers, where
+# every side is at least upper_bound_R
+BOUND_DECISIONS = {
+    ((2,), (6,), 2, 3): 6,
+    ((2,), (60,), 2, 3): 6,
+    ((2,), (17,), 3, 3): 17,
+    ((1, 2), (3, 4), 2, 2): 3,
 }
 
 
@@ -561,7 +662,7 @@ def test_search_tree_is_pinned(case):
         ramsey._search(P, 2, ends, gens, 1, total - 1)
     q = RamseyQuery(j, 2, r)
     res = has_property(sizes, q)
-    if (j, sizes, 2, r) in ROOT_DECISIONS:
+    if (j, sizes, 2, r) in ROOT_DECISIONS.keys() | BOUND_DECISIONS.keys():
         assert (res.holds, res.searched, res.pruned) == (True, 0, 0)
         return
     cex = res.counterexample
@@ -584,6 +685,22 @@ def test_counting_decides_at_the_root(case):
                         f"cover fewer than {P} points")
     # decided before the mask budget and before any mask is built
     assert has_property(sizes, RamseyQuery(j, c, r), max_colorings=0) == res
+
+
+@pytest.mark.parametrize("case", BOUND_DECISIONS, ids=root_id)
+def test_the_bound_decides_at_the_root(case):
+    j, sizes, c, r = case
+    q = RamseyQuery(j, c, r)
+    ub = BOUND_DECISIONS[case]
+    assert upper_bound_R(q) == ub
+    assert ramsey._class_bound(sizes, j, r) is None
+    res = has_property(sizes, q)
+    assert res == ramsey.PropertyResult(
+        True, 0, 0, note=f"bound: every side is at least upper_bound_R = {ub}")
+    # decided before the mask budget and before any mask is built
+    assert has_property(sizes, q, max_colorings=0) == res
+    # one side below the bound, and it decides nothing
+    assert ramsey._proven((ub - 1,) + sizes[1:], q) is None
 
 
 def test_counting_answers_a_grid_the_budget_refuses_unpruned():

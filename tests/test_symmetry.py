@@ -384,6 +384,18 @@ def test_find_fixing_transposition_examples():
         transposition(4, 0, 1)
 
 
+def test_kept_transpositions_leave_bad_input_to_transposition():
+    # find_fixing_transposition keeps (7, 1, 2) here; a float equal to 1
+    # must not read that entry, from either function
+    assert find_fixing_transposition((), (1, 2), 7) == transposition(7, 1, 2)
+    with pytest.raises(TypeError):
+        transposition(7, 1.0, 2)
+    with pytest.raises(TypeError):
+        find_fixing_transposition((), (1.0, 2), 7)
+    with pytest.raises(TypeError):
+        find_fixing_transposition((), (1, 2), 7.0)
+
+
 def test_find_fixing_transposition_total():
     from finpart.core import enum_disjoint_tuples
 
