@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from functools import partial, reduce
 from math import factorial
-from operator import and_, countOf, invert, is_not, or_, xor
+from operator import and_, countOf, eq, invert, is_not, or_, xor
 
 from . import coding, core, maps, operators, ramsey, symmetry
 from .operators import BudgetExceeded
@@ -35,6 +35,15 @@ def _any(cols):
     return reduce(or_, cols, 0)
 
 
+def _excess(p, q):
+    """Per family, set where its column set p has a tuple outside q.  A
+    law that holds for every family costs one AND per column (p & q == p);
+    only a law that fails builds the vector."""
+    if all(map(eq, map(and_, p, q), p)):
+        return 0
+    return _any(_outside(p, q))
+
+
 def _fact00_chunk(a, m, l, masks, room=21):
     """The per-family laws over one tile of masks, bit-sliced: each law is
     a violation vector over the tile's families, computed from columns
@@ -53,23 +62,24 @@ def _fact00_chunk(a, m, l, masks, room=21):
     ux = operators.up_sliced(sp, x)
     al = operators.down_sliced(sp, ux, ones)
     ual = operators.up_sliced(sp, al)
-    up_fails = _any(map(xor, ual, ux))
+    up_fails = 0 if ual == ux else _any(map(xor, ual, ux))
     # where up(al) = up(X), interior(al) = down(up(X)) = al already
     idem_fails = up_fails and up_fails & _any(
         map(xor, operators.down_sliced(sp, ual, ones), al))
+    extensive = _excess(x, al)
     laws = [
-        ("extensive-interior", _any(_outside(x, al)),
-         "X not within its interior"),
+        ("extensive-interior", extensive, "X not within its interior"),
         ("up-of-interior", up_fails, "up(interior(X)) != up(X)"),
         ("idempotent-interior", idem_fails, "interior not idempotent"),
     ]
-    closed = ones & ~_any(map(xor, al, x))
+    grown = list(map(xor, al, x))
+    closed = ones & ~_any(grown)
     ints = [al if spp.l == sp.l else operators.interior_sliced(spp, x, ones)
             for spp in sub]
     # comparable sub-profiles, lower then upper, in sweep order; an
     # interior always lies within itself
     laws += [
-        ("profile-monotone-interior", _any(_outside(ints[i], ints[j])),
+        ("profile-monotone-interior", _excess(ints[i], ints[j]),
          f"interior at {spp.l} not within interior at {spq.l}")
         for i, spp in enumerate(sub)
         for j, spq in enumerate(sub)
@@ -77,17 +87,21 @@ def _fact00_chunk(a, m, l, masks, room=21):
     ]
     # level k: d = boundary^k(X), di = interior(d), and the next level is
     # di minus d, so d = di minus the next level exactly when d lies within
-    # di.  Once both are empty for every family, every later level repeats
-    # a passing check.
+    # di.  Level 0's law is the extensive one, and where a level's law
+    # holds, di minus d is di ^ d (at level 0, `grown`).  Once both are
+    # empty for every family, every later level repeats a passing check.
     d, di = x, al
     for k in range(sum(m) + 2):
         if k:
             di = operators.interior_sliced(sp, d, ones)
-        if not (_any(d) or _any(di)):
+        if not (any(d) or any(di)):
             break
-        laws.append(("nesting", _any(_outside(d, di)),
-                     "level set != interior minus next level"))
-        d = list(_outside(di, d))
+        v = _excess(d, di) if k else extensive
+        laws.append(("nesting", v, "level set != interior minus next level"))
+        if v:
+            d = list(_outside(di, d))
+        else:
+            d = list(map(xor, di, d)) if k else grown
 
     checked = len(masks)
     violations = []
@@ -163,9 +177,8 @@ def suite_fact00(a, m, l, mode, samples, seed, jobs):
         ones = (1 << n) - 1
         ux, uy = (operators.up_sliced(sp, z) for z in (xs, ys))
         ix, iy = (operators.down_sliced(sp, u, ones) for u in (ux, uy))
-        laws = [("monotone-up", _any(_outside(ux, uy)), "up not monotone"),
-                ("monotone-interior", _any(_outside(ix, iy)),
-                 "interior not monotone")]
+        laws = [("monotone-up", _excess(ux, uy), "up not monotone"),
+                ("monotone-interior", _excess(ix, iy), "interior not monotone")]
         for f in operators.at_bits(range(n), _any(v for _, v, _ in laws)):
             X, Y = (_plainfam(sorted(
                 t for t, c in zip(sp.m_tuples, z) if c >> f & 1)) for z in (xs, ys))
@@ -194,7 +207,9 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
     Only the families `alive` keeps go through `nilpotency_index`: all of
     them off the dense route, and on it those whose level boundary^k(X) is
     non-empty at every k = 0 ... bound, ANDed per level on columns: a level
-    can empty and fill again, as the empty family's does when sum(l) > a."""
+    can empty and fill again, as the empty family's does when sum(l) > a.
+    A tile computes no level past d_bound, and none once no family of it
+    is alive."""
     m, l = operators.check_profiles(m, l)
     size = core.count_disjoint_tuples(a, m)
     bound = sum(m) + 1
@@ -212,9 +227,12 @@ def suite_nilpotency(a, m, l, mode, samples, seed):
                 else [rng.getrandbits(size) for _ in range(n)])
         alive = ones = (1 << n) - 1
         d = operators.columns(tile, size) if sp else ()
-        for _ in range(bound + 1 if sp else 0):
+        for k in range(bound + 1 if sp else 0):
+            if k:
+                d = list(_outside(operators.interior_sliced(sp, d, ones), d))
             alive &= _any(d)
-            d = list(_outside(operators.interior_sliced(sp, d, ones), d))
+            if not alive:
+                break
         for f in operators.at_bits(range(n), alive):
             X = frozenset(operators.at_bits(m_tuples, tile[f]))
             idx = operators.nilpotency_index(a, m, l, X)

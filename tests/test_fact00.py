@@ -344,6 +344,28 @@ def test_dropped_incidence_shows_witnesses(monkeypatch, a, m, l, side):
     assert suites._fact00_chunk(a, m, l, masks)[1]
 
 
+def test_a_passing_tile_builds_no_law_vector(monkeypatch):
+    """Every law holds on the one tile of (6, (2,), (3,))'s 2^15 families,
+    so a law costs its test that p & q == p per column: no law builds its
+    vector through `_outside`, and each level set after X is di ^ d, which
+    needs none either.  No containment is tested twice: level 0 of the
+    nesting law is the extensive law, so it reads that law's vector."""
+    outside, tested = [], []
+    real_outside, real_excess = suites._outside, suites._excess
+    monkeypatch.setattr(suites, "_outside",
+                        lambda p, q: outside.append((p, q)) or real_outside(p, q))
+    monkeypatch.setattr(suites, "_excess",
+                        lambda p, q: tested.append((p, q)) or real_excess(p, q))
+    got = suites._fact00_chunk(6, (2,), (3,), range(1 << 15))
+    assert got == (1 << 15, [], 6115)
+    assert outside == []
+    # extensive, one comparable pair of sub-profiles, nesting at levels 1
+    # and 2; level 3 and its interior are empty for every family
+    assert len(tested) == 4
+    assert not any(p is pp and q is qq for i, (p, q) in enumerate(tested)
+                   for pp, qq in tested[:i])
+
+
 def test_first_and_last_tasks_at_a7_match_oracle():
     """(7, (2,), (3,)) has 2^21 families, over the old cap of 2^20: its
     first and last two runs of 4096 masks."""

@@ -1,6 +1,8 @@
 import random
 import tracemalloc
 from collections import Counter
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -322,6 +324,44 @@ def test_exhaustive_nilpotency_reaches_2_to_the_21():
     assert rep.outcome == "pass"
     assert rep.counters == {"families_checked": 2_097_152, "total": 2_097_152,
                             "bound": 3}
+
+
+def _level_calls(monkeypatch):
+    """Per tile of a nilpotency sweep (each opens with `columns`), the
+    level columns handed to each interior_sliced call."""
+    tiles = []
+    columns, interior = operators.columns, operators.interior_sliced
+    monkeypatch.setattr(operators, "columns",
+                        lambda *a: tiles.append([]) or columns(*a))
+    monkeypatch.setattr(operators, "interior_sliced", lambda sp, d, ones:
+                        tiles[-1].append(d) or interior(sp, d, ones))
+    return tiles
+
+
+def test_exhaustive_nilpotency_computes_no_unread_level(monkeypatch):
+    """The sweep reads levels d_0 ... d_bound, so a tile makes at most
+    bound interior_sliced calls, for d_1 ... d_bound."""
+    tiles = _level_calls(monkeypatch)
+    rep = cli.suite_nilpotency(7, (2,), (3,), "exhaustive", 0, 0)
+    assert rep.outcome == "pass"
+    assert len(tiles) == 2**21 // operators.tile_width(
+        operators.profile_space(7, (2,), (3,)))
+    assert max(map(len, tiles)) == rep.counters["bound"] == 3
+
+
+def test_a_tile_with_no_family_alive_computes_no_level(monkeypatch):
+    """A tile stops once no family has all its levels so far non-empty:
+    before each interior_sliced call some family is alive, and at
+    (7, (2,), (3,)) some tiles stop before d_3 (23 of 64 at tiles of
+    2^15 masks)."""
+    tiles = _level_calls(monkeypatch)
+    cli.suite_nilpotency(7, (2,), (3,), "exhaustive", 0, 0)
+    for calls in tiles:
+        alive = -1
+        for d in calls:
+            alive &= reduce(or_, d, 0)
+            assert alive
+    assert min(map(len, tiles)) < 3
 
 
 def test_boundary_iteration_off_the_dense_route():

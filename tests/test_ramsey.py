@@ -434,7 +434,8 @@ def test_a_probe_that_holds_leaves_its_unspent_nodes(monkeypatch):
 def test_the_bound_is_computed_once_per_query(monkeypatch):
     # the scan and every search of the sweep read one bound per query; a
     # refused bound is kept too (as deciding nothing), so a second search
-    # on its 3,654-point grid does not pay for it again
+    # on its 120-point grid, whose side 16 is not below the floor 2 ** 4,
+    # does not pay for it again
     real = ramsey.upper_bound_R
     calls = []
 
@@ -442,18 +443,60 @@ def test_the_bound_is_computed_once_per_query(monkeypatch):
         calls.append(q)
         return real(q)
 
-    sweep, refused = RamseyQuery((1, 1), 2, 2), RamseyQuery((3,), 5, 29)
+    sweep, refused = RamseyQuery((1, 1), 2, 2), RamseyQuery((2,), 3, 7)
     ramsey._upper_bound.cache_clear()
     monkeypatch.setattr(ramsey, "upper_bound_R", counted)
     monkeypatch.setattr(ramsey, "_GRAPH_WORK", 100)
     try:
         assert search_min_N(sweep, cap=5).value == 5
         for _ in range(2):
-            assert not has_property((29,), refused).note
+            assert not has_property((16,), refused).note
     finally:
         ramsey._upper_bound.cache_clear()
     # upper_bound_R peels (1, 1) through (1,), so that is called once too
     assert calls == [sweep, RamseyQuery((1,), 2, 2), refused]
+
+
+def test_a_side_below_the_floor_reads_no_bound(monkeypatch):
+    # upper_bound_R((3,), 5, 29) runs the graph recurrence at target 28,
+    # about 850k steps, before its step-up is refused; its floor is
+    # C(2 + 5 * 26, 2) = 8,646 bits, so a side of 29 never reaches it
+    real = ramsey._graph_bound
+    calls = []
+
+    def counted(c, r):
+        calls.append((c, r))
+        return real(c, r)
+
+    q = RamseyQuery((3,), 5, 29)
+    assert ramsey._floor_bits(q) == 8646
+    ramsey._single_coordinate_bound.cache_clear()
+    ramsey._upper_bound.cache_clear()
+    monkeypatch.setattr(ramsey, "_graph_bound", counted)
+    res = has_property((29,), q)
+    assert calls == []
+    assert not (res.holds or res.note)
+    assert res.counterexample == has_property((29,), q, prune=False).counterexample
+
+
+def test_the_floor_is_below_the_bound():
+    # a side of at most _floor_bits bits is below upper_bound_R
+    floored = 0
+    for j in range(5):
+        for c in range(1, 5):
+            for r in range(9):
+                q = RamseyQuery((j,), c, r)
+                try:
+                    ub = upper_bound_R(q)
+                except BudgetExceeded:
+                    continue
+                b = ramsey._floor_bits(q)
+                if b >= 0:
+                    floored += 1
+                    assert ub >= 2 ** b, (j, c, r)
+    assert floored > 20
+    for r, c in itertools.product(range(3, 9), range(2, 5)):
+        assert ramsey._graph_bound(c, r) >= 2 + c * (r - 2)
 
 
 def test_the_scan_for_the_bound_stops_where_the_budget_refuses(monkeypatch):
