@@ -309,23 +309,20 @@ def _upper_bound(query):
         return inf
 
 
-def _floor_bits(query):
-    """b with upper_bound_R(query) >= 2 ** b wherever the bound is not
-    refused, so a side of at most b bits is below it; -1 where no floor is
-    coded.  One coordinate j >= 2 with r > j and c > 1 has one: the graph
-    recurrence gives R(v) >= 2 + sum_i (v_i - 2) (by induction, each of
-    its k terms R(v - e_i) is at least 1 + that sum, so R(v) is at least
-    2 + k times it), so the graph bound at target r - j + 2 is at least
+def _floor_bits(j, c, r):
+    """b with upper_bound_R(RamseyQuery((j,), c, r)) >= 2 ** b wherever it
+    is not refused, so a side of at most b bits is below it; -1 where no
+    floor is coded.  j >= 2 with r > j and c > 1 has one: the graph
+    recurrence gives R(v) >= 2 + sum_i (v_i - 2) (by induction, each of its
+    k terms R(v - e_i) is at least 1 + that sum, so R(v) is at least 2 + k
+    times it), so the graph bound at target r - j + 2 is at least
     L = 2 + c * (r - j), and b is L's top bit at j = 2.  For j >= 3 the
-    first Erdos--Rado step adds c ** C(m, 2) > 2 ** C(L, 2), and each
-    later step only makes the bound larger, so b = C(L, 2): no power is
-    built.  Not cached: these few integer steps cost less than hashing
-    the query."""
-    j, c, r = query.j, query.c, query.r
-    if len(j) != 1 or j[0] < 2 or r <= j[0] or c < 2:
+    first Erdos--Rado step adds c ** C(m, 2) > 2 ** C(L, 2), and each later
+    step only makes the bound larger, so b = C(L, 2): no power is built."""
+    if j < 2 or r <= j or c < 2:
         return -1
-    L = 2 + c * (r - j[0])
-    return L.bit_length() - 1 if j[0] == 2 else comb(L, 2)
+    L = 2 + c * (r - j)
+    return L.bit_length() - 1 if j == 2 else comb(L, 2)
 
 
 def _proven(sizes, query):
@@ -334,8 +331,9 @@ def _proven(sizes, query):
     points and r >= every j_i.  The counting test: c colors of at most U
     points each (`_class_bound`) cannot cover its P points.  The side
     bound: every side is at least upper_bound_R(query) (`_upper_bound`),
-    read only where a one-coordinate query's side is not below its floor
-    (`_floor_bits`)."""
+    read only where the smallest side is not below the floor of j_1
+    (`_floor_bits`), as each peel takes a max over its prefix, so
+    upper_bound_R(j) >= upper_bound_R(j[:1])."""
     j, c, r = query.j, query.c, query.r
     P, W, _ = _grid_size(sizes, j, r)
     if not (W and P and all(r >= jj for jj in j)):
@@ -345,7 +343,7 @@ def _proven(sizes, query):
         return (f"counting: {c} colors of at most {U} points each "
                 f"cover fewer than {P} points")
     # a side below the floor is below the bound, which is then not read
-    if len(sizes) == 1 and sizes[0].bit_length() <= _floor_bits(query):
+    if j and min(sizes).bit_length() <= _floor_bits(j[0], c, r):
         return None
     bound = _upper_bound(query)
     if all(N >= bound for N in sizes):
@@ -394,9 +392,8 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True,
         return PropertyResult(holds=True, searched=0, note=note)
     P, W, words = _grid_size(sizes, j, r)
     if words > max_colorings:
-        raise BudgetExceeded(
-            f"{W} witnesses on {P} points exceed the budget of {max_colorings}"
-        )
+        raise BudgetExceeded(f"{W} witnesses on {P} points take {words} mask "
+                             f"words, over the budget of {max_colorings}")
     if W == 0:
         return PropertyResult(
             holds=False,

@@ -10,7 +10,6 @@ documents.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -47,6 +46,7 @@ class RunReport:
 
     def canonical(self):
         """The deterministic part of the report (no wall time)."""
+        import hashlib  # OpenSSL-backed: loaded only where a digest is made
         doc = {
             "command": self.command,
             "config": _plain(self.config),

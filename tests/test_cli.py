@@ -1,6 +1,8 @@
 import itertools
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from math import comb, factorial, perm
@@ -229,6 +231,16 @@ def test_ramsey_bound_over_budget_exits_1(monkeypatch, capsys, argv):
     code, err = run_main(monkeypatch, capsys, ["ramsey", "bound"] + argv)
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("infeasible: ")
+
+
+def test_ramsey_mask_refusal_names_its_words(monkeypatch, capsys):
+    # at N = 2 there is no witness, yet its one point takes a mask word
+    code, err = run_main(monkeypatch, capsys, [
+        "ramsey", "search", "--j", "2", "--c", "2", "--r", "3", "--cap", "7",
+        "--max-colorings", "0",
+    ])
+    assert (code, err) == (1, "infeasible: 0 witnesses on 1 points take 1 "
+                              "mask words, over the budget of 0\n")
 
 
 def test_ramsey_bound_large_value(capsys):
@@ -804,6 +816,23 @@ def test_readme_verify_lines_keep_their_digests(monkeypatch, capsys):
             cli.run(argv[1:])
             got[" ".join(argv[1:])] = json.loads(capsys.readouterr().out)["digest"]
     assert got == README_VERIFY_DIGESTS
+
+
+def test_importing_finpart_loads_no_hashing_library():
+    # hashlib (and OpenSSL's _hashlib) load only when a report's digest is
+    # made; pytest loads hashlib itself, so a fresh interpreter tells
+    script = (
+        "import json, sys\n"
+        "import finpart, finpart.cli\n"
+        "print(json.dumps(sorted({'hashlib', '_hashlib'} & sys.modules.keys())))\n"
+        "finpart.cli.run(['verify', 'bijection', '--a', '4', '--n', '2'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded, report = out.split("\n", 1)
+    assert json.loads(loaded) == []
+    assert json.loads(report)["digest"] == "7ee24186ca11ba3f"
 
 
 @pytest.mark.parametrize("E, verdict", [("0,1", True), ("0", False)])

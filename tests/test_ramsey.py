@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import time
@@ -469,7 +470,7 @@ def test_a_side_below_the_floor_reads_no_bound(monkeypatch):
         return real(c, r)
 
     q = RamseyQuery((3,), 5, 29)
-    assert ramsey._floor_bits(q) == 8646
+    assert ramsey._floor_bits(3, 5, 29) == 8646
     ramsey._single_coordinate_bound.cache_clear()
     ramsey._upper_bound.cache_clear()
     monkeypatch.setattr(ramsey, "_graph_bound", counted)
@@ -479,24 +480,58 @@ def test_a_side_below_the_floor_reads_no_bound(monkeypatch):
     assert res.counterexample == has_property((29,), q, prune=False).counterexample
 
 
+def test_a_smallest_side_below_the_first_floor_reads_no_bound(monkeypatch):
+    # upper_bound_R((3, 1), 2, 4) is at least that of its first coordinate,
+    # whose floor is C(2 + 2 * 1, 2) = 6 bits, so sides of 4 never reach it
+    real = ramsey.upper_bound_R
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    q = RamseyQuery((3, 1), 2, 4)
+    ramsey._upper_bound.cache_clear()
+    monkeypatch.setattr(ramsey, "upper_bound_R", counted)
+    try:
+        res = has_property((4, 4), q)
+    finally:
+        ramsey._upper_bound.cache_clear()
+    assert calls == []
+    want = has_property((4, 4), q, prune=False)
+    assert (res.holds, res.counterexample) == (want.holds, want.counterexample)
+    assert not res.note
+
+
 def test_the_floor_is_below_the_bound():
-    # a side of at most _floor_bits bits is below upper_bound_R
-    floored = 0
-    for j in range(5):
-        for c in range(1, 5):
-            for r in range(9):
-                q = RamseyQuery((j,), c, r)
-                try:
-                    ub = upper_bound_R(q)
-                except BudgetExceeded:
-                    continue
-                b = ramsey._floor_bits(q)
-                if b >= 0:
-                    floored += 1
-                    assert ub >= 2 ** b, (j, c, r)
-    assert floored > 20
+    # a side of at most _floor_bits(j_1, c, r) bits is below upper_bound_R
+    # of every query whose first coordinate is j_1
+    floored = collections.Counter()  # floored queries by arity
+    for j, c, r in itertools.product(range(5), range(1, 5), range(9)):
+        b = ramsey._floor_bits(j, c, r)
+        if b < 0:
+            continue
+        for rest in ((), (0,), (1,), (2,)):
+            try:
+                ub = upper_bound_R(RamseyQuery((j,) + rest, c, r))
+            except BudgetExceeded:
+                continue
+            floored[1 + len(rest)] += 1
+            assert ub >= 2 ** b, (j, rest, c, r)
+    assert floored[1] > 20 and floored[2] > 10
     for r, c in itertools.product(range(3, 9), range(2, 5)):
         assert ramsey._graph_bound(c, r) >= 2 + c * (r - 2)
+
+
+@pytest.mark.parametrize("c, r", [(2, 3), (1, 0)])
+def test_an_empty_arity_is_still_answered(c, r):
+    # j = () has one grid point and no first coordinate to floor
+    q = RamseyQuery((), c, r)
+    res = has_property((), q)
+    assert res.holds
+    assert res.note == f"bound: every side is at least upper_bound_R = {r}"
+    assert has_property((), q, prune=False).holds
+    assert search_min_N(q, cap=4).value == 0
 
 
 def test_the_scan_for_the_bound_stops_where_the_budget_refuses(monkeypatch):
