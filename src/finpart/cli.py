@@ -294,8 +294,9 @@ _OPTIONS = {
     "max-colorings": {
         "type": int, "default": ramsey.DEFAULT_MAX_COLORINGS,
         "help": "budget of the Ramsey search, in search nodes (partial "
-                "colorings); grids whose witness masks exceed it are "
-                "refused before the search",
+                "colorings), one pool for all the searches of one call; "
+                "grids whose witness masks exceed it are refused before "
+                "the search",
     },
     "B": {"help": "comma-separated base elements"},
     "E": {"default": "", "help": "comma-separated elements"},

@@ -439,11 +439,10 @@ def down(a, m, l, Z):
     per = count_extensions(a, m, l)
     if per == 0:  # no m-tuple has an l-extension
         return frozenset(enum_disjoint_tuples(a, m))
-    hits = Counter()
-    for q in Z:
-        hits.update(itertools.product(
-            *(itertools.combinations(c, mi) for c, mi in zip(q, m))
-        ))
+    hits = Counter(itertools.chain.from_iterable(
+        itertools.product(*(itertools.combinations(c, mi) for c, mi in zip(q, m)))
+        for q in Z
+    ))
     return frozenset(p for p, k in hits.items() if k == per)
 
 

@@ -7,30 +7,20 @@ that every c-coloring of [S_1]^{j_1} x ... x [S_n]^{j_n} admits subsets
 T_i of size r with the whole sub-grid [T_1]^{j_1} x ... x [T_n]^{j_n}
 monochromatic?
 
-`has_property` decides one grid by a depth-first search over partial
-colorings that tests each witness when its last point is colored and cuts
-symmetric branches (the first point's color, adjacent transpositions of the
-side sets).  Its budget, `max_colorings`, counts search nodes; it also
-refuses, before building anything, grids whose witness masks exceed it.
-With pruning on, two proven bounds answer some grids before any of that
-(`_proven`).  The counting bound: where one color can hold at most U
-points with no monochromatic witness (`_class_bound`: r - 1 points for
-j = (1,), a Kovari--Sos--Turan bound for j = (1, 1)) and c * U < P for P
-grid points, every coloring has a witness.  The side bound: every side is
-at least `upper_bound_R`.  Either way the property holds with 0 nodes and
-a note naming the bound.  This also answers grids such as 60 x 60 whose
-masks the budget would refuse.  Since these bounds decide verdicts, each
-must be a proof, not a guess checked on a few grids: `upper_bound_R`
-only combines classical theorems (pigeonhole, the graph recurrence, the
-Erdos--Rado step-up, and one coordinate peeled off at a time).
+Each verdict follows one rule, proved where it is coded:
 
-`search_min_N` finds the least side size.  The property is monotone in N
-(a coloring with no monochromatic witness restricts to every smaller
-grid), so where a proven bound decides some least N*, one counterexample
-at N* - 1 settles the answer and is the evidence of its minimality; the
-search sweeps up from N = 0 only where that probe holds or no bound
-decides a size up to the cap.  A refused probe is raised at once, and one
-that holds leaves the searches below it only the nodes it did not spend.
+- a search decides a grid (`has_property`), depth first over partial
+  colorings, testing each witness when its last point is colored and
+  cutting symmetric branches; its budget, `max_colorings`, counts search
+  nodes, and grids whose witness masks exceed it are refused before
+  anything is built;
+- with pruning on, a proven bound decides a grid first, with 0 nodes, no
+  mask and a note naming it (`_proven`): counting for j = (1, 1), and
+  every side at least `upper_bound_R` for every j, pigeonhole included;
+- the least side size (`search_min_N`) is settled by one counterexample
+  just below the least size a bound decides, or else by a sweep up from
+  0, and all the searches of one call spend one pool of `max_colorings`
+  nodes.
 
 Grid points are indexed mixed-radix in their per-axis positions (`_axes`):
 point (S_1..S_n) has index sum_i pos_i(S_i) * stride_i, the order of
@@ -273,21 +263,20 @@ def _most_points(m, n, r):
 
 def _class_bound(sizes, j, r):
     """U, an upper bound on the points one color can hold with no
-    monochromatic r-witness; None where no bound is coded.
+    monochromatic r-witness; None for every j but (1, 1).  (For j = (1,)
+    the exact U = r - 1 decides c * (r - 1) < N, the sides that
+    upper_bound_R's pigeonhole decides, so it is not coded.)
 
-    j = (1,): U = r - 1, exact, since any r points are a witness.
-    j = (1, 1) on an m x n grid: in a witness-free class each r-set of
-    rows lies inside at most r - 1 columns, so the column degrees d_y
-    satisfy sum_y C(d_y, r) <= (r - 1) * C(m, r) (Kovari, Sos and Turan).
+    On an m x n grid, in a witness-free class each r-set of rows lies
+    inside at most r - 1 columns, so the column degrees d_y satisfy
+    sum_y C(d_y, r) <= (r - 1) * C(m, r) (Kovari, Sos and Turan).
     C(., r) is convex, so even degrees give the least sum for a total;
     U is the largest total whose even sum fits, taken over both
     orientations."""
-    if j == (1,):
-        return r - 1
-    if j == (1, 1):
-        m, n = sizes
-        return min(_most_points(m, n, r), _most_points(n, m, r))
-    return None
+    if j != (1, 1):
+        return None
+    m, n = sizes
+    return min(_most_points(m, n, r), _most_points(n, m, r))
 
 
 def _grid_size(sizes, j, r):
@@ -360,15 +349,10 @@ def has_property(sizes, query, max_colorings=DEFAULT_MAX_COLORINGS, prune=True,
     per 64 points each, plus one per point) exceed the budget are refused
     before anything is built; a negative budget raises ValueError.
 
-    With `prune`, a grid that has witnesses, points and r >= every j_i is
-    first tested against the proven bounds (`_proven`): if c colors of at
-    most U points each (`_class_bound`, coded for j = (1,) and (1, 1))
-    cannot cover its P points, or every side is at least upper_bound_R,
-    the property holds with 0 searched, 0 pruned and a note naming the
-    bound.  These tests run before the budget refusal, so they answer some
-    grids the budget used to refuse, and build no mask.  Without `prune`
-    no bound is read: the search is the plain unpruned oracle, the one
-    that checks the bounds.
+    With `prune`, a proven bound (`_proven`) may decide the grid first,
+    before the budget refusal: it holds with 0 searched, 0 pruned and the
+    bound's note.  Without `prune` no bound is read: the search is the
+    plain unpruned oracle, the one that checks the bounds.
 
     With `prune`, two symmetry rules cut the search, both sound together
     because point 0 is the most significant position of the lex order: the
@@ -434,21 +418,18 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
     Exact.  The property is monotone in N: a coloring with no
     monochromatic witness restricts to one on every smaller grid, so a
     counterexample at N - 1 shows that every N' < N fails too.  Hence the
-    search checks the top first: where a proven bound of `has_property`
-    (`_proven`: counting, or every side at least upper_bound_R) decides
+    search checks the top first: where a proven bound (`_proven`) decides
     some least N* <= cap + 1, one search at N* - 1 settles the answer when
     it finds a counterexample (the value is N*, or None when N* > cap).
-    upper_bound_R is kept per query (`_upper_bound`), so the scan, the
-    probe and the sweep compute it once between them.
     Where that probe holds (the bound was loose), and where no bound
     decides a size up to cap + 1, the sizes below are searched upward from
-    0 as before.
+    0.
 
-    The probe and the sweep below it share one node budget: a refused
-    probe is raised at once, and one that holds leaves each search below
-    it the nodes it did not spend.  So a bound above the true value never
-    becomes the value: the probe just below it holds, or is refused.  The
-    mask refusal compares with `max_colorings` throughout; it never
+    Every search of the call, the probe and each size of the sweep, gets
+    the nodes of `max_colorings` that the searches before it left, and a
+    refused search is raised at once.  So a bound above the true value
+    never becomes the value: the probe just below it holds, or is refused.
+    The mask refusal compares with `max_colorings` throughout; it never
     refuses the probe, as the scan for N* passes every size from 1 to
     N* - 1 inside the mask budget, and the masks at 0 take no word.  A
     negative `max_colorings` raises ValueError, as it does in
@@ -475,29 +456,27 @@ def search_min_N(query, cap, max_colorings=DEFAULT_MAX_COLORINGS):
             if _grid_size((N,) * len(j), j, r)[2] > max_colorings:
                 break
     stop = cap + 1  # the sweep's end
-    probe = None
+    searched = pruned = 0
     if top is not None:
         stop = top - 1
         probe = has_property((stop,) * len(j), query,
                              max_colorings=max_colorings)
+        searched, pruned = probe.searched, probe.pruned
         if not probe.holds:
             return SearchResult(top if top <= cap else None, cap,
-                                probe.counterexample, stop,
-                                probe.searched, probe.pruned)
+                                probe.counterexample, stop, searched, pruned)
     last_cex = None
     last_cex_N = None
-    searched, pruned = (probe.searched, probe.pruned) if probe else (0, 0)
-    nodes = max_colorings - searched - pruned  # what the probe left
     for N in range(stop):
         res = has_property((N,) * len(j), query, max_colorings=max_colorings,
-                           _nodes=nodes)
+                           _nodes=max_colorings - searched - pruned)
         searched += res.searched
         pruned += res.pruned
         if res.holds:
             return SearchResult(N, cap, last_cex, last_cex_N, searched, pruned)
         last_cex = res.counterexample
         last_cex_N = N
-    value = stop if probe else None
+    value = stop if top is not None else None
     return SearchResult(value, cap, last_cex, last_cex_N, searched, pruned)
 
 

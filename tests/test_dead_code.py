@@ -55,7 +55,7 @@ def test_every_top_level_definition_has_a_reader():
 
 # The package's line count may not grow past this.  A change that removes
 # code lowers it; one that must raise it says why in CHANGES.md.
-SOURCE_LINES = 3687
+SOURCE_LINES = 3666
 
 
 def test_source_stays_under_its_line_ceiling():

@@ -219,7 +219,7 @@ def test_rectangle_reach():
 
 
 # search_min_N probes just below the least size a proven bound decides:
-# counting for j = (1,) and (1, 1), upper_bound_R for every j
+# counting for j = (1, 1), upper_bound_R for every j
 SEARCHES = [((1,), c, r, cap) for c in (1, 2, 3) for r in (1, 2, 3, 4)
             for cap in range(9)]
 SEARCHES += [(j, c, r, cap) for j in ((1, 1), (2,)) for c in (1, 2, 3)
@@ -246,8 +246,7 @@ def test_search_min_N_matches_the_upward_sweep():
 def loosen_proven(monkeypatch, slack):
     """Make the proven bounds decide a grid only where they decide it with
     `slack` points per colour fewer on every side: a sound bound, but a
-    loose one.  For j = (1,) this is counting with U + slack points per
-    colour, and upper_bound_R + c * slack."""
+    loose one.  For j = (1,) this is upper_bound_R + c * slack."""
     real = ramsey._proven
 
     def loose(sizes, query):
@@ -284,7 +283,7 @@ def count_property_calls(monkeypatch):
 
 def test_search_min_N_settles_with_one_search_below_the_bound(monkeypatch):
     calls = count_property_calls(monkeypatch)
-    # pigeonhole: 3 colours of 3 points each cover 9 points, not 10
+    # pigeonhole: upper_bound_R = 3 * (4 - 1) + 1 = 10
     res = search_min_N(RamseyQuery((1,), 3, 4), cap=11)
     assert (res.value, res.counterexample_N, calls) == (10, 9, [(9,)])
     assert no_witness_1d(9, 3, 4, res.counterexample)
@@ -302,7 +301,8 @@ def test_search_min_N_settles_with_one_search_below_the_bound(monkeypatch):
 
 def test_search_min_N_certifies_a_cap_below_the_answer(monkeypatch):
     calls = count_property_calls(monkeypatch)
-    # counting decides 5 = cap + 1, so one search at the cap settles it
+    # pigeonhole's bound decides 5 = cap + 1, so one search at the cap
+    # settles it
     res = search_min_N(RamseyQuery((1,), 2, 3), cap=4)
     assert (res.value, res.cap, res.counterexample_N, calls) == \
         (None, 4, 4, [(4,)])
@@ -322,16 +322,17 @@ def test_a_probe_refused_by_its_node_limit_is_raised():
 def test_no_probe_above_a_size_the_mask_budget_refuses(monkeypatch):
     # with one point of slack per colour the bounds decide only 7 points,
     # and the scan for it stops at 6, whose 26 mask words a budget of 20
-    # refuses: no probe is made, and the sweep up from 0 holds at 5, with
-    # 15 words and 14 nodes
+    # refuses: no probe is made, and the sweep up from 0 searches 3 and 4
+    # points with 5 and 7 nodes, so the 14 nodes 5 points need are refused
+    # with 8 left
     loosen_proven(monkeypatch, 1)
     q = RamseyQuery((1,), 2, 3)
     with pytest.raises(BudgetExceeded, match="witnesses"):
         has_property((6,), q, max_colorings=20)
-    res = search_min_N(q, cap=8, max_colorings=20)
-    assert search_fields(res) == search_fields(
-        oracle_search_min_N(q, 8, 10 ** 6))
-    assert res.value == 5
+    log = count_search_nodes(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="budget of 8 nodes"):
+        search_min_N(q, cap=8, max_colorings=20)
+    assert log == [(3, 20, 5), (4, 15, 7), (5, 8, 8)]
 
 
 def proven_top(j, c, r, cap, max_colorings):
@@ -419,17 +420,59 @@ def test_a_probe_refused_by_its_node_limit_spends_the_budget_once(monkeypatch):
 
 def test_a_probe_that_holds_leaves_its_unspent_nodes(monkeypatch):
     # with one point of slack per colour the probe is at 6 points and holds
-    # after 14 nodes; each search below it gets what the probe left, and the
-    # one at 5 points, which needs 14 nodes, is refused with 12 left
+    # after 14 nodes; each search below it gets what the searches before it
+    # left, and the one at 5 points, which needs 14 nodes, is refused at 39
+    # with 13 left
     loosen_proven(monkeypatch, 1)
     log = count_search_nodes(monkeypatch)
     q = RamseyQuery((1,), 2, 3)
-    assert search_min_N(q, cap=8, max_colorings=28).value == 5
-    assert log == [(6, 28, 14), (3, 14, 5), (4, 14, 7), (5, 14, 14)]
+    assert search_min_N(q, cap=8, max_colorings=40).value == 5
+    assert log == [(6, 40, 14), (3, 26, 5), (4, 21, 7), (5, 14, 14)]
     log.clear()
-    with pytest.raises(BudgetExceeded, match="budget of 12 nodes"):
-        search_min_N(q, cap=8, max_colorings=26)
-    assert log == [(6, 26, 14), (3, 12, 5), (4, 12, 7), (5, 12, 12)]
+    with pytest.raises(BudgetExceeded, match="budget of 13 nodes"):
+        search_min_N(q, cap=8, max_colorings=39)
+    assert log == [(6, 39, 14), (3, 25, 5), (4, 20, 7), (5, 13, 13)]
+
+
+@pytest.mark.parametrize("slack", [0, 1], ids=["coded", "loose"])
+def test_one_search_min_N_call_spends_one_node_pool(monkeypatch, slack):
+    # the searches of one call, probe and sweep, spend one pool of
+    # max_colorings nodes between them: no budget lets a call spend more
+    # (with slack, (1,), c = 2, r = 3 needs 40 nodes, and 28 refuse it),
+    # and a budget of one node less than the call needs refuses it.  A
+    # budget whose mask limit stops the scan for N* sooner takes another
+    # path, whose searches need other nodes.
+    loosen_proven(monkeypatch, slack)
+    log = count_search_nodes(monkeypatch)
+
+    def spent():
+        return sum(nodes for _, _, nodes in log)
+
+    short = 0  # same-path calls refused at one node less than they need
+    for j, c, r, cap in SEARCHES:
+        q = RamseyQuery(j, c, r)
+        log.clear()
+        want = search_min_N(q, cap)
+        need = spent()
+        assert need == want.searched_total + want.pruned_total, (j, c, r, cap)
+        top = proven_top(j, c, r, cap, DEFAULT_MAX_COLORINGS)
+        for max_colorings in {0, 1, 2, 5, 20, 28, 61, need - 1, need}:
+            if max_colorings < 0:
+                continue
+            case = (j, c, r, cap, max_colorings)
+            same_path = proven_top(j, c, r, cap, max_colorings) == top
+            log.clear()
+            try:
+                got = search_min_N(q, cap, max_colorings)
+            except BudgetExceeded as exc:
+                by_nodes = "search exceeds" in str(exc)
+                assert not (same_path and by_nodes and max_colorings >= need), case
+                short += same_path and max_colorings == need - 1
+            else:
+                assert search_fields(got) == search_fields(want), case
+                assert not (same_path and max_colorings < need), case
+            assert spent() <= max_colorings, case
+    assert short > 50
 
 
 def test_the_bound_is_computed_once_per_query(monkeypatch):
@@ -700,7 +743,6 @@ ROOT_DECISIONS = {
     ((1, 1), (7, 3), 2, 2): 10,
     ((1, 1), (11, 11), 3, 2): 40,
     ((1, 1), (60, 60), 2, 2): 491,
-    ((1,), (10,), 3, 4): 3,
 }
 
 
@@ -711,6 +753,7 @@ BOUND_DECISIONS = {
     ((2,), (60,), 2, 3): 6,
     ((2,), (17,), 3, 3): 17,
     ((1, 2), (3, 4), 2, 2): 3,
+    ((1,), (10,), 3, 4): 10,
 }
 
 
@@ -808,9 +851,21 @@ def test_class_bound_is_sound():
                 assert U >= largest_witness_free(m, n, r), (m, n, r, U)
     for N in range(1, 8):
         for r in (1, 2, 3):
-            # any r points of one colour are a witness
-            assert ramsey._class_bound((N,), (1,), r) >= min(r - 1, N)
+            # upper_bound_R's pigeonhole decides what r - 1 points per colour
+            # would, so counting codes no bound for j = (1,)
+            assert ramsey._class_bound((N,), (1,), r) is None
     assert ramsey._class_bound((5,), (2,), 3) is None
+
+
+def test_pigeonhole_grids_are_decided_by_the_bound():
+    # c * (r - 1) + 1 points hold a witness in every c-colouring, and
+    # c * (r - 1) points do not, so no proven bound decides them
+    for c, r in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        q = RamseyQuery((1,), c, r)
+        N = c * (r - 1) + 1
+        assert has_property((N,), q) == ramsey.PropertyResult(
+            True, 0, 0, note=f"bound: every side is at least upper_bound_R = {N}")
+        assert ramsey._proven((N - 1,), q) is None, (c, r)
 
 
 # Planted faults in what `verify ramsey` checks: each must surface as a
